@@ -52,6 +52,11 @@ def _load_spec(args) -> FormulaSpec:
         raise CliError(f"{args.path}: {exc}") from None
 
 
+def _require_nonnegative(flag: str, value) -> None:
+    if value is not None and value < 0:
+        raise CliError(f"{flag} must be nonnegative, got {value}")
+
+
 def _spec_json(spec: FormulaSpec) -> dict:
     return {
         "name": spec.name,
@@ -111,6 +116,8 @@ def _parse_word(spec: FormulaSpec, word: str) -> list:
 
 
 def cmd_check(args) -> int:
+    _require_nonnegative("--bound", args.bound)
+    _require_nonnegative("--window", args.window)
     spec = _load_spec(args)
     violations = validate_spec(spec)
     sweep = defect_sweep(spec, args.bound)
@@ -157,6 +164,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    _require_nonnegative("--bound", args.bound)
     spec = _load_spec(args)
     sweep = defect_sweep(spec, args.bound)
     shown = sweep if args.all else sweep[:10]
@@ -196,6 +204,7 @@ def cmd_verma(args) -> int:
         cutoff = rat(args.cutoff)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad cutoff {args.cutoff!r}") from None
+    _require_nonnegative("--cutoff", cutoff)
     level = None
     if args.level is not None:
         try:

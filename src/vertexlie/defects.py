@@ -32,7 +32,7 @@ from .formula import (
     FormulaSpec,
     UngradedError,
     Violation,
-    _accumulate,
+    _add_scaled,
     basis_element,
     extend_product,
     gen_binomial,
@@ -92,12 +92,9 @@ def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     acc = dict(spec.constant_by_id(uid, n, vid)._terms)
     for k in range(max(0, spec.n_max - n)):
         base = spec.constant_by_id(vid, n + k, uid)
-        if not base:
-            continue
-        coeff = eps * Fraction((-1) ** (n + k), factorial(k))
-        for (j, tid), c in base._terms.items():
-            _accumulate(acc, (j + k, tid), coeff * c)
-    return Element(acc)
+        if base:
+            _add_scaled(acc, base.d_shift(k), eps * Fraction((-1) ** (n + k), factorial(k)))
+    return Element._of(acc)
 
 
 def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
@@ -108,17 +105,13 @@ def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
     uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
     eps = spec.epsilon(uid, vid)
     eu, ev, ew = basis_element(uid), basis_element(vid), basis_element(wid)
-    out = _prod(spec, eu, m, spec.constant_by_id(vid, n, wid))
-    out = out - _prod(spec, ev, n, spec.constant_by_id(uid, m, wid)).scale(eps)
+    acc = dict(_prod(spec, eu, m, spec.constant_by_id(vid, n, wid))._terms)
+    _add_scaled(acc, _prod(spec, ev, n, spec.constant_by_id(uid, m, wid)), -eps)
     for i in range(min(spec.n_max, m + 1)):
-        coeff = gen_binomial(m, i)
-        if not coeff:
-            continue
         uv = spec.constant_by_id(uid, i, vid)
-        if not uv:
-            continue
-        out = out - _prod(spec, uv, m + n - i, ew).scale(coeff)
-    return out
+        if uv:
+            _add_scaled(acc, _prod(spec, uv, m + n - i, ew), -gen_binomial(m, i))
+    return Element._of(acc)
 
 
 def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
@@ -136,23 +129,17 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
     uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
     eps = spec.epsilon(uid, vid)
     eu, ev, ew = basis_element(uid), basis_element(vid), basis_element(wid)
-    out = Element()
+    acc: dict = {}
     for i in range(k + 1):
         coeff = (-1) ** i * gen_binomial(k, i)
-        if not coeff:
-            continue
-        left = _prod(spec, eu, m + k - i, spec.constant_by_id(vid, n + i, wid))
-        right = _prod(spec, ev, n + k - i, spec.constant_by_id(uid, m + i, wid))
-        out = out + (left - right.scale(eps * (-1) ** k)).scale(coeff)
+        _add_scaled(acc, _prod(spec, eu, m + k - i, spec.constant_by_id(vid, n + i, wid)), coeff)
+        _add_scaled(acc, _prod(spec, ev, n + k - i, spec.constant_by_id(uid, m + i, wid)),
+                    -coeff * eps * (-1) ** k)
     for i in range(min(spec.n_max - k, m + 1)):
-        coeff = gen_binomial(m, i)
-        if not coeff:
-            continue
         uv = spec.constant_by_id(uid, k + i, vid)
-        if not uv:
-            continue
-        out = out - _prod(spec, uv, m + n - i, ew).scale(coeff)
-    return out
+        if uv:
+            _add_scaled(acc, _prod(spec, uv, m + n - i, ew), -gen_binomial(m, i))
+    return Element._of(acc)
 
 
 def default_bound(spec: FormulaSpec) -> int:

@@ -84,11 +84,26 @@ def _accumulate(acc: dict, key, coeff: Fraction) -> None:
         acc.pop(key, None)
 
 
+def _add_scaled(acc: dict, vec: "SparseVector", factor: Union[int, Fraction] = 1) -> None:
+    """Add factor * vec into the accumulator dict acc, dropping zeros."""
+    if factor == 1:
+        for key, coeff in vec._terms.items():
+            _accumulate(acc, key, coeff)
+    else:
+        for key, coeff in vec._terms.items():
+            _accumulate(acc, key, factor * coeff)
+
+
 class SparseVector:
     """Immutable finitely supported map key -> Fraction with linear ops.
 
     Keys must be hashable and mutually orderable; subclasses fix the key
-    type.  No zero coefficient is ever stored.
+    type.  Invariant of the stored dict: every coefficient is a
+    fractions.Fraction and none is zero.  The public constructor
+    enforces it on outside input (rat() coercion, zero-dropping);
+    results built inside the package go through _of, which trusts the
+    caller and must only wrap a fresh dict of nonzero Fractions that
+    nothing mutates afterwards, never another vector's terms.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -100,6 +115,14 @@ class SparseVector:
             _accumulate(data, key, rat(coeff))
         self._terms = data
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a package-built dict of nonzero Fractions without re-checking."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
 
     def items(self) -> Iterator:
         return iter(sorted(self._terms.items()))
@@ -124,26 +147,26 @@ class SparseVector:
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _accumulate(out, key, coeff)
-        return type(self)(out)
+        _add_scaled(out, other)
+        return self._of(out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _accumulate(out, key, -coeff)
-        return type(self)(out)
+        _add_scaled(out, other, -1)
+        return self._of(out)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self._terms.items()})
+        return self._of({k: -c for k, c in self._terms.items()})
 
     def scale(self, factor: RatLike):
         f = rat(factor)
+        if f == 1:
+            return self
         if not f:
-            return type(self)()
-        return type(self)({k: f * c for k, c in self._terms.items()})
+            return self._of({})
+        return self._of({k: f * c for k, c in self._terms.items()})
 
     __mul__ = scale
 
@@ -182,7 +205,7 @@ class Element(SparseVector):
     def d_shift(self, power: int = 1) -> "Element":
         if power < 0:
             raise ValueError("cannot shift by a negative D-power")
-        return Element({(k + power, bid): c for (k, bid), c in self._terms.items()})
+        return Element._of({(k + power, bid): c for (k, bid), c in self._terms.items()})
 
 
 def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
@@ -209,7 +232,7 @@ class BasisVector:
 class Violation:
     """One invariant failure reported by validate_spec (data, not an error)."""
 
-    kind: str  # "parity" | "weight" | "truncation"
+    kind: str  # "parity" | "weight"
     entry: tuple
     message: str
 
@@ -311,8 +334,6 @@ class FormulaSpec:
                 raise KeyError(f"unknown basis name {ref!r}") from None
         raise TypeError(f"cannot use {ref!r} as a basis reference")
 
-    vector = _resolve
-
     def bid(self, ref: BasisRef) -> int:
         return self._resolve(ref).index
 
@@ -383,16 +404,13 @@ _ZERO_ELEMENT = Element()
 def validate_spec(spec: FormulaSpec) -> list:
     """Check the FormulaSpec invariants; violations are data, not errors.
 
-    Returns an empty list iff parity consistency, weight bookkeeping
-    (when graded) and truncation of the constants table all hold.
+    Returns an empty list iff parity consistency and weight bookkeeping
+    (when graded) both hold.
     """
     out = []
     labels = spec.labels
     for (uid, n, vid), elt in spec.constant_entries():
         lu, lv = labels[uid], labels[vid]
-        if n >= spec.n_max:
-            out.append(Violation("truncation", (lu, n, lv),
-                                 f"product ({lu},{n},{lv}) sits at or above the truncation order"))
         want_parity = (spec.parity(uid) + spec.parity(vid)) % 2
         for (k, tid), _c in elt.items():
             lt = labels[tid]
@@ -439,7 +457,7 @@ def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element
                 factor = scale * f
                 for (k, tid), ct in base._terms.items():
                     _accumulate(acc, (k + shift, tid), factor * ct)
-    return Element(acc)
+    return Element._of(acc)
 
 
 def support_bound(spec: FormulaSpec, A: Element, B: Element) -> int:

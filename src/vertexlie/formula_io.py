@@ -18,6 +18,7 @@ export(parse(export(spec))) is byte-identical to export(spec).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, Optional
 
@@ -25,6 +26,7 @@ from .formula import EVEN, ODD, FormulaError, FormulaSpec, rat
 
 _PARITY_NAMES = {"even": EVEN, "odd": ODD}
 _SECTIONS = ("meta", "basis", "central", "conformal", "constants")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class FormulaFileError(FormulaError):
@@ -36,10 +38,9 @@ class FormulaFileError(FormulaError):
 
 
 def _rat_or_fail(token: str, line: int) -> Fraction:
-    try:
-        return rat(token)
-    except (ValueError, ZeroDivisionError):
-        raise FormulaFileError(line, f"bad rational {token!r}") from None
+    if not _RATIONAL.fullmatch(token):
+        raise FormulaFileError(line, f"bad rational {token!r} (expected an integer or p/q)")
+    return rat(token)
 
 
 def parse_formula(text: str) -> FormulaSpec:
@@ -50,6 +51,7 @@ def parse_formula(text: str) -> FormulaSpec:
     central: Optional[str] = None
     conformal_parts: dict = {}
     section: Optional[str] = None
+    references: List[tuple] = []  # (line, label) of every basis name used
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,6 +82,7 @@ def parse_formula(text: str) -> FormulaSpec:
             if central is not None:
                 raise FormulaFileError(lineno, "central vector named twice")
             central = line.split()[0]
+            references.append((lineno, central))
         elif section == "conformal":
             if "=" not in line:
                 raise FormulaFileError(lineno, "conformal lines look like 'omega = LABEL'")
@@ -87,6 +90,7 @@ def parse_formula(text: str) -> FormulaSpec:
             if key not in ("omega", "c"):
                 raise FormulaFileError(lineno, f"conformal keys are omega and c, got {key!r}")
             conformal_parts[key] = value
+            references.append((lineno, value))
         else:  # constants
             if ":" not in line:
                 raise FormulaFileError(lineno, "product lines look like 'U N V : K TARGET COEFF, ...'")
@@ -95,6 +99,7 @@ def parse_formula(text: str) -> FormulaSpec:
             if len(head_parts) != 3:
                 raise FormulaFileError(lineno, "product head must be 'U N V'")
             u, n_token, v = head_parts
+            references += [(lineno, u), (lineno, v)]
             try:
                 n = int(n_token)
             except ValueError:
@@ -114,11 +119,16 @@ def parse_formula(text: str) -> FormulaSpec:
                     raise FormulaFileError(lineno, "D-power must be nonnegative")
                 coeff = _rat_or_fail(parts[2], lineno)
                 key = (k, parts[1])
+                references.append((lineno, parts[1]))
                 terms[key] = terms.get(key, Fraction(0)) + coeff
             if (u, n, v) in constants:
                 raise FormulaFileError(lineno, f"product ({u},{n},{v}) given twice")
             constants[(u, n, v)] = terms
 
+    labels = {label for (label, _p, _w) in basis}
+    for lineno, label in references:
+        if label not in labels:
+            raise FormulaFileError(lineno, f"unknown basis name {label!r}")
     weights = [w for (_l, _p, w) in basis]
     if any(w is not None for w in weights) and not all(w is not None for w in weights):
         raise FormulaFileError(0, "weights must be given for all basis vectors or none")

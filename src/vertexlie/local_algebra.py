@@ -27,7 +27,8 @@ from .formula import (
     FormulaSpec,
     InhomogeneousError,
     SparseVector,
-    apply_D,
+    _accumulate,
+    _add_scaled,
     extend_product,
     falling,
     gen_binomial,
@@ -91,18 +92,13 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
             continue
         if cid is not None and bid == cid and (k >= 1 or n - k != -1):
             continue
-        gen = LieGenerator(bid, n - k)
-        new = acc.get(gen, 0) + coeff * f * (-1) ** k
-        if new:
-            acc[gen] = new
-        else:
-            acc.pop(gen, None)
-    return LieElement(acc)
+        _accumulate(acc, LieGenerator(bid, n - k), coeff * f * (-1) ** k)
+    return LieElement._of(acc)
 
 
 @lru_cache(maxsize=None)
 def _pair_bracket(spec: FormulaSpec, ubid: int, n: int, vbid: int, p: int) -> LieElement:
-    out = LieElement()
+    acc: dict = {}
     for i in range(spec.n_max):
         coeff = gen_binomial(n, i)
         if not coeff:
@@ -110,8 +106,8 @@ def _pair_bracket(spec: FormulaSpec, ubid: int, n: int, vbid: int, p: int) -> Li
         prod = spec.constant_by_id(ubid, i, vbid)
         if not prod:
             continue
-        out = out + reduce_generator(spec, prod, n + p - i).scale(coeff)
-    return out
+        _add_scaled(acc, reduce_generator(spec, prod, n + p - i), coeff)
+    return LieElement._of(acc)
 
 
 def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
@@ -120,16 +116,9 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     for gx, cx in x._terms.items():
         for gy, cy in y._terms.items():
             pb = _pair_bracket(spec, gx.bid, gx.n, gy.bid, gy.n)
-            if not pb:
-                continue
-            scale = cx * cy
-            for g, c in pb._terms.items():
-                new = acc.get(g, 0) + scale * c
-                if new:
-                    acc[g] = new
-                else:
-                    acc.pop(g, None)
-    return LieElement(acc)
+            if pb:
+                _add_scaled(acc, pb, cx * cy)
+    return LieElement._of(acc)
 
 
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
@@ -141,13 +130,8 @@ def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
             continue
         if cid is not None and g.bid == cid:
             continue
-        target = LieGenerator(g.bid, g.n - 1)
-        new = acc.get(target, 0) + (-g.n) * c
-        if new:
-            acc[target] = new
-        else:
-            acc.pop(target, None)
-    return LieElement(acc)
+        _accumulate(acc, LieGenerator(g.bid, g.n - 1), -g.n * c)
+    return LieElement._of(acc)
 
 
 def parity_of_lie(spec: FormulaSpec, x: LieElement) -> int:
@@ -159,8 +143,8 @@ def parity_of_lie(spec: FormulaSpec, x: LieElement) -> int:
 
 def triangular_split(x: LieElement) -> tuple:
     """Partition into (modes n < 0, modes n >= 0); their sum is x."""
-    neg = LieElement({g: c for g, c in x._terms.items() if g.n < 0})
-    pos = LieElement({g: c for g, c in x._terms.items() if g.n >= 0})
+    neg = LieElement._of({g: c for g, c in x._terms.items() if g.n < 0})
+    pos = LieElement._of({g: c for g, c in x._terms.items() if g.n >= 0})
     return neg, pos
 
 
@@ -230,9 +214,9 @@ def bracket_on_U(spec: FormulaSpec, u: Element, v: Element) -> Element:
 
     [u, v] = sum_{n >= 0} ((-1)^n / (n+1)!) D^{n+1} (u_n v).
     """
-    out = Element()
+    acc: dict = {}
     for n in range(support_bound(spec, u, v)):
         prod = extend_product(spec, u, n, v)
         if prod:
-            out = out + apply_D(prod, n + 1).scale(Fraction((-1) ** n, factorial(n + 1)))
-    return out
+            _add_scaled(acc, prod.d_shift(n + 1), Fraction((-1) ** n, factorial(n + 1)))
+    return Element._of(acc)

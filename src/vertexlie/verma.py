@@ -26,6 +26,8 @@ from .formula import (
     RatLike,
     SparseVector,
     UngradedError,
+    _accumulate,
+    _add_scaled,
     gen_binomial,
     rat,
 )
@@ -127,23 +129,18 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
 
 def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
     """Action of the mode g on a module vector (normal-ordered result)."""
-    out: dict = {}
+    acc: dict = {}
     for mono, coeff in v._terms.items():
-        for m2, c2 in _mul_gen(spec, g, mono)._terms.items():
-            new = out.get(m2, 0) + coeff * c2
-            if new:
-                out[m2] = new
-            else:
-                out.pop(m2, None)
-    return PbwVector(out)
+        _add_scaled(acc, _mul_gen(spec, g, mono), coeff)
+    return PbwVector._of(acc)
 
 
 def act_lie(spec: FormulaSpec, x: LieElement, v: PbwVector) -> PbwVector:
     """Linear extension of act over a combination of modes."""
-    out = _ZERO
+    acc: dict = {}
     for g, coeff in x._terms.items():
-        out = out + act(spec, g, v).scale(coeff)
-    return out
+        _add_scaled(acc, act(spec, g, v), coeff)
+    return PbwVector._of(acc)
 
 
 def act_word(spec: FormulaSpec, word: Iterable[LieGenerator],
@@ -157,7 +154,7 @@ def act_word(spec: FormulaSpec, word: Iterable[LieGenerator],
 
 def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
     """Derivation with [D, u_n] = -n u_{n-1} and D(vacuum) = 0."""
-    out = _ZERO
+    acc: dict = {}
     for mono, coeff in v._terms.items():
         factors = mono.factors
         for i, g in enumerate(factors):
@@ -167,8 +164,8 @@ def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
             piece = act_lie(spec, dg, PbwVector({PbwMonomial(factors[i + 1:]): 1}))
             for f in reversed(factors[:i]):
                 piece = act(spec, f, piece)
-            out = out + piece.scale(coeff)
-    return out
+            _add_scaled(acc, piece, coeff)
+    return PbwVector._of(acc)
 
 
 def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVector:
@@ -177,7 +174,7 @@ def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVect
         raise FormulaError("no central vector designated")
     cid = spec.central
     ell = rat(level)
-    out: dict = {}
+    acc: dict = {}
     for mono, coeff in v._terms.items():
         kept = []
         power = 0
@@ -186,16 +183,8 @@ def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVect
                 power += 1
             else:
                 kept.append(g)
-        scaled = coeff * ell ** power
-        if not scaled:
-            continue
-        key = PbwMonomial(tuple(kept))
-        new = out.get(key, 0) + scaled
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-    return PbwVector(out)
+        _accumulate(acc, PbwMonomial(tuple(kept)), coeff * ell ** power)
+    return PbwVector._of(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +279,7 @@ def _by_weight(spec: FormulaSpec, v: PbwVector) -> Dict[Fraction, PbwVector]:
     pieces: Dict[Fraction, dict] = {}
     for mono, coeff in v._terms.items():
         pieces.setdefault(monomial_weight(spec, mono), {})[mono] = coeff
-    return {w: PbwVector(d) for w, d in sorted(pieces.items())}
+    return {w: PbwVector._of(d) for w, d in sorted(pieces.items())}
 
 
 def weight_of_vector(spec: FormulaSpec, v: PbwVector) -> Optional[Fraction]:
@@ -304,17 +293,12 @@ def weight_of_vector(spec: FormulaSpec, v: PbwVector) -> Optional[Fraction]:
 def kappa(spec: FormulaSpec, A: Element) -> PbwVector:
     """Embedding of Q[D] (x) S into the module: D^k u -> k! u_{-k-1} 1."""
     cid = central_reduction(spec)
-    out: dict = {}
+    acc: dict = {}
     for (k, bid), coeff in A._terms.items():
         if cid is not None and bid == cid and k >= 1:
             continue
-        mono = PbwMonomial((LieGenerator(bid, -k - 1),))
-        new = out.get(mono, 0) + coeff * factorial(k)
-        if new:
-            out[mono] = new
-        else:
-            out.pop(mono, None)
-    return PbwVector(out)
+        _accumulate(acc, PbwMonomial((LieGenerator(bid, -k - 1),)), coeff * factorial(k))
+    return PbwVector._of(acc)
 
 
 def kappa_basis(spec: FormulaSpec, ref) -> PbwVector:
@@ -343,11 +327,11 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     _require_graded(spec)
     _require_injective(spec)
     bound = rat(cutoff)
-    out = _ZERO
+    acc: dict = {}
     for mono, coeff in a._terms.items():
         for bw, piece in _by_weight(spec, b).items():
-            out = out + _fc(spec, mono, n, piece, bw, bound).scale(coeff)
-    return out
+            _add_scaled(acc, _fc(spec, mono, n, piece, bw, bound), coeff)
+    return PbwVector._of(acc)
 
 
 def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
@@ -368,7 +352,7 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
         raise CutoffExceededError(
             f"field coefficient of weight {total} exceeds cutoff {cutoff}")
 
-    out = _ZERO
+    acc: dict = {}
     imax = floor(wr + bw - n - 1)
     for i in range(0, imax + 1):
         coeff = (-1) ** i * gen_binomial(m, i)
@@ -376,7 +360,7 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
             continue
         inner = _fc(spec, rest, n + i, b, bw, cutoff)
         if inner:
-            out = out + act(spec, LieGenerator(g.bid, m - i), inner).scale(coeff)
+            _add_scaled(acc, act(spec, LieGenerator(g.bid, m - i), inner), coeff)
 
     sign = eps * (1 if m % 2 == 0 else -1)
     imax = floor(bw + lam - 1)
@@ -389,9 +373,9 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
                 f"intermediate of weight {bw + lam - i - 1} exceeds cutoff {cutoff}")
         ub = act(spec, LieGenerator(g.bid, i), b)
         if ub:
-            out = out - _fc(spec, rest, m + n - i, ub, bw + lam - i - 1,
-                            cutoff).scale(sign * coeff)
-    return out
+            _add_scaled(acc, _fc(spec, rest, m + n - i, ub, bw + lam - i - 1, cutoff),
+                        -sign * coeff)
+    return PbwVector._of(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +449,15 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             for n in range(0, nmax + 1):
                 # u_n v = -eps sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u
                 lhs = field_coefficient(spec, ku, n, kv, margin)
-                rhs = _ZERO
+                rhs: dict = {}
                 k = 0
                 while u.weight + v.weight - n - k - 1 >= 0:
                     term = field_coefficient(spec, kv, n + k, ku, margin)
                     for _ in range(k):
                         term = apply_D_module(spec, term)
-                    rhs = rhs - term.scale(
-                        Fraction((-1) ** (n + k), factorial(k)) * eps)
+                    _add_scaled(rhs, term, -eps * Fraction((-1) ** (n + k), factorial(k)))
                     k += 1
-                if lhs != rhs:
+                if lhs != PbwVector._of(rhs):
                     half_skew = False
                     failures.append(
                         f"half skew symmetry fails for ({u.label},{n},{v.label})")
@@ -488,14 +471,13 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             for w in vectors:
                 for a in range(mode_lo, mode_hi + 1):
                     for b in range(mode_lo, mode_hi + 1):
-                        total = _ZERO
+                        total: dict = {}
                         for j in range(N + 1):
                             coeff = (-1) ** j * gen_binomial(N, j)
                             gu = LieGenerator(u.index, a - j)
                             gv = LieGenerator(v.index, b + j)
-                            term = act(spec, gu, act(spec, gv, w)) \
-                                - act(spec, gv, act(spec, gu, w)).scale(eps)
-                            total = total + term.scale(coeff)
+                            _add_scaled(total, act(spec, gu, act(spec, gv, w)), coeff)
+                            _add_scaled(total, act(spec, gv, act(spec, gu, w)), -eps * coeff)
                         if total:
                             locality = False
                             failures.append(
@@ -525,16 +507,15 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                         gu, gv = LieGenerator(u.index, m), LieGenerator(v.index, n)
                         lhs = act(spec, gu, act(spec, gv, w)) \
                             - act(spec, gv, act(spec, gu, w)).scale(eps)
-                        rhs = _ZERO
+                        rhs = {}
                         for i in range(spec.n_max):
                             coeff = gen_binomial(m, i)
                             prod = spec.constant_by_id(u.index, i, v.index)
                             if not coeff or not prod:
                                 continue
-                            rhs = rhs + field_coefficient(
-                                spec, kappa(spec, prod), m + n - i, w,
-                                margin).scale(coeff)
-                        if lhs != rhs:
+                            _add_scaled(rhs, field_coefficient(
+                                spec, kappa(spec, prod), m + n - i, w, margin), coeff)
+                        if lhs != PbwVector._of(rhs):
                             commutator_formula = False
                             failures.append(
                                 f"commutator formula fails for "

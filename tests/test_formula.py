@@ -7,17 +7,30 @@ import pytest
 
 from vertexlie import (
     EVEN,
+    PRESETS,
     Element,
     FormulaSpec,
     InhomogeneousError,
+    LieElement,
+    LieGenerator,
     UngradedError,
+    act_word,
     apply_D,
     basis_element,
+    bracket,
+    defect_sweep,
     extend_product,
+    field_coefficient,
     format_element,
     gen_binomial,
+    injectivity_verdict,
+    kappa,
+    kappa_basis,
+    lie_D,
     parity_of,
+    preset,
     rat,
+    specialize_level,
     support_bound,
     validate_spec,
     virasoro,
@@ -252,3 +265,58 @@ def test_format_element() -> None:
     # equal weights sort by D-power, so D.omega precedes D^3.c
     assert format_element(VIR, apply_D(OM) - F(1, 2) * apply_D(C, 3)) \
         == "D.omega - 1/2*D^3.c"
+
+
+def _assert_stored_nonzero_fractions(vec) -> None:
+    for key, coeff in vec._terms.items():
+        assert type(coeff) is F and coeff != 0, (vec, key, coeff)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_internal_results_store_only_nonzero_fractions(name: str) -> None:
+    # results built inside the package skip the constructor's coercion,
+    # so every layer must hand over nonzero Fractions on its own
+    spec = preset(name)
+    table = {key: dict(elt._terms) for key, elt in spec.constant_entries()}
+    check = _assert_stored_nonzero_fractions
+    elements = [basis_element(i, k) for i in range(spec.dim) for k in (0, 1)]
+    for a in elements:
+        for b in elements:
+            for n in range(support_bound(spec, a, b) + 1):
+                check(extend_product(spec, a, n, b))
+    for d in defect_sweep(spec):
+        check(d.value)
+    gens = [LieElement({LieGenerator(i, n): 1}) for i in range(spec.dim) for n in (-2, 0, 1, 3)]
+    for x in gens:
+        check(lie_D(spec, x))
+        for y in gens:
+            check(bracket(spec, x, y))
+    if spec.graded and injectivity_verdict(spec).injective:
+        for u in range(spec.dim):
+            check(kappa(spec, basis_element(u, 2, F(-3, 7))))
+            for v in range(spec.dim):
+                word = [LieGenerator(u, 1), LieGenerator(v, -2), LieGenerator(u, -1)]
+                check(act_word(spec, word))
+                if spec.central is not None:
+                    check(specialize_level(spec, act_word(spec, word), F(5, 2)))
+                    check(specialize_level(spec, act_word(spec, word), 0))
+                for n in range(3):
+                    check(field_coefficient(spec, kappa_basis(spec, u), n,
+                                            kappa_basis(spec, v), 10))
+    # no result may share storage with the constants table it was read from
+    assert {key: dict(elt._terms) for key, elt in spec.constant_entries()} == table
+
+
+def test_operand_reuse_leaves_operands_unchanged() -> None:
+    x = OM.scale(F(2, 3)) + apply_D(C)
+    snapshot = dict(x._terms)
+    assert x + x == x.scale(2)
+    assert x.scale(1) is x
+    assert x.scale(1) + OM == OM + x
+    assert (x - x).is_zero and (x.scale(1) - x).is_zero
+    assert -x + x == Element()
+    assert x._terms == snapshot
+    y = LieElement({LieGenerator(0, 2): F(1, 3), LieGenerator(0, -1): 1})
+    y_snapshot = dict(y._terms)
+    assert bracket(VIR, y, y) + bracket(VIR, y, y.scale(1)) == bracket(VIR, y, y).scale(2)
+    assert y._terms == y_snapshot

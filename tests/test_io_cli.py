@@ -65,6 +65,9 @@ a 0 a : 0 a 1
     ("[what]\n", "unknown section"),
     ("[basis]\na maybe\n", "parity"),
     ("[basis]\na even x\n", "bad rational"),
+    ("[basis]\na even 1.5\n", "bad rational"),
+    ("[basis]\na even 1e3\n", "bad rational"),
+    ("[basis]\na even\n[constants]\na 0 a : 0 a 1/0\n", "bad rational"),
     ("[basis]\na even 1\nb even\n", "all basis vectors or none"),
     ("[basis]\na even\n[constants]\na 0 a 0 a 1\n", "product lines"),
     ("[basis]\na even\n[constants]\na zero a : 0 a 1\n", "bad product index"),
@@ -82,9 +85,19 @@ def test_parse_diagnostics(text: str, fragment: str) -> None:
 
 
 def test_parse_reports_line_numbers() -> None:
-    with pytest.raises(FormulaFileError) as err:
-        parse_formula("[basis]\na even\nb oddish\n")
-    assert err.value.line == 3
+    cases = [
+        ("[basis]\na even\nb oddish\n", 3),
+        # unknown basis names in constants, central and conformal lines
+        ("[basis]\na even\n\n[constants]\na 0 a : 0 a 1\na 1 b : 0 a 1\n", 6),
+        ("[basis]\na even\n\n[constants]\na 0 a : 0 a 1, 1 b 2\n", 5),
+        ("[central]\nc\n[basis]\na even\n", 2),
+        ("[basis]\na even\n[conformal]\nomega = a\nc = nope\n", 5),
+    ]
+    for text, line in cases:
+        with pytest.raises(FormulaFileError) as err:
+            parse_formula(text)
+        assert err.value.line == line, text
+        assert str(err.value).startswith(f"line {line}:")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +236,22 @@ def test_cli_check_bound_flag(capsys) -> None:
     # a too-small user bound is reported, not silently accepted
     assert main(["check", "--preset", "virasoro", "--bound", "2"]) == 1
     assert "bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--preset", "virasoro", "--bound", "-1"], "--bound must be nonnegative, got -1"),
+    (["check", "--preset", "virasoro", "--window", "-2"], "--window must be nonnegative, got -2"),
+    (["defect", "--preset", "virasoro", "--bound", "-3"], "--bound must be nonnegative, got -3"),
+    (["verma", "--preset", "virasoro", "--cutoff", "-1", "--dims"],
+     "--cutoff must be nonnegative, got -1"),
+    (["verma", "--preset", "virasoro", "--cutoff=-1/2", "--act", "omega_-1"],
+     "--cutoff must be nonnegative, got -1/2"),
+])
+def test_cli_rejects_negative_flags(argv, message, capsys) -> None:
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_verma_fractional_cutoff(capsys) -> None:
