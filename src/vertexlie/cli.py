@@ -202,14 +202,14 @@ def cmd_verma(args) -> int:
         raise CliError("verma needs --cutoff")
     try:
         cutoff = rat(args.cutoff)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise CliError(f"bad cutoff {args.cutoff!r}") from None
     _require_nonnegative("--cutoff", cutoff)
     level = None
     if args.level is not None:
         try:
             level = rat(args.level)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise CliError(f"bad level {args.level!r}") from None
 
     try:

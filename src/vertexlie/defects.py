@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Optional
 
@@ -33,6 +32,7 @@ from .formula import (
     UngradedError,
     Violation,
     _add_scaled,
+    _per_spec,
     basis_element,
     extend_product,
     gen_binomial,
@@ -77,12 +77,6 @@ class Verdict:
         return f"{self.status}: {self.notes}"
 
 
-@lru_cache(maxsize=1 << 16)
-def _prod(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:
-    # defect sweeps reuse a small set of table elements heavily
-    return extend_product(spec, A, n, B)
-
-
 def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
     if n < 0:
@@ -105,12 +99,12 @@ def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
     uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
     eps = spec.epsilon(uid, vid)
     eu, ev, ew = basis_element(uid), basis_element(vid), basis_element(wid)
-    acc = dict(_prod(spec, eu, m, spec.constant_by_id(vid, n, wid))._terms)
-    _add_scaled(acc, _prod(spec, ev, n, spec.constant_by_id(uid, m, wid)), -eps)
+    acc = dict(extend_product(spec, eu, m, spec.constant_by_id(vid, n, wid))._terms)
+    _add_scaled(acc, extend_product(spec, ev, n, spec.constant_by_id(uid, m, wid)), -eps)
     for i in range(min(spec.n_max, m + 1)):
         uv = spec.constant_by_id(uid, i, vid)
         if uv:
-            _add_scaled(acc, _prod(spec, uv, m + n - i, ew), -gen_binomial(m, i))
+            _add_scaled(acc, extend_product(spec, uv, m + n - i, ew), -gen_binomial(m, i))
     return Element._of(acc)
 
 
@@ -132,13 +126,14 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
     acc: dict = {}
     for i in range(k + 1):
         coeff = (-1) ** i * gen_binomial(k, i)
-        _add_scaled(acc, _prod(spec, eu, m + k - i, spec.constant_by_id(vid, n + i, wid)), coeff)
-        _add_scaled(acc, _prod(spec, ev, n + k - i, spec.constant_by_id(uid, m + i, wid)),
+        _add_scaled(acc, extend_product(spec, eu, m + k - i, spec.constant_by_id(vid, n + i, wid)),
+                    coeff)
+        _add_scaled(acc, extend_product(spec, ev, n + k - i, spec.constant_by_id(uid, m + i, wid)),
                     -coeff * eps * (-1) ** k)
     for i in range(min(spec.n_max - k, m + 1)):
         uv = spec.constant_by_id(uid, k + i, vid)
         if uv:
-            _add_scaled(acc, _prod(spec, uv, m + n - i, ew), -gen_binomial(m, i))
+            _add_scaled(acc, extend_product(spec, uv, m + n - i, ew), -gen_binomial(m, i))
     return Element._of(acc)
 
 
@@ -147,7 +142,7 @@ def default_bound(spec: FormulaSpec) -> int:
     return spec.n_max + spec.k_max + 1
 
 
-@lru_cache(maxsize=None)
+@_per_spec
 def _sweep(spec: FormulaSpec, bound: int) -> tuple:
     defects = []
     ids = range(spec.dim)
@@ -206,33 +201,24 @@ def central_check(spec: FormulaSpec, c: BasisRef) -> bool:
     return not any(uid == cid or vid == cid for (uid, _n, vid) in spec._constants)
 
 
-def _min_central_power(defects: tuple, cid: int) -> Optional[int]:
-    powers = [k for d in defects for (k, bid) in d.value._terms if bid == cid]
-    return min(powers) if powers else None
-
-
-@lru_cache(maxsize=None)
+@_per_spec
 def central_reduction(spec: FormulaSpec) -> Optional[int]:
     """Basis index of the central vector killed by the quotient, if any.
 
     The quotient relation Dc = 0 (hence c_n = 0 for n != -1 in the local
-    algebra) is justified exactly when a central vector is designated,
-    annihilation holds both ways, every defect lies in D.Q[D] (x) c and
-    some defect has a D^1 component on c: then the defect ideal equals
-    the full positive D-span of c.  Returns None otherwise, in
-    particular when there are no defects at all (free case, no quotient).
+    algebra) is justified exactly when the verdict settles the defect
+    ideal as the full positive D-span of the designated central vector:
+    status injective_zero_ideal or injective_central_ideal with defects
+    present.  Returns None otherwise, in particular when there are no
+    defects at all (free case, no quotient).
     """
     cid = spec.central
     if cid is None or not central_check(spec, cid):
         return None
-    defects = _sweep(spec, default_bound(spec))
-    if not defects:
-        return None
-    if not all(membership_central(spec, d.value, cid) for d in defects):
-        return None
-    if _min_central_power(defects, cid) != 1:
-        return None
-    return cid
+    verdict = injectivity_verdict(spec)
+    if verdict.witnesses and verdict.status in (INJECTIVE_ZERO_IDEAL, INJECTIVE_CENTRAL_IDEAL):
+        return spec.central
+    return None
 
 
 def injectivity_verdict(spec: FormulaSpec, central: Optional[BasisRef] = None) -> Verdict:
@@ -266,7 +252,7 @@ def injectivity_verdict(spec: FormulaSpec, central: Optional[BasisRef] = None) -
             all(membership_central(spec, d.value, cid) for d in defects):
         c_label = spec.vectors[cid].label
         commutator_defects = tuple(d for d in defects if d.kind == COMMUTATOR)
-        if _min_central_power(defects, cid) != 1:
+        if min(k for d in defects for (k, _bid) in d.value._terms) != 1:
             return Verdict(UNDETERMINED, defects,
                            f"defects sit in higher D-powers of {c_label}; the "
                            "defect ideal is strictly smaller than its full "

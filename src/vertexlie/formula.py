@@ -17,9 +17,10 @@ point enters at any stage.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -27,6 +28,8 @@ EVEN = 0
 ODD = 1
 
 RatLike = Union[int, str, Fraction]
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class FormulaError(Exception):
@@ -49,14 +52,28 @@ class CutoffExceededError(FormulaError):
     """An intermediate value passed the caller's weight cutoff."""
 
 
+class _BasisEntryError(ValueError):
+    """A basis entry FormulaSpec rejects; `index` is its place in the basis."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def rat(value: RatLike) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction or "n" / "p/q" string to an exact rational.
+
+    Any other string ("1.5", "1e3", "1/0") raises ValueError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"bad rational {value!r} (expected an integer or p/q)")
+        return Fraction(text)
     raise TypeError(f"cannot read {value!r} as a rational number")
 
 
@@ -265,32 +282,32 @@ class FormulaSpec:
     """
 
     __slots__ = ("name", "vectors", "_by_label", "_constants", "n_max",
-                 "k_max", "central", "conformal", "_hash")
+                 "k_max", "central", "conformal", "_hash", "_memo")
 
     def __init__(self, basis: Sequence, constants: Mapping, central: Optional[BasisRef] = None,
                  conformal: Optional[tuple] = None, name: Optional[str] = None):
-        vectors = []
+        vectors: list = []
+        by_label: dict = {}
         for i, entry in enumerate(basis):
             if isinstance(entry, BasisVector):
                 label, parity, weight = entry.label, entry.parity, entry.weight
             else:
-                label, parity = entry[0], entry[1]
+                label, parity = str(entry[0]), entry[1]
                 weight = entry[2] if len(entry) > 2 else None
             if parity not in (EVEN, ODD):
-                raise ValueError(f"parity of {label!r} must be 0 or 1")
+                raise _BasisEntryError(i, f"parity of {label!r} must be 0 or 1")
             if weight is not None:
                 weight = rat(weight)
                 if weight < 0:
-                    raise ValueError(f"weight of {label!r} must be nonnegative")
-            vectors.append(BasisVector(i, str(label), parity, weight))
-        labels = [v.label for v in vectors]
-        if len(set(labels)) != len(labels):
-            raise ValueError("basis labels must be unique")
-        weighted = [v.weight is not None for v in vectors]
-        if any(weighted) and not all(weighted):
-            raise ValueError("weights must be given for all basis vectors or none")
+                    raise _BasisEntryError(i, f"weight of {label!r} must be nonnegative")
+            if label in by_label:
+                raise _BasisEntryError(i, f"basis label {label!r} given twice")
+            if vectors and (weight is None) != (vectors[0].weight is None):
+                raise _BasisEntryError(i, "weights must be given for all basis vectors or none")
+            vectors.append(BasisVector(i, label, parity, weight))
+            by_label[label] = vectors[-1]
         self.vectors: tuple = tuple(vectors)
-        self._by_label = {v.label: v for v in self.vectors}
+        self._by_label = by_label
 
         table: dict = {}
         for (u, n, v), value in constants.items():
@@ -317,6 +334,7 @@ class FormulaSpec:
         self.conformal: Optional[tuple] = conformal
         self.name = name
         self._hash: Optional[int] = None
+        self._memo: dict = {}  # derived data: _per_spec tables, normal-ordering entries
 
     # -- basis access ------------------------------------------------
 
@@ -401,6 +419,18 @@ class FormulaSpec:
 _ZERO_ELEMENT = Element()
 
 
+def _per_spec(fn):
+    """Memoize fn(spec, *args) in spec._memo, so the table is freed with the spec."""
+    @wraps(fn)
+    def memoized(spec, *args):
+        try:
+            return spec._memo[memoized][args]
+        except KeyError:
+            pass
+        return spec._memo.setdefault(memoized, {}).setdefault(args, fn(spec, *args))
+    return memoized
+
+
 def validate_spec(spec: FormulaSpec) -> list:
     """Check the FormulaSpec invariants; violations are data, not errors.
 
@@ -429,6 +459,7 @@ def validate_spec(spec: FormulaSpec) -> list:
     return out
 
 
+@_per_spec
 def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:
     """The product A_n B on all of Q[D] (x) S, n >= 0.
 

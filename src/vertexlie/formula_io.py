@@ -18,15 +18,13 @@ export(parse(export(spec))) is byte-identical to export(spec).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import List, Optional
 
-from .formula import EVEN, ODD, FormulaError, FormulaSpec, rat
+from .formula import EVEN, ODD, FormulaError, FormulaSpec, _BasisEntryError, rat
 
 _PARITY_NAMES = {"even": EVEN, "odd": ODD}
 _SECTIONS = ("meta", "basis", "central", "conformal", "constants")
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class FormulaFileError(FormulaError):
@@ -38,14 +36,16 @@ class FormulaFileError(FormulaError):
 
 
 def _rat_or_fail(token: str, line: int) -> Fraction:
-    if not _RATIONAL.fullmatch(token):
-        raise FormulaFileError(line, f"bad rational {token!r} (expected an integer or p/q)")
-    return rat(token)
+    try:
+        return rat(token)
+    except ValueError as exc:
+        raise FormulaFileError(line, str(exc)) from None
 
 
 def parse_formula(text: str) -> FormulaSpec:
     """Parse the sectioned text format into a FormulaSpec."""
     basis: List[tuple] = []
+    basis_lines: List[int] = []
     constants: dict = {}
     meta: dict = {}
     central: Optional[str] = None
@@ -78,6 +78,7 @@ def parse_formula(text: str) -> FormulaSpec:
                 raise FormulaFileError(lineno, f"parity must be even or odd, got {parts[1]!r}")
             weight = _rat_or_fail(parts[2], lineno) if len(parts) == 3 else None
             basis.append((label, _PARITY_NAMES[parity_name], weight))
+            basis_lines.append(lineno)
         elif section == "central":
             if central is not None:
                 raise FormulaFileError(lineno, "central vector named twice")
@@ -129,9 +130,6 @@ def parse_formula(text: str) -> FormulaSpec:
     for lineno, label in references:
         if label not in labels:
             raise FormulaFileError(lineno, f"unknown basis name {label!r}")
-    weights = [w for (_l, _p, w) in basis]
-    if any(w is not None for w in weights) and not all(w is not None for w in weights):
-        raise FormulaFileError(0, "weights must be given for all basis vectors or none")
     entries = [(l, p) if w is None else (l, p, w) for (l, p, w) in basis]
     conformal = None
     if conformal_parts:
@@ -141,6 +139,8 @@ def parse_formula(text: str) -> FormulaSpec:
     try:
         return FormulaSpec(entries, constants, central=central, conformal=conformal,
                            name=meta.get("name"))
+    except _BasisEntryError as exc:
+        raise FormulaFileError(basis_lines[exc.index], str(exc)) from None
     except (KeyError, ValueError) as exc:
         raise FormulaFileError(0, str(exc)) from None
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Optional, Union
 
@@ -29,6 +28,7 @@ from .formula import (
     SparseVector,
     _accumulate,
     _add_scaled,
+    _per_spec,
     extend_product,
     falling,
     gen_binomial,
@@ -96,7 +96,7 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
     return LieElement._of(acc)
 
 
-@lru_cache(maxsize=None)
+@_per_spec
 def _pair_bracket(spec: FormulaSpec, ubid: int, n: int, vbid: int, p: int) -> LieElement:
     acc: dict = {}
     for i in range(spec.n_max):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, floor
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -98,9 +97,12 @@ def _order_key(spec: FormulaSpec, g: LieGenerator) -> tuple:
     return (primary, g.bid, g.n)
 
 
-@lru_cache(maxsize=None)
 def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector:
-    """Left-multiply one generator onto a normal-ordered monomial."""
+    """Left-multiply one generator onto a normal-ordered monomial.
+
+    Memoized in spec._memo[(g, mono)] by its two callers (act and the
+    recursive step), with no wrapper frame: one frame per factor.
+    """
     cid = central_reduction(spec)
     if cid is not None and g.bid == cid and g.n != -1:
         return _ZERO  # the quotient kills every central mode but c_{-1}
@@ -121,7 +123,10 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
                 return act_lie(spec, half, PbwVector({rest: 1})).scale(Fraction(1, 2))
             return PbwVector({PbwMonomial((g,) + factors): 1})
     eps = -1 if spec.parity(g.bid) and spec.parity(head.bid) else 1
-    swapped = act(spec, head, _mul_gen(spec, g, rest)).scale(eps)
+    inner = spec._memo.get((g, rest))
+    if inner is None:
+        inner = spec._memo[(g, rest)] = _mul_gen(spec, g, rest)
+    swapped = act(spec, head, inner).scale(eps)
     corr = act_lie(spec, _pair_bracket(spec, g.bid, g.n, head.bid, head.n),
                    PbwVector({rest: 1}))
     return swapped + corr
@@ -129,9 +134,13 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
 
 def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
     """Action of the mode g on a module vector (normal-ordered result)."""
+    memo = spec._memo
     acc: dict = {}
     for mono, coeff in v._terms.items():
-        _add_scaled(acc, _mul_gen(spec, g, mono), coeff)
+        prod = memo.get((g, mono))
+        if prod is None:
+            prod = memo[(g, mono)] = _mul_gen(spec, g, mono)
+        _add_scaled(acc, prod, coeff)
     return PbwVector._of(acc)
 
 

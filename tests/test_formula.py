@@ -80,8 +80,13 @@ def test_rat_coercions() -> None:
     assert rat("3/4") == F(3, 4)
     assert rat(5) == F(5)
     assert rat(F(1, 2)) == F(1, 2)
+    assert rat(" -6/4 ") == F(-3, 2)
     with pytest.raises(TypeError):
         rat(0.5)
+    # integers and p/q only, as in the text format
+    for text in ("1.5", "1e3", "1/0", "3/-4", "1_000", ""):
+        with pytest.raises(ValueError, match="bad rational"):
+            rat(text)
 
 
 def test_element_arithmetic_and_canonical_form() -> None:

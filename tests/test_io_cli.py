@@ -92,6 +92,11 @@ def test_parse_reports_line_numbers() -> None:
         ("[basis]\na even\n\n[constants]\na 0 a : 0 a 1, 1 b 2\n", 5),
         ("[central]\nc\n[basis]\na even\n", 2),
         ("[basis]\na even\n[conformal]\nomega = a\nc = nope\n", 5),
+        # basis errors at their own line
+        ("[basis]\na even\na even\n", 3),
+        ("[basis]\na even 1\n\nb even -1\n", 4),
+        ("[basis]\na even 1\nb even 2\nc even\nd even 1\n", 4),
+        ("[basis]\na even\nb even 2\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(FormulaFileError) as err:
@@ -246,6 +251,10 @@ def test_cli_check_bound_flag(capsys) -> None:
      "--cutoff must be nonnegative, got -1"),
     (["verma", "--preset", "virasoro", "--cutoff=-1/2", "--act", "omega_-1"],
      "--cutoff must be nonnegative, got -1/2"),
+    # rationals are integers or p/q, as in formula files
+    (["verma", "--preset", "virasoro", "--cutoff", "6", "--level", "1.5",
+      "--act", "omega_3 omega_-1"], "bad level '1.5'"),
+    (["verma", "--preset", "virasoro", "--cutoff", "1e3", "--dims"], "bad cutoff '1e3'"),
 ])
 def test_cli_rejects_negative_flags(argv, message, capsys) -> None:
     assert main(argv) == 2

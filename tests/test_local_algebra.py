@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from vertexlie import (
+    BoundInsufficientError,
     InhomogeneousError,
     LieElement,
     LieGenerator,
@@ -14,6 +15,8 @@ from vertexlie import (
     basis_element,
     bracket,
     bracket_on_U,
+    central_reduction,
+    defect_sweep,
     gen_binomial,
     heisenberg,
     jacobi_window_verify,
@@ -26,6 +29,7 @@ from vertexlie import (
     triangular_split,
     virasoro,
 )
+from vertexlie.formula_io import export_formula, parse_formula
 from vertexlie.local_algebra import parity_of_lie, single
 
 VIR = virasoro()
@@ -79,6 +83,24 @@ def test_reduce_generator_keeps_central_modes_without_quotient() -> None:
     c = basis_element(loop.bid("c"))
     assert reduce_generator(loop, c, -2) == elem(loop, ("c", -2, 1))
     assert reduce_generator(loop, apply_D(c), -1) == elem(loop, ("c", -2, 1))
+
+
+def test_no_quotient_without_a_central_vector_even_if_the_sweep_fails() -> None:
+    from vertexlie import act_word
+
+    # c_2 omega != 0, so the designated c is not central and there is no
+    # quotient, although the sweep at the default bound is insufficient
+    spec = parse_formula(export_formula(VIR) + "c 2 omega : 1 omega 3/2\n")
+    with pytest.raises(BoundInsufficientError):
+        defect_sweep(spec)
+    assert central_reduction(spec) is None
+    c = basis_element(spec.bid("c"))
+    assert reduce_generator(spec, c, -2) == elem(spec, ("c", -2, 1))
+    got = bracket(spec, single(spec, "omega", 2), single(spec, "omega", -2))
+    assert got == elem(spec, ("omega", -1, 4))
+    word = act_word(spec, [gen(spec, "omega", 1), gen(spec, "omega", -2)])
+    assert word == act_word(spec, [gen(spec, "omega", -2)]).scale(3)
+    assert jacobi_window_verify(spec, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from vertexlie import (
     CutoffExceededError,
     FormulaError,
+    FormulaSpec,
     LieElement,
     LieGenerator,
     NotInjectiveError,
@@ -23,9 +27,12 @@ from vertexlie import (
     apply_D_module,
     axiom_spotcheck,
     basis_element,
+    bracket,
+    defect_sweep,
     field_coefficient,
     graded_dimension,
     heisenberg,
+    jacobi_window_verify,
     kappa,
     kappa_basis,
     lambda_algebra,
@@ -36,6 +43,7 @@ from vertexlie import (
     vacuum,
     virasoro,
 )
+from vertexlie.formula_io import parse_formula
 from vertexlie.linalg import RowSpace
 from vertexlie.verma import monomial_weight, weight_of_vector
 
@@ -403,3 +411,65 @@ def test_axiom_spotcheck_abelian() -> None:
     flat = FormulaSpec([("a", EVEN, 1)], {})
     report = axiom_spotcheck(flat, 4)
     assert report.ok, report.failures[:5]
+
+
+# ---------------------------------------------------------------------------
+# derived data on the spec
+# ---------------------------------------------------------------------------
+
+def test_deep_word_normal_orders_without_recursion_error() -> None:
+    spec = affine(heisenberg())
+    word = act_word(spec, [gen(spec, "x", -2)] * 600)
+    out = act(spec, gen(spec, "x", 2), word)
+    # x_2 x_{-2}^600 1 = 1200 c_{-1} x_{-2}^599 1
+    assert len(out) == 1
+    assert out.coeff(PbwMonomial((gen(spec, "x", -2),) * 599 + (gen(spec, "c", -1),))) == 1200
+
+
+def test_derived_data_is_freed_with_its_spec() -> None:
+    def live_specs() -> int:
+        gc.collect()
+        return sum(isinstance(obj, FormulaSpec) for obj in gc.get_objects())
+
+    before = live_specs()
+    specs = [parse_formula("[basis]\nx even 1\nc even 0\n[central]\nc\n"
+                           f"[constants]\nx 1 x : 0 c {level}\n") for level in range(1, 21)]
+    for level, spec in enumerate(specs, start=1):
+        assert len(defect_sweep(spec)) == 1
+        assert jacobi_window_verify(spec, 2) == []
+        v = act_word(spec, [gen(spec, "x", -1)])
+        assert field_coefficient(spec, v, 1, v, 4) == vec(spec, ("c", -1)).scale(level)
+    del specs, spec, v
+    assert live_specs() == before
+
+
+def test_shared_spec_is_safe_across_threads() -> None:
+    def work(spec: FormulaSpec) -> list:
+        om = [LieElement({gen(spec, "omega", n): 1}) for n in range(-3, 4)]
+        out = [bracket(spec, x, y) for x in om for y in om]
+        word = act_word(spec, [gen(spec, "omega", n) for n in (-2, -1, -1)])
+        out.append(act_word(spec, [gen(spec, "omega", 2), gen(spec, "omega", 1)], word))
+        out.append(field_coefficient(spec, word, 1, word, 12))
+        return out
+
+    serial = work(virasoro())
+    shared = virasoro()
+    barrier = threading.Barrier(4)
+    results: list = [None] * 4
+
+    def run(i: int) -> None:
+        barrier.wait(timeout=60)
+        results[i] = work(shared)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' memo misses
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
