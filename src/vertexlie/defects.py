@@ -77,6 +77,12 @@ class Verdict:
         return f"{self.status}: {self.notes}"
 
 
+@_per_spec
+def _units(spec: FormulaSpec) -> tuple:
+    """The unit element of every basis vector, by basis index."""
+    return tuple(basis_element(bid) for bid in range(spec.dim))
+
+
 def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
     if n < 0:
@@ -98,13 +104,17 @@ def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
         raise ValueError("indices must be nonnegative")
     uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
     eps = spec.epsilon(uid, vid)
-    eu, ev, ew = basis_element(uid), basis_element(vid), basis_element(wid)
-    acc = dict(extend_product(spec, eu, m, spec.constant_by_id(vid, n, wid))._terms)
-    _add_scaled(acc, extend_product(spec, ev, n, spec.constant_by_id(uid, m, wid)), -eps)
+    unit, table = _units(spec), spec._constants
+    acc: dict = {}
+    vw, uw = table.get((vid, n, wid)), table.get((uid, m, wid))
+    if vw:
+        _add_scaled(acc, extend_product(spec, unit[uid], m, vw))
+    if uw:
+        _add_scaled(acc, extend_product(spec, unit[vid], n, uw), -eps)
     for i in range(min(spec.n_max, m + 1)):
-        uv = spec.constant_by_id(uid, i, vid)
+        uv = table.get((uid, i, vid))
         if uv:
-            _add_scaled(acc, extend_product(spec, uv, m + n - i, ew), -gen_binomial(m, i))
+            _add_scaled(acc, extend_product(spec, uv, m + n - i, unit[wid]), -gen_binomial(m, i))
     return Element._of(acc)
 
 
@@ -122,18 +132,20 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
         raise ValueError("indices must be nonnegative")
     uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
     eps = spec.epsilon(uid, vid)
-    eu, ev, ew = basis_element(uid), basis_element(vid), basis_element(wid)
+    unit, table = _units(spec), spec._constants
     acc: dict = {}
     for i in range(k + 1):
         coeff = (-1) ** i * gen_binomial(k, i)
-        _add_scaled(acc, extend_product(spec, eu, m + k - i, spec.constant_by_id(vid, n + i, wid)),
-                    coeff)
-        _add_scaled(acc, extend_product(spec, ev, n + k - i, spec.constant_by_id(uid, m + i, wid)),
-                    -coeff * eps * (-1) ** k)
+        vw, uw = table.get((vid, n + i, wid)), table.get((uid, m + i, wid))
+        if vw:
+            _add_scaled(acc, extend_product(spec, unit[uid], m + k - i, vw), coeff)
+        if uw:
+            _add_scaled(acc, extend_product(spec, unit[vid], n + k - i, uw),
+                        -coeff * eps * (-1) ** k)
     for i in range(min(spec.n_max - k, m + 1)):
-        uv = spec.constant_by_id(uid, k + i, vid)
+        uv = table.get((uid, k + i, vid))
         if uv:
-            _add_scaled(acc, extend_product(spec, uv, m + n - i, ew), -gen_binomial(m, i))
+            _add_scaled(acc, extend_product(spec, uv, m + n - i, unit[wid]), -gen_binomial(m, i))
     return Element._of(acc)
 
 
@@ -158,11 +170,25 @@ def _sweep(spec: FormulaSpec, bound: int) -> tuple:
                         f"skew defect nonzero at boundary index {bound}: "
                         f"({labels[uid]},{n},{labels[vid]})")
                 defects.append(Defect(SKEW, (labels[uid], n, labels[vid]), value))
+    # u_m(v_n w), v_n(u_m w) and (u_i v)_{m+n-i} w vanish unless their table
+    # operand (v_n w, u_m w, u_i v with i <= m) has a target with a product
+    # against u, v, w respectively; pairs (m, n) where all three vanish are skipped.
+    table, modes = spec._constants, range(bound + 1)
+    right = [{b for (a, _j, b) in table if a == x} for x in ids]  # every b with some x_j b
+    left = [{a for (a, _j, b) in table if b == x} for x in ids]   # every a with some a_j x
+
+    def reaches(key: tuple, partners: set) -> bool:
+        return key in table and any(t in partners for (_k, t) in table[key]._terms)
+
     for uid in ids:
         for vid in ids:
             for wid in ids:
-                for m in range(bound + 1):
-                    for n in range(bound + 1):
+                i_min = min((i for i in range(spec.n_max) if reaches((uid, i, vid), left[wid])),
+                            default=bound + 1)
+                vw_modes = [n for n in modes if reaches((vid, n, wid), right[uid])]
+                for m in modes:
+                    row = modes if m >= i_min or reaches((uid, m, wid), right[vid]) else vw_modes
+                    for n in row:
                         value = commutator_defect(spec, uid, m, vid, n, wid)
                         if not value:
                             continue
@@ -181,6 +207,7 @@ def defect_sweep(spec: FormulaSpec, bound: Optional[int] = None) -> list:
 
     The boundary row (any index equal to the bound) is evaluated and must
     be identically zero; otherwise the bound is reported insufficient.
+    Only index pairs the constants table can make nonzero are evaluated.
     """
     if bound is None:
         bound = default_bound(spec)
@@ -229,9 +256,13 @@ def injectivity_verdict(spec: FormulaSpec, central: Optional[BasisRef] = None) -
     absorbed by the central quotient), injective_central_ideal when the
     commutator defects generate exactly the positive D-span of the
     central vector.  Everything the two settled routes do not cover is
-    reported undetermined rather than guessed.
+    reported undetermined rather than guessed; computed once per central vector.
     """
-    cid = spec.bid(central) if central is not None else spec.central
+    return _verdict(spec, spec.bid(central) if central is not None else spec.central)
+
+
+@_per_spec
+def _verdict(spec: FormulaSpec, cid: Optional[int]) -> Verdict:
     defects = _sweep(spec, default_bound(spec))
     if not defects:
         return Verdict(INJECTIVE_ZERO_IDEAL, (),

@@ -227,7 +227,10 @@ class Element(SparseVector):
 
 def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
     """The single term coeff * D^k applied to basis vector number bid."""
-    return Element({(k, bid): coeff})
+    if k < 0:
+        raise ValueError("D-power must be nonnegative")
+    c = rat(coeff)
+    return Element._of({(k, bid): c} if c else {})
 
 
 def apply_D(A: Element, power: int = 1) -> Element:

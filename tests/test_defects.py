@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -33,9 +34,11 @@ from vertexlie import (
     pure_lie_check,
     skew_defect,
     sl2,
+    preset,
     virasoro,
 )
 from vertexlie.defects import COMMUTATOR, SKEW
+from vertexlie.presets import PRESETS
 from vertexlie.linalg import RowSpace, in_span
 
 VIR = virasoro()
@@ -182,6 +185,93 @@ def test_sweep_explicit_bound_still_guards() -> None:
         defect_sweep(VIR, bound=2)  # nonzero skew defect sits at index 2
 
 
+def _dense_sweep(spec, bound) -> list:
+    """The sweep with every index pair evaluated: the reference for defect_sweep.
+
+    Raises BoundInsufficientError naming the first nonzero boundary defect.
+    """
+    labels, ids, modes = spec.labels, range(spec.dim), range(bound + 1)
+    rows = [(SKEW, (u, n, v), skew_defect(spec, u, n, v))
+            for u, v in itertools.product(ids, repeat=2) for n in modes]
+    rows += [(COMMUTATOR, (u, m, v, n, w), commutator_defect(spec, u, m, v, n, w))
+             for u, v, w in itertools.product(ids, repeat=3)
+             for m, n in itertools.product(modes, repeat=2)]
+    out = []
+    for kind, idx, value in rows:
+        if value:
+            named = tuple(labels[x] if i % 2 == 0 else x for i, x in enumerate(idx))
+            if bound in idx[1::2]:
+                raise BoundInsufficientError("(" + ",".join(map(str, named)) + ")")
+            out.append((kind, named, value))
+    return out
+
+
+def _sweep_outcome(sweep, spec, bound):
+    """(kind, indices, value) rows, or the indices a boundary error names."""
+    try:
+        rows = sweep(spec, bound)
+    except BoundInsufficientError as err:
+        return str(err)[str(err).rindex("("):]
+    return [r if isinstance(r, tuple) else (r.kind, r.indices, r.value) for r in rows]
+
+
+def _typo(name: str, extra: dict) -> FormulaSpec:
+    """The preset `name` with the products in `extra` replaced or added."""
+    spec = preset(name)
+    constants = dict(spec.constant_entries())
+    constants.update({(spec.bid(u), n, spec.bid(v)): value for (u, n, v), value in extra.items()})
+    return FormulaSpec(spec.vectors, constants, central=spec.central, conformal=spec.conformal)
+
+
+TYPO_TABLES = {
+    "virasoro:c_2omega": lambda: _typo("virasoro", {("c", 2, "omega"): {(1, "omega"): F(3, 2)}}),
+    "affine-sl2:e_0f": lambda: _typo("affine-sl2", {("e", 0, "f"): {(0, "h"): 2}}),
+    "affine-sl2:h_1e": lambda: _typo("affine-sl2", {("h", 1, "e"): {(0, "e"): 1}}),
+    "neveu-schwarz:tau_0tau":
+        lambda: _typo("neveu-schwarz", {("tau", 0, "tau"): {(0, "omega"): 3}}),
+    "novikov-lambda:u1_0u1": lambda: _typo("novikov-lambda", {("u1", 0, "u1"): {(1, "u1"): 1}}),
+    "ungraded:a_2a": lambda: FormulaSpec([("a", EVEN)], {("a", 2, "a"): {(1, "a"): 1}}),
+    "ungraded:odd": lambda: FormulaSpec(
+        [("a", EVEN), ("b", 1)],
+        {("a", 0, "b"): {(1, "b"): 1}, ("b", 1, "b"): {(0, "a"): F(2, 3)},
+         ("b", 0, "a"): {(0, "b"): -1}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(TYPO_TABLES))
+def test_sparse_sweep_matches_dense_reference(name: str) -> None:
+    spec = preset(name) if name in PRESETS else TYPO_TABLES[name]()
+    bound = default_bound(spec)
+    assert _sweep_outcome(defect_sweep, spec, bound) == _sweep_outcome(_dense_sweep, spec, bound)
+
+
+def test_sparse_sweep_matches_dense_reference_on_random_tables() -> None:
+    # small one-sided tables: unlike the presets, u_j v rarely comes with
+    # v_j u, so the left and right partners of a basis vector differ
+    rng = random.Random(5)
+    for _ in range(40):
+        constants = {
+            (rng.choice("abc"), rng.randint(0, 1), rng.choice("abc")):
+                {(rng.randint(0, 1), rng.choice("abc")): rng.choice((1, -1, 2, F(1, 2)))}
+            for _ in range(rng.randint(2, 4))}
+        spec = FormulaSpec([(x, rng.randint(0, 1)) for x in "abc"], constants)
+        bound = default_bound(spec)
+        assert _sweep_outcome(defect_sweep, spec, bound) \
+            == _sweep_outcome(_dense_sweep, spec, bound), constants
+
+
+def test_sparse_sweep_matches_dense_reference_past_the_default_bound() -> None:
+    # default_bound is not a true bound for this table: both sweeps stop
+    # at the same boundary defect, and agree once the bound is raised
+    spec = TYPO_TABLES["virasoro:c_2omega"]()
+    assert default_bound(spec) == 6
+    for sweep in (defect_sweep, _dense_sweep):
+        assert _sweep_outcome(sweep, spec, 6) == "(c,6,omega,0,omega)"
+    rows = _sweep_outcome(defect_sweep, spec, 7)
+    assert len(rows) == 27
+    assert rows == _sweep_outcome(_dense_sweep, spec, 7)
+
+
 # ---------------------------------------------------------------------------
 # membership / centrality
 # ---------------------------------------------------------------------------
@@ -296,6 +386,10 @@ def test_verdict_accepts_explicit_central_argument() -> None:
     )  # no designation on the spec itself
     assert injectivity_verdict(spec).status == "undetermined"
     assert injectivity_verdict(spec, central="c").status == "injective_central_ideal"
+    # one verdict per spec and resolved central vector
+    assert injectivity_verdict(spec) is injectivity_verdict(spec)
+    assert injectivity_verdict(spec, central="c") is injectivity_verdict(spec, central=1)
+    assert injectivity_verdict(spec, central="c") is not injectivity_verdict(spec)
 
 
 def test_defect_values_are_weight_and_parity_homogeneous() -> None:

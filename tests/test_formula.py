@@ -285,6 +285,14 @@ def test_internal_results_store_only_nonzero_fractions(name: str) -> None:
     table = {key: dict(elt._terms) for key, elt in spec.constant_entries()}
     check = _assert_stored_nonzero_fractions
     elements = [basis_element(i, k) for i in range(spec.dim) for k in (0, 1)]
+    for i in range(spec.dim):
+        for coeff in (1, -2, "3/4", F(-5, 6)):
+            unit = basis_element(i, 2, coeff)
+            check(unit)
+            assert unit == Element({(2, i): coeff})
+        assert basis_element(i, 1, 0).is_zero and basis_element(i, 0, "0/3").is_zero
+        with pytest.raises(ValueError):
+            basis_element(i, -1)
     for a in elements:
         for b in elements:
             for n in range(support_bound(spec, a, b) + 1):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -115,6 +116,32 @@ def test_cli_check_virasoro(capsys) -> None:
     assert code == 0
     assert "verdict: injective_central_ideal" in out
     assert "conformal data: pass" in out
+
+
+# SHA-256 of `vertexlie check --preset NAME --json` stdout and the exit
+# code.  Optimisations must leave this output byte-identical; change an
+# entry only together with a deliberate change of the check output.
+CHECK_JSON_SHA256 = {
+    "virasoro": ("6239df70e95c23439149384fac1414b99bc4afd69ccc4960fe3974c29a344d02", 0),
+    "neveu-schwarz": ("fd3db27d3e891ead37fb4936953ecb43a0a3f804c5c6848bd57c9dfbbe2deeca", 0),
+    "affine-sl2": ("af5245d287b4cd47efc87907ed1c9443f3ff251dfd5a82cf0597f394068061a0", 0),
+    "heisenberg": ("a9266cf26473b894c39d0fdd6824584c1418155837487b415ab9bd116b1aa937", 0),
+    "loop-abelian": ("0085625bd5155880347c366c5ed8b9193f86d871243eb4180314e1668348ff89", 0),
+    "novikov-lambda": ("af5fd692d73cfc0fb4a9148e516bb16d01cc35fadd07e79e0e11c5abdbb29e12", 0),
+    "novikov-flipped": ("1240a0d22a247a59af92692f5d5fb7a5298047c6ebdf920c0d3ef0523bf162fc", 1),
+    "comm-assoc-dual": ("b93f29f6253f88e83e3cfd9a6a3db8d23590e40232344fff32f9eb7806d061c6", 0),
+}
+
+
+def test_check_json_digests_cover_every_preset() -> None:
+    assert set(CHECK_JSON_SHA256) == set(PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_JSON_SHA256))
+def test_cli_check_json_is_byte_identical(name: str, capsys) -> None:
+    code = main(["check", "--preset", name, "--json"])
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == CHECK_JSON_SHA256[name]
 
 
 def test_cli_check_affine_exit_codes(capsys) -> None:
