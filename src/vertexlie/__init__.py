@@ -20,7 +20,6 @@ from .defects import (
     injectivity_verdict,
     jacobi_component_defect,
     membership_central,
-    pure_lie_check,
     skew_defect,
 )
 from .formula import (
@@ -33,7 +32,6 @@ from .formula import (
     FormulaError,
     FormulaSpec,
     InhomogeneousError,
-    PrincipalSeries,
     UngradedError,
     Violation,
     apply_D,
@@ -46,20 +44,17 @@ from .formula import (
     support_bound,
     validate_spec,
     weight_of,
-    y_principal,
 )
 from .local_algebra import (
     LawViolation,
     LieElement,
     LieGenerator,
     bracket,
-    bracket_on_U,
     generator,
     jacobi_window_verify,
     lie_D,
     reduce_generator,
     single,
-    triangular_split,
 )
 from .presets import (
     PRESETS,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from . import defects as defects_mod
@@ -260,8 +261,11 @@ def cmd_export_preset(args) -> int:
         raise CliError(str(exc)) from None
     text = export_formula(spec)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -276,7 +280,9 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
                      help="machine-readable output")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="vertexlie",
         description="Exact verification of singular operator-product formulas "
@@ -327,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -30,13 +30,11 @@ from .formula import (
     FormulaError,
     FormulaSpec,
     UngradedError,
-    Violation,
     _add_scaled,
     _per_spec,
     basis_element,
     extend_product,
     gen_binomial,
-    validate_spec,
 )
 
 SKEW = "skew"
@@ -45,11 +43,10 @@ JACOBI = "jacobi"
 
 INJECTIVE_ZERO_IDEAL = "injective_zero_ideal"
 INJECTIVE_CENTRAL_IDEAL = "injective_central_ideal"
-PURE_LIE = "pure_lie"
 NOT_INJECTIVE_CANDIDATE = "not_injective_candidate"
 UNDETERMINED = "undetermined"
 
-INJECTIVE_STATUSES = frozenset({INJECTIVE_ZERO_IDEAL, INJECTIVE_CENTRAL_IDEAL, PURE_LIE})
+INJECTIVE_STATUSES = frozenset({INJECTIVE_ZERO_IDEAL, INJECTIVE_CENTRAL_IDEAL})
 
 
 @dataclass(frozen=True)
@@ -299,62 +296,6 @@ def _verdict(spec: FormulaSpec, cid: Optional[int]) -> Verdict:
     return Verdict(UNDETERMINED, defects,
                    "defects fit neither settled pattern (zero ideal or the "
                    "positive D-span of a central vector); no decision procedure")
-
-
-def pure_lie_check(spec: FormulaSpec) -> Verdict:
-    """Check the degenerate case: constants inside S defining a Lie bracket.
-
-    Requires every structure constant to sit at D-power 0; then the free
-    module is an honest algebra iff all products above index 0 vanish,
-    the index-0 product is eps-antisymmetric, and its super Jacobi
-    identity holds on basis triples.
-    """
-    for (_uid, _n, _vid), elt in spec.constant_entries():
-        if elt.d_degree > 0:
-            raise FormulaError("constants leave S: some product has a positive D-power")
-
-    labels = spec.labels
-    problems = []
-    witnesses = []
-    for (uid, n, vid), _elt in spec.constant_entries():
-        if n >= 1:
-            problems.append(f"F_{n}({labels[uid]},{labels[vid]}) != 0")
-            # the reversed index-0 skew defect picks up the offending
-            # product through its D^n-correction, giving a nonzero witness
-            halfskew = skew_defect(spec, vid, 0, uid)
-            if halfskew:
-                witnesses.append(Defect(SKEW, (labels[vid], 0, labels[uid]), halfskew))
-
-    ids = range(spec.dim)
-    antisym_broken = False
-    for uid in ids:
-        for vid in ids:
-            d = spec.constant_by_id(uid, 0, vid) + \
-                spec.constant_by_id(vid, 0, uid).scale(spec.epsilon(uid, vid))
-            if d:
-                antisym_broken = True
-                problems.append(f"F_0({labels[uid]},{labels[vid]}) is not antisymmetric")
-                witnesses.append(Defect(SKEW, (labels[uid], 0, labels[vid]),
-                                        skew_defect(spec, uid, 0, vid)))
-    jacobi_broken = False
-    for uid in ids:
-        for vid in ids:
-            for wid in ids:
-                d = commutator_defect(spec, uid, 0, vid, 0, wid)
-                if d:
-                    jacobi_broken = True
-                    problems.append(
-                        f"Jacobi identity of F_0 fails on "
-                        f"({labels[uid]},{labels[vid]},{labels[wid]})")
-                    witnesses.append(Defect(
-                        COMMUTATOR, (labels[uid], 0, labels[vid], 0, labels[wid]), d))
-
-    if not problems:
-        return Verdict(PURE_LIE, (),
-                       "products above index 0 vanish and the index-0 product "
-                       "is a Lie superalgebra bracket")
-    status = NOT_INJECTIVE_CANDIDATE if (antisym_broken or jacobi_broken) else UNDETERMINED
-    return Verdict(status, tuple(witnesses), "; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -499,62 +499,6 @@ def support_bound(spec: FormulaSpec, A: Element, B: Element) -> int:
     return spec.n_max + A.d_degree + B.d_degree
 
 
-class PrincipalSeries:
-    """Finitely supported family n -> A_n B of singular coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Union[Mapping, Iterable] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        data: dict = {}
-        for n, elt in items:
-            if not isinstance(n, int) or n < 0:
-                raise ValueError("series indices are nonnegative integers")
-            if not isinstance(elt, Element):
-                raise TypeError("series entries must be Elements")
-            if elt:
-                data[n] = elt
-        self._coeffs = data
-
-    def __getitem__(self, n: int) -> Element:
-        return self._coeffs.get(n, _ZERO_ELEMENT)
-
-    def items(self) -> Iterator:
-        return iter(sorted(self._coeffs.items()))
-
-    def support(self) -> tuple:
-        return tuple(sorted(self._coeffs))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrincipalSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{n}: {e!r}" for n, e in self.items())
-        return f"PrincipalSeries({{{body}}})"
-
-
-def y_principal(spec: FormulaSpec, A: Element, B: Element) -> PrincipalSeries:
-    """All singular coefficients A_n B, n >= 0, as one finite family.
-
-    One index past the support bound is evaluated and asserted zero as a
-    guard against bookkeeping errors.
-    """
-    bound = support_bound(spec, A, B)
-    guard = extend_product(spec, A, bound, B)
-    if guard:
-        raise BoundInsufficientError(
-            f"product at guard index {bound} is nonzero: {guard!r}")
-    return PrincipalSeries({n: extend_product(spec, A, n, B) for n in range(bound)})
-
-
 def parity_of(spec: FormulaSpec, A: Element) -> int:
     """Common parity of all terms of A (EVEN for the zero element)."""
     seen = {spec.parity(bid) for (_k, bid) in A._terms}

@@ -50,6 +50,7 @@ def parse_formula(text: str) -> FormulaSpec:
     meta: dict = {}
     central: Optional[str] = None
     conformal_parts: dict = {}
+    conformal_line = 0  # line of the [conformal] header
     section: Optional[str] = None
     references: List[tuple] = []  # (line, label) of every basis name used
 
@@ -61,6 +62,8 @@ def parse_formula(text: str) -> FormulaSpec:
             section = line[1:-1].strip().lower()
             if section not in _SECTIONS:
                 raise FormulaFileError(lineno, f"unknown section {section!r}")
+            if section == "conformal":
+                conformal_line = lineno
             continue
         if section is None:
             raise FormulaFileError(lineno, "content before any [section] header")
@@ -134,7 +137,7 @@ def parse_formula(text: str) -> FormulaSpec:
     conformal = None
     if conformal_parts:
         if set(conformal_parts) != {"omega", "c"}:
-            raise FormulaFileError(0, "conformal section needs both omega and c")
+            raise FormulaFileError(conformal_line, "conformal section needs both omega and c")
         conformal = (conformal_parts["omega"], conformal_parts["c"])
     try:
         return FormulaSpec(entries, constants, central=central, conformal=conformal,
@@ -146,8 +149,15 @@ def parse_formula(text: str) -> FormulaSpec:
 
 
 def load_formula(path) -> FormulaSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_formula(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; count lines as parse_formula does
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise FormulaFileError(line, f"not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+    return parse_formula(text)
 
 
 def export_formula(spec: FormulaSpec) -> str:

@@ -70,8 +70,3 @@ class RowSpace:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-
-def in_span(rows: Iterable[Mapping], target: Mapping) -> bool:
-    """True when target lies in the Q-span of the given sparse rows."""
-    return RowSpace(rows).contains(target)

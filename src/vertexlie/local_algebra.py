@@ -7,41 +7,44 @@ to the mode relation (Du)_n = -n u_{n-1}; the bracket is
 
 a finite sum because the products truncate.  When the defect analysis
 shows the formula's quotient kills the positive D-span of a central
-vector c, the relation Dc = 0 is enforced here by dropping c_n for
-n != -1 (and every (D^k c)_n with k >= 1); the bracket then descends to
-the quotient algebra, where the Lie axioms hold on the nose.
+vector c, the relation Dc = 0 is enforced by dropping every mode c_n
+with n != -1 (see _quotient_kills); the bracket then descends to the
+quotient algebra, where the Lie axioms hold on the nose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .defects import central_reduction
 from .formula import (
-    BasisRef,
     Element,
     FormulaSpec,
-    InhomogeneousError,
     SparseVector,
     _accumulate,
     _add_scaled,
     _per_spec,
-    extend_product,
     falling,
     gen_binomial,
-    support_bound,
 )
 
 
-@dataclass(frozen=True, order=True)
-class LieGenerator:
+class LieGenerator(NamedTuple):
     """The mode u_n: basis index and integer mode number."""
 
     bid: int
     n: int
+
+
+def _quotient_kills(spec: FormulaSpec, g: LieGenerator) -> bool:
+    """True when the central quotient sends the mode g to zero.
+
+    Dc = 0 gives c_n = 0 for every n != -1, so c_{-1} is the only central
+    mode that survives.  A mode (D^k c)_n with k >= 1 is a multiple of
+    c_{n-k} that vanishes at n - k = -1, so this one rule covers it.
+    """
+    return g.bid == central_reduction(spec) and g.n != -1
 
 
 class LieElement(SparseVector):
@@ -81,18 +84,14 @@ def single(spec: FormulaSpec, ref: GeneratorRef, n: Optional[int] = None) -> Lie
 def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
     """Canonical image of the mode A_n: (D^k u)_n -> (-1)^k n...(n-k+1) u_{n-k}.
 
-    With an active central quotient the images c_m, m != -1, and every
-    positive D-power of c are dropped.
+    Images the central quotient kills are dropped.
     """
-    cid = central_reduction(spec)
     acc: dict = {}
     for (k, bid), coeff in A._terms.items():
         f = falling(n, k)
-        if not f:
-            continue
-        if cid is not None and bid == cid and (k >= 1 or n - k != -1):
-            continue
-        _accumulate(acc, LieGenerator(bid, n - k), coeff * f * (-1) ** k)
+        g = LieGenerator(bid, n - k)
+        if f and not _quotient_kills(spec, g):
+            _accumulate(acc, g, coeff * f * (-1) ** k)
     return LieElement._of(acc)
 
 
@@ -123,29 +122,12 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
 
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
     """The derivation u_n -> -n u_{n-1} (descending to the quotient)."""
-    cid = central_reduction(spec)
     acc: dict = {}
     for g, c in x._terms.items():
-        if g.n == 0:
-            continue
-        if cid is not None and g.bid == cid:
-            continue
-        _accumulate(acc, LieGenerator(g.bid, g.n - 1), -g.n * c)
+        dg = LieGenerator(g.bid, g.n - 1)
+        if g.n and not _quotient_kills(spec, dg):
+            _accumulate(acc, dg, -g.n * c)
     return LieElement._of(acc)
-
-
-def parity_of_lie(spec: FormulaSpec, x: LieElement) -> int:
-    seen = {spec.parity(g.bid) for g in x._terms}
-    if len(seen) > 1:
-        raise InhomogeneousError("element mixes even and odd modes")
-    return seen.pop() if seen else 0
-
-
-def triangular_split(x: LieElement) -> tuple:
-    """Partition into (modes n < 0, modes n >= 0); their sum is x."""
-    neg = LieElement._of({g: c for g, c in x._terms.items() if g.n < 0})
-    pos = LieElement._of({g: c for g, c in x._terms.items() if g.n >= 0})
-    return neg, pos
 
 
 @dataclass(frozen=True)
@@ -207,16 +189,3 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
                 if jac:
                     violations.append(LawViolation("jacobi", (gx, gy, gz), jac))
     return violations
-
-
-def bracket_on_U(spec: FormulaSpec, u: Element, v: Element) -> Element:
-    """The bracket transported to Q[D] (x) S through u -> u_{-1}:
-
-    [u, v] = sum_{n >= 0} ((-1)^n / (n+1)!) D^{n+1} (u_n v).
-    """
-    acc: dict = {}
-    for n in range(support_bound(spec, u, v)):
-        prod = extend_product(spec, u, n, v)
-        if prod:
-            _add_scaled(acc, prod.d_shift(n + 1), Fraction((-1) ** n, factorial(n + 1)))
-    return Element._of(acc)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .defects import central_reduction, injectivity_verdict
 from .formula import (
@@ -30,15 +30,14 @@ from .formula import (
     gen_binomial,
     rat,
 )
-from .local_algebra import LieElement, LieGenerator, _pair_bracket, lie_D
+from .local_algebra import LieElement, LieGenerator, _pair_bracket, _quotient_kills, lie_D
 
 
 class NotInjectiveError(FormulaError):
     """The vacuum module is only built over an injective verdict."""
 
 
-@dataclass(frozen=True, order=True)
-class PbwMonomial:
+class PbwMonomial(NamedTuple):
     """Normal-ordered word of negative modes (empty word = vacuum)."""
 
     factors: Tuple[LieGenerator, ...] = ()
@@ -103,9 +102,8 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
     Memoized in spec._memo[(g, mono)] by its two callers (act and the
     recursive step), with no wrapper frame: one frame per factor.
     """
-    cid = central_reduction(spec)
-    if cid is not None and g.bid == cid and g.n != -1:
-        return _ZERO  # the quotient kills every central mode but c_{-1}
+    if _quotient_kills(spec, g):
+        return _ZERO
     factors = mono.factors
     if not factors:
         if g.n >= 0:
@@ -301,12 +299,11 @@ def weight_of_vector(spec: FormulaSpec, v: PbwVector) -> Optional[Fraction]:
 
 def kappa(spec: FormulaSpec, A: Element) -> PbwVector:
     """Embedding of Q[D] (x) S into the module: D^k u -> k! u_{-k-1} 1."""
-    cid = central_reduction(spec)
     acc: dict = {}
     for (k, bid), coeff in A._terms.items():
-        if cid is not None and bid == cid and k >= 1:
-            continue
-        _accumulate(acc, PbwMonomial((LieGenerator(bid, -k - 1),)), coeff * factorial(k))
+        g = LieGenerator(bid, -k - 1)
+        if not _quotient_kills(spec, g):
+            _accumulate(acc, PbwMonomial((g,)), coeff * factorial(k))
     return PbwVector._of(acc)
 
 

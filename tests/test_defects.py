@@ -31,7 +31,6 @@ from vertexlie import (
     membership_central,
     neveu_schwarz,
     novikov,
-    pure_lie_check,
     skew_defect,
     sl2,
     preset,
@@ -39,7 +38,7 @@ from vertexlie import (
 )
 from vertexlie.defects import COMMUTATOR, SKEW
 from vertexlie.presets import PRESETS
-from vertexlie.linalg import RowSpace, in_span
+from vertexlie.linalg import RowSpace
 
 VIR = virasoro()
 SL2 = affine(sl2())
@@ -321,12 +320,28 @@ def test_verdict_affine_zero_ideal() -> None:
         assert verdict.injective
 
 
+def _index_zero_sl2(extra=None) -> FormulaSpec:
+    """sl2's Lie bracket as the index-0 product on S, plus optional products."""
+    g = sl2()
+    constants = {}
+    for i, li in enumerate(g.labels):
+        for j, lj in enumerate(g.labels):
+            terms = {(0, g.labels[t]): c for t, c in enumerate(g.bracket[i][j]) if c}
+            if terms:
+                constants[(li, 0, lj)] = terms
+    constants.update(extra or {})
+    return FormulaSpec([(lbl, EVEN) for lbl in g.labels], constants)
+
+
 def test_verdict_no_defects_at_all() -> None:
     from vertexlie import abelian
 
-    verdict = injectivity_verdict(affine(abelian()))
-    assert verdict.status == "injective_zero_ideal"
-    assert verdict.witnesses == ()
+    # an index-0 Lie bracket on S is already the target algebra
+    for spec in (affine(abelian()), _index_zero_sl2(),
+                 FormulaSpec([("a", EVEN), ("b", EVEN)], {})):
+        verdict = injectivity_verdict(spec)
+        assert verdict.status == "injective_zero_ideal"
+        assert verdict.witnesses == ()
 
 
 def test_verdict_neveu_schwarz_and_novikov() -> None:
@@ -351,6 +366,10 @@ def test_verdict_not_injective_candidate() -> None:
     verdict = injectivity_verdict(bad)
     assert verdict.status == "not_injective_candidate"
     assert all(d.kind == SKEW for d in verdict.witnesses)
+    # a product above index 0 on an index-0 Lie bracket breaks skew symmetry
+    verdict = injectivity_verdict(_index_zero_sl2({("e", 1, "h"): {(0, "e"): 1}}))
+    assert verdict.status == "not_injective_candidate"
+    assert [d.indices for d in verdict.witnesses] == [("e", 1, "h"), ("h", 1, "e")]
 
 
 def test_verdict_undetermined_higher_central_power() -> None:
@@ -373,6 +392,22 @@ def test_verdict_undetermined_without_central() -> None:
         {("a", 0, "a"): {(2, "z"): 1}},
     )
     assert injectivity_verdict(spec).status == "undetermined"
+    # [a,b] = d, [a,d] = a, [b,d] = b is antisymmetric but breaks Jacobi
+    spec = FormulaSpec(
+        [("a", EVEN), ("b", EVEN), ("d", EVEN)],
+        {
+            ("a", 0, "b"): {(0, "d"): 1},
+            ("b", 0, "a"): {(0, "d"): -1},
+            ("a", 0, "d"): {(0, "a"): 1},
+            ("d", 0, "a"): {(0, "a"): -1},
+            ("b", 0, "d"): {(0, "b"): 1},
+            ("d", 0, "b"): {(0, "b"): -1},
+        },
+    )
+    verdict = injectivity_verdict(spec)
+    assert verdict.status == "undetermined"
+    assert verdict.witnesses
+    assert all(d.kind == COMMUTATOR and d.indices[1::2] == (0, 0) for d in verdict.witnesses)
 
 
 def test_verdict_accepts_explicit_central_argument() -> None:
@@ -399,64 +434,6 @@ def test_defect_values_are_weight_and_parity_homogeneous() -> None:
         for d in defect_sweep(spec):
             weight_of(spec, d.value)  # raises InhomogeneousError on mixing
             parity_of(spec, d.value)
-
-
-# ---------------------------------------------------------------------------
-# pure Lie check
-# ---------------------------------------------------------------------------
-
-def _pure_spec(extra=None):
-    g = sl2()
-    constants = {}
-    for i, li in enumerate(g.labels):
-        for j, lj in enumerate(g.labels):
-            terms = {(0, g.labels[t]): c for t, c in enumerate(g.bracket[i][j]) if c}
-            if terms:
-                constants[(li, 0, lj)] = terms
-    if extra:
-        constants.update(extra)
-    return FormulaSpec([(lbl, EVEN) for lbl in g.labels], constants)
-
-
-def test_pure_lie_clean() -> None:
-    verdict = pure_lie_check(_pure_spec())
-    assert verdict.status == "pure_lie"
-    assert verdict.witnesses == ()
-
-
-def test_pure_lie_extra_index_one_product() -> None:
-    verdict = pure_lie_check(_pure_spec({("e", 1, "h"): {(0, "e"): 1}}))
-    assert verdict.status != "pure_lie"
-    assert "F_1(e,h) != 0" in verdict.notes
-    assert verdict.witnesses  # the index-0 skew defect carries the D-correction
-
-
-def test_pure_lie_abelian() -> None:
-    zero = FormulaSpec([("a", EVEN), ("b", EVEN)], {})
-    assert pure_lie_check(zero).status == "pure_lie"
-
-
-def test_pure_lie_broken_jacobi() -> None:
-    # [a,b] = d, [a,d] = a, [b,d] = b is antisymmetric but not Lie
-    spec = FormulaSpec(
-        [("a", EVEN), ("b", EVEN), ("d", EVEN)],
-        {
-            ("a", 0, "b"): {(0, "d"): 1},
-            ("b", 0, "a"): {(0, "d"): -1},
-            ("a", 0, "d"): {(0, "a"): 1},
-            ("d", 0, "a"): {(0, "a"): -1},
-            ("b", 0, "d"): {(0, "b"): 1},
-            ("d", 0, "b"): {(0, "b"): -1},
-        },
-    )
-    verdict = pure_lie_check(spec)
-    assert verdict.status == "not_injective_candidate"
-    assert any("Jacobi" in line for line in verdict.notes.split("; "))
-
-
-def test_pure_lie_rejects_d_powers() -> None:
-    with pytest.raises(FormulaError):
-        pure_lie_check(VIR)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +483,8 @@ def test_rowspace_membership() -> None:
     assert space.contains({0: F(2), 1: F(4)})
     assert space.contains({0: F(1), 1: F(5), 2: F(9)})
     assert not space.contains({0: F(1), 1: F(2), 3: F(1)})
-    assert in_span(rows, {})
-    assert not in_span([], {0: F(1)})
+    assert space.contains({})
+    assert not RowSpace().contains({0: F(1)})
 
 
 def test_rowspace_add_reports_growth() -> None:

@@ -35,7 +35,6 @@ from vertexlie import (
     validate_spec,
     virasoro,
     weight_of,
-    y_principal,
 )
 from vertexlie.formula import falling
 
@@ -171,6 +170,7 @@ def test_product_on_basis_matches_table() -> None:
     assert extend_product(VIR, OM, 1, OM) == Element({(0, 0): 2})
     assert extend_product(VIR, OM, 2, OM).is_zero
     assert extend_product(VIR, OM, 3, OM) == Element({(0, 1): F(1, 2)})
+    assert extend_product(VIR, OM, 4, OM).is_zero
     for n in range(7):
         assert extend_product(VIR, C, n, OM).is_zero
         assert extend_product(VIR, OM, n, C).is_zero
@@ -180,24 +180,11 @@ def test_product_examples_with_derivatives() -> None:
     dom = apply_D(OM)
     assert extend_product(VIR, dom, 1, OM) == -Element({(1, 0): 1})
     assert extend_product(VIR, OM, 1, dom) == Element({(1, 0): 3})
-
-
-def test_y_principal_virasoro() -> None:
-    ser = y_principal(VIR, OM, OM)
-    assert ser.support() == (0, 1, 3)
-    assert ser[0] == apply_D(OM)
-    assert ser[1] == 2 * OM
-    assert ser[3] == F(1, 2) * C
-    assert not y_principal(VIR, C, OM)
-
-
-def test_y_principal_derivative_series() -> None:
-    ser = y_principal(VIR, apply_D(OM), OM)
-    assert dict(ser.items()) == {
-        1: -apply_D(OM),
-        2: -4 * OM,
-        4: -2 * C,
-    }
+    # (D omega)_n omega = -n omega_{n-1} omega over its whole support
+    assert extend_product(VIR, dom, 2, OM) == -4 * OM
+    assert extend_product(VIR, dom, 4, OM) == -2 * C
+    for n in (0, 3, 5):
+        assert extend_product(VIR, dom, n, OM).is_zero
 
 
 def _random_element(rng: random.Random, spec: FormulaSpec, parity: int,

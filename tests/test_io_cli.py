@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,8 @@ def test_parse_reports_line_numbers() -> None:
         ("[basis]\na even 1\n\nb even -1\n", 4),
         ("[basis]\na even 1\nb even 2\nc even\nd even 1\n", 4),
         ("[basis]\na even\nb even 2\n", 3),
+        # an incomplete conformal section at its header
+        ("[basis]\na even\n[conformal]\nomega = a\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(FormulaFileError) as err:
@@ -254,6 +258,27 @@ def test_cli_export_preset_round_trip(tmp_path, capsys) -> None:
     assert parse_formula(text) == virasoro()
 
 
+def test_cli_export_preset_unwritable_output(tmp_path, capsys) -> None:
+    target = tmp_path / "missing" / "x.vla"
+    assert main(["export-preset", "virasoro", "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot write {target}: ")
+
+
+def test_cli_check_file_not_utf8(tmp_path, capsys) -> None:
+    # a UTF-16 byte-order mark, and a bad byte on the third line
+    for data, message in [(b"\xff\xfe[\x00b\x00", "line 1: not UTF-8 text (byte 0xff)"),
+                          (b"[basis]\na even\n\xe9 even\n", "line 3: not UTF-8 text (byte 0xe9)")]:
+        path = tmp_path / "formula.vla"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path}: {message}"]
+
+
 def test_cli_rejects_conflicting_inputs(capsys) -> None:
     assert main(["check", "--preset", "virasoro", "somefile"]) == 2
     assert "either" in capsys.readouterr().err
@@ -296,3 +321,19 @@ def test_cli_verma_fractional_cutoff(capsys) -> None:
     rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
     assert rows["3/2"] == "1"
     assert rows["7/2"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# benchmark
+# ---------------------------------------------------------------------------
+
+def test_benchmark_traced_names_resolve() -> None:
+    # `bench/run.py --trace 1` wraps each of these functions by name
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    loader = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    assert tracing.NAMES
+    for name in tracing.NAMES:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"vertexlie.{module}"), function, None)), name

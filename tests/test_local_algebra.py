@@ -7,14 +7,12 @@ import pytest
 
 from vertexlie import (
     BoundInsufficientError,
-    InhomogeneousError,
     LieElement,
     LieGenerator,
     affine,
     apply_D,
     basis_element,
     bracket,
-    bracket_on_U,
     central_reduction,
     defect_sweep,
     gen_binomial,
@@ -26,15 +24,15 @@ from vertexlie import (
     novikov,
     reduce_generator,
     sl2,
-    triangular_split,
     virasoro,
 )
 from vertexlie.formula_io import export_formula, parse_formula
-from vertexlie.local_algebra import parity_of_lie, single
+from vertexlie.local_algebra import single
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
 NS = neveu_schwarz()
+SL2 = affine(sl2())
 
 
 def gen(spec, label, n):
@@ -115,6 +113,11 @@ def test_bracket_virasoro_example() -> None:
 def test_bracket_heisenberg_example() -> None:
     got = bracket(HEIS, single(HEIS, "x", 1), single(HEIS, "x", -1))
     assert got == elem(HEIS, ("c", -1, 1))
+    assert bracket(HEIS, single(HEIS, "x", -1), single(HEIS, "x", -1)).is_zero
+    # [u_{-1}, v_{-1}] = [u, v]_{-2}: the level term sits on c_{-3}, which the quotient kills
+    assert bracket(SL2, single(SL2, "e", -1), single(SL2, "f", -1)) == elem(SL2, ("h", -2, 1))
+    assert bracket(SL2, single(SL2, "h", -1), single(SL2, "e", -1)) == elem(SL2, ("e", -2, 2))
+    assert bracket(SL2, single(SL2, "c", -1), single(SL2, "e", -1)).is_zero
 
 
 def test_bracket_central_modes_vanish() -> None:
@@ -147,7 +150,7 @@ def test_bracket_bilinear() -> None:
 
 
 # ---------------------------------------------------------------------------
-# derivation, split, parity
+# derivation
 # ---------------------------------------------------------------------------
 
 def test_lie_D_examples() -> None:
@@ -156,27 +159,6 @@ def test_lie_D_examples() -> None:
     # reindexed: D omega_{-1} = omega_{-2}
     assert lie_D(VIR, single(VIR, "omega", -1)) == elem(VIR, ("omega", -2, 1))
     assert lie_D(VIR, single(VIR, "c", -1)).is_zero
-
-
-def test_triangular_split() -> None:
-    x = elem(VIR, ("omega", -1, 1), ("omega", 2, 1))
-    neg, pos = triangular_split(x)
-    assert neg == elem(VIR, ("omega", -1, 1))
-    assert pos == elem(VIR, ("omega", 2, 1))
-    assert neg + pos == x
-    zneg, zpos = triangular_split(LieElement())
-    assert zneg.is_zero and zpos.is_zero
-    mixed = elem(VIR, ("omega", 1, 4), ("c", -1, F(1, 2)))
-    neg, pos = triangular_split(mixed)
-    assert neg == elem(VIR, ("c", -1, F(1, 2)))
-    assert pos == elem(VIR, ("omega", 1, 4))
-
-
-def test_parity_of_lie() -> None:
-    assert parity_of_lie(NS, single(NS, "tau", 2)) == 1
-    assert parity_of_lie(NS, single(NS, "omega", 2)) == 0
-    with pytest.raises(InhomogeneousError):
-        parity_of_lie(NS, single(NS, "tau", 2) + single(NS, "omega", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -203,37 +185,3 @@ def test_window_verify_neveu_schwarz_anticommutator() -> None:
     b = bracket(NS, single(NS, "tau", -1), single(NS, "tau", 2))
     assert a == b
     assert a == elem(NS, ("omega", 1, 2), ("c", -1, F(2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# transported bracket
-# ---------------------------------------------------------------------------
-
-def test_bracket_on_U_virasoro() -> None:
-    om = basis_element(VIR.bid("omega"))
-    got = bracket_on_U(VIR, om, om)
-    assert got == F(-1, 48) * apply_D(basis_element(VIR.bid("c")), 4)
-
-
-def test_bracket_on_U_affine() -> None:
-    SL2 = affine(sl2())
-    e = basis_element(SL2.bid("e"))
-    f = basis_element(SL2.bid("f"))
-    want = apply_D(basis_element(SL2.bid("h"))) \
-        - F(1, 2) * apply_D(basis_element(SL2.bid("c")), 2)
-    assert bracket_on_U(SL2, e, f) == want
-    c = basis_element(SL2.bid("c"))
-    assert bracket_on_U(SL2, c, e).is_zero
-
-
-def test_bracket_on_U_consistent_with_mode_bracket() -> None:
-    # reduce([u, v]_U at mode -1) = negative part of [u_{-1}, v_{-1}]
-    for spec in (VIR, HEIS, affine(sl2())):
-        for u in spec.labels:
-            for v in spec.labels:
-                transported = reduce_generator(
-                    spec, bracket_on_U(spec, basis_element(spec.bid(u)),
-                                       basis_element(spec.bid(v))), -1)
-                neg, _pos = triangular_split(
-                    bracket(spec, single(spec, u, -1), single(spec, v, -1)))
-                assert transported == neg
