@@ -320,28 +320,12 @@ def test_verdict_affine_zero_ideal() -> None:
         assert verdict.injective
 
 
-def _index_zero_sl2(extra=None) -> FormulaSpec:
-    """sl2's Lie bracket as the index-0 product on S, plus optional products."""
-    g = sl2()
-    constants = {}
-    for i, li in enumerate(g.labels):
-        for j, lj in enumerate(g.labels):
-            terms = {(0, g.labels[t]): c for t, c in enumerate(g.bracket[i][j]) if c}
-            if terms:
-                constants[(li, 0, lj)] = terms
-    constants.update(extra or {})
-    return FormulaSpec([(lbl, EVEN) for lbl in g.labels], constants)
-
-
 def test_verdict_no_defects_at_all() -> None:
     from vertexlie import abelian
 
-    # an index-0 Lie bracket on S is already the target algebra
-    for spec in (affine(abelian()), _index_zero_sl2(),
-                 FormulaSpec([("a", EVEN), ("b", EVEN)], {})):
-        verdict = injectivity_verdict(spec)
-        assert verdict.status == "injective_zero_ideal"
-        assert verdict.witnesses == ()
+    verdict = injectivity_verdict(affine(abelian()))
+    assert verdict.status == "injective_zero_ideal"
+    assert verdict.witnesses == ()
 
 
 def test_verdict_neveu_schwarz_and_novikov() -> None:
@@ -366,10 +350,6 @@ def test_verdict_not_injective_candidate() -> None:
     verdict = injectivity_verdict(bad)
     assert verdict.status == "not_injective_candidate"
     assert all(d.kind == SKEW for d in verdict.witnesses)
-    # a product above index 0 on an index-0 Lie bracket breaks skew symmetry
-    verdict = injectivity_verdict(_index_zero_sl2({("e", 1, "h"): {(0, "e"): 1}}))
-    assert verdict.status == "not_injective_candidate"
-    assert [d.indices for d in verdict.witnesses] == [("e", 1, "h"), ("h", 1, "e")]
 
 
 def test_verdict_undetermined_higher_central_power() -> None:
@@ -392,22 +372,6 @@ def test_verdict_undetermined_without_central() -> None:
         {("a", 0, "a"): {(2, "z"): 1}},
     )
     assert injectivity_verdict(spec).status == "undetermined"
-    # [a,b] = d, [a,d] = a, [b,d] = b is antisymmetric but breaks Jacobi
-    spec = FormulaSpec(
-        [("a", EVEN), ("b", EVEN), ("d", EVEN)],
-        {
-            ("a", 0, "b"): {(0, "d"): 1},
-            ("b", 0, "a"): {(0, "d"): -1},
-            ("a", 0, "d"): {(0, "a"): 1},
-            ("d", 0, "a"): {(0, "a"): -1},
-            ("b", 0, "d"): {(0, "b"): 1},
-            ("d", 0, "b"): {(0, "b"): -1},
-        },
-    )
-    verdict = injectivity_verdict(spec)
-    assert verdict.status == "undetermined"
-    assert verdict.witnesses
-    assert all(d.kind == COMMUTATOR and d.indices[1::2] == (0, 0) for d in verdict.witnesses)
 
 
 def test_verdict_accepts_explicit_central_argument() -> None:
@@ -434,6 +398,64 @@ def test_defect_values_are_weight_and_parity_homogeneous() -> None:
         for d in defect_sweep(spec):
             weight_of(spec, d.value)  # raises InhomogeneousError on mixing
             parity_of(spec, d.value)
+
+
+# ---------------------------------------------------------------------------
+# pure Lie tables: index-0 products only, no D-powers
+# ---------------------------------------------------------------------------
+
+def _index_zero_sl2(extra=None) -> FormulaSpec:
+    """sl2's Lie bracket as the index-0 product on S, plus optional products."""
+    g = sl2()
+    constants = {}
+    for i, li in enumerate(g.labels):
+        for j, lj in enumerate(g.labels):
+            terms = {(0, g.labels[t]): c for t, c in enumerate(g.bracket[i][j]) if c}
+            if terms:
+                constants[(li, 0, lj)] = terms
+    constants.update(extra or {})
+    return FormulaSpec([(lbl, EVEN) for lbl in g.labels], constants)
+
+
+def test_pure_lie_clean() -> None:
+    # an index-0 Lie bracket on S is already the target algebra
+    verdict = injectivity_verdict(_index_zero_sl2())
+    assert verdict.status == "injective_zero_ideal"
+    assert verdict.witnesses == ()
+
+
+def test_pure_lie_extra_index_one_product() -> None:
+    # a product above index 0 on an index-0 Lie bracket breaks skew symmetry
+    verdict = injectivity_verdict(_index_zero_sl2({("e", 1, "h"): {(0, "e"): 1}}))
+    assert verdict.status == "not_injective_candidate"
+    assert [d.indices for d in verdict.witnesses] == [("e", 1, "h"), ("h", 1, "e")]
+    assert all(d.kind == SKEW for d in verdict.witnesses)
+
+
+def test_pure_lie_abelian() -> None:
+    zero = FormulaSpec([("a", EVEN), ("b", EVEN)], {})
+    verdict = injectivity_verdict(zero)
+    assert verdict.status == "injective_zero_ideal"
+    assert verdict.witnesses == ()
+
+
+def test_pure_lie_broken_jacobi() -> None:
+    # [a,b] = d, [a,d] = a, [b,d] = b is antisymmetric but not Lie
+    spec = FormulaSpec(
+        [("a", EVEN), ("b", EVEN), ("d", EVEN)],
+        {
+            ("a", 0, "b"): {(0, "d"): 1},
+            ("b", 0, "a"): {(0, "d"): -1},
+            ("a", 0, "d"): {(0, "a"): 1},
+            ("d", 0, "a"): {(0, "a"): -1},
+            ("b", 0, "d"): {(0, "b"): 1},
+            ("d", 0, "b"): {(0, "b"): -1},
+        },
+    )
+    verdict = injectivity_verdict(spec)
+    assert verdict.status == "undetermined"
+    assert verdict.witnesses
+    assert all(d.kind == COMMUTATOR and d.indices[1::2] == (0, 0) for d in verdict.witnesses)
 
 
 # ---------------------------------------------------------------------------

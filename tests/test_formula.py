@@ -170,7 +170,6 @@ def test_product_on_basis_matches_table() -> None:
     assert extend_product(VIR, OM, 1, OM) == Element({(0, 0): 2})
     assert extend_product(VIR, OM, 2, OM).is_zero
     assert extend_product(VIR, OM, 3, OM) == Element({(0, 1): F(1, 2)})
-    assert extend_product(VIR, OM, 4, OM).is_zero
     for n in range(7):
         assert extend_product(VIR, C, n, OM).is_zero
         assert extend_product(VIR, OM, n, C).is_zero
@@ -180,11 +179,30 @@ def test_product_examples_with_derivatives() -> None:
     dom = apply_D(OM)
     assert extend_product(VIR, dom, 1, OM) == -Element({(1, 0): 1})
     assert extend_product(VIR, OM, 1, dom) == Element({(1, 0): 3})
+
+
+def _principal_series(spec, A, B):
+    """{n: A_n B} over n below support_bound, nonzero terms only."""
+    series = {n: extend_product(spec, A, n, B) for n in range(support_bound(spec, A, B))}
+    return {n: v for n, v in series.items() if v}
+
+
+def test_y_principal_virasoro() -> None:
+    # the singular part of Y(omega, z) omega
+    assert _principal_series(VIR, OM, OM) == {0: apply_D(OM), 1: 2 * OM, 3: F(1, 2) * C}
+    assert extend_product(VIR, OM, 4, OM).is_zero
+    assert _principal_series(VIR, C, OM) == {}
+
+
+def test_y_principal_derivative_series() -> None:
     # (D omega)_n omega = -n omega_{n-1} omega over its whole support
-    assert extend_product(VIR, dom, 2, OM) == -4 * OM
-    assert extend_product(VIR, dom, 4, OM) == -2 * C
+    assert _principal_series(VIR, apply_D(OM), OM) == {
+        1: -apply_D(OM),
+        2: -4 * OM,
+        4: -2 * C,
+    }
     for n in (0, 3, 5):
-        assert extend_product(VIR, dom, n, OM).is_zero
+        assert extend_product(VIR, apply_D(OM), n, OM).is_zero
 
 
 def _random_element(rng: random.Random, spec: FormulaSpec, parity: int,

@@ -5,8 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from math import factorial
+
 from vertexlie import (
     BoundInsufficientError,
+    Element,
     LieElement,
     LieGenerator,
     affine,
@@ -15,6 +18,7 @@ from vertexlie import (
     bracket,
     central_reduction,
     defect_sweep,
+    extend_product,
     gen_binomial,
     heisenberg,
     jacobi_window_verify,
@@ -24,6 +28,7 @@ from vertexlie import (
     novikov,
     reduce_generator,
     sl2,
+    support_bound,
     virasoro,
 )
 from vertexlie.formula_io import export_formula, parse_formula
@@ -185,3 +190,28 @@ def test_window_verify_neveu_schwarz_anticommutator() -> None:
     b = bracket(NS, single(NS, "tau", -1), single(NS, "tau", 2))
     assert a == b
     assert a == elem(NS, ("omega", 1, 2), ("c", -1, F(2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# transported bracket
+# ---------------------------------------------------------------------------
+
+def _bracket_on_U(spec, u, v):
+    """[u, v] = sum_{n >= 0} ((-1)^n / (n+1)!) D^{n+1} (u_n v) on Q[D] (x) S."""
+    acc = Element()
+    for n in range(support_bound(spec, u, v)):
+        acc = acc + F((-1) ** n, factorial(n + 1)) * apply_D(extend_product(spec, u, n, v), n + 1)
+    return acc
+
+
+def test_bracket_on_U_consistent_with_mode_bracket() -> None:
+    # reduce([u, v]_U at mode -1) = negative part of [u_{-1}, v_{-1}]
+    for spec in (VIR, HEIS, SL2):
+        for u in spec.labels:
+            for v in spec.labels:
+                transported = reduce_generator(
+                    spec, _bracket_on_U(spec, basis_element(spec.bid(u)),
+                                        basis_element(spec.bid(v))), -1)
+                modes = bracket(spec, single(spec, u, -1), single(spec, v, -1))
+                neg = LieElement({g: c for g, c in modes.items() if g.n < 0})
+                assert transported == neg
