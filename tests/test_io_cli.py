@@ -148,6 +148,95 @@ def test_cli_check_json_is_byte_identical(name: str, capsys) -> None:
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == CHECK_JSON_SHA256[name]
 
 
+# SHA-256 of the text (not --json) stdout and the exit code of each
+# command: the full check and defect listings of every preset, and
+# brackets, mode words and field coefficients whose results carry the
+# coefficients 1, -1, other negatives and fractions.  Renderer changes
+# must leave this output byte-identical.
+TEXT_SHA256 = {
+    ("check", "--preset", "affine-sl2", "--all"):
+        ("d1ef42a5b1ad868b7c3514dbd7f2d089092fde0e7ce6d2c6fbc5abb5368df81f", 0),
+    ("defect", "--preset", "affine-sl2", "--all"):
+        ("45e538e6a8c2b5ea41e800abf01f0ef596161adb6ff5287cdae69f0865088b07", 0),
+    ("check", "--preset", "comm-assoc-dual", "--all"):
+        ("607428ff887471ba07cfa31fed783674ab317dd9f94bb3509a3e379d8a09fde7", 0),
+    ("defect", "--preset", "comm-assoc-dual", "--all"):
+        ("f8565c691bd9b6901f74eea284fb3ff45b730d216f84f0195f5c99257c95041b", 0),
+    ("check", "--preset", "heisenberg", "--all"):
+        ("2f18f574b98731f4f2b5f34bec203e2a5a8b542206c05ee83c261f40de4a0a21", 0),
+    ("defect", "--preset", "heisenberg", "--all"):
+        ("af4f3e1338c0b751908b475370d2e25f41da0dd398c27b639545bc0f2b0bb379", 0),
+    ("check", "--preset", "loop-abelian", "--all"):
+        ("fb37a1ae51474e3d266b6b9ac2f454f645e8e8e69a09cdb2c35c8f43a6c100fc", 0),
+    ("defect", "--preset", "loop-abelian", "--all"):
+        ("abb01530aba06724e3378dc8708cf0bb9496010506ea9f9d47e82e1120beb202", 0),
+    ("check", "--preset", "neveu-schwarz", "--all"):
+        ("2fe300a345a76550cdd702b21571b95ab146c6a4e572990d7986877140347d8b", 0),
+    ("defect", "--preset", "neveu-schwarz", "--all"):
+        ("b65e948b439088e79bfe703c36d2c08370efadb5ee5596c9d1efb1743131d0cf", 0),
+    ("check", "--preset", "novikov-flipped", "--all"):
+        ("49c133652cf294caa90af9c1174bf9c01bf31ad163476edac9681d08ad3a38d9", 1),
+    ("defect", "--preset", "novikov-flipped", "--all"):
+        ("b634b28249994d495dd3aca17f6b81c8a4379fc51a689465fc6d2a6f2446f8ec", 0),
+    ("check", "--preset", "novikov-lambda", "--all"):
+        ("ceb33de6e45b72d67a78d9b11ad27a0daf5f4b2f13b2ddb5e7d0db749096ef1a", 0),
+    ("defect", "--preset", "novikov-lambda", "--all"):
+        ("f8565c691bd9b6901f74eea284fb3ff45b730d216f84f0195f5c99257c95041b", 0),
+    ("check", "--preset", "virasoro", "--all"):
+        ("a49e857d3a9e8d8a90d4a3cc51332dd93963d1a0ad5439f4ff33beb294e33985", 0),
+    ("defect", "--preset", "virasoro", "--all"):
+        ("f8565c691bd9b6901f74eea284fb3ff45b730d216f84f0195f5c99257c95041b", 0),
+    ("bracket", "--preset", "virasoro", "omega", "3", "omega", "-1"):
+        ("b37bccaaefcf26daf7894739b294fad41740ad74d091a83b991aea0b0e2f60aa", 0),
+    ("bracket", "--preset", "virasoro", "omega", "-1", "omega", "3"):
+        ("ac4f0f5b1e900f0f26c31f08af22fa23c43f8c3d77eec4eb3d7b5b7fcf584094", 0),
+    ("bracket", "--preset", "affine-sl2", "f", "0", "e", "0"):
+        ("7079542e630a4ab673ca8913e7080295a9ba295ad95f12a0fab85d7e2975f459", 0),
+    ("bracket", "--preset", "affine-sl2", "e", "1", "f", "-1"):
+        ("63475c9043e7d6e5a6e35fb9fc1044d9d835843866c55f545f9de504c90a0ea3", 0),
+    ("bracket", "--preset", "neveu-schwarz", "omega", "-1", "tau", "1"):
+        ("c681f6b0f5bf8cf090a66f201169907753375082bf0e9afb8628accb265db351", 0),
+    ("bracket", "--preset", "neveu-schwarz", "tau", "2", "tau", "-1"):
+        ("0df1d5ade65be4a7921bf7282ca088de5cb83e315490888f776c9c91526f55e0", 0),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--act", "f_0 e_-1"):
+        ("ab573c13cf08b9c312d680a0ddf94a77c11b8f0fa7013a918c7351dec9f4e259", 0),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--act", "f_0 e_-1 h_-1"):
+        ("8edc43dff1dc0df7da279970ea2e666bc6c904ad78208dfd6ba2a4ed88ccbbee", 0),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--act", "f_1 e_-1 f_-1"):
+        ("763a5c4063dee24b7052def55f5a5bd99e2cb6f056d6c5412342acbfc012b18f", 0),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--level=-3/2", "--act", "e_1 f_-1 h_-1"):
+        ("4c4291e1e818d4413443822f356a45718cbfc36cecf50283eb16984558f81e2e", 0),
+    ("verma", "--preset", "neveu-schwarz", "--cutoff", "6", "--act", "tau_0 tau_-1 tau_-2"):
+        ("7ab9a0c9bec603d616653a96c13d2482bdde27540b08019af41c0d975ab390be", 0),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--act", "h_0 f_-1 e_-2"):
+        ("9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", 0),
+    ("verma", "--preset", "virasoro", "--cutoff", "8", "--field", "omega_-1", "1", "omega_-2"):
+        ("7227542e17abcdbf6461fa768517d4107c5223be1e54f41e9a146adb94ec60d7", 0),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "6", "--field", "f_-1", "0", "e_-1 h_-1"):
+        ("8edc43dff1dc0df7da279970ea2e666bc6c904ad78208dfd6ba2a4ed88ccbbee", 0),
+    ("verma", "--preset", "neveu-schwarz", "--cutoff", "8", "--field", "omega_-2", "1", "tau_-1"):
+        ("fefc067d01e298f7f8aa52aadfa583fbae2d08b3985615566c24744828740952", 0),
+    ("verma", "--preset", "neveu-schwarz", "--cutoff", "8", "--field", "tau_-1", "1", "omega_-1"):
+        ("509e65e62dd42c9910eab34695bbc2a7cea6fc33e90fad3d8edfec7b5a676da4", 0),
+    ("verma", "--preset", "virasoro", "--cutoff", "8", "--level=-5/2", "--field", "omega_-1", "3", "omega_-1"):
+        ("6d5f41efea51e4f3b1b1589c45a5c0e57cd661d13ea52115a1d3fcc45e79b973", 0),
+    ("verma", "--preset", "virasoro", "--cutoff", "8", "--field", "omega_-2", "0", "omega_-2"):
+        ("9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", 0),
+}
+
+
+def test_text_digests_cover_every_preset() -> None:
+    for command in ("check", "defect"):
+        assert {argv[2] for argv in TEXT_SHA256 if argv[0] == command} == set(PRESETS)
+
+
+@pytest.mark.parametrize("argv", list(TEXT_SHA256), ids=" ".join)
+def test_cli_text_is_byte_identical(argv: tuple, capsys) -> None:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == TEXT_SHA256[argv]
+
+
 def test_cli_check_affine_exit_codes(capsys) -> None:
     assert main(["check", "--preset", "affine-sl2"]) == 0
     out = capsys.readouterr().out
