@@ -22,7 +22,7 @@ from .formula import FormulaError, FormulaSpec, format_element, rat, validate_sp
 from .formula_io import FormulaFileError, export_formula, load_formula
 from .local_algebra import LieGenerator, bracket, jacobi_window_verify, single
 from .presets import PRESETS, preset
-from .verma import NotInjectiveError, act_word, graded_dimension, specialize_level, vacuum
+from .verma import NotInjectiveError, act_word, graded_dimension, specialize_level
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -199,8 +199,6 @@ def cmd_bracket(args) -> int:
 
 def cmd_verma(args) -> int:
     spec = _load_spec(args)
-    if args.cutoff is None:
-        raise CliError("verma needs --cutoff")
     try:
         cutoff = rat(args.cutoff)
     except ValueError:
@@ -222,16 +220,8 @@ def cmd_verma(args) -> int:
             _emit(args, payload, lines)
             return EXIT_OK
         if args.act is not None:
-            word = _parse_word(spec, args.act)
-            out = act_word(spec, word)
-            if level is not None:
-                out = specialize_level(spec, out, level)
-            payload = {"spec": _spec_json(spec),
-                       "result": [{"monomial": m.display(spec), "coeff": str(c)}
-                                  for m, c in out.items()]}
-            _emit(args, payload, [out.display(spec)])
-            return EXIT_OK
-        if args.field is not None:
+            out = act_word(spec, _parse_word(spec, args.act))
+        else:  # --field; argparse requires one of --dims, --act, --field
             a_word, n_token, b_word = args.field
             try:
                 n = int(n_token)
@@ -240,18 +230,17 @@ def cmd_verma(args) -> int:
             a = act_word(spec, _parse_word(spec, a_word))
             b = act_word(spec, _parse_word(spec, b_word))
             out = verma_mod.field_coefficient(spec, a, n, b, cutoff)
-            if level is not None:
-                out = specialize_level(spec, out, level)
-            payload = {"spec": _spec_json(spec),
-                       "result": [{"monomial": m.display(spec), "coeff": str(c)}
-                                  for m, c in out.items()]}
-            _emit(args, payload, [out.display(spec)])
-            return EXIT_OK
+        if level is not None:
+            out = specialize_level(spec, out, level)
     except NotInjectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: run `vertexlie check` on this input first", file=sys.stderr)
         return EXIT_FAIL
-    raise CliError("verma needs one of --dims, --act, --field")
+    payload = {"spec": _spec_json(spec),
+               "result": [{"monomial": m.display(spec), "coeff": str(c)}
+                          for m, c in out.items()]}
+    _emit(args, payload, [out.display(spec)])
+    return EXIT_OK
 
 
 def cmd_export_preset(args) -> int:
@@ -271,11 +260,10 @@ def cmd_export_preset(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        sub.add_argument("path", nargs="?", help="formula file")
-        sub.add_argument("--preset", choices=sorted(PRESETS),
-                         help="use a built-in formula instead of a file")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("path", nargs="?", help="formula file")
+    sub.add_argument("--preset", choices=sorted(PRESETS),
+                     help="use a built-in formula instead of a file")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable output")
 

@@ -32,6 +32,7 @@ from .formula import (
     UngradedError,
     _add_scaled,
     _per_spec,
+    apply_D,
     basis_element,
     extend_product,
     gen_binomial,
@@ -90,7 +91,7 @@ def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     for k in range(max(0, spec.n_max - n)):
         base = spec.constant_by_id(vid, n + k, uid)
         if base:
-            _add_scaled(acc, base.d_shift(k), eps * Fraction((-1) ** (n + k), factorial(k)))
+            _add_scaled(acc, apply_D(base, k), eps * Fraction((-1) ** (n + k), factorial(k)))
     return Element._of(acc)
 
 
@@ -245,21 +246,19 @@ def central_reduction(spec: FormulaSpec) -> Optional[int]:
     return None
 
 
-def injectivity_verdict(spec: FormulaSpec, central: Optional[BasisRef] = None) -> Verdict:
+@_per_spec
+def injectivity_verdict(spec: FormulaSpec) -> Verdict:
     """Decide whether the basis embeds into the generated quotient algebra.
 
     The status names the commutator/Jacobi ideal: injective_zero_ideal
     when all commutator defects vanish (skew defects, if any, must be
     absorbed by the central quotient), injective_central_ideal when the
     commutator defects generate exactly the positive D-span of the
-    central vector.  Everything the two settled routes do not cover is
-    reported undetermined rather than guessed; computed once per central vector.
+    spec's designated central vector.  Everything the two settled routes
+    do not cover is reported undetermined rather than guessed; computed
+    once per spec.
     """
-    return _verdict(spec, spec.bid(central) if central is not None else spec.central)
-
-
-@_per_spec
-def _verdict(spec: FormulaSpec, cid: Optional[int]) -> Verdict:
+    cid = spec.central
     defects = _sweep(spec, default_bound(spec))
     if not defects:
         return Verdict(INJECTIVE_ZERO_IDEAL, (),
@@ -306,26 +305,24 @@ class ConformalReport:
     central: bool             # (b) c annihilates and is annihilated
     action: bool              # (c) omega_0 = D, omega_1 = weight, omega_2 = 0 on S
     weight_zero_space: bool   # (d) weight-0 subspace is exactly the span of c
-    weights_nonnegative: bool  # (e)
     failures: tuple
 
     @property
     def ok(self) -> bool:
-        return (self.self_product and self.central and self.action
-                and self.weight_zero_space and self.weights_nonnegative)
+        return self.self_product and self.central and self.action and self.weight_zero_space
 
 
-def conformal_validate(spec: FormulaSpec, omega: Optional[BasisRef] = None,
-                       c: Optional[BasisRef] = None) -> ConformalReport:
-    """Validate a conformal vector omega with central element c."""
+def conformal_validate(spec: FormulaSpec) -> ConformalReport:
+    """Validate the spec's designated conformal vector omega and central element c.
+
+    The nonnegative weights a conformal vector also needs are enforced
+    by FormulaSpec itself.
+    """
     if not spec.graded:
         raise UngradedError("conformal validation needs weights")
-    if omega is None or c is None:
-        if spec.conformal is None:
-            raise FormulaError("no conformal pair designated or given")
-        oid, cid = spec.conformal
-    else:
-        oid, cid = spec.bid(omega), spec.bid(c)
+    if spec.conformal is None:
+        raise FormulaError("no conformal pair designated")
+    oid, cid = spec.conformal
     failures = []
 
     want = {0: basis_element(oid, k=1), 1: basis_element(oid).scale(2),
@@ -363,9 +360,4 @@ def conformal_validate(spec: FormulaSpec, omega: Optional[BasisRef] = None,
         failures.append(f"weight-0 subspace is spanned by {zero_space}, "
                         "expected exactly the central vector")
 
-    weights_nonnegative = all(v.weight >= 0 for v in spec.vectors)
-    if not weights_nonnegative:
-        failures.append("negative weights present")
-
-    return ConformalReport(self_product, central, action, weight_zero_space,
-                           weights_nonnegative, tuple(failures))
+    return ConformalReport(self_product, central, action, weight_zero_space, tuple(failures))

@@ -147,9 +147,6 @@ class SparseVector:
     def coeff(self, key) -> Fraction:
         return self._terms.get(key, Fraction(0))
 
-    def support(self) -> tuple:
-        return tuple(sorted(self._terms))
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -219,11 +216,6 @@ class Element(SparseVector):
         """Largest D-power present (zero element has degree 0)."""
         return max((k for k, _ in self._terms), default=0)
 
-    def d_shift(self, power: int = 1) -> "Element":
-        if power < 0:
-            raise ValueError("cannot shift by a negative D-power")
-        return Element._of({(k + power, bid): c for (k, bid), c in self._terms.items()})
-
 
 def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
     """The single term coeff * D^k applied to basis vector number bid."""
@@ -235,7 +227,9 @@ def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
 
 def apply_D(A: Element, power: int = 1) -> Element:
     """Raise every D-power of A by `power`."""
-    return A.d_shift(power)
+    if power < 0:
+        raise ValueError("cannot shift by a negative D-power")
+    return Element._of({(k + power, bid): c for (k, bid), c in A._terms.items()})
 
 
 @dataclass(frozen=True)
@@ -260,7 +254,7 @@ class Violation:
         return self.message
 
 
-BasisRef = Union[int, str, BasisVector]
+BasisRef = Union[int, str]
 
 
 class FormulaSpec:
@@ -269,9 +263,8 @@ class FormulaSpec:
     Parameters
     ----------
     basis:
-        sequence of (label, parity) or (label, parity, weight) tuples, or
-        BasisVector instances.  Weights are all-or-nothing and must be
-        nonnegative rationals.
+        sequence of (label, parity) or (label, parity, weight) tuples.
+        Weights are all-or-nothing and must be nonnegative rationals.
     constants:
         mapping (u, n, v) -> {(k, target): coeff} giving the nonzero
         products u_n v; u, v, target are labels or indices, n and k are
@@ -292,11 +285,8 @@ class FormulaSpec:
         vectors: list = []
         by_label: dict = {}
         for i, entry in enumerate(basis):
-            if isinstance(entry, BasisVector):
-                label, parity, weight = entry.label, entry.parity, entry.weight
-            else:
-                label, parity = str(entry[0]), entry[1]
-                weight = entry[2] if len(entry) > 2 else None
+            label, parity = str(entry[0]), entry[1]
+            weight = entry[2] if len(entry) > 2 else None
             if parity not in (EVEN, ODD):
                 raise _BasisEntryError(i, f"parity of {label!r} must be 0 or 1")
             if weight is not None:
@@ -342,8 +332,6 @@ class FormulaSpec:
     # -- basis access ------------------------------------------------
 
     def _resolve(self, ref: BasisRef) -> BasisVector:
-        if isinstance(ref, BasisVector):
-            ref = ref.index
         if isinstance(ref, int):
             if not 0 <= ref < len(self.vectors):
                 raise KeyError(f"no basis vector number {ref}")
@@ -517,24 +505,28 @@ def weight_of(spec: FormulaSpec, A: Element) -> Optional[Fraction]:
     return seen.pop() if seen else None
 
 
-def format_element(spec: FormulaSpec, A: Element) -> str:
-    """Human-readable rendering, ordered by (weight, D-power, basis)."""
-    if not A:
-        return "0"
-
-    def key(item):
-        (k, bid), _c = item
-        w = spec.weight(bid) + k if spec.graded else Fraction(0)
-        return (w, k, bid)
-
+def _signed_sum(terms: Iterable, times: str = "*") -> str:
+    """Render (coeff, body) pairs as 'a - b + 2*c' (coefficients +-1 as bare signs)."""
     parts = []
-    for (k, bid), c in sorted(A._terms.items(), key=key):
-        dpart = "" if k == 0 else ("D." if k == 1 else f"D^{k}.")
-        body = f"{dpart}{spec.vectors[bid].label}"
+    for c, body in terms:
         if c == 1:
             parts.append(body)
         elif c == -1:
             parts.append(f"-{body}")
         else:
-            parts.append(f"{c}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+            parts.append(f"{c}{times}{body}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def format_element(spec: FormulaSpec, A: Element) -> str:
+    """Human-readable rendering, ordered by (weight, D-power, basis)."""
+    def key(item):
+        (k, bid), _c = item
+        w = spec.weight(bid) + k if spec.graded else Fraction(0)
+        return (w, k, bid)
+
+    def body(k: int, bid: int) -> str:
+        dpart = "" if k == 0 else ("D." if k == 1 else f"D^{k}.")
+        return f"{dpart}{spec.vectors[bid].label}"
+
+    return _signed_sum((c, body(k, bid)) for (k, bid), c in sorted(A._terms.items(), key=key))

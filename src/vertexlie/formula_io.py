@@ -71,6 +71,8 @@ def parse_formula(text: str) -> FormulaSpec:
             if "=" not in line:
                 raise FormulaFileError(lineno, "meta lines look like 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in meta:
+                raise FormulaFileError(lineno, f"meta key {key!r} given twice")
             meta[key] = value
         elif section == "basis":
             parts = line.split()
@@ -85,7 +87,9 @@ def parse_formula(text: str) -> FormulaSpec:
         elif section == "central":
             if central is not None:
                 raise FormulaFileError(lineno, "central vector named twice")
-            central = line.split()[0]
+            if len(line.split()) != 1:
+                raise FormulaFileError(lineno, "the central line names one basis vector")
+            central = line
             references.append((lineno, central))
         elif section == "conformal":
             if "=" not in line:
@@ -93,6 +97,8 @@ def parse_formula(text: str) -> FormulaSpec:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in ("omega", "c"):
                 raise FormulaFileError(lineno, f"conformal keys are omega and c, got {key!r}")
+            if key in conformal_parts:
+                raise FormulaFileError(lineno, f"conformal key {key!r} given twice")
             conformal_parts[key] = value
             references.append((lineno, value))
         else:  # constants

@@ -15,16 +15,18 @@ quotient algebra, where the Lie axioms hold on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple
 
 from .defects import central_reduction
 from .formula import (
+    BasisRef,
     Element,
     FormulaSpec,
     SparseVector,
     _accumulate,
     _add_scaled,
     _per_spec,
+    _signed_sum,
     falling,
     gen_binomial,
 )
@@ -51,33 +53,16 @@ class LieElement(SparseVector):
     """Finite rational combination of mode generators."""
 
     def display(self, spec: FormulaSpec) -> str:
-        if not self:
-            return "0"
-        parts = []
-        for gen, coeff in self.items():
-            body = f"{spec.vectors[gen.bid].label}_{gen.n}"
-            if coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _signed_sum((c, f"{spec.vectors[g.bid].label}_{g.n}") for g, c in self.items())
 
 
-GeneratorRef = Union[LieGenerator, tuple]
-
-
-def generator(spec: FormulaSpec, ref: GeneratorRef, n: Optional[int] = None) -> LieGenerator:
-    """Coerce (basis ref, n) or a LieGenerator to a LieGenerator."""
-    if isinstance(ref, LieGenerator):
-        return ref
-    if n is None:
-        ref, n = ref
+def generator(spec: FormulaSpec, ref: BasisRef, n: int) -> LieGenerator:
+    """The mode ref_n of the basis vector ref (a label or an index)."""
     return LieGenerator(spec.bid(ref), int(n))
 
 
-def single(spec: FormulaSpec, ref: GeneratorRef, n: Optional[int] = None) -> LieElement:
+def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:
+    """The mode ref_n as a one-term element."""
     return LieElement({generator(spec, ref, n): 1})
 
 

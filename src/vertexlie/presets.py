@@ -121,18 +121,23 @@ class BilinearAlgebra:
         return tuple(Fraction(int(j == i)) for j in range(self.dim))
 
 
-def _vector_terms(labels: Sequence[str], vec, k: int = 0, scale: Fraction = Fraction(1)) -> dict:
-    return {(k, labels[t]): scale * c for t, c in enumerate(vec) if c}
+def _vector_terms(labels: Sequence[str], vec, k: int = 0) -> dict:
+    return {(k, labels[t]): c for t, c in enumerate(vec) if c}
 
 
-def affine(g: LieData, central_label: str = "c") -> FormulaSpec:
+def _with_central(labels: Sequence[str], weight: int) -> list:
+    """Basis entries: every label at `weight`, then the central vector c at weight 0."""
+    if "c" in labels:
+        raise ValueError("central label 'c' collides with the basis")
+    return [(lbl, EVEN, weight) for lbl in labels] + [("c", EVEN, 0)]
+
+
+def affine(g: LieData) -> FormulaSpec:
     """Formula of an affinization: x_0 y = [x,y], x_1 y = <x,y> c.
 
-    Basis vectors of g get weight 1, the central vector weight 0.
+    Basis vectors of g get weight 1, the central vector c weight 0.
     """
-    if central_label in g.labels:
-        raise ValueError(f"central label {central_label!r} collides with the basis")
-    basis = [(lbl, EVEN, 1) for lbl in g.labels] + [(central_label, EVEN, 0)]
+    basis = _with_central(g.labels, 1)
     constants: dict = {}
     for i, li in enumerate(g.labels):
         for j, lj in enumerate(g.labels):
@@ -140,8 +145,8 @@ def affine(g: LieData, central_label: str = "c") -> FormulaSpec:
             if terms:
                 constants[(li, 0, lj)] = terms
             if g.form[i][j]:
-                constants[(li, 1, lj)] = {(0, central_label): g.form[i][j]}
-    return FormulaSpec(basis, constants, central=central_label, name="affine")
+                constants[(li, 1, lj)] = {(0, "c"): g.form[i][j]}
+    return FormulaSpec(basis, constants, central="c", name="affine")
 
 
 def virasoro() -> FormulaSpec:
@@ -172,17 +177,10 @@ def neveu_schwarz() -> FormulaSpec:
     return FormulaSpec(basis, constants, conformal=("omega", "c"), name="neveu-schwarz")
 
 
-def novikov(algebra: BilinearAlgebra, central_label: str = "c") -> FormulaSpec:
-    """Weight-2 formula of a bilinear algebra with a symmetric form:
-
-    u_0 v = D(u.v),  u_1 v = u.v + v.u,  u_3 v = (1/2)<u,v> c.
-    """
-    if not algebra.form_symmetric:
-        raise ValueError("form is not symmetric")
-    if central_label in algebra.labels:
-        raise ValueError(f"central label {central_label!r} collides with the basis")
+def _weight_two(algebra: BilinearAlgebra) -> tuple:
+    """Basis and constants of u_0 v = D(u.v), u_1 v = u.v + v.u, u_3 v = (1/2)<u,v> c."""
     labels = algebra.labels
-    basis = [(lbl, EVEN, 2) for lbl in labels] + [(central_label, EVEN, 0)]
+    basis = _with_central(labels, 2)
     constants: dict = {}
     for i, li in enumerate(labels):
         for j, lj in enumerate(labels):
@@ -196,11 +194,21 @@ def novikov(algebra: BilinearAlgebra, central_label: str = "c") -> FormulaSpec:
             if terms:
                 constants[(li, 1, lj)] = terms
             if algebra.form[i][j]:
-                constants[(li, 3, lj)] = {(0, central_label): Fraction(1, 2) * algebra.form[i][j]}
-    return FormulaSpec(basis, constants, central=central_label, name="novikov")
+                constants[(li, 3, lj)] = {(0, "c"): Fraction(1, 2) * algebra.form[i][j]}
+    return basis, constants
 
 
-def comm_assoc(algebra: BilinearAlgebra, identity: str, central_label: str = "c") -> FormulaSpec:
+def novikov(algebra: BilinearAlgebra) -> FormulaSpec:
+    """Weight-2 formula of a bilinear algebra with a symmetric form:
+
+    u_0 v = D(u.v),  u_1 v = u.v + v.u,  u_3 v = (1/2)<u,v> c.
+    """
+    if not algebra.form_symmetric:
+        raise ValueError("form is not symmetric")
+    return FormulaSpec(*_weight_two(algebra), central="c", name="novikov")
+
+
+def comm_assoc(algebra: BilinearAlgebra, identity: str) -> FormulaSpec:
     """Weight-2 formula of a commutative associative algebra with identity:
 
     u_0 v = D(u.v),  u_1 v = 2 u.v,  u_3 v = (1/2)<u,v> c,
@@ -233,23 +241,8 @@ def comm_assoc(algebra: BilinearAlgebra, identity: str, central_label: str = "c"
                     raise ValueError("invalid tables: form is not associative")
     if algebra.form_vec(one, one) != 1:
         raise ValueError("invalid tables: <identity, identity> must be 1")
-    if central_label in labels:
-        raise ValueError(f"central label {central_label!r} collides with the basis")
-    basis = [(lbl, EVEN, 2) for lbl in labels] + [(central_label, EVEN, 0)]
-    constants: dict = {}
-    for i, li in enumerate(labels):
-        for j, lj in enumerate(labels):
-            uv = algebra.product[i][j]
-            terms = _vector_terms(labels, uv, k=1)
-            if terms:
-                constants[(li, 0, lj)] = terms
-            terms = _vector_terms(labels, uv, scale=Fraction(2))
-            if terms:
-                constants[(li, 1, lj)] = terms
-            if algebra.form[i][j]:
-                constants[(li, 3, lj)] = {(0, central_label): Fraction(1, 2) * algebra.form[i][j]}
-    return FormulaSpec(basis, constants, conformal=(identity, central_label),
-                       name="comm-assoc")
+    # the product commutes, so the weight-two table's u.v + v.u is 2 u.v
+    return FormulaSpec(*_weight_two(algebra), conformal=(identity, "c"), name="comm-assoc")
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +334,9 @@ def heisenberg() -> LieData:
     return LieData(("x",), [[[0]]], [[1]])
 
 
-def abelian(dim: int = 1) -> LieData:
-    """Abelian Lie algebra with zero form (loop-algebra input)."""
-    labels = tuple(f"x{i}" for i in range(dim)) if dim > 1 else ("x",)
-    zero_vec = [0] * dim
-    bracket = [[list(zero_vec) for _ in range(dim)] for _ in range(dim)]
-    form = [[0] * dim for _ in range(dim)]
-    return LieData(labels, bracket, form)
+def abelian() -> LieData:
+    """One abelian generator with zero form (loop-algebra input)."""
+    return LieData(("x",), [[[0]]], [[0]])
 
 
 def lambda_algebra(weights: Sequence = (1, 0), labels: Optional[Sequence[str]] = None,

@@ -27,6 +27,7 @@ from .formula import (
     UngradedError,
     _accumulate,
     _add_scaled,
+    _signed_sum,
     gen_binomial,
     rat,
 )
@@ -56,18 +57,7 @@ class PbwVector(SparseVector):
     """Finite rational combination of normal-ordered monomials."""
 
     def display(self, spec: FormulaSpec) -> str:
-        if not self:
-            return "0"
-        parts = []
-        for mono, coeff in self.items():
-            body = mono.display(spec)
-            if coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff} * {body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _signed_sum(((c, m.display(spec)) for m, c in self.items()), " * ")
 
 
 def vacuum() -> PbwVector:

@@ -214,12 +214,17 @@ def _sweep_outcome(sweep, spec, bound):
     return [r if isinstance(r, tuple) else (r.kind, r.indices, r.value) for r in rows]
 
 
+def _basis(spec: FormulaSpec) -> list:
+    """The basis of `spec` as (label, parity, weight) entries."""
+    return [(v.label, v.parity, v.weight) for v in spec.vectors]
+
+
 def _typo(name: str, extra: dict) -> FormulaSpec:
     """The preset `name` with the products in `extra` replaced or added."""
     spec = preset(name)
     constants = dict(spec.constant_entries())
     constants.update({(spec.bid(u), n, spec.bid(v)): value for (u, n, v), value in extra.items()})
-    return FormulaSpec(spec.vectors, constants, central=spec.central, conformal=spec.conformal)
+    return FormulaSpec(_basis(spec), constants, central=spec.central, conformal=spec.conformal)
 
 
 TYPO_TABLES = {
@@ -375,20 +380,22 @@ def test_verdict_undetermined_without_central() -> None:
 
 
 def test_verdict_accepts_explicit_central_argument() -> None:
-    spec = FormulaSpec(
-        [("omega", EVEN, 2), ("c", EVEN, 0)],
-        {
-            ("omega", 0, "omega"): {(1, "omega"): 1},
-            ("omega", 1, "omega"): {(0, "omega"): 2},
-            ("omega", 3, "omega"): {(0, "c"): F(1, 2)},
-        },
-    )  # no designation on the spec itself
-    assert injectivity_verdict(spec).status == "undetermined"
-    assert injectivity_verdict(spec, central="c").status == "injective_central_ideal"
-    # one verdict per spec and resolved central vector
-    assert injectivity_verdict(spec) is injectivity_verdict(spec)
-    assert injectivity_verdict(spec, central="c") is injectivity_verdict(spec, central=1)
-    assert injectivity_verdict(spec, central="c") is not injectivity_verdict(spec)
+    # the verdict reads the spec's central designation, given by label or by index
+    basis = [("omega", EVEN, 2), ("c", EVEN, 0)]
+    constants = {
+        ("omega", 0, "omega"): {(1, "omega"): 1},
+        ("omega", 1, "omega"): {(0, "omega"): 2},
+        ("omega", 3, "omega"): {(0, "c"): F(1, 2)},
+    }
+    bare = FormulaSpec(basis, constants)  # no designation
+    by_label = FormulaSpec(basis, constants, central="c")
+    by_index = FormulaSpec(basis, constants, central=1)
+    assert injectivity_verdict(bare).status == "undetermined"
+    assert injectivity_verdict(by_label).status == "injective_central_ideal"
+    assert injectivity_verdict(by_index) == injectivity_verdict(by_label)
+    # one verdict per spec
+    for spec in (bare, by_label, by_index):
+        assert injectivity_verdict(spec) is injectivity_verdict(spec)
 
 
 def test_defect_values_are_weight_and_parity_homogeneous() -> None:
@@ -479,14 +486,15 @@ def test_conformal_neveu_schwarz_passes() -> None:
 
 
 def test_conformal_affine_fails_no_conformal_vector() -> None:
-    report = conformal_validate(SL2, omega="e", c="c")
+    spec = FormulaSpec(_basis(SL2), dict(SL2.constant_entries()), conformal=("e", "c"))
+    report = conformal_validate(spec)
     assert not report.ok
     assert not report.self_product
 
 
 def test_conformal_needs_weights() -> None:
     with pytest.raises(UngradedError):
-        conformal_validate(FormulaSpec([("a", EVEN)], {}), omega="a", c="a")
+        conformal_validate(FormulaSpec([("a", EVEN)], {}, conformal=("a", "a")))
 
 
 def test_conformal_needs_designation() -> None:

@@ -3,11 +3,13 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import vertexlie
 from vertexlie import PRESETS, FormulaSpec, preset, virasoro
 from vertexlie.cli import main
 from vertexlie.formula_io import (
@@ -102,6 +104,10 @@ def test_parse_reports_line_numbers() -> None:
         ("[basis]\na even\nb even 2\n", 3),
         # an incomplete conformal section at its header
         ("[basis]\na even\n[conformal]\nomega = a\n", 3),
+        # input that would otherwise be dropped, at its own line
+        ("[basis]\na even\nb even\n[central]\na b\n", 5),
+        ("[basis]\na even\n[conformal]\nomega = a\nomega = a\nc = a\n", 5),
+        ("[meta]\nname = a\nname = b\n[basis]\na even\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(FormulaFileError) as err:
@@ -416,12 +422,29 @@ def test_cli_verma_fractional_cutoff(capsys) -> None:
 # benchmark
 # ---------------------------------------------------------------------------
 
+def _load_bench(name: str):
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_job_lists_build(tmp_path, monkeypatch) -> None:
+    # building a round's jobs calls the public API (generator, affine,
+    # LieElement, ...) as `bench/worker.py` does; no job is run here
+    monkeypatch.setitem(sys.modules, "reference", _load_bench("reference"))
+    workloads = _load_bench("workloads")
+    for name, build in workloads.JOB_LISTS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        jobs = build(vertexlie, workloads.round_rng(workloads.DEFAULT_SEED, 0), str(workdir))
+        assert jobs, name
+
+
 def test_benchmark_traced_names_resolve() -> None:
     # `bench/run.py --trace 1` wraps each of these functions by name
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    loader = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(tracing)
+    tracing = _load_bench("tracing")
     assert tracing.NAMES
     for name in tracing.NAMES:
         module, function = name.split(".")

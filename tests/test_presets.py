@@ -63,6 +63,17 @@ def test_affine_label_collision() -> None:
         affine(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: affine(LieData(("c",), [[[0]]], [[1]])),
+    lambda: novikov(BilinearAlgebra(("c",), [[[1]]], [[1]])),
+    lambda: comm_assoc(BilinearAlgebra(("c",), [[[1]]], [[1]]), identity="c"),
+], ids=["affine", "novikov", "comm_assoc"])
+def test_builders_reject_central_label(build) -> None:
+    # each input is valid except that its only label is the central label c
+    with pytest.raises(ValueError, match="collides"):
+        build()
+
+
 def test_lie_data_validation() -> None:
     with pytest.raises(ValueError):  # not antisymmetric
         LieData(("a", "b"), [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
