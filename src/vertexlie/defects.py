@@ -81,12 +81,22 @@ def _units(spec: FormulaSpec) -> tuple:
     return tuple(basis_element(bid) for bid in range(spec.dim))
 
 
+def _eps(spec: FormulaSpec, uid: int, vid: int) -> int:
+    """Koszul sign of a basis pair given by indices."""
+    vectors = spec.vectors
+    return -1 if vectors[uid].parity and vectors[vid].parity else 1
+
+
 def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    uid, vid = spec.bid(u), spec.bid(v)
-    eps = spec.epsilon(uid, vid)
+    return _skew(spec, spec.bid(u), n, spec.bid(v))
+
+
+def _skew(spec: FormulaSpec, uid: int, n: int, vid: int) -> Element:
+    """skew_defect on basis indices, with no argument checks."""
+    eps = _eps(spec, uid, vid)
     acc = dict(spec.constant_by_id(uid, n, vid)._terms)
     for k in range(max(0, spec.n_max - n)):
         base = spec.constant_by_id(vid, n + k, uid)
@@ -100,8 +110,12 @@ def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
     """u_m(v_n w) - eps v_n(u_m w) - sum_i (m over i) (u_i v)_{m+n-i} w."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
-    eps = spec.epsilon(uid, vid)
+    return _commutator(spec, spec.bid(u), m, spec.bid(v), n, spec.bid(w))
+
+
+def _commutator(spec: FormulaSpec, uid: int, m: int, vid: int, n: int, wid: int) -> Element:
+    """commutator_defect on basis indices, with no argument checks."""
+    eps = _eps(spec, uid, vid)
     unit, table = _units(spec), spec._constants
     acc: dict = {}
     vw, uw = table.get((vid, n, wid)), table.get((uid, m, wid))
@@ -129,7 +143,7 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
     if k < 0 or m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
-    eps = spec.epsilon(uid, vid)
+    eps = _eps(spec, uid, vid)
     unit, table = _units(spec), spec._constants
     acc: dict = {}
     for i in range(k + 1):
@@ -160,7 +174,7 @@ def _sweep(spec: FormulaSpec, bound: int) -> tuple:
     for uid in ids:
         for vid in ids:
             for n in range(bound + 1):
-                value = skew_defect(spec, uid, n, vid)
+                value = _skew(spec, uid, n, vid)
                 if not value:
                     continue
                 if n == bound:
@@ -187,7 +201,7 @@ def _sweep(spec: FormulaSpec, bound: int) -> tuple:
                 for m in modes:
                     row = modes if m >= i_min or reaches((uid, m, wid), right[vid]) else vw_modes
                     for n in row:
-                        value = commutator_defect(spec, uid, m, vid, n, wid)
+                        value = _commutator(spec, uid, m, vid, n, wid)
                         if not value:
                             continue
                         if m == bound or n == bound:

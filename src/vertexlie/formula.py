@@ -94,11 +94,16 @@ def gen_binomial(n: int, i: int) -> Fraction:
 
 
 def _accumulate(acc: dict, key, coeff: Fraction) -> None:
-    new = acc.get(key, 0) + coeff
+    old = acc.get(key)
+    if old is None:
+        if coeff:  # a new key stores coeff itself: no 0 + coeff allocation
+            acc[key] = coeff
+        return
+    new = old + coeff
     if new:
         acc[key] = new
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def _add_scaled(acc: dict, vec: "SparseVector", factor: Union[int, Fraction] = 1) -> None:
@@ -274,7 +279,7 @@ class FormulaSpec:
         annihilates and is annihilated by everything).
     conformal:
         optional (omega, c) pair of labels designating a conformal vector
-        and its central element.
+        and its central element; c must be `central` when both are given.
     """
 
     __slots__ = ("name", "vectors", "_by_label", "_constants", "n_max",
@@ -324,6 +329,10 @@ class FormulaSpec:
             conformal = (self._resolve(omega).index, self._resolve(c).index)
             if self.central is None:
                 self.central = conformal[1]
+            elif self.central != conformal[1]:
+                raise ValueError(
+                    f"central vector {self.vectors[self.central].label!r} differs from "
+                    f"the conformal central vector {self.vectors[conformal[1]].label!r}")
         self.conformal: Optional[tuple] = conformal
         self.name = name
         self._hash: Optional[int] = None

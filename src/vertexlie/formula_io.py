@@ -49,6 +49,7 @@ def parse_formula(text: str) -> FormulaSpec:
     constants: dict = {}
     meta: dict = {}
     central: Optional[str] = None
+    central_line = 0  # line naming the central vector
     conformal_parts: dict = {}
     conformal_line = 0  # line of the [conformal] header
     section: Optional[str] = None
@@ -89,7 +90,7 @@ def parse_formula(text: str) -> FormulaSpec:
                 raise FormulaFileError(lineno, "central vector named twice")
             if len(line.split()) != 1:
                 raise FormulaFileError(lineno, "the central line names one basis vector")
-            central = line
+            central, central_line = line, lineno
             references.append((lineno, central))
         elif section == "conformal":
             if "=" not in line:
@@ -151,7 +152,9 @@ def parse_formula(text: str) -> FormulaSpec:
     except _BasisEntryError as exc:
         raise FormulaFileError(basis_lines[exc.index], str(exc)) from None
     except (KeyError, ValueError) as exc:
-        raise FormulaFileError(0, str(exc)) from None
+        # names and numbers were all checked above: what is left is a
+        # [central] vector that differs from the conformal c
+        raise FormulaFileError(central_line, str(exc)) from None
 
 
 def load_formula(path) -> FormulaSpec:

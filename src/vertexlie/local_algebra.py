@@ -58,7 +58,9 @@ class LieElement(SparseVector):
 
 def generator(spec: FormulaSpec, ref: BasisRef, n: int) -> LieGenerator:
     """The mode ref_n of the basis vector ref (a label or an index)."""
-    return LieGenerator(spec.bid(ref), int(n))
+    if not isinstance(n, int):
+        raise TypeError(f"mode must be an integer, got {n!r}")
+    return LieGenerator(spec.bid(ref), n)
 
 
 def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor
+from math import factorial, floor, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .defects import central_reduction, injectivity_verdict
@@ -200,13 +200,18 @@ def _require_injective(spec: FormulaSpec) -> None:
             f"verdict is {verdict.status}; run the defect check first")
 
 
-def _counting_generators(spec: FormulaSpec, cutoff: Fraction) -> List[tuple]:
-    """(generator, weight, odd) with weight <= cutoff, PBW-ordered.
+def _counting_generators(spec: FormulaSpec, cutoff: RatLike) -> Tuple[Fraction, List[tuple]]:
+    """The cutoff, and every (generator, weight, odd) with weight <= cutoff, PBW-ordered.
 
     The central mode c_{-1} is excluded: graded pieces are counted as
     ranks over the polynomial algebra it generates, which equals the
     dimension after level specialization.
     """
+    _require_graded(spec)
+    _require_injective(spec)
+    bound = rat(cutoff)
+    if bound < 0:
+        raise ValueError("cutoff must be nonnegative")
     cid = spec.central
     reduced = central_reduction(spec)
     gens = []
@@ -221,12 +226,12 @@ def _counting_generators(spec: FormulaSpec, cutoff: Fraction) -> List[tuple]:
                 f"basis vector {vec.label!r} of weight {vec.weight} makes "
                 "graded pieces infinite-dimensional")
         n = start
-        while vec.weight - n - 1 <= cutoff:
+        while vec.weight - n - 1 <= bound:
             g = LieGenerator(vec.index, n)
             gens.append((g, generator_weight(spec, g), bool(spec.parity(vec.index))))
             n -= 1
     gens.sort(key=lambda item: _order_key(spec, item[0]))
-    return gens
+    return bound, gens
 
 
 def monomial_basis(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, List[PbwMonomial]]:
@@ -235,12 +240,7 @@ def monomial_basis(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, List[Pb
     Central polynomial factors are excluded (see _counting_generators);
     odd generators appear at most once per monomial.
     """
-    _require_graded(spec)
-    _require_injective(spec)
-    bound = rat(cutoff)
-    if bound < 0:
-        raise ValueError("cutoff must be nonnegative")
-    gens = _counting_generators(spec, bound)
+    bound, gens = _counting_generators(spec, cutoff)
     out: Dict[Fraction, List[PbwMonomial]] = {}
 
     def rec(start: int, factors: list, weight: Fraction) -> None:
@@ -262,12 +262,27 @@ def monomial_basis(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, List[Pb
 def graded_dimension(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, int]:
     """Dimensions of the graded pieces up to the cutoff.
 
+    Counted, not enumerated: they are the coefficients of the PBW
+    character, prod over even generators of 1/(1 - q^w) times prod over
+    odd ones of (1 + q^w), with the generators of monomial_basis.
     Integer weights up to the cutoff are always present (zero-filled);
     fractional weights appear when they occur.
     """
-    basis = monomial_basis(spec, cutoff)
-    dims = {w: len(monos) for w, monos in basis.items()}
-    for k in range(floor(rat(cutoff)) + 1):
+    bound, gens = _counting_generators(spec, cutoff)
+    # every weight is a positive multiple of 1/L: slot i holds weight i/L
+    L = lcm(*(w.denominator for _g, w, _odd in gens))
+    top = floor(bound * L)
+    counts = [1] + [0] * top
+    for _g, w, odd in gens:
+        step = int(w * L)
+        if odd:  # at most one factor: each slot reads the old value below it
+            for i in range(top, step - 1, -1):
+                counts[i] += counts[i - step]
+        else:
+            for i in range(step, top + 1):
+                counts[i] += counts[i - step]
+    dims = {Fraction(i, L): d for i, d in enumerate(counts) if d}
+    for k in range(floor(bound) + 1):
         dims.setdefault(Fraction(k), 0)
     return dict(sorted(dims.items()))
 
@@ -322,20 +337,31 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     """
     _require_graded(spec)
     _require_injective(spec)
-    bound = rat(cutoff)
+    return _field_coefficient(spec, a, n, b, rat(cutoff), {})
+
+
+def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
+                       cutoff: Fraction, memo: dict) -> PbwVector:
+    """field_coefficient without its guards; memo holds _fc results of one call."""
+    pieces = _by_weight(spec, b)
     acc: dict = {}
     for mono, coeff in a._terms.items():
-        for bw, piece in _by_weight(spec, b).items():
-            _add_scaled(acc, _fc(spec, mono, n, piece, bw, bound), coeff)
+        for bw, piece in pieces.items():
+            _add_scaled(acc, _fc(spec, mono, n, piece, bw, cutoff, memo), coeff)
     return PbwVector._of(acc)
 
 
 def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
-        bw: Fraction, cutoff: Fraction) -> PbwVector:
+        bw: Fraction, cutoff: Fraction, memo: dict) -> PbwVector:
+    """mono_n b for b homogeneous of weight bw, memoized in memo."""
     if not b:
         return _ZERO
     if not mono.factors:
         return b if n == -1 else _ZERO
+    key = (mono, n, b, cutoff)
+    out = memo.get(key)
+    if out is not None:
+        return out
     g = mono.factors[0]
     rest = PbwMonomial(mono.factors[1:])
     m = g.n
@@ -354,7 +380,7 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
         coeff = (-1) ** i * gen_binomial(m, i)
         if not coeff:
             continue
-        inner = _fc(spec, rest, n + i, b, bw, cutoff)
+        inner = _fc(spec, rest, n + i, b, bw, cutoff, memo)
         if inner:
             _add_scaled(acc, act(spec, LieGenerator(g.bid, m - i), inner), coeff)
 
@@ -369,9 +395,10 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
                 f"intermediate of weight {bw + lam - i - 1} exceeds cutoff {cutoff}")
         ub = act(spec, LieGenerator(g.bid, i), b)
         if ub:
-            _add_scaled(acc, _fc(spec, rest, m + n - i, ub, bw + lam - i - 1, cutoff),
+            _add_scaled(acc, _fc(spec, rest, m + n - i, ub, bw + lam - i - 1, cutoff, memo),
                         -sign * coeff)
-    return PbwVector._of(acc)
+    out = memo[key] = PbwVector._of(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +438,11 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     lam_max = max(v.weight for v in spec.vectors)
     # wide enough that no deliberate window below trips the overflow guard
     margin = 2 * bound + 2 * lam_max + 6
+    memo: dict = {}  # _fc results, shared by every clause of this call
+
+    def field(a: PbwVector, n: int, b: PbwVector) -> PbwVector:
+        return _field_coefficient(spec, a, n, b, margin, memo)
+
     failures: list = []
     basis = monomial_basis(spec, bound)
     vectors = [PbwVector({m: 1}) for monos in basis.values() for m in monos]
@@ -421,10 +453,10 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     for v in spec.vectors:
         kv = kappa_basis(spec, v.index)
         for n in range(0, spec.n_max + 2):
-            if field_coefficient(spec, kv, n, vacuum(), margin):
+            if field(kv, n, vacuum()):
                 creation = False
                 failures.append(f"creation fails for {v.label!r} at mode {n}")
-        if field_coefficient(spec, kv, -1, vacuum(), margin) != kv:
+        if field(kv, -1, vacuum()) != kv:
             creation = False
             failures.append(f"creation fails for {v.label!r} at mode -1")
 
@@ -432,7 +464,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     for b in vectors:
         for n in range(-3, 3):
             want = b if n == -1 else _ZERO
-            if field_coefficient(spec, vacuum(), n, b, margin) != want:
+            if field(vacuum(), n, b) != want:
                 vacuum_field = False
                 failures.append(f"vacuum field acts wrongly at mode {n}")
 
@@ -444,11 +476,11 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             nmax = floor(u.weight + v.weight)
             for n in range(0, nmax + 1):
                 # u_n v = -eps sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u
-                lhs = field_coefficient(spec, ku, n, kv, margin)
+                lhs = field(ku, n, kv)
                 rhs: dict = {}
                 k = 0
                 while u.weight + v.weight - n - k - 1 >= 0:
-                    term = field_coefficient(spec, kv, n + k, ku, margin)
+                    term = field(kv, n + k, ku)
                     for _ in range(k):
                         term = apply_D_module(spec, term)
                     _add_scaled(rhs, term, -eps * Fraction((-1) ** (n + k), factorial(k)))
@@ -465,15 +497,21 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
         for v in active:
             eps = spec.epsilon(u.index, v.index)
             for w in vectors:
+                # (a', b') -> u_a' v_b' w - eps v_b' u_a' w; each (a, b) below
+                # reads N + 1 of these pairs, and neighbouring (a, b) share them
+                pairs: dict = {}
                 for a in range(mode_lo, mode_hi + 1):
                     for b in range(mode_lo, mode_hi + 1):
                         total: dict = {}
                         for j in range(N + 1):
-                            coeff = (-1) ** j * gen_binomial(N, j)
-                            gu = LieGenerator(u.index, a - j)
-                            gv = LieGenerator(v.index, b + j)
-                            _add_scaled(total, act(spec, gu, act(spec, gv, w)), coeff)
-                            _add_scaled(total, act(spec, gv, act(spec, gu, w)), -eps * coeff)
+                            pair = pairs.get((a - j, b + j))
+                            if pair is None:
+                                gu = LieGenerator(u.index, a - j)
+                                gv = LieGenerator(v.index, b + j)
+                                pair = pairs[(a - j, b + j)] = \
+                                    act(spec, gu, act(spec, gv, w)) \
+                                    - act(spec, gv, act(spec, gu, w)).scale(eps)
+                            _add_scaled(total, pair, (-1) ** j * gen_binomial(N, j))
                         if total:
                             locality = False
                             failures.append(
@@ -487,8 +525,8 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
         da = apply_D_module(spec, a)
         for b in vectors[:6]:
             for n in range(-4, 5):
-                lhs = field_coefficient(spec, da, n, b, margin)
-                rhs = field_coefficient(spec, a, n - 1, b, margin).scale(-n)
+                lhs = field(da, n, b)
+                rhs = field(a, n - 1, b).scale(-n)
                 if lhs != rhs:
                     translation = False
                     failures.append(f"translation rule fails at mode {n}")
@@ -509,8 +547,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                             prod = spec.constant_by_id(u.index, i, v.index)
                             if not coeff or not prod:
                                 continue
-                            _add_scaled(rhs, field_coefficient(
-                                spec, kappa(spec, prod), m + n - i, w, margin), coeff)
+                            _add_scaled(rhs, field(kappa(spec, prod), m + n - i, w), coeff)
                         if lhs != PbwVector._of(rhs):
                             commutator_formula = False
                             failures.append(

@@ -133,6 +133,11 @@ def test_spec_rejects_bad_data() -> None:
         FormulaSpec([("a", EVEN, 1), ("b", EVEN)], {})
     with pytest.raises(ValueError):
         FormulaSpec([("a", EVEN)], {("a", -1, "a"): {(0, "a"): 1}})
+    # two different central vectors; the same one named twice is fine
+    with pytest.raises(ValueError):
+        FormulaSpec([("a", EVEN), ("c", EVEN)], {}, central="a", conformal=("a", "c"))
+    assert FormulaSpec([("a", EVEN), ("c", EVEN)], {}, central=1,
+                       conformal=("a", "c")).central == 1
 
 
 def test_validate_spec_clean_presets() -> None:

@@ -108,6 +108,8 @@ def test_parse_reports_line_numbers() -> None:
         ("[basis]\na even\nb even\n[central]\na b\n", 5),
         ("[basis]\na even\n[conformal]\nomega = a\nomega = a\nc = a\n", 5),
         ("[meta]\nname = a\nname = b\n[basis]\na even\n", 3),
+        # a central vector that is not the conformal c, at the [central] line
+        ("[basis]\na even\nc even\n[central]\na\n[conformal]\nomega = a\nc = c\n", 5),
     ]
     for text, line in cases:
         with pytest.raises(FormulaFileError) as err:

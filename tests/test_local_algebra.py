@@ -32,7 +32,7 @@ from vertexlie import (
     virasoro,
 )
 from vertexlie.formula_io import export_formula, parse_formula
-from vertexlie.local_algebra import single
+from vertexlie.local_algebra import generator, single
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
@@ -113,6 +113,15 @@ def test_no_quotient_without_a_central_vector_even_if_the_sweep_fails() -> None:
 def test_bracket_virasoro_example() -> None:
     got = bracket(VIR, single(VIR, "omega", 3), single(VIR, "omega", -1))
     assert got == elem(VIR, ("omega", 1, 4), ("c", -1, F(1, 2)))
+
+
+def test_modes_must_be_integers() -> None:
+    assert generator(VIR, "omega", 2) == LieGenerator(0, 2)
+    for bad in (2.7, "3", F(3)):
+        with pytest.raises(TypeError):
+            generator(VIR, "omega", bad)
+        with pytest.raises(TypeError):
+            single(VIR, "omega", bad)
 
 
 def test_bracket_heisenberg_example() -> None:

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -39,6 +40,7 @@ from vertexlie import (
     monomial_basis,
     neveu_schwarz,
     novikov,
+    preset,
     specialize_level,
     vacuum,
     virasoro,
@@ -194,7 +196,9 @@ def test_omega_modes_act_as_grading_and_derivation() -> None:
 # ---------------------------------------------------------------------------
 
 def partitions_with_parts_at_least(n: int, minimum: int) -> int:
-    """Brute-force partition counter, independent of the module code."""
+    """Partition counter by recursion on the smallest part, independent
+    of the module code."""
+    @lru_cache(maxsize=None)
     def count(remaining: int, smallest: int) -> int:
         if remaining == 0:
             return 1
@@ -207,6 +211,14 @@ def test_virasoro_dims_match_partition_oracle() -> None:
     dims = graded_dimension(VIR, 9)
     for n in range(10):
         assert dims[F(n)] == partitions_with_parts_at_least(n, 2)
+
+
+def test_virasoro_dims_match_partition_oracle_at_large_cutoff() -> None:
+    dims = graded_dimension(VIR, 60)
+    assert list(dims) == [F(n) for n in range(61)]
+    for n in range(61):
+        assert dims[F(n)] == partitions_with_parts_at_least(n, 2)
+    assert dims[F(60)] == 134647  # p(60) - p(59)
 
 
 def test_heisenberg_dims_match_partition_oracle() -> None:
@@ -262,6 +274,38 @@ def test_neveu_schwarz_dims_match_character_oracle() -> None:
             assert dims.get(w, 0) == d
     assert dims[F(7, 2)] == 2
     assert dims[F(4)] == 3
+
+
+# The lower of the two graded_dimension cutoffs the benchmark runs per preset.
+DIMS_LOW_CUTOFF = {"virasoro": 25, "neveu-schwarz": 15, "affine-sl2": 7, "heisenberg": 20,
+                   "loop-abelian": 12, "novikov-lambda": 14, "comm-assoc-dual": 14}
+
+
+def _monomial_counts(spec: FormulaSpec, cutoff) -> dict:
+    counts = {w: len(monos) for w, monos in monomial_basis(spec, cutoff).items()}
+    for k in range(int(F(cutoff)) + 1):
+        counts.setdefault(F(k), 0)
+    return dict(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("name", sorted(DIMS_LOW_CUTOFF))
+def test_graded_dimension_matches_monomial_count(name: str) -> None:
+    spec = preset(name)
+    for cutoff in (0, "1/2", "5/2", DIMS_LOW_CUTOFF[name]):
+        dims = graded_dimension(spec, cutoff)
+        want = _monomial_counts(spec, cutoff)
+        assert list(dims.items()) == list(want.items()), (name, cutoff)
+
+
+def test_graded_dimension_counts_unreduced_central_modes() -> None:
+    # c is designated but no defect puts it in the quotient, so its modes
+    # c_{-2}, c_{-3}, ... are generators and only c_{-1} is left out
+    spec = FormulaSpec([("a", 0, F(1, 2)), ("b", 1, F(3, 2)), ("c", 0, 0)], {}, central="c")
+    for cutoff in (0, "1/2", "7/2", 6):
+        dims = graded_dimension(spec, cutoff)
+        assert list(dims.items()) == list(_monomial_counts(spec, cutoff).items())
+    # weight 3/2: a_{-1}^3, a_{-2}, b_{-1}, a_{-1} c_{-2}
+    assert graded_dimension(spec, 2) == {F(0): 1, F(1, 2): 1, F(1): 2, F(3, 2): 4, F(2): 6}
 
 
 def test_dims_match_act_closure_rank() -> None:
@@ -441,6 +485,19 @@ def test_derived_data_is_freed_with_its_spec() -> None:
         assert field_coefficient(spec, v, 1, v, 4) == vec(spec, ("c", -1)).scale(level)
     del specs, spec, v
     assert live_specs() == before
+
+
+def test_field_coefficient_memo_is_not_kept_on_the_spec() -> None:
+    spec = virasoro()
+    a = act_word(spec, [gen(spec, "omega", -2), gen(spec, "omega", -1)])
+    first = field_coefficient(spec, a, 1, a, 16)
+    size = len(spec._memo)
+    assert field_coefficient(spec, a, 1, a, 16) == first
+    assert len(spec._memo) == size
+    assert axiom_spotcheck(spec, 2).ok
+    size = len(spec._memo)
+    assert axiom_spotcheck(spec, 2).ok
+    assert len(spec._memo) == size
 
 
 def test_shared_spec_is_safe_across_threads() -> None:
