@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("export-preset", help="write a preset as a formula file")
     p.add_argument("name", choices=sorted(PRESETS))
     p.add_argument("--output", "-o", help="output file (default stdout)")
-    p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_export_preset)
 
     return parser

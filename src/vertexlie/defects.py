@@ -30,11 +30,12 @@ from .formula import (
     FormulaError,
     FormulaSpec,
     UngradedError,
+    _ZERO_ELEMENT,
     _add_scaled,
     _per_spec,
+    _products,
     apply_D,
     basis_element,
-    extend_product,
     gen_binomial,
 )
 
@@ -81,12 +82,6 @@ def _units(spec: FormulaSpec) -> tuple:
     return tuple(basis_element(bid) for bid in range(spec.dim))
 
 
-def _eps(spec: FormulaSpec, uid: int, vid: int) -> int:
-    """Koszul sign of a basis pair given by indices."""
-    vectors = spec.vectors
-    return -1 if vectors[uid].parity and vectors[vid].parity else 1
-
-
 def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
     if n < 0:
@@ -96,7 +91,7 @@ def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
 
 def _skew(spec: FormulaSpec, uid: int, n: int, vid: int) -> Element:
     """skew_defect on basis indices, with no argument checks."""
-    eps = _eps(spec, uid, vid)
+    eps = spec.epsilon(uid, vid)
     acc = dict(spec.constant_by_id(uid, n, vid)._terms)
     for k in range(max(0, spec.n_max - n)):
         base = spec.constant_by_id(vid, n + k, uid)
@@ -105,29 +100,42 @@ def _skew(spec: FormulaSpec, uid: int, n: int, vid: int) -> Element:
     return Element._of(acc)
 
 
+@_per_spec
+def _commutators(spec: FormulaSpec, uid: int, vid: int, wid: int) -> dict:
+    """Every nonzero commutator defect of a basis triple, keyed by sorted (m, n).
+
+    Each of the three terms u_m(v_n w), eps v_n(u_m w) and
+    (m over i) (u_i v)_{m+n-i} w is read off one product row.
+    """
+    eps = spec.epsilon(uid, vid)
+    unit, table = _units(spec), spec._constants
+    acc: dict = {}
+    for n in range(spec.n_max):
+        vw = table.get((vid, n, wid))
+        if vw:
+            for m, value in _products(spec, unit[uid], vw).items():
+                _add_scaled(acc.setdefault((m, n), {}), value)
+    for m in range(spec.n_max):
+        uw = table.get((uid, m, wid))
+        if uw:
+            for n, value in _products(spec, unit[vid], uw).items():
+                _add_scaled(acc.setdefault((m, n), {}), value, -eps)
+    for i in range(spec.n_max):
+        uv = table.get((uid, i, vid))
+        if uv:
+            for total, value in _products(spec, uv, unit[wid]).items():
+                for m in range(i, total + i + 1):
+                    _add_scaled(acc.setdefault((m, total + i - m), {}), value,
+                                -gen_binomial(m, i))
+    return {mn: Element._of(acc[mn]) for mn in sorted(acc) if acc[mn]}
+
+
 def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
                       n: int, w: BasisRef) -> Element:
     """u_m(v_n w) - eps v_n(u_m w) - sum_i (m over i) (u_i v)_{m+n-i} w."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    return _commutator(spec, spec.bid(u), m, spec.bid(v), n, spec.bid(w))
-
-
-def _commutator(spec: FormulaSpec, uid: int, m: int, vid: int, n: int, wid: int) -> Element:
-    """commutator_defect on basis indices, with no argument checks."""
-    eps = _eps(spec, uid, vid)
-    unit, table = _units(spec), spec._constants
-    acc: dict = {}
-    vw, uw = table.get((vid, n, wid)), table.get((uid, m, wid))
-    if vw:
-        _add_scaled(acc, extend_product(spec, unit[uid], m, vw))
-    if uw:
-        _add_scaled(acc, extend_product(spec, unit[vid], n, uw), -eps)
-    for i in range(min(spec.n_max, m + 1)):
-        uv = table.get((uid, i, vid))
-        if uv:
-            _add_scaled(acc, extend_product(spec, uv, m + n - i, unit[wid]), -gen_binomial(m, i))
-    return Element._of(acc)
+    return _commutators(spec, spec.bid(u), spec.bid(v), spec.bid(w)).get((m, n), _ZERO_ELEMENT)
 
 
 def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
@@ -138,26 +146,18 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
                               - eps (-1)^k v_{n+k-i}(u_{m+i} w) )
     - sum_i (m over i) (u_{k+i} v)_{m+n-i} w
 
-    The case k = 0 collapses to commutator_defect(u, m, v, n, w).
+    equals sum_j (-1)^j (k over j) commutator_defect(u, m+k-j, v, n+j, w)
+    by sum_j (-1)^j (k over j) (m+k-j over i) = (m over i-k); the case
+    k = 0 is commutator_defect(u, m, v, n, w) itself.
     """
     if k < 0 or m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    uid, vid, wid = spec.bid(u), spec.bid(v), spec.bid(w)
-    eps = _eps(spec, uid, vid)
-    unit, table = _units(spec), spec._constants
+    table = _commutators(spec, spec.bid(u), spec.bid(v), spec.bid(w))
     acc: dict = {}
-    for i in range(k + 1):
-        coeff = (-1) ** i * gen_binomial(k, i)
-        vw, uw = table.get((vid, n + i, wid)), table.get((uid, m + i, wid))
-        if vw:
-            _add_scaled(acc, extend_product(spec, unit[uid], m + k - i, vw), coeff)
-        if uw:
-            _add_scaled(acc, extend_product(spec, unit[vid], n + k - i, uw),
-                        -coeff * eps * (-1) ** k)
-    for i in range(min(spec.n_max - k, m + 1)):
-        uv = table.get((uid, k + i, vid))
-        if uv:
-            _add_scaled(acc, extend_product(spec, uv, m + n - i, unit[wid]), -gen_binomial(m, i))
+    for j in range(k + 1):
+        value = table.get((m + k - j, n + j))
+        if value:
+            _add_scaled(acc, value, (-1) ** j * gen_binomial(k, j))
     return Element._of(acc)
 
 
@@ -182,35 +182,18 @@ def _sweep(spec: FormulaSpec, bound: int) -> tuple:
                         f"skew defect nonzero at boundary index {bound}: "
                         f"({labels[uid]},{n},{labels[vid]})")
                 defects.append(Defect(SKEW, (labels[uid], n, labels[vid]), value))
-    # u_m(v_n w), v_n(u_m w) and (u_i v)_{m+n-i} w vanish unless their table
-    # operand (v_n w, u_m w, u_i v with i <= m) has a target with a product
-    # against u, v, w respectively; pairs (m, n) where all three vanish are skipped.
-    table, modes = spec._constants, range(bound + 1)
-    right = [{b for (a, _j, b) in table if a == x} for x in ids]  # every b with some x_j b
-    left = [{a for (a, _j, b) in table if b == x} for x in ids]   # every a with some a_j x
-
-    def reaches(key: tuple, partners: set) -> bool:
-        return key in table and any(t in partners for (_k, t) in table[key]._terms)
-
     for uid in ids:
         for vid in ids:
             for wid in ids:
-                i_min = min((i for i in range(spec.n_max) if reaches((uid, i, vid), left[wid])),
-                            default=bound + 1)
-                vw_modes = [n for n in modes if reaches((vid, n, wid), right[uid])]
-                for m in modes:
-                    row = modes if m >= i_min or reaches((uid, m, wid), right[vid]) else vw_modes
-                    for n in row:
-                        value = _commutator(spec, uid, m, vid, n, wid)
-                        if not value:
-                            continue
-                        if m == bound or n == bound:
-                            raise BoundInsufficientError(
-                                f"commutator defect nonzero at boundary index {bound}: "
-                                f"({labels[uid]},{m},{labels[vid]},{n},{labels[wid]})")
-                        defects.append(Defect(
-                            COMMUTATOR,
-                            (labels[uid], m, labels[vid], n, labels[wid]), value))
+                for (m, n), value in _commutators(spec, uid, vid, wid).items():
+                    if m > bound or n > bound:
+                        continue
+                    if m == bound or n == bound:
+                        raise BoundInsufficientError(
+                            f"commutator defect nonzero at boundary index {bound}: "
+                            f"({labels[uid]},{m},{labels[vid]},{n},{labels[wid]})")
+                    defects.append(Defect(
+                        COMMUTATOR, (labels[uid], m, labels[vid], n, labels[wid]), value))
     return tuple(defects)
 
 
@@ -219,7 +202,7 @@ def defect_sweep(spec: FormulaSpec, bound: Optional[int] = None) -> list:
 
     The boundary row (any index equal to the bound) is evaluated and must
     be identically zero; otherwise the bound is reported insufficient.
-    Only index pairs the constants table can make nonzero are evaluated.
+    Each triple's commutator defects are read from its complete table.
     """
     if bound is None:
         bound = default_bound(spec)

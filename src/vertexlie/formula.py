@@ -460,6 +460,30 @@ def validate_spec(spec: FormulaSpec) -> list:
 
 
 @_per_spec
+def _products(spec: FormulaSpec, A: Element, B: Element) -> dict:
+    """Every nonzero A_n B, keyed by n in increasing order.
+
+    The table product u_j v enters (D^a u)_n (D^b v) at n = a + i + j,
+    0 <= i <= b, with factor (-1)^a (b over i) (n)_(a+i) and D-shift
+    b - i; the falling factorial is never zero there.
+    """
+    rows: dict = {}
+    for (a, uid), ca in A._terms.items():
+        for (b, vid), cb in B._terms.items():
+            scale = (-1) ** a * ca * cb
+            for j in range(spec.n_max):
+                base = spec.constant_by_id(uid, j, vid)
+                if not base:
+                    continue
+                for i in range(b + 1):
+                    n, shift = a + i + j, b - i
+                    factor = scale * comb(b, i) * falling(n, a + i)
+                    acc = rows.setdefault(n, {})
+                    for (k, tid), ct in base._terms.items():
+                        _accumulate(acc, (k + shift, tid), factor * ct)
+    return {n: Element._of(rows[n]) for n in sorted(rows) if rows[n]}
+
+
 def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:
     """The product A_n B on all of Q[D] (x) S, n >= 0.
 
@@ -468,27 +492,7 @@ def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element
     """
     if n < 0:
         raise ValueError("product index must be nonnegative")
-    acc: dict = {}
-    for (a, uid), ca in A._terms.items():
-        fa = falling(n, a)
-        if not fa:
-            continue
-        m = n - a
-        outer = ca * fa * (-1) ** a
-        for (b, vid), cb in B._terms.items():
-            scale = outer * cb
-            for j in range(b + 1):
-                f = comb(b, j) * falling(m, j)
-                if not f:
-                    continue
-                base = spec.constant_by_id(uid, m - j, vid)
-                if not base:
-                    continue
-                shift = b - j
-                factor = scale * f
-                for (k, tid), ct in base._terms.items():
-                    _accumulate(acc, (k + shift, tid), factor * ct)
-    return Element._of(acc)
+    return _products(spec, A, B).get(n, _ZERO_ELEMENT)
 
 
 def support_bound(spec: FormulaSpec, A: Element, B: Element) -> int:

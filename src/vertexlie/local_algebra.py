@@ -148,7 +148,7 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
         for gy in gens:
             y = LieElement({gy: 1})
             xy = bracket(spec, x, y)
-            eps = -1 if spec.parity(gx.bid) and spec.parity(gy.bid) else 1
+            eps = spec.epsilon(gx.bid, gy.bid)
             skew = xy + bracket(spec, y, x).scale(eps)
             if skew:
                 violations.append(LawViolation("skew", (gx, gy), skew))
@@ -166,7 +166,7 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
         x = LieElement({gx: 1})
         for gy in triple_gens:
             y = LieElement({gy: 1})
-            eps = -1 if spec.parity(gx.bid) and spec.parity(gy.bid) else 1
+            eps = spec.epsilon(gx.bid, gy.bid)
             xy = bracket(spec, x, y)
             for gz in triple_gens:
                 z = LieElement({gz: 1})

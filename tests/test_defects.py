@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction as F
+from math import comb, perm
 
 import pytest
 
@@ -23,6 +24,7 @@ from vertexlie import (
     default_bound,
     defect_sweep,
     dual_numbers,
+    extend_product,
     gen_binomial,
     heisenberg,
     injectivity_verdict,
@@ -34,6 +36,7 @@ from vertexlie import (
     skew_defect,
     sl2,
     preset,
+    support_bound,
     virasoro,
 )
 from vertexlie.defects import COMMUTATOR, SKEW
@@ -104,6 +107,53 @@ def test_skew_defect_constant_part_is_the_antisymmetry_obstruction() -> None:
 # commutator / jacobi defects
 # ---------------------------------------------------------------------------
 
+# The references below evaluate every product term by term through the
+# derivation rules, independently of the library's per-pair product rows
+# and per-triple defect tables.
+
+def _reference_product(spec, A, n, B) -> Element:
+    """A_n B from (D^a u)_n (D^b v) = (-1)^a (n)_a sum_j (b over j) (n-a)_j D^(b-j) u_(n-a-j) v."""
+    acc: dict = {}
+    for (a, uid), ca in A.items():
+        m = n - a
+        if m < 0:
+            continue
+        for (b, vid), cb in B.items():
+            for j in range(min(b, m) + 1):
+                factor = (-1) ** a * perm(n, a) * comb(b, j) * perm(m, j) * ca * cb
+                for (k, tid), ct in spec.constant(uid, m - j, vid).items():
+                    acc[(k + b - j, tid)] = acc.get((k + b - j, tid), 0) + factor * ct
+    return Element(acc)
+
+
+def _reference_commutator(spec, u, m, v, n, w) -> Element:
+    """u_m(v_n w) - eps v_n(u_m w) - sum_i (m over i) (u_i v)_{m+n-i} w."""
+    unit = {x: basis_element(spec.bid(x)) for x in (u, v, w)}
+    out = _reference_product(spec, unit[u], m, spec.constant(v, n, w)) \
+        - _reference_product(spec, unit[v], n, spec.constant(u, m, w)).scale(spec.epsilon(u, v))
+    for i in range(min(m + 1, spec.n_max)):  # u_i v = 0 from n_max on
+        out = out - _reference_product(spec, spec.constant(u, i, v), m + n - i, unit[w]) \
+            .scale(gen_binomial(m, i))
+    return out
+
+
+def _reference_jacobi(spec, u, k, v, m, w, n) -> Element:
+    """The half Jacobi component (k, m, n), term by term."""
+    unit = {x: basis_element(spec.bid(x)) for x in (u, v, w)}
+    eps = spec.epsilon(u, v)
+    out = Element()
+    for i in range(k + 1):
+        coeff = (-1) ** i * gen_binomial(k, i)
+        out = out + _reference_product(
+            spec, unit[u], m + k - i, spec.constant(v, n + i, w)).scale(coeff)
+        out = out - _reference_product(
+            spec, unit[v], n + k - i, spec.constant(u, m + i, w)).scale(coeff * eps * (-1) ** k)
+    for i in range(m + 1):
+        out = out - _reference_product(spec, spec.constant(u, k + i, v), m + n - i, unit[w]) \
+            .scale(gen_binomial(m, i))
+    return out
+
+
 def test_commutator_defect_virasoro() -> None:
     assert commutator_defect(VIR, "omega", 0, "omega", 3, "omega") == dc(VIR, 1, F(-1, 2))
     assert commutator_defect(VIR, "omega", 3, "omega", 0, "omega") == dc(VIR, 1, F(1, 2))
@@ -128,7 +178,7 @@ def test_jacobi_component_collapses_at_k0() -> None:
             for m in range(3):
                 for n in range(3):
                     assert jacobi_component_defect(spec, u, 0, v, m, w, n) \
-                        == commutator_defect(spec, u, m, v, n, w)
+                        == _reference_commutator(spec, u, m, v, n, w)
 
 
 def test_jacobi_component_examples() -> None:
@@ -146,8 +196,9 @@ def test_jacobi_component_is_alternating_sum_of_commutator_defects() -> None:
                 want = Element()
                 for j in range(k + 1):
                     coeff = (-1) ** j * gen_binomial(k, j)
-                    want = want + commutator_defect(
+                    want = want + _reference_commutator(
                         spec, u, m + k - j, v, n + j, w).scale(coeff)
+                assert _reference_jacobi(spec, u, k, v, m, w, n) == want
                 assert jacobi_component_defect(spec, u, k, v, m, w, n) == want
 
 
@@ -185,14 +236,14 @@ def test_sweep_explicit_bound_still_guards() -> None:
 
 
 def _dense_sweep(spec, bound) -> list:
-    """The sweep with every index pair evaluated: the reference for defect_sweep.
+    """The sweep with every index pair evaluated term by term: the reference for defect_sweep.
 
     Raises BoundInsufficientError naming the first nonzero boundary defect.
     """
     labels, ids, modes = spec.labels, range(spec.dim), range(bound + 1)
     rows = [(SKEW, (u, n, v), skew_defect(spec, u, n, v))
             for u, v in itertools.product(ids, repeat=2) for n in modes]
-    rows += [(COMMUTATOR, (u, m, v, n, w), commutator_defect(spec, u, m, v, n, w))
+    rows += [(COMMUTATOR, (u, m, v, n, w), _reference_commutator(spec, u, m, v, n, w))
              for u, v, w in itertools.product(ids, repeat=3)
              for m, n in itertools.product(modes, repeat=2)]
     out = []
@@ -242,6 +293,38 @@ TYPO_TABLES = {
 }
 
 
+def _random_tables(rng: random.Random, count: int = 40) -> list:
+    """Small one-sided tables on a, b, c: unlike the presets, u_j v rarely
+    comes with v_j u, so the left and right partners of a basis vector differ."""
+    tables = []
+    for _ in range(count):
+        constants = {
+            (rng.choice("abc"), rng.randint(0, 1), rng.choice("abc")):
+                {(rng.randint(0, 1), rng.choice("abc")): rng.choice((1, -1, 2, F(1, 2)))}
+            for _ in range(rng.randint(2, 4))}
+        tables.append(FormulaSpec([(x, rng.randint(0, 1)) for x in "abc"], constants))
+    return tables
+
+
+def _random_element(rng: random.Random, spec: FormulaSpec) -> Element:
+    """Up to three terms at D-powers 0-2 with small rational coefficients."""
+    return Element({(rng.randint(0, 2), rng.randrange(spec.dim)): rng.choice((1, -2, F(1, 3)))
+                    for _ in range(rng.randint(1, 3))})
+
+
+def test_extend_product_matches_reference() -> None:
+    rng = random.Random(9)
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(7))
+    for spec in specs:
+        for _ in range(3):
+            A, B = _random_element(rng, spec), _random_element(rng, spec)
+            for n in range(support_bound(spec, A, B) + 2):
+                assert extend_product(spec, A, n, B) == _reference_product(spec, A, n, B), \
+                    (list(spec.constant_entries()), A, n, B)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS) + sorted(TYPO_TABLES))
 def test_sparse_sweep_matches_dense_reference(name: str) -> None:
     spec = preset(name) if name in PRESETS else TYPO_TABLES[name]()
@@ -250,18 +333,10 @@ def test_sparse_sweep_matches_dense_reference(name: str) -> None:
 
 
 def test_sparse_sweep_matches_dense_reference_on_random_tables() -> None:
-    # small one-sided tables: unlike the presets, u_j v rarely comes with
-    # v_j u, so the left and right partners of a basis vector differ
-    rng = random.Random(5)
-    for _ in range(40):
-        constants = {
-            (rng.choice("abc"), rng.randint(0, 1), rng.choice("abc")):
-                {(rng.randint(0, 1), rng.choice("abc")): rng.choice((1, -1, 2, F(1, 2)))}
-            for _ in range(rng.randint(2, 4))}
-        spec = FormulaSpec([(x, rng.randint(0, 1)) for x in "abc"], constants)
+    for spec in _random_tables(random.Random(5)):
         bound = default_bound(spec)
         assert _sweep_outcome(defect_sweep, spec, bound) \
-            == _sweep_outcome(_dense_sweep, spec, bound), constants
+            == _sweep_outcome(_dense_sweep, spec, bound), list(spec.constant_entries())
 
 
 def test_sparse_sweep_matches_dense_reference_past_the_default_bound() -> None:

@@ -355,6 +355,13 @@ def test_cli_export_preset_round_trip(tmp_path, capsys) -> None:
     assert parse_formula(text) == virasoro()
 
 
+def test_cli_export_preset_has_no_json_flag(capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["export-preset", "virasoro", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_cli_export_preset_unwritable_output(tmp_path, capsys) -> None:
     target = tmp_path / "missing" / "x.vla"
     assert main(["export-preset", "virasoro", "-o", str(target)]) == 2
