@@ -15,7 +15,7 @@ quotient algebra, where the Lie axioms hold on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Tuple
 
 from .defects import central_reduction
 from .formula import (
@@ -83,16 +83,16 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
 
 
 @_per_spec
-def _pair_bracket(spec: FormulaSpec, ubid: int, n: int, vbid: int, p: int) -> LieElement:
+def _pair_bracket(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> LieElement:
     acc: dict = {}
     for i in range(spec.n_max):
-        coeff = gen_binomial(n, i)
+        coeff = gen_binomial(x.n, i)
         if not coeff:
             continue
-        prod = spec.constant_by_id(ubid, i, vbid)
+        prod = spec.constant_by_id(x.bid, i, y.bid)
         if not prod:
             continue
-        _add_scaled(acc, reduce_generator(spec, prod, n + p - i), coeff)
+        _add_scaled(acc, reduce_generator(spec, prod, x.n + y.n - i), coeff)
     return LieElement._of(acc)
 
 
@@ -101,20 +101,23 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     acc: dict = {}
     for gx, cx in x._terms.items():
         for gy, cy in y._terms.items():
-            pb = _pair_bracket(spec, gx.bid, gx.n, gy.bid, gy.n)
+            pb = _pair_bracket(spec, gx, gy)
             if pb:
                 _add_scaled(acc, pb, cx * cy)
     return LieElement._of(acc)
 
 
+def _D_generator(spec: FormulaSpec, g: LieGenerator) -> Optional[Tuple[LieGenerator, int]]:
+    """D u_n = -n u_{n-1} as the pair (u_{n-1}, -n), or None where it is zero."""
+    dg = LieGenerator(g.bid, g.n - 1)
+    return (dg, -g.n) if g.n and not _quotient_kills(spec, dg) else None
+
+
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
     """The derivation u_n -> -n u_{n-1} (descending to the quotient)."""
-    acc: dict = {}
-    for g, c in x._terms.items():
-        dg = LieGenerator(g.bid, g.n - 1)
-        if g.n and not _quotient_kills(spec, dg):
-            _accumulate(acc, dg, -g.n * c)
-    return LieElement._of(acc)
+    # distinct modes have distinct images, so no two terms collide
+    return LieElement._of({d[0]: d[1] * c for g, c in x._terms.items()
+                           if (d := _D_generator(spec, g))})
 
 
 @dataclass(frozen=True)
@@ -133,46 +136,46 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     """Exact Lie-superalgebra laws over all modes |n| <= window.
 
     Checks eps-skew-symmetry and the derivation law on all generator
-    pairs and the super Jacobi identity on all triples; returns every
+    pairs, the super Jacobi identity on all triples, each summed from the
+    memoized generator brackets [u_n, v_p] (_pair_bracket); returns every
     violation (empty list = pass).
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
     violations = []
-    modes = range(-window, window + 1)
-    gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in modes]
+    gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in range(-window, window + 1)]
 
     for gx in gens:
-        x = LieElement({gx: 1})
-        dx = lie_D(spec, x)
+        dx = _D_generator(spec, gx)
         for gy in gens:
-            y = LieElement({gy: 1})
-            xy = bracket(spec, x, y)
-            eps = spec.epsilon(gx.bid, gy.bid)
-            skew = xy + bracket(spec, y, x).scale(eps)
-            if skew:
-                violations.append(LawViolation("skew", (gx, gy), skew))
-            leib = lie_D(spec, xy) - bracket(spec, dx, y) - bracket(spec, x, lie_D(spec, y))
-            if leib:
-                violations.append(LawViolation("derivation", (gx, gy), leib))
+            dy, xy = _D_generator(spec, gy), _pair_bracket(spec, gx, gy)
+            skew = dict(xy._terms)
+            _add_scaled(skew, _pair_bracket(spec, gy, gx), spec.epsilon(gx.bid, gy.bid))
+            # D[x, y] - [Dx, y] - [x, Dy]; D[x, y] term by term, as in lie_D
+            leib = {d[0]: d[1] * c for g, c in xy._terms.items() if (d := _D_generator(spec, g))}
+            if dx:
+                _add_scaled(leib, _pair_bracket(spec, dx[0], gy), -dx[1])
+            if dy:
+                _add_scaled(leib, _pair_bracket(spec, gx, dy[0]), -dy[1])
+            for law, acc in (("skew", skew), ("derivation", leib)):
+                if acc:
+                    violations.append(LawViolation(law, (gx, gy), LieElement._of(acc)))
 
-    # A basis vector that never occurs as an argument of the constants
-    # table brackets to zero with every mode, so any Jacobi triple
-    # containing it reads 0 = 0 - 0; skip those outright.
-    inert = {bid for bid in range(spec.dim)
-             if not any(bid in (uid, vid) for (uid, _n, vid) in spec._constants)}
-    triple_gens = [g for g in gens if g.bid not in inert]
+    # A basis vector that is no argument of the constants table brackets to
+    # zero with every mode: Jacobi triples containing it read 0 = 0 - 0.
+    active = {bid for (uid, _n, vid) in spec._constants for bid in (uid, vid)}
+    triple_gens = [g for g in gens if g.bid in active]
     for gx in triple_gens:
-        x = LieElement({gx: 1})
         for gy in triple_gens:
-            y = LieElement({gy: 1})
-            eps = spec.epsilon(gx.bid, gy.bid)
-            xy = bracket(spec, x, y)
+            eps, xy = spec.epsilon(gx.bid, gy.bid), _pair_bracket(spec, gx, gy)
             for gz in triple_gens:
-                z = LieElement({gz: 1})
-                jac = bracket(spec, x, bracket(spec, y, z)) \
-                    - bracket(spec, xy, z) \
-                    - bracket(spec, y, bracket(spec, x, z)).scale(eps)
+                jac: dict = {}  # [x, [y, z]] - [[x, y], z] - eps [y, [x, z]]
+                for g, c in _pair_bracket(spec, gy, gz)._terms.items():
+                    _add_scaled(jac, _pair_bracket(spec, gx, g), c)
+                for g, c in xy._terms.items():
+                    _add_scaled(jac, _pair_bracket(spec, g, gz), -c)
+                for g, c in _pair_bracket(spec, gx, gz)._terms.items():
+                    _add_scaled(jac, _pair_bracket(spec, gy, g), -eps * c)
                 if jac:
-                    violations.append(LawViolation("jacobi", (gx, gy, gz), jac))
+                    violations.append(LawViolation("jacobi", (gx, gy, gz), LieElement._of(jac)))
     return violations

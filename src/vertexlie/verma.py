@@ -31,7 +31,7 @@ from .formula import (
     gen_binomial,
     rat,
 )
-from .local_algebra import LieElement, LieGenerator, _pair_bracket, _quotient_kills, lie_D
+from .local_algebra import LieElement, LieGenerator, _D_generator, _pair_bracket, _quotient_kills
 
 
 class NotInjectiveError(FormulaError):
@@ -107,7 +107,7 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
         if kg == kh:  # identical generator: keys determine (bid, n)
             if spec.parity(g.bid):
                 # odd square: g g = (1/2)[g, g]
-                half = _pair_bracket(spec, g.bid, g.n, g.bid, g.n)
+                half = _pair_bracket(spec, g, g)
                 return act_lie(spec, half, PbwVector({rest: 1})).scale(Fraction(1, 2))
             return PbwVector({PbwMonomial((g,) + factors): 1})
     eps = spec.epsilon(g.bid, head.bid)
@@ -115,8 +115,7 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
     if inner is None:
         inner = spec._memo[(g, rest)] = _mul_gen(spec, g, rest)
     swapped = act(spec, head, inner).scale(eps)
-    corr = act_lie(spec, _pair_bracket(spec, g.bid, g.n, head.bid, head.n),
-                   PbwVector({rest: 1}))
+    corr = act_lie(spec, _pair_bracket(spec, g, head), PbwVector({rest: 1}))
     return swapped + corr
 
 
@@ -155,13 +154,11 @@ def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
     for mono, coeff in v._terms.items():
         factors = mono.factors
         for i, g in enumerate(factors):
-            dg = lie_D(spec, LieElement({g: 1}))
-            if not dg:
-                continue
-            piece = act_lie(spec, dg, PbwVector({PbwMonomial(factors[i + 1:]): 1}))
-            for f in reversed(factors[:i]):
-                piece = act(spec, f, piece)
-            _add_scaled(acc, piece, coeff)
+            if d := _D_generator(spec, g):
+                piece = act(spec, d[0], PbwVector({PbwMonomial(factors[i + 1:]): 1}))
+                for f in reversed(factors[:i]):
+                    piece = act(spec, f, piece)
+                _add_scaled(acc, piece, coeff * d[1])
     return PbwVector._of(acc)
 
 

@@ -156,12 +156,15 @@ def test_cli_check_json_is_byte_identical(name: str, capsys) -> None:
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == CHECK_JSON_SHA256[name]
 
 
-# SHA-256 of the text (not --json) stdout and the exit code of each
-# command: the full check and defect listings of every preset, and
-# brackets, mode words and field coefficients whose results carry the
-# coefficients 1, -1, other negatives and fractions.  Renderer changes
-# must leave this output byte-identical.
+# SHA-256 of the stdout and the exit code of each command: the full
+# text check and defect listings of every preset, the --json mode-law
+# violations of the one preset that has them, and brackets, mode words
+# and field coefficients whose results carry the coefficients 1, -1,
+# other negatives and fractions.  Renderer and kernel changes must leave
+# this output byte-identical.
 TEXT_SHA256 = {
+    ("check", "--preset", "novikov-flipped", "--window", "2", "--json"):
+        ("d8860dbb9838e72735e89cf81ea6bf7f7b81ee6c079c0f930bf83581f60f944f", 1),
     ("check", "--preset", "affine-sl2", "--all"):
         ("d1ef42a5b1ad868b7c3514dbd7f2d089092fde0e7ce6d2c6fbc5abb5368df81f", 0),
     ("defect", "--preset", "affine-sl2", "--all"):
@@ -243,6 +246,32 @@ def test_cli_text_is_byte_identical(argv: tuple, capsys) -> None:
     code = main(list(argv))
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == TEXT_SHA256[argv]
+
+
+# Virasoro with the conformal weight of omega typo'd from 2 to 3: the
+# window check lists skew, derivation and Jacobi violations.
+TYPO_VIRASORO = """\
+[basis]
+omega even 2
+c even 0
+
+[central]
+c
+
+[constants]
+omega 0 omega : 1 omega 1
+omega 1 omega : 0 omega 3
+omega 3 omega : 0 c 1/2
+"""
+
+
+def test_cli_window_on_a_typo_table_is_byte_identical(tmp_path, capsys) -> None:
+    path = tmp_path / "typo-virasoro.vla"
+    path.write_text(TYPO_VIRASORO)
+    code = main(["check", str(path), "--window", "2", "--json"])
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) \
+        == ("c812bb90eab7ebe5e0f09d334ebe637628ab6872500abf86bb2519e60542d408", 1)
 
 
 def test_cli_check_affine_exit_codes(capsys) -> None:

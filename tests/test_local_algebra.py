@@ -8,6 +8,7 @@ import pytest
 from math import factorial
 
 from vertexlie import (
+    PRESETS,
     BoundInsufficientError,
     Element,
     LieElement,
@@ -26,13 +27,17 @@ from vertexlie import (
     lie_D,
     neveu_schwarz,
     novikov,
+    preset,
     reduce_generator,
     sl2,
     support_bound,
     virasoro,
 )
 from vertexlie.formula_io import export_formula, parse_formula
-from vertexlie.local_algebra import generator, single
+from vertexlie.local_algebra import LawViolation, generator, single
+
+# typo'd presets and seeded one-sided random tables, shared with the sweep tests
+from test_defects import TYPO_TABLES, _random_tables
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
@@ -199,6 +204,62 @@ def test_window_verify_neveu_schwarz_anticommutator() -> None:
     b = bracket(NS, single(NS, "tau", -1), single(NS, "tau", 2))
     assert a == b
     assert a == elem(NS, ("omega", 1, 2), ("c", -1, F(2, 3)))
+
+
+def _reference_window(spec, window):
+    """Every law violation on the window, each law built from bracket and
+    lie_D on one-term elements and their sums, term by term."""
+    violations = []
+    modes = range(-window, window + 1)
+    gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in modes]
+    for gx in gens:
+        x = LieElement({gx: 1})
+        dx = lie_D(spec, x)
+        for gy in gens:
+            y = LieElement({gy: 1})
+            xy = bracket(spec, x, y)
+            eps = spec.epsilon(gx.bid, gy.bid)
+            skew = xy + bracket(spec, y, x).scale(eps)
+            if skew:
+                violations.append(LawViolation("skew", (gx, gy), skew))
+            leib = lie_D(spec, xy) - bracket(spec, dx, y) - bracket(spec, x, lie_D(spec, y))
+            if leib:
+                violations.append(LawViolation("derivation", (gx, gy), leib))
+    inert = {bid for bid in range(spec.dim)
+             if not any(bid in (uid, vid) for (uid, _n, vid) in spec._constants)}
+    triple_gens = [g for g in gens if g.bid not in inert]
+    for gx in triple_gens:
+        x = LieElement({gx: 1})
+        for gy in triple_gens:
+            y = LieElement({gy: 1})
+            eps = spec.epsilon(gx.bid, gy.bid)
+            xy = bracket(spec, x, y)
+            for gz in triple_gens:
+                z = LieElement({gz: 1})
+                jac = bracket(spec, x, bracket(spec, y, z)) \
+                    - bracket(spec, xy, z) \
+                    - bracket(spec, y, bracket(spec, x, z)).scale(eps)
+                if jac:
+                    violations.append(LawViolation("jacobi", (gx, gy, gz), jac))
+    return violations
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_window_verify_matches_reference_on_presets(name: str) -> None:
+    spec = preset(name)
+    for window in range(3):
+        assert jacobi_window_verify(spec, window) == _reference_window(spec, window), window
+
+
+def test_window_verify_matches_reference_on_typo_and_random_tables() -> None:
+    specs = [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(7), 40)
+    caught = 0
+    for spec in specs:
+        want = _reference_window(spec, 2)
+        assert jacobi_window_verify(spec, 2) == want, list(spec.constant_entries())
+        caught += bool(want)
+    assert caught >= len(specs) // 2
 
 
 # ---------------------------------------------------------------------------
