@@ -2,15 +2,17 @@
 
 Subcommands: check, defect, bracket, verma, export-preset.  Exit codes
 compose in pipelines: 0 success (check: injective verdict), 1 failed
-verdict or refused computation, 2 bad input.  With --json the output is
-a single object with the stable keys {spec, verdict, defects, dims,
-result}; every rational is rendered as a "num/den" (or integer) string.
+verdict, refused computation or closed stdout, 2 bad input.  With --json
+the output is a single object with the stable keys {spec, verdict,
+defects, dims, result}; every rational is rendered as a "num/den" (or
+integer) string.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import List, Optional
@@ -19,7 +21,7 @@ from . import defects as defects_mod
 from . import verma as verma_mod
 from .defects import conformal_validate, defect_sweep, injectivity_verdict
 from .formula import FormulaError, FormulaSpec, format_element, rat, validate_spec
-from .formula_io import FormulaFileError, export_formula, load_formula
+from .formula_io import FormulaFileError, export_formula, load_formula, save_formula
 from .local_algebra import LieGenerator, bracket, jacobi_window_verify, single
 from .presets import PRESETS, preset
 from .verma import NotInjectiveError, act_word, graded_dimension, specialize_level
@@ -39,10 +41,7 @@ def _load_spec(args) -> FormulaSpec:
     if args.preset and args.path:
         raise CliError("give either --preset or a file path, not both")
     if args.preset:
-        try:
-            return preset(args.preset)
-        except KeyError as exc:
-            raise CliError(str(exc)) from None
+        return preset(args.preset)
     if not args.path:
         raise CliError("no input: give --preset NAME or a formula file path")
     try:
@@ -106,7 +105,7 @@ def _parse_generator(spec: FormulaSpec, token: str) -> LieGenerator:
     try:
         return LieGenerator(spec.bid(label), n)
     except KeyError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
 
 
 def _parse_word(spec: FormulaSpec, word: str) -> list:
@@ -186,7 +185,7 @@ def cmd_bracket(args) -> int:
         x = single(spec, args.u, args.n)
         y = single(spec, args.v, args.p)
     except KeyError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
     value = bracket(spec, x, y)
     payload = {
         "spec": _spec_json(spec),
@@ -244,19 +243,14 @@ def cmd_verma(args) -> int:
 
 
 def cmd_export_preset(args) -> int:
-    try:
-        spec = preset(args.name)
-    except KeyError as exc:
-        raise CliError(str(exc)) from None
-    text = export_formula(spec)
+    spec = preset(args.name)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            save_formula(spec, args.output)
         except OSError as exc:
             raise CliError(f"cannot write {args.output}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(export_formula(spec))
     return EXIT_OK
 
 
@@ -322,12 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except FormulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except BrokenPipeError:
+        # the reader is gone: end quietly, with nothing left for the exit flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_FAIL
 
 

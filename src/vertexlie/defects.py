@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 from math import factorial
 from typing import Optional
 
@@ -86,18 +87,26 @@ def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _skew(spec, spec.bid(u), n, spec.bid(v))
+    return _skews(spec, spec.bid(u), spec.bid(v)).get(n, _ZERO_ELEMENT)
 
 
-def _skew(spec: FormulaSpec, uid: int, n: int, vid: int) -> Element:
-    """skew_defect on basis indices, with no argument checks."""
-    eps = spec.epsilon(uid, vid)
-    acc = dict(spec.constant_by_id(uid, n, vid)._terms)
-    for k in range(max(0, spec.n_max - n)):
-        base = spec.constant_by_id(vid, n + k, uid)
-        if base:
-            _add_scaled(acc, apply_D(base, k), eps * Fraction((-1) ** (n + k), factorial(k)))
-    return Element._of(acc)
+@_per_spec
+def _skews(spec: FormulaSpec, uid: int, vid: int) -> dict:
+    """Every nonzero skew defect of a basis pair, keyed by n in increasing order.
+
+    u_j v enters at n = j and v_j u at every n <= j, as eps (-1)^j
+    D^(j-n)/(j-n)! v_j u; nothing enters from n_max on, so the table is complete.
+    """
+    eps, table = spec.epsilon(uid, vid), spec._constants
+    acc: dict = {}
+    for j in range(spec.n_max):
+        if uv := table.get((uid, j, vid)):
+            _add_scaled(acc.setdefault(j, {}), uv)
+        if vu := table.get((vid, j, uid)):
+            for n in range(j + 1):
+                _add_scaled(acc.setdefault(n, {}), apply_D(vu, j - n),
+                            eps * Fraction((-1) ** j, factorial(j - n)))
+    return {n: Element._of(acc[n]) for n in sorted(acc) if acc[n]}
 
 
 @_per_spec
@@ -111,18 +120,15 @@ def _commutators(spec: FormulaSpec, uid: int, vid: int, wid: int) -> dict:
     unit, table = _units(spec), spec._constants
     acc: dict = {}
     for n in range(spec.n_max):
-        vw = table.get((vid, n, wid))
-        if vw:
+        if vw := table.get((vid, n, wid)):
             for m, value in _products(spec, unit[uid], vw).items():
                 _add_scaled(acc.setdefault((m, n), {}), value)
     for m in range(spec.n_max):
-        uw = table.get((uid, m, wid))
-        if uw:
+        if uw := table.get((uid, m, wid)):
             for n, value in _products(spec, unit[vid], uw).items():
                 _add_scaled(acc.setdefault((m, n), {}), value, -eps)
     for i in range(spec.n_max):
-        uv = table.get((uid, i, vid))
-        if uv:
+        if uv := table.get((uid, i, vid)):
             for total, value in _products(spec, uv, unit[wid]).items():
                 for m in range(i, total + i + 1):
                     _add_scaled(acc.setdefault((m, total + i - m), {}), value,
@@ -162,38 +168,32 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
 
 
 def default_bound(spec: FormulaSpec) -> int:
-    """Sweep bound: every defect vanishes at and beyond this index."""
+    """The sweep bound used when none is given: n_max + k_max + 1.
+
+    Every skew defect lies below it; a commutator defect need not (Virasoro
+    with c_2 omega = (3/2) D omega has one at 6), and then the sweep raises.
+    """
     return spec.n_max + spec.k_max + 1
 
 
 @_per_spec
 def _sweep(spec: FormulaSpec, bound: int) -> tuple:
+    ids, labels = range(spec.dim), spec.labels
+    rows = chain(  # skew pairs, then commutator triples, each table in index order
+        (Defect(SKEW, (labels[u], n, labels[v]), value) for u, v in product(ids, repeat=2)
+         for n, value in _skews(spec, u, v).items()),
+        (Defect(COMMUTATOR, (labels[u], m, labels[v], n, labels[w]), value)
+         for u, v, w in product(ids, repeat=3)
+         for (m, n), value in _commutators(spec, u, v, w).items()))
     defects = []
-    ids = range(spec.dim)
-    labels = spec.labels
-    for uid in ids:
-        for vid in ids:
-            for n in range(bound + 1):
-                value = _skew(spec, uid, n, vid)
-                if not value:
-                    continue
-                if n == bound:
-                    raise BoundInsufficientError(
-                        f"skew defect nonzero at boundary index {bound}: "
-                        f"({labels[uid]},{n},{labels[vid]})")
-                defects.append(Defect(SKEW, (labels[uid], n, labels[vid]), value))
-    for uid in ids:
-        for vid in ids:
-            for wid in ids:
-                for (m, n), value in _commutators(spec, uid, vid, wid).items():
-                    if m > bound or n > bound:
-                        continue
-                    if m == bound or n == bound:
-                        raise BoundInsufficientError(
-                            f"commutator defect nonzero at boundary index {bound}: "
-                            f"({labels[uid]},{m},{labels[vid]},{n},{labels[wid]})")
-                    defects.append(Defect(
-                        COMMUTATOR, (labels[uid], m, labels[vid], n, labels[wid]), value))
+    for d in rows:  # keep the rows below the bound; the first one at it raises
+        top = max(d.indices[1::2])
+        if top == bound:
+            raise BoundInsufficientError(
+                f"{d.kind} defect nonzero at boundary index {bound}: "
+                f"({','.join(map(str, d.indices))})")
+        if top < bound:
+            defects.append(d)
     return tuple(defects)
 
 
@@ -202,7 +202,7 @@ def defect_sweep(spec: FormulaSpec, bound: Optional[int] = None) -> list:
 
     The boundary row (any index equal to the bound) is evaluated and must
     be identically zero; otherwise the bound is reported insufficient.
-    Each triple's commutator defects are read from its complete table.
+    Each basis pair's and triple's defects are read from its complete table.
     """
     if bound is None:
         bound = default_bound(spec)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .defects import central_reduction
+from .defects import central_check, central_reduction
 from .formula import (
     BasisRef,
     Element,
@@ -161,10 +161,9 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
                 if acc:
                     violations.append(LawViolation(law, (gx, gy), LieElement._of(acc)))
 
-    # A basis vector that is no argument of the constants table brackets to
+    # A central basis vector (no argument of any table product) brackets to
     # zero with every mode: Jacobi triples containing it read 0 = 0 - 0.
-    active = {bid for (uid, _n, vid) in spec._constants for bid in (uid, vid)}
-    triple_gens = [g for g in gens if g.bid in active]
+    triple_gens = [g for g in gens if not central_check(spec, g.bid)]
     for gx in triple_gens:
         for gy in triple_gens:
             eps, xy = spec.epsilon(gx.bid, gy.bid), _pair_bracket(spec, gx, gy)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, floor, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .defects import central_reduction, injectivity_verdict
+from .defects import central_check, central_reduction, injectivity_verdict
 from .formula import (
     CutoffExceededError,
     Element,
@@ -155,9 +155,8 @@ def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
         factors = mono.factors
         for i, g in enumerate(factors):
             if d := _D_generator(spec, g):
-                piece = act(spec, d[0], PbwVector({PbwMonomial(factors[i + 1:]): 1}))
-                for f in reversed(factors[:i]):
-                    piece = act(spec, f, piece)
+                piece = act_word(spec, factors[:i] + (d[0],),
+                                 PbwVector({PbwMonomial(factors[i + 1:]): 1}))
                 _add_scaled(acc, piece, coeff * d[1])
     return PbwVector._of(acc)
 
@@ -443,8 +442,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     failures: list = []
     basis = monomial_basis(spec, bound)
     vectors = [PbwVector({m: 1}) for monos in basis.values() for m in monos]
-    active = [v for v in spec.vectors
-              if any(v.index in (uid, vid) for (uid, _n, vid) in spec._constants)]
+    active = [v for v in spec.vectors if not central_check(spec, v.index)]
 
     creation = True
     for v in spec.vectors:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb, perm
+from math import comb, factorial, perm
 
 import pytest
 
@@ -126,6 +126,15 @@ def _reference_product(spec, A, n, B) -> Element:
     return Element(acc)
 
 
+def _reference_skew(spec, u, n, v) -> Element:
+    """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u, one index at a time."""
+    out = spec.constant(u, n, v)
+    for k in range(max(0, spec.n_max - n)):  # v_j u = 0 from n_max on
+        out = out + apply_D(spec.constant(v, n + k, u), k) \
+            .scale(spec.epsilon(u, v) * F((-1) ** (n + k), factorial(k)))
+    return out
+
+
 def _reference_commutator(spec, u, m, v, n, w) -> Element:
     """u_m(v_n w) - eps v_n(u_m w) - sum_i (m over i) (u_i v)_{m+n-i} w."""
     unit = {x: basis_element(spec.bid(x)) for x in (u, v, w)}
@@ -241,7 +250,7 @@ def _dense_sweep(spec, bound) -> list:
     Raises BoundInsufficientError naming the first nonzero boundary defect.
     """
     labels, ids, modes = spec.labels, range(spec.dim), range(bound + 1)
-    rows = [(SKEW, (u, n, v), skew_defect(spec, u, n, v))
+    rows = [(SKEW, (u, n, v), _reference_skew(spec, u, n, v))
             for u, v in itertools.product(ids, repeat=2) for n in modes]
     rows += [(COMMUTATOR, (u, m, v, n, w), _reference_commutator(spec, u, m, v, n, w))
              for u, v, w in itertools.product(ids, repeat=3)
@@ -337,6 +346,48 @@ def test_sparse_sweep_matches_dense_reference_on_random_tables() -> None:
         bound = default_bound(spec)
         assert _sweep_outcome(defect_sweep, spec, bound) \
             == _sweep_outcome(_dense_sweep, spec, bound), list(spec.constant_entries())
+
+
+def test_skew_defect_matches_reference() -> None:
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(5))
+    for spec in specs:
+        for u, v in itertools.product(range(spec.dim), repeat=2):
+            for n in range(default_bound(spec) + 3):
+                assert skew_defect(spec, u, n, v) == _reference_skew(spec, u, n, v), \
+                    (list(spec.constant_entries()), u, n, v)
+
+
+# The first BoundInsufficientError of defect_sweep at explicit bounds,
+# recorded when skew defects were still evaluated one index at a time;
+# every other preset bound from 0 to n_max sweeps without error.
+_BOUNDARY_ERRORS = {
+    ("affine-sl2", 0): "skew defect nonzero at boundary index 0: (e,0,f)",
+    ("heisenberg", 0): "skew defect nonzero at boundary index 0: (x,0,x)",
+    **{(name, n): f"skew defect nonzero at boundary index {n}: (omega,{n},omega)"
+       for name in ("comm-assoc-dual", "neveu-schwarz", "novikov-flipped",
+                    "novikov-lambda", "virasoro") for n in range(3)},
+    **{(name, 3): "commutator defect nonzero at boundary index 3: (omega,0,omega,3,omega)"
+       for name in ("comm-assoc-dual", "neveu-schwarz", "novikov-flipped",
+                    "novikov-lambda", "virasoro")},
+    ("virasoro:c_2omega", 6):
+        "commutator defect nonzero at boundary index 6: (c,6,omega,0,omega)",
+}
+
+
+def test_sweep_boundary_error_texts() -> None:
+    cases = [(name, preset(name), n) for name in sorted(PRESETS)
+             for n in range(preset(name).n_max + 1)]
+    cases.append(("virasoro:c_2omega", TYPO_TABLES["virasoro:c_2omega"](), 6))
+    for name, spec, bound in cases:
+        want = _BOUNDARY_ERRORS.get((name, bound))
+        if want is None:
+            defect_sweep(spec, bound)
+            continue
+        with pytest.raises(BoundInsufficientError) as err:
+            defect_sweep(spec, bound)
+        assert str(err.value) == want, (name, bound)
 
 
 def test_sparse_sweep_matches_dense_reference_past_the_default_bound() -> None:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -343,6 +345,34 @@ def test_cli_bracket(capsys) -> None:
 def test_cli_bracket_unknown_name(capsys) -> None:
     assert main(["bracket", "--preset", "virasoro", "nope", "0", "omega", "0"]) == 2
     assert "unknown basis name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket", "--preset", "virasoro", "zz", "1", "omega", "2"),
+    ("verma", "--preset", "virasoro", "--cutoff", "3", "--act", "zz_1"),
+])
+def test_cli_unknown_name_message(argv: tuple, capsys) -> None:
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == "error: unknown basis name 'zz'\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_closed_stdout_exits_quietly(unbuffered: bool) -> None:
+    # buffered, the write fails in the flush at exit; unbuffered, in print
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "vertexlie.cli", "check", "--preset", "virasoro"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()  # before the child gets to write anything
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_cli_verma_dims(capsys) -> None:
