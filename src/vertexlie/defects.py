@@ -33,6 +33,7 @@ from .formula import (
     UngradedError,
     _ZERO_ELEMENT,
     _add_scaled,
+    _over,
     _per_spec,
     _products,
     apply_D,
@@ -105,7 +106,7 @@ def _skews(spec: FormulaSpec, uid: int, vid: int) -> dict:
         if vu := table.get((vid, j, uid)):
             for n in range(j + 1):
                 _add_scaled(acc.setdefault(n, {}), apply_D(vu, j - n),
-                            eps * Fraction((-1) ** j, factorial(j - n)))
+                            eps * _over((-1) ** j, factorial(j - n)))
     return {n: Element._of(acc[n]) for n in sorted(acc) if acc[n]}
 
 

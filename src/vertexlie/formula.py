@@ -11,8 +11,10 @@ uniquely to all of Q[D] (x) S through the derivation rules
     (D A)_n B = -n A_{n-1} B,
     D(A_n B)  = (D A)_n B + A_n (D B),
 
-and everything here is computed with fractions.Fraction: no floating
-point enters at any stage.
+and everything here is computed exactly over the rationals: no floating
+point enters at any stage.  Integral values are held as plain ints
+internally and every public result is a fractions.Fraction; the
+SparseVector docstring states the rule.
 """
 
 from __future__ import annotations
@@ -77,6 +79,19 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot read {value!r} as a rational number")
 
 
+def _rat(value: RatLike) -> Union[int, Fraction]:
+    """rat() in the stored form (see SparseVector): the int when integral."""
+    if type(value) is int:
+        return value
+    q = rat(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _over(num: int, den: int) -> Union[int, Fraction]:
+    """The exact quotient num/den in the stored form: an int when den divides num."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def falling(n: int, i: int) -> int:
     """Falling factorial n(n-1)...(n-i+1); zero whenever 0 <= n < i."""
     out = 1
@@ -86,24 +101,30 @@ def falling(n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def gen_binomial(n: int, i: int) -> Fraction:
-    """Binomial coefficient (n choose i) for any integer n and i >= 0."""
+def gen_binomial(n: int, i: int) -> int:
+    """Binomial coefficient (n choose i) for any integer n and i >= 0, as an exact int.
+
+    i! divides the product of any i consecutive integers, so the
+    floor division is exact for negative n too.
+    """
     if i < 0:
         raise ValueError("lower binomial index must be nonnegative")
-    return Fraction(falling(n, i), factorial(i))
+    return falling(n, i) // factorial(i)
 
 
-def _accumulate(acc: dict, key, coeff: Fraction) -> None:
+def _accumulate(acc: dict, key, coeff: Union[int, Fraction]) -> None:
+    """Add a stored-form coefficient into acc[key], keeping acc in stored form."""
     old = acc.get(key)
-    if old is None:
-        if coeff:  # a new key stores coeff itself: no 0 + coeff allocation
-            acc[key] = coeff
+    if old is not None:
+        coeff += old
+        if not coeff:
+            del acc[key]
+            return
+    elif not coeff:
         return
-    new = old + coeff
-    if new:
-        acc[key] = new
-    else:
-        del acc[key]
+    if type(coeff) is not int and coeff.denominator == 1:
+        coeff = coeff.numerator
+    acc[key] = coeff
 
 
 def _add_scaled(acc: dict, vec: "SparseVector", factor: Union[int, Fraction] = 1) -> None:
@@ -117,15 +138,23 @@ def _add_scaled(acc: dict, vec: "SparseVector", factor: Union[int, Fraction] = 1
 
 
 class SparseVector:
-    """Immutable finitely supported map key -> Fraction with linear ops.
+    """Immutable finitely supported map key -> exact rational with linear ops.
 
     Keys must be hashable and mutually orderable; subclasses fix the key
-    type.  Invariant of the stored dict: every coefficient is a
-    fractions.Fraction and none is zero.  The public constructor
-    enforces it on outside input (rat() coercion, zero-dropping);
-    results built inside the package go through _of, which trusts the
-    caller and must only wrap a fresh dict of nonzero Fractions that
-    nothing mutates afterwards, never another vector's terms.
+    type.  Invariant of the stored dict, the package's one rule for exact
+    numbers: every coefficient is nonzero and in stored form, a plain int
+    when it is integral and a fractions.Fraction otherwise, never a bool
+    or a float.  Integer arithmetic is several times cheaper than
+    Fraction arithmetic and almost every constant is integral.  Weights
+    held for internal use (FormulaSpec._weights) follow the same rule.
+    The public boundary always answers with Fraction: items(), coeff(),
+    rat(), FormulaSpec.weight() and the weights of public results.
+
+    The public constructor enforces the invariant on outside input
+    (_rat() coercion, zero-dropping); results built inside the package go
+    through _of, which trusts the caller and must only wrap a fresh dict
+    of nonzero stored-form coefficients that nothing mutates afterwards,
+    never another vector's terms.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -134,23 +163,24 @@ class SparseVector:
         data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:
-            _accumulate(data, key, rat(coeff))
+            _accumulate(data, key, _rat(coeff))
         self._terms = data
         self._hash: Optional[int] = None
 
     @classmethod
     def _of(cls, terms: dict):
-        """Wrap a package-built dict of nonzero Fractions without re-checking."""
+        """Wrap a package-built dict of nonzero stored-form coefficients unchecked."""
         out = cls.__new__(cls)
         out._terms = terms
         out._hash = None
         return out
 
     def items(self) -> Iterator:
-        return iter(sorted(self._terms.items()))
+        """(key, Fraction) pairs in key order."""
+        return iter(sorted((k, Fraction(c)) for k, c in self._terms.items()))
 
     def coeff(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+        return Fraction(self._terms.get(key, 0))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -180,12 +210,12 @@ class SparseVector:
         return self._of({k: -c for k, c in self._terms.items()})
 
     def scale(self, factor: RatLike):
-        f = rat(factor)
+        f = _rat(factor)
         if f == 1:
             return self
         if not f:
             return self._of({})
-        return self._of({k: f * c for k, c in self._terms.items()})
+        return self._of({k: _rat(f * c) for k, c in self._terms.items()})
 
     __mul__ = scale
 
@@ -226,7 +256,7 @@ def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
     """The single term coeff * D^k applied to basis vector number bid."""
     if k < 0:
         raise ValueError("D-power must be nonnegative")
-    c = rat(coeff)
+    c = _rat(coeff)
     return Element._of({(k, bid): c} if c else {})
 
 
@@ -282,7 +312,7 @@ class FormulaSpec:
         and its central element; c must be `central` when both are given.
     """
 
-    __slots__ = ("name", "vectors", "_by_label", "_constants", "n_max",
+    __slots__ = ("name", "vectors", "_weights", "_by_label", "_constants", "n_max",
                  "k_max", "central", "conformal", "_hash", "_memo")
 
     def __init__(self, basis: Sequence, constants: Mapping, central: Optional[BasisRef] = None,
@@ -305,6 +335,9 @@ class FormulaSpec:
             vectors.append(BasisVector(i, label, parity, weight))
             by_label[label] = vectors[-1]
         self.vectors: tuple = tuple(vectors)
+        # the weights in stored form (see SparseVector), read by the hot loops
+        self._weights: tuple = tuple(None if v.weight is None else _rat(v.weight)
+                                     for v in vectors)
         self._by_label = by_label
 
         table: dict = {}

@@ -26,6 +26,7 @@ from .formula import (
     _accumulate,
     _add_scaled,
     _per_spec,
+    _rat,
     _signed_sum,
     falling,
     gen_binomial,
@@ -116,7 +117,7 @@ def _D_generator(spec: FormulaSpec, g: LieGenerator) -> Optional[Tuple[LieGenera
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
     """The derivation u_n -> -n u_{n-1} (descending to the quotient)."""
     # distinct modes have distinct images, so no two terms collide
-    return LieElement._of({d[0]: d[1] * c for g, c in x._terms.items()
+    return LieElement._of({d[0]: _rat(d[1] * c) for g, c in x._terms.items()
                            if (d := _D_generator(spec, g))})
 
 
@@ -152,7 +153,8 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
             skew = dict(xy._terms)
             _add_scaled(skew, _pair_bracket(spec, gy, gx), spec.epsilon(gx.bid, gy.bid))
             # D[x, y] - [Dx, y] - [x, Dy]; D[x, y] term by term, as in lie_D
-            leib = {d[0]: d[1] * c for g, c in xy._terms.items() if (d := _D_generator(spec, g))}
+            leib = {d[0]: _rat(d[1] * c) for g, c in xy._terms.items()
+                    if (d := _D_generator(spec, g))}
             if dx:
                 _add_scaled(leib, _pair_bracket(spec, dx[0], gy), -dx[1])
             if dy:

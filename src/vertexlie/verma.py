@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .defects import central_check, central_reduction, injectivity_verdict
 from .formula import (
@@ -27,9 +27,10 @@ from .formula import (
     UngradedError,
     _accumulate,
     _add_scaled,
+    _over,
+    _rat,
     _signed_sum,
     gen_binomial,
-    rat,
 )
 from .local_algebra import LieElement, LieGenerator, _D_generator, _pair_bracket, _quotient_kills
 
@@ -62,19 +63,25 @@ class PbwVector(SparseVector):
 
 def vacuum() -> PbwVector:
     """The vacuum vector: empty monomial with coefficient one."""
-    return PbwVector({VACUUM_MONOMIAL: 1})
+    return PbwVector._of({VACUUM_MONOMIAL: 1})
 
 
 _ZERO = PbwVector()
 
 
-def generator_weight(spec: FormulaSpec, g: LieGenerator) -> Fraction:
-    """wt(u_n) = wt(u) - n - 1."""
-    return spec.weight(g.bid) - g.n - 1
+def _generator_weight(spec: FormulaSpec, g: LieGenerator) -> Union[int, Fraction]:
+    """wt(u_n) = wt(u) - n - 1, in stored form (see SparseVector)."""
+    return spec._weights[g.bid] - g.n - 1
 
 
 def monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Fraction:
-    return sum((generator_weight(spec, g) for g in mono.factors), Fraction(0))
+    return Fraction(_monomial_weight(spec, mono))
+
+
+def _monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Union[int, Fraction]:
+    """monomial_weight in stored form: the sum of the _generator_weight terms."""
+    weights = spec._weights
+    return sum(weights[g.bid] - g.n - 1 for g in mono.factors)
 
 
 def monomial_parity(spec: FormulaSpec, mono: PbwMonomial) -> int:
@@ -82,8 +89,8 @@ def monomial_parity(spec: FormulaSpec, mono: PbwMonomial) -> int:
 
 
 def _order_key(spec: FormulaSpec, g: LieGenerator) -> tuple:
-    primary = -generator_weight(spec, g) if spec.graded else Fraction(0)
-    return (primary, g.bid, g.n)
+    w = spec._weights[g.bid]  # weights are all-or-nothing: None means ungraded
+    return (0 if w is None else g.n + 1 - w, g.bid, g.n)
 
 
 def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector:
@@ -98,24 +105,24 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
     if not factors:
         if g.n >= 0:
             return _ZERO
-        return PbwVector({PbwMonomial((g,)): 1})
+        return PbwVector._of({PbwMonomial((g,)): 1})
     head, rest = factors[0], PbwMonomial(factors[1:])
     if g.n < 0:
         kg, kh = _order_key(spec, g), _order_key(spec, head)
         if kg < kh:
-            return PbwVector({PbwMonomial((g,) + factors): 1})
+            return PbwVector._of({PbwMonomial((g,) + factors): 1})
         if kg == kh:  # identical generator: keys determine (bid, n)
             if spec.parity(g.bid):
                 # odd square: g g = (1/2)[g, g]
                 half = _pair_bracket(spec, g, g)
-                return act_lie(spec, half, PbwVector({rest: 1})).scale(Fraction(1, 2))
-            return PbwVector({PbwMonomial((g,) + factors): 1})
+                return act_lie(spec, half, PbwVector._of({rest: 1})).scale(Fraction(1, 2))
+            return PbwVector._of({PbwMonomial((g,) + factors): 1})
     eps = spec.epsilon(g.bid, head.bid)
     inner = spec._memo.get((g, rest))
     if inner is None:
         inner = spec._memo[(g, rest)] = _mul_gen(spec, g, rest)
     swapped = act(spec, head, inner).scale(eps)
-    corr = act_lie(spec, _pair_bracket(spec, g, head), PbwVector({rest: 1}))
+    corr = act_lie(spec, _pair_bracket(spec, g, head), PbwVector._of({rest: 1}))
     return swapped + corr
 
 
@@ -156,7 +163,7 @@ def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
         for i, g in enumerate(factors):
             if d := _D_generator(spec, g):
                 piece = act_word(spec, factors[:i] + (d[0],),
-                                 PbwVector({PbwMonomial(factors[i + 1:]): 1}))
+                                 PbwVector._of({PbwMonomial(factors[i + 1:]): 1}))
                 _add_scaled(acc, piece, coeff * d[1])
     return PbwVector._of(acc)
 
@@ -166,7 +173,7 @@ def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVect
     if spec.central is None:
         raise FormulaError("no central vector designated")
     cid = spec.central
-    ell = rat(level)
+    ell = _rat(level)
     acc: dict = {}
     for mono, coeff in v._terms.items():
         kept = []
@@ -196,16 +203,17 @@ def _require_injective(spec: FormulaSpec) -> None:
             f"verdict is {verdict.status}; run the defect check first")
 
 
-def _counting_generators(spec: FormulaSpec, cutoff: RatLike) -> Tuple[Fraction, List[tuple]]:
+def _counting_generators(spec: FormulaSpec, cutoff: RatLike) -> tuple:
     """The cutoff, and every (generator, weight, odd) with weight <= cutoff, PBW-ordered.
 
+    The cutoff and the weights are in stored form (see SparseVector).
     The central mode c_{-1} is excluded: graded pieces are counted as
     ranks over the polynomial algebra it generates, which equals the
     dimension after level specialization.
     """
     _require_graded(spec)
     _require_injective(spec)
-    bound = rat(cutoff)
+    bound = _rat(cutoff)
     if bound < 0:
         raise ValueError("cutoff must be nonnegative")
     cid = spec.central
@@ -224,7 +232,7 @@ def _counting_generators(spec: FormulaSpec, cutoff: RatLike) -> Tuple[Fraction, 
         n = start
         while vec.weight - n - 1 <= bound:
             g = LieGenerator(vec.index, n)
-            gens.append((g, generator_weight(spec, g), bool(spec.parity(vec.index))))
+            gens.append((g, _generator_weight(spec, g), bool(spec.parity(vec.index))))
             n -= 1
     gens.sort(key=lambda item: _order_key(spec, item[0]))
     return bound, gens
@@ -237,9 +245,9 @@ def monomial_basis(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, List[Pb
     odd generators appear at most once per monomial.
     """
     bound, gens = _counting_generators(spec, cutoff)
-    out: Dict[Fraction, List[PbwMonomial]] = {}
+    out: dict = {}
 
-    def rec(start: int, factors: list, weight: Fraction) -> None:
+    def rec(start: int, factors: list, weight) -> None:
         out.setdefault(weight, []).append(PbwMonomial(tuple(factors)))
         for i in range(start, len(gens)):
             g, w, odd = gens[i]
@@ -249,10 +257,10 @@ def monomial_basis(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, List[Pb
             rec(i + 1 if odd else i, factors, weight + w)
             factors.pop()
 
-    rec(0, [], Fraction(0))
+    rec(0, [], 0)
     for monos in out.values():
         monos.sort()
-    return dict(sorted(out.items()))
+    return {Fraction(w): monos for w, monos in sorted(out.items())}
 
 
 def graded_dimension(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, int]:
@@ -283,10 +291,11 @@ def graded_dimension(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, int]:
     return dict(sorted(dims.items()))
 
 
-def _by_weight(spec: FormulaSpec, v: PbwVector) -> Dict[Fraction, PbwVector]:
-    pieces: Dict[Fraction, dict] = {}
+def _by_weight(spec: FormulaSpec, v: PbwVector) -> dict:
+    """The homogeneous pieces of v, keyed by their stored-form weight."""
+    pieces: dict = {}
     for mono, coeff in v._terms.items():
-        pieces.setdefault(monomial_weight(spec, mono), {})[mono] = coeff
+        pieces.setdefault(_monomial_weight(spec, mono), {})[mono] = coeff
     return {w: PbwVector._of(d) for w, d in sorted(pieces.items())}
 
 
@@ -295,7 +304,7 @@ def weight_of_vector(spec: FormulaSpec, v: PbwVector) -> Optional[Fraction]:
     pieces = _by_weight(spec, v)
     if len(pieces) > 1:
         raise FormulaError(f"vector mixes weights {sorted(pieces)}")
-    return next(iter(pieces), None)
+    return next((Fraction(w) for w in pieces), None)
 
 
 def kappa(spec: FormulaSpec, A: Element) -> PbwVector:
@@ -310,7 +319,7 @@ def kappa(spec: FormulaSpec, A: Element) -> PbwVector:
 
 def kappa_basis(spec: FormulaSpec, ref) -> PbwVector:
     """kappa of a single basis vector: u_{-1} 1."""
-    return PbwVector({PbwMonomial((LieGenerator(spec.bid(ref), -1),)): 1})
+    return PbwVector._of({PbwMonomial((LieGenerator(spec.bid(ref), -1),)): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +342,11 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     """
     _require_graded(spec)
     _require_injective(spec)
-    return _field_coefficient(spec, a, n, b, rat(cutoff), {})
+    return _field_coefficient(spec, a, n, b, _rat(cutoff), {})
 
 
 def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
-                       cutoff: Fraction, memo: dict) -> PbwVector:
+                       cutoff, memo: dict) -> PbwVector:
     """field_coefficient without its guards; memo holds _fc results of one call."""
     pieces = _by_weight(spec, b)
     acc: dict = {}
@@ -348,8 +357,11 @@ def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
 
 
 def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
-        bw: Fraction, cutoff: Fraction, memo: dict) -> PbwVector:
-    """mono_n b for b homogeneous of weight bw, memoized in memo."""
+        bw, cutoff, memo: dict) -> PbwVector:
+    """mono_n b for b homogeneous of weight bw, memoized in memo.
+
+    bw and cutoff, like every weight here, are in stored form (see SparseVector).
+    """
     if not b:
         return _ZERO
     if not mono.factors:
@@ -361,8 +373,8 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
     g = mono.factors[0]
     rest = PbwMonomial(mono.factors[1:])
     m = g.n
-    lam = spec.weight(g.bid)
-    wr = monomial_weight(spec, rest)
+    lam = spec._weights[g.bid]
+    wr = _monomial_weight(spec, rest)
     eps = -1 if spec.parity(g.bid) and monomial_parity(spec, rest) else 1
 
     total = lam + wr + bw - m - n - 2
@@ -430,8 +442,8 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     """
     _require_graded(spec)
     _require_injective(spec)
-    bound = rat(cutoff)
-    lam_max = max(v.weight for v in spec.vectors)
+    bound = _rat(cutoff)
+    lam_max = max(spec._weights)
     # wide enough that no deliberate window below trips the overflow guard
     margin = 2 * bound + 2 * lam_max + 6
     memo: dict = {}  # _fc results, shared by every clause of this call
@@ -441,7 +453,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
 
     failures: list = []
     basis = monomial_basis(spec, bound)
-    vectors = [PbwVector({m: 1}) for monos in basis.values() for m in monos]
+    vectors = [PbwVector._of({m: 1}) for monos in basis.values() for m in monos]
     active = [v for v in spec.vectors if not central_check(spec, v.index)]
 
     creation = True
@@ -478,7 +490,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                     term = field(kv, n + k, ku)
                     for _ in range(k):
                         term = apply_D_module(spec, term)
-                    _add_scaled(rhs, term, -eps * Fraction((-1) ** (n + k), factorial(k)))
+                    _add_scaled(rhs, term, -eps * _over((-1) ** (n + k), factorial(k)))
                     k += 1
                 if lhs != PbwVector._of(rhs):
                     half_skew = False

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import vertexlie
 from vertexlie import (
     EVEN,
     PRESETS,
@@ -23,10 +26,12 @@ from vertexlie import (
     field_coefficient,
     format_element,
     gen_binomial,
+    graded_dimension,
     injectivity_verdict,
     kappa,
     kappa_basis,
     lie_D,
+    monomial_basis,
     parity_of,
     preset,
     rat,
@@ -37,6 +42,7 @@ from vertexlie import (
     weight_of,
 )
 from vertexlie.formula import falling
+from vertexlie.verma import monomial_weight, weight_of_vector
 
 VIR = virasoro()
 OM = basis_element(VIR.bid("omega"))
@@ -62,6 +68,10 @@ def test_gen_binomial_against_product_oracle() -> None:
     for n in range(-8, 9):
         for i in range(0, 8):
             assert gen_binomial(n, i) == brute_binomial(n, i)
+    for n in range(-12, 13):
+        for i in range(0, 9):
+            value = gen_binomial(n, i)
+            assert type(value) is int and value == brute_binomial(n, i)
 
 
 def test_gen_binomial_rejects_negative_lower_index() -> None:
@@ -283,14 +293,18 @@ def test_format_element() -> None:
 
 
 def _assert_stored_nonzero_fractions(vec) -> None:
+    # the stored form (SparseVector docstring): a nonzero int when the value
+    # is integral, else a Fraction; never a bool, a float or an integral Fraction
     for key, coeff in vec._terms.items():
-        assert type(coeff) is F and coeff != 0, (vec, key, coeff)
+        assert coeff != 0, (vec, key, coeff)
+        assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), \
+            (vec, key, coeff)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_internal_results_store_only_nonzero_fractions(name: str) -> None:
     # results built inside the package skip the constructor's coercion,
-    # so every layer must hand over nonzero Fractions on its own
+    # so every layer must hand over nonzero stored-form rationals on its own
     spec = preset(name)
     table = {key: dict(elt._terms) for key, elt in spec.constant_entries()}
     check = _assert_stored_nonzero_fractions
@@ -328,6 +342,65 @@ def test_internal_results_store_only_nonzero_fractions(name: str) -> None:
                                             kappa_basis(spec, v), 10))
     # no result may share storage with the constants table it was read from
     assert {key: dict(elt._terms) for key, elt in spec.constant_entries()} == table
+
+
+def _assert_public_fractions(vec) -> None:
+    pairs = list(vec.items())
+    assert all(type(c) is F for _key, c in pairs), pairs
+    assert all(type(vec.coeff(key)) is F for key, _c in pairs)
+    assert type(vec.coeff(object())) is F
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_public_results_are_fractions(name: str) -> None:
+    # internally integral values are ints; every public answer is a Fraction
+    spec = preset(name)
+    for value in (3, -2, "4", "-6/3", F(5), F(1, 2), True):
+        assert type(rat(value)) is F
+    for _key, elt in spec.constant_entries():
+        _assert_public_fractions(elt)
+    units = [basis_element(i) for i in range(spec.dim)]
+    for a in units:
+        for b in units:
+            for n in range(support_bound(spec, a, b)):
+                _assert_public_fractions(extend_product(spec, a, n, b))
+    gens = [LieElement({LieGenerator(i, n): 1}) for i in range(spec.dim) for n in (-2, 0, 1, 3)]
+    for x in gens:
+        for y in gens:
+            _assert_public_fractions(bracket(spec, x, y))
+    if not spec.graded:
+        return
+    for i in range(spec.dim):
+        assert type(spec.weight(i)) is F and type(spec.vectors[i].weight) is F
+        assert type(weight_of(spec, basis_element(i, 2))) is F
+    if not injectivity_verdict(spec).injective:
+        return
+    dims = graded_dimension(spec, 3)
+    assert dims and all(type(w) is F for w in dims)
+    basis = monomial_basis(spec, 2)
+    assert all(type(w) is F for w in basis)
+    assert all(type(monomial_weight(spec, m)) is F for monos in basis.values() for m in monos)
+    for u in range(spec.dim):
+        for v in range(spec.dim):
+            word = [LieGenerator(u, 1), LieGenerator(v, -2), LieGenerator(u, -1)]
+            out = act_word(spec, word)
+            _assert_public_fractions(out)
+            if out:
+                assert type(weight_of_vector(spec, out)) is F
+            for n in range(3):
+                _assert_public_fractions(field_coefficient(spec, kappa_basis(spec, u), n,
+                                                           kappa_basis(spec, v), 10))
+
+
+def test_package_source_has_no_true_division() -> None:
+    # with ints where Fractions were, int / int would quietly give a float
+    sources = sorted(Path(vertexlie.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+        assert not found, f"{path.name}: true division at lines {found}"
 
 
 def test_operand_reuse_leaves_operands_unchanged() -> None:
