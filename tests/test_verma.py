@@ -11,6 +11,7 @@ from functools import lru_cache
 import pytest
 
 from vertexlie import (
+    PRESETS,
     CutoffExceededError,
     FormulaError,
     FormulaSpec,
@@ -29,6 +30,7 @@ from vertexlie import (
     axiom_spotcheck,
     basis_element,
     bracket,
+    central_reduction,
     defect_sweep,
     field_coefficient,
     graded_dimension,
@@ -124,6 +126,152 @@ def test_representation_property_random() -> None:
             rhs = act_lie(spec, bracket(spec, LieElement({gx: 1}),
                                         LieElement({gy: 1})), v)
             assert lhs == rhs
+
+
+# A memo-free copy of the normal-ordering rewrite, kept as an oracle:
+# g head rest = eps head (g rest) + [g, head] rest, an odd square
+# g g rest = (1/2)[g, g] rest, modes n >= 0 kill the vacuum, and the
+# central quotient kills c_n for n != -1.  Vectors are dicts
+# {PbwMonomial: Fraction}.
+
+def _oracle_key(spec, g) -> tuple:
+    w = spec.weight(g.bid)
+    return (0 if w is None else g.n + 1 - w, g.bid, g.n)
+
+
+def _oracle_add(acc: dict, terms: dict, factor) -> None:
+    for mono, c in terms.items():
+        acc[mono] = acc.get(mono, 0) + factor * c
+        if not acc[mono]:
+            del acc[mono]
+
+
+def _oracle_lie(spec, x: LieElement, factors: tuple) -> dict:
+    out: dict = {}
+    for g, c in x.items():
+        _oracle_add(out, _oracle_mul(spec, g, factors), c)
+    return out
+
+
+def _oracle_mul(spec, g, factors: tuple) -> dict:
+    if g.bid == central_reduction(spec) and g.n != -1:
+        return {}
+    if not factors:
+        return {} if g.n >= 0 else {PbwMonomial((g,)): F(1)}
+    head, rest = factors[0], factors[1:]
+    if g.n < 0:
+        kg, kh = _oracle_key(spec, g), _oracle_key(spec, head)
+        if kg < kh or (kg == kh and not spec.parity(g.bid)):
+            return {PbwMonomial((g,) + factors): F(1)}
+        if kg == kh:
+            square = bracket(spec, LieElement({g: 1}), LieElement({g: 1}))
+            return {m: c / 2 for m, c in _oracle_lie(spec, square, rest).items()}
+    eps = -1 if spec.parity(g.bid) and spec.parity(head.bid) else 1
+    out: dict = {}
+    for mono, c in _oracle_mul(spec, g, rest).items():
+        _oracle_add(out, _oracle_mul(spec, head, mono.factors), eps * c)
+    _oracle_add(out, _oracle_lie(spec, bracket(spec, LieElement({g: 1}),
+                                               LieElement({head: 1})), rest), 1)
+    return out
+
+
+def _oracle_act(spec, g, v: dict) -> dict:
+    out: dict = {}
+    for mono, c in v.items():
+        _oracle_add(out, _oracle_mul(spec, g, mono.factors), c)
+    return out
+
+
+def _seeded_words(spec, rng, count: int) -> list:
+    """count words of 1-6 letters over every basis vector, modes -3..3;
+    the last one to three letters create (mode < 0), so most words act
+    on a nonzero state."""
+    labels = [v.label for v in spec.vectors]
+    words = []
+    for _ in range(count):
+        k = rng.randint(1, 6)
+        tail = rng.randint(1, min(3, k))
+        words.append([gen(spec, rng.choice(labels), rng.randint(-3, 3 if i < k - tail else -1))
+                      for i in range(k)])
+    return words
+
+
+CLEAN_PRESETS = sorted(set(PRESETS) - {"novikov-flipped"})
+
+
+@pytest.mark.parametrize("name", CLEAN_PRESETS)
+def test_normal_ordering_matches_memo_free_oracle(name: str) -> None:
+    spec = preset(name)
+    rng = random.Random(f"oracle-{name}")
+    words = _seeded_words(spec, rng, 40)
+    labels = [v.label for v in spec.vectors]
+    if spec.central is not None:  # central modes the quotient kills, and c_{-1}
+        words += [[gen(spec, "c", n), gen(spec, labels[0], -1)] for n in (-3, -2, -1, 0, 2)]
+        words += [[gen(spec, labels[0], 1), gen(spec, "c", -2), gen(spec, labels[0], -2)]]
+    for word in words:
+        want = {PbwMonomial(): F(1)}
+        for g in reversed(word):
+            want = _oracle_act(spec, g, want)
+        assert dict(act_word(spec, word).items()) == want, word
+    # one-term inputs whose coefficient is not 1, on the word results
+    for word, coeff in zip(words, itertools.cycle((F(-1), F(3), F(-5, 2), F(2, 3)))):
+        g = word[0]
+        for mono, c in act_word(spec, word[1:]).items():
+            want = _oracle_act(spec, g, {mono: coeff * c})
+            assert dict(act(spec, g, PbwVector({mono: coeff * c})).items()) == want, (g, mono)
+
+
+def test_normal_ordering_oracle_covers_odd_squares_and_killed_modes() -> None:
+    t = [gen(NS, "tau", n) for n in (-1, -2, -3)]
+    for g in t:  # odd squares g g 1 and g g g' 1, g' a different odd mode
+        for word in ([g, g], [g, g, t[0] if g != t[0] else t[1]], [g, gen(NS, "omega", -2), g]):
+            want = {PbwMonomial(): F(1)}
+            for x in reversed(word):
+                want = _oracle_act(NS, x, want)
+            assert dict(act_word(NS, word).items()) == want, word
+    for spec in (virasoro(), preset("affine-sl2")):
+        c = spec.bid("c")
+        other = next(v.label for v in spec.vectors if v.index != c)
+        # a hand-built monomial holding a mode the central quotient kills
+        held = PbwMonomial((gen(spec, other, -3), LieGenerator(c, -2), gen(spec, other, -1)))
+        for g in (gen(spec, other, -2), gen(spec, other, 1), gen(spec, other, 3),
+                  LieGenerator(c, -2), LieGenerator(c, 1), LieGenerator(c, -1)):
+            for coeff in (F(1), F(-3, 2)):
+                got = act(spec, g, PbwVector({held: coeff}))
+                assert dict(got.items()) == _oracle_act(spec, g, {held: coeff}), g
+        assert act(spec, LieGenerator(c, -2), vacuum()).is_zero
+
+
+def test_act_result_is_safe_to_share() -> None:
+    spec = virasoro()
+    v = vec(spec, ("omega", -2), ("omega", -1))
+    for g in (gen(spec, "omega", n) for n in (-3, 1, 2, 3)):
+        first = act(spec, g, v)
+        want = dict(first.items())
+        # every operation on the shared product builds a new vector
+        for derived in (first + first, first - first, -first, first.scale(F(-7, 3)),
+                        specialize_level(spec, first, F(5, 2)), apply_D_module(spec, first)):
+            assert derived is not first
+        act_word(spec, [g, gen(spec, "omega", -1)], first)
+        hash(first)
+        assert dict(first.items()) == want
+        assert dict(act(spec, g, v).items()) == want
+        assert dict(act(virasoro(), g, v).items()) == want
+        assert dict(act(spec, g, v.scale(3)).items()) == {m: 3 * c for m, c in want.items()}
+
+
+# len(spec._memo) on a fresh spec after the seeded act_word list of
+# test_normal_ordering_memo_does_not_grow, recorded before act began
+# returning memoized products unchanged.
+MEMO_SIZE = {"virasoro": 101, "neveu-schwarz": 272, "affine-sl2": 174}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SIZE))
+def test_normal_ordering_memo_does_not_grow(name: str) -> None:
+    spec = preset(name)
+    for word in _seeded_words(spec, random.Random(f"memo-{name}"), 60):
+        act_word(spec, word)
+    assert len(spec._memo) <= MEMO_SIZE[name]
 
 
 def test_normal_ordering_confluence() -> None:
@@ -235,6 +383,12 @@ def test_empty_formula_dims() -> None:
     assert dims == {F(0): 1, F(1): 1, F(2): 2, F(3): 3}
     truly_empty = FormulaSpec([], {})
     assert graded_dimension(truly_empty, 2) == {F(0): 1, F(1): 0, F(2): 0}
+
+
+def test_empty_formula_spotcheck() -> None:
+    # the same empty formula that graded_dimension accepts: only the vacuum
+    report = axiom_spotcheck(FormulaSpec([], {}), 2)
+    assert report.ok and report.locality and report.creation
 
 
 def _poly_mul(a: dict, b: dict, cutoff: F) -> dict:
