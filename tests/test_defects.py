@@ -618,6 +618,27 @@ def test_conformal_affine_fails_no_conformal_vector() -> None:
     assert not report.self_product
 
 
+def test_conformal_fails_when_c_is_not_central() -> None:
+    # omega_0 c = Dc has the right weight, but c no longer commutes
+    spec = _typo("virasoro", {("omega", 0, "c"): basis_element(VIR.bid("c"), k=1)})
+    report = conformal_validate(spec)
+    assert (report.self_product, report.central, report.action,
+            report.weight_zero_space) == (True, False, True, True)
+    assert report.failures == ("designated central vector is not central",)
+
+
+def test_conformal_fails_on_a_second_weight_zero_vector() -> None:
+    # z of weight 0 with omega_0 z = Dz and omega_1 z = 0 * z
+    spec = FormulaSpec(_basis(VIR) + [("z", EVEN, 0)],
+                       {**dict(VIR.constant_entries()), ("omega", 0, "z"): {(1, "z"): 1}},
+                       conformal=("omega", "c"))
+    report = conformal_validate(spec)
+    assert (report.self_product, report.central, report.action,
+            report.weight_zero_space) == (True, True, True, False)
+    assert report.failures == ("weight-0 subspace is spanned by ['c', 'z'], "
+                               "expected exactly the central vector",)
+
+
 def test_conformal_needs_weights() -> None:
     with pytest.raises(UngradedError):
         conformal_validate(FormulaSpec([("a", EVEN)], {}, conformal=("a", "a")))

@@ -314,6 +314,15 @@ def test_cli_check_file_with_inadmissible_product(tmp_path, capsys) -> None:
     out = capsys.readouterr().out
     assert "undetermined" in out
     assert "commutator" in out
+    # a product of the wrong weight is an invariant violation, in text and JSON
+    path.write_text(TYPO_VIRASORO.replace("omega 0 omega : 1 omega 1",
+                                          "omega 0 omega : 0 omega 1"))
+    message = "(omega,0,omega) at D-power 0: omega has weight 2, expected 3"
+    assert main(["check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["invariant violations: 1", f"  {message}"]
+    assert main(["check", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["violations"] == [message]
 
 
 def test_cli_check_json_schema(capsys) -> None:
@@ -329,6 +338,12 @@ def test_cli_defect_listing(capsys) -> None:
     assert main(["defect", "--preset", "virasoro"]) == 0
     out = capsys.readouterr().out
     assert "-1/2*D.c" in out
+    # eleven defects: ten are shown without --all
+    assert main(["defect", "--preset", "neveu-schwarz"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and lines[-1] == "... 1 more (use --all)"
+    assert main(["defect", "--preset", "neveu-schwarz", "--all"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 11
     assert main(["defect", "--preset", "loop-abelian"]) == 0
     assert "no nonzero defects" in capsys.readouterr().out
 
@@ -350,6 +365,7 @@ def test_cli_bracket_unknown_name(capsys) -> None:
 @pytest.mark.parametrize("argv", [
     ("bracket", "--preset", "virasoro", "zz", "1", "omega", "2"),
     ("verma", "--preset", "virasoro", "--cutoff", "3", "--act", "zz_1"),
+    ("verma", "--preset", "virasoro", "--cutoff", "3", "--act", "zz_-1"),
 ])
 def test_cli_unknown_name_message(argv: tuple, capsys) -> None:
     assert main(list(argv)) == 2
@@ -470,6 +486,15 @@ def test_cli_check_bound_flag(capsys) -> None:
     (["verma", "--preset", "virasoro", "--cutoff", "6", "--level", "1.5",
       "--act", "omega_3 omega_-1"], "bad level '1.5'"),
     (["verma", "--preset", "virasoro", "--cutoff", "1e3", "--dims"], "bad cutoff '1e3'"),
+    # mode words are LABEL_MODE tokens with an integer mode
+    (["verma", "--preset", "virasoro", "--cutoff", "3", "--act", "omega"],
+     "bad generator token 'omega' (expected LABEL_MODE)"),
+    (["verma", "--preset", "virasoro", "--cutoff", "3", "--act", "omega_x"],
+     "bad mode 'x' in 'omega_x'"),
+    (["verma", "--preset", "virasoro", "--cutoff", "3", "--act", "omega_2.5"],
+     "bad mode '2.5' in 'omega_2.5'"),
+    (["verma", "--preset", "virasoro", "--cutoff", "3", "--field", "omega_-1", "x", "1"],
+     "bad mode 'x'"),
 ])
 def test_cli_rejects_negative_flags(argv, message, capsys) -> None:
     assert main(argv) == 2

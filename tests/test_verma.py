@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import random
 import sys
@@ -47,6 +48,7 @@ from vertexlie import (
     vacuum,
     virasoro,
 )
+import vertexlie.verma as verma_module
 from vertexlie.formula_io import parse_formula
 from vertexlie.linalg import RowSpace
 from vertexlie.verma import monomial_weight, weight_of_vector
@@ -247,6 +249,8 @@ def test_act_result_is_safe_to_share() -> None:
     v = vec(spec, ("omega", -2), ("omega", -1))
     for g in (gen(spec, "omega", n) for n in (-3, 1, 2, 3)):
         first = act(spec, g, v)
+        # a one-term input with coefficient 1 gets the memoized vector itself
+        assert act(spec, g, v) is act(spec, g, v)
         want = dict(first.items())
         # every operation on the shared product builds a new vector
         for derived in (first + first, first - first, -first, first.scale(F(-7, 3)),
@@ -609,6 +613,58 @@ def test_axiom_spotcheck_abelian() -> None:
     flat = FormulaSpec([("a", EVEN, 1)], {})
     report = axiom_spotcheck(flat, 4)
     assert report.ok, report.failures[:5]
+
+
+def _doubled(real):
+    return lambda *args: real(*args).scale(2)
+
+
+def _doubled_base_case(real):
+    # 1_{-1} b = 2 b at the bottom of the field recursion
+    def fc(spec, mono, *args):
+        out = real(spec, mono, *args)
+        return out if mono.factors else out.scale(2)
+    return fc
+
+
+def _negated_annihilators(real):
+    # u_n w comes out negated for n >= 0 and w != 1
+    def mul_gen(spec, g, mono):
+        out = real(spec, g, mono)
+        return -out if g.n >= 0 and mono.factors else out
+    return mul_gen
+
+
+# (patched verma name, fault, the six flags of the report in field order,
+# number of failures, SHA-256 of the failures joined by newlines) for
+# axiom_spotcheck(virasoro(), 2), recorded before the report was built
+# from one ledger; they pin every failure message and its order.
+SPOTCHECK_FAULTS = [
+    ("_pair_bracket", _doubled, (True, True, True, True, True, False), 30,
+     "22011ff76bfde89068934182262bd0c69aed7cb2992b6a12cc99ca77fd062799"),
+    ("_fc", _doubled_base_case, (False, False, True, True, True, False), 34,
+     "b600166fb2b0aa300b756094ac7589823436069ee2743d41cb1f469d6d8dd3b3"),
+    ("apply_D_module", _doubled, (True, True, False, True, False, True), 12,
+     "92f31aab8ba36b8bc83da98d545f0cf39d1b53bcb5ae0233b414146e83cbea67"),
+    ("_mul_gen", _negated_annihilators, (True, True, True, False, True, False), 94,
+     "e006ecbc30ab25f23bcabff318498a6755050598f12beb4ac6031f36d179eb18"),
+]
+
+
+def test_spotcheck_faults_trip_every_clause() -> None:
+    assert all(not all(clause) for clause in zip(*(f[2] for f in SPOTCHECK_FAULTS)))
+
+
+@pytest.mark.parametrize("name,fault,flags,count,digest", SPOTCHECK_FAULTS,
+                         ids=[f[0] for f in SPOTCHECK_FAULTS])
+def test_axiom_spotcheck_reports_injected_faults(name, fault, flags, count, digest,
+                                                 monkeypatch) -> None:
+    monkeypatch.setattr(verma_module, name, fault(getattr(verma_module, name)))
+    report = axiom_spotcheck(virasoro(), 2)  # a fresh spec: its memo holds the fault
+    assert (report.creation, report.vacuum_field, report.half_skew, report.locality,
+            report.translation, report.commutator_formula) == flags
+    assert len(report.failures) == count and not report.ok
+    assert hashlib.sha256("\n".join(report.failures).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
