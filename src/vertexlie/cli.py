@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from . import defects as defects_mod
 from . import verma as verma_mod
@@ -82,13 +82,16 @@ def _defect_json(spec: FormulaSpec, dft) -> dict:
             "value": _element_json(spec, dft.value)}
 
 
-def _emit(args, payload: dict, text_lines: List[str]) -> None:
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
+    """Write payload as one JSON object under --json, else the text lines.
+
+    text_lines may be a generator: under --json it is never run.
+    """
     if args.json:
         base = {"spec": None, "verdict": None, "defects": None,
                 "dims": None, "result": None}
         base.update(payload)
-        json.dump(base, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(base, indent=2, sort_keys=True) + "\n")
     else:
         for line in text_lines:
             print(line)
@@ -122,43 +125,45 @@ def cmd_check(args) -> int:
     violations = validate_spec(spec)
     sweep = defect_sweep(spec, args.bound)
     verdict = injectivity_verdict(spec)
-    lines = [f"formula: {spec.name or '(unnamed)'}  basis={spec.dim} "
-             f"n_max={spec.n_max} k_max={spec.k_max}"]
-    if violations:
-        lines.append(f"invariant violations: {len(violations)}")
-        lines += [f"  {v}" for v in violations]
-    else:
-        lines.append("invariant violations: none")
-    lines.append(f"defects: {len(sweep)} nonzero "
-                 f"(bound {args.bound if args.bound is not None else defects_mod.default_bound(spec)})")
-    shown = sweep if args.all else sweep[:10]
-    for d in shown:
-        lines.append(f"  {d.kind} {d.indices}: {format_element(spec, d.value)}")
-    if len(sweep) > len(shown):
-        lines.append(f"  ... {len(sweep) - len(shown)} more (use --all)")
-    lines.append(f"verdict: {verdict.status}")
-    lines.append(f"  {verdict.notes}")
-    conformal = None
-    if spec.conformal is not None:
-        report = conformal_validate(spec)
-        conformal = {"ok": report.ok, "failures": list(report.failures)}
-        lines.append(f"conformal data: {'pass' if report.ok else 'FAIL'}")
-        lines += [f"  {f}" for f in report.failures]
-    window = None
-    if args.window is not None:
-        bad = jacobi_window_verify(spec, args.window)
-        window = {"window": args.window, "violations": [str(b) for b in bad]}
-        lines.append(f"mode-algebra laws on window {args.window}: "
-                     f"{'pass' if not bad else f'{len(bad)} violations'}")
+    report = conformal_validate(spec) if spec.conformal is not None else None
+    bad = jacobi_window_verify(spec, args.window) if args.window is not None else None
+
+    def text() -> Iterator[str]:
+        yield (f"formula: {spec.name or '(unnamed)'}  basis={spec.dim} "
+               f"n_max={spec.n_max} k_max={spec.k_max}")
+        if violations:
+            yield f"invariant violations: {len(violations)}"
+            yield from (f"  {v}" for v in violations)
+        else:
+            yield "invariant violations: none"
+        bound = args.bound if args.bound is not None else defects_mod.default_bound(spec)
+        yield f"defects: {len(sweep)} nonzero (bound {bound})"
+        shown = sweep if args.all else sweep[:10]
+        for d in shown:
+            yield f"  {d.kind} {d.indices}: {format_element(spec, d.value)}"
+        if len(sweep) > len(shown):
+            yield f"  ... {len(sweep) - len(shown)} more (use --all)"
+        yield f"verdict: {verdict.status}"
+        yield f"  {verdict.notes}"
+        if report is not None:
+            yield f"conformal data: {'pass' if report.ok else 'FAIL'}"
+            yield from (f"  {f}" for f in report.failures)
+        if bad is not None:
+            yield (f"mode-algebra laws on window {args.window}: "
+                   f"{'pass' if not bad else f'{len(bad)} violations'}")
+
     payload = {
         "spec": _spec_json(spec),
         "verdict": {"status": verdict.status, "notes": verdict.notes,
                     "injective": verdict.injective},
         "defects": [_defect_json(spec, d) for d in sweep],
         "result": {"violations": [str(v) for v in violations],
-                   "conformal": conformal, "window": window},
+                   "conformal": None if report is None else
+                   {"ok": report.ok, "failures": list(report.failures)},
+                   "window": None if bad is None else
+                   {"window": args.window, "violations": [str(b) for b in bad]}},
     }
-    _emit(args, payload, lines)
+    _emit(args, payload, text())
     ok = verdict.injective and not violations
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -167,15 +172,19 @@ def cmd_defect(args) -> int:
     _require_nonnegative("--bound", args.bound)
     spec = _load_spec(args)
     sweep = defect_sweep(spec, args.bound)
-    shown = sweep if args.all else sweep[:10]
-    lines = [f"{d.kind} {d.indices}: {format_element(spec, d.value)}" for d in shown]
-    if len(sweep) > len(shown):
-        lines.append(f"... {len(sweep) - len(shown)} more (use --all)")
-    if not sweep:
-        lines = ["no nonzero defects"]
+
+    def text() -> Iterator[str]:
+        if not sweep:
+            yield "no nonzero defects"
+        shown = sweep if args.all else sweep[:10]
+        for d in shown:
+            yield f"{d.kind} {d.indices}: {format_element(spec, d.value)}"
+        if len(sweep) > len(shown):
+            yield f"... {len(sweep) - len(shown)} more (use --all)"
+
     payload = {"spec": _spec_json(spec),
                "defects": [_defect_json(spec, d) for d in sweep]}
-    _emit(args, payload, lines)
+    _emit(args, payload, text())
     return EXIT_OK
 
 

@@ -137,46 +137,72 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     """Exact Lie-superalgebra laws over all modes |n| <= window.
 
     Checks eps-skew-symmetry and the derivation law on all generator
-    pairs, the super Jacobi identity on all triples, each summed from the
-    memoized generator brackets [u_n, v_p] (_pair_bracket); returns every
-    violation (empty list = pass).
+    pairs and the super Jacobi identity on all triples, each law summed
+    in one pass over the memoized generator brackets [u_n, v_p]
+    (_pair_bracket); returns every violation (empty list = pass), pairs
+    first, then triples, in generator order.
+
+    Two skip rules leave out only laws that read 0 = 0:
+    - An inert basis vector (central_check: it is an argument of no
+      table product) brackets to zero with every mode, and so does
+      every mode D u_n = -n u_{n-1} of it, so each skew, derivation and
+      Jacobi law with an inert generator has only zero brackets.
+    - When [x, y] = 0, the Jacobiator [x, [y, z]] - eps [y, [x, z]] is
+      zero unless [y, z] != 0 or [x, z] != 0, so z runs only over the
+      window partners of x and y, in generator order; when [x, y] != 0
+      it runs over every z.
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
     violations = []
-    gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in range(-window, window + 1)]
+    gens = [LieGenerator(bid, n) for bid in range(spec.dim) if not central_check(spec, bid)
+            for n in range(-window, window + 1)]
 
-    for gx in gens:
-        dx = _D_generator(spec, gx)
-        for gy in gens:
-            dy, xy = _D_generator(spec, gy), _pair_bracket(spec, gx, gy)
-            skew = dict(xy._terms)
-            _add_scaled(skew, _pair_bracket(spec, gy, gx), spec.epsilon(gx.bid, gy.bid))
+    def found(law: str, generators: tuple, acc: dict) -> None:
+        if any(acc.values()):
+            violations.append(LawViolation(law, generators, LieElement._of(
+                {g: c.numerator if type(c) is not int and c.denominator == 1 else c
+                 for g, c in acc.items() if c})))
+
+    # rows[i][j]: the terms of [gens[i], gens[j]]
+    rows = [[_pair_bracket(spec, gx, gy)._terms for gy in gens] for gx in gens]
+    ds = [_D_generator(spec, g) for g in gens]
+    for ix, gx in enumerate(gens):
+        dx = ds[ix]
+        for iy, gy in enumerate(gens):
+            xy, dy = rows[ix][iy], ds[iy]
+            skew = dict(xy)
+            eps = spec.epsilon(gx.bid, gy.bid)
+            for g, c in rows[iy][ix].items():
+                skew[g] = skew.get(g, 0) + eps * c
+            found("skew", (gx, gy), skew)
             # D[x, y] - [Dx, y] - [x, Dy]; D[x, y] term by term, as in lie_D
-            leib = {d[0]: _rat(d[1] * c) for g, c in xy._terms.items()
-                    if (d := _D_generator(spec, g))}
+            leib = {d[0]: d[1] * c for g, c in xy.items() if (d := _D_generator(spec, g))}
             if dx:
-                _add_scaled(leib, _pair_bracket(spec, dx[0], gy), -dx[1])
+                for g, c in _pair_bracket(spec, dx[0], gy)._terms.items():
+                    leib[g] = leib.get(g, 0) - dx[1] * c
             if dy:
-                _add_scaled(leib, _pair_bracket(spec, gx, dy[0]), -dy[1])
-            for law, acc in (("skew", skew), ("derivation", leib)):
-                if acc:
-                    violations.append(LawViolation(law, (gx, gy), LieElement._of(acc)))
+                for g, c in _pair_bracket(spec, gx, dy[0])._terms.items():
+                    leib[g] = leib.get(g, 0) - dy[1] * c
+            found("derivation", (gx, gy), leib)
 
-    # A central basis vector (no argument of any table product) brackets to
-    # zero with every mode: Jacobi triples containing it read 0 = 0 - 0.
-    triple_gens = [g for g in gens if not central_check(spec, g.bid)]
-    for gx in triple_gens:
-        for gy in triple_gens:
-            eps, xy = spec.epsilon(gx.bid, gy.bid), _pair_bracket(spec, gx, gy)
-            for gz in triple_gens:
+    # partners[i]: the indices j with [gens[i], gens[j]] != 0
+    partners = [{iy for iy, xy in enumerate(row) if xy} for row in rows]
+    every = range(len(gens))
+    for ix, gx in enumerate(gens):
+        for iy, gy in enumerate(gens):
+            xy, meps = rows[ix][iy], -spec.epsilon(gx.bid, gy.bid)
+            for iz in every if xy else sorted(partners[ix] | partners[iy]):
+                gz = gens[iz]
                 jac: dict = {}  # [x, [y, z]] - [[x, y], z] - eps [y, [x, z]]
-                for g, c in _pair_bracket(spec, gy, gz)._terms.items():
-                    _add_scaled(jac, _pair_bracket(spec, gx, g), c)
-                for g, c in xy._terms.items():
-                    _add_scaled(jac, _pair_bracket(spec, g, gz), -c)
-                for g, c in _pair_bracket(spec, gx, gz)._terms.items():
-                    _add_scaled(jac, _pair_bracket(spec, gy, g), -eps * c)
-                if jac:
-                    violations.append(LawViolation("jacobi", (gx, gy, gz), LieElement._of(jac)))
+                for g, c in rows[iy][iz].items():
+                    for h, d in _pair_bracket(spec, gx, g)._terms.items():
+                        jac[h] = jac.get(h, 0) + c * d
+                for g, c in xy.items():
+                    for h, d in _pair_bracket(spec, g, gz)._terms.items():
+                        jac[h] = jac.get(h, 0) - c * d
+                for g, c in rows[ix][iz].items():
+                    for h, d in _pair_bracket(spec, gy, g)._terms.items():
+                        jac[h] = jac.get(h, 0) + meps * c * d
+                found("jacobi", (gx, gy, gz), jac)
     return violations

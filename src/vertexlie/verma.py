@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial, floor, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .defects import central_check, central_reduction, injectivity_verdict
 from .formula import (
@@ -56,6 +56,12 @@ VACUUM_MONOMIAL = PbwMonomial()
 
 class PbwVector(SparseVector):
     """Finite rational combination of normal-ordered monomials."""
+
+    def __init__(self, terms: Union[Mapping, Iterable] = ()):
+        super().__init__(terms)
+        for mono in self._terms:
+            if any(g.n >= 0 for g in mono.factors):
+                raise ValueError("a PBW monomial holds only negative modes")
 
     def display(self, spec: FormulaSpec) -> str:
         return _signed_sum(((c, m.display(spec)) for m, c in self.items()), " * ")

@@ -8,9 +8,11 @@ import pytest
 from math import factorial
 
 from vertexlie import (
+    EVEN,
     PRESETS,
     BoundInsufficientError,
     Element,
+    FormulaSpec,
     LieElement,
     LieGenerator,
     affine,
@@ -37,7 +39,7 @@ from vertexlie.formula_io import export_formula, parse_formula
 from vertexlie.local_algebra import LawViolation, generator, single
 
 # typo'd presets and seeded one-sided random tables, shared with the sweep tests
-from test_defects import TYPO_TABLES, _random_tables
+from test_defects import TYPO_TABLES, _random_tables, _typo
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
@@ -260,6 +262,45 @@ def test_window_verify_matches_reference_on_typo_and_random_tables() -> None:
         assert jacobi_window_verify(spec, 2) == want, list(spec.constant_entries())
         caught += bool(want)
     assert caught >= len(specs) // 2
+
+
+def test_window_verify_matches_reference_on_heisenberg_window_3() -> None:
+    # [x_m, x_{-m}] = m c_{-1} != 0 puts every z in play; every other pair
+    # brackets to zero and limits z to the window partners of x and y
+    assert jacobi_window_verify(HEIS, 3) == _reference_window(HEIS, 3) == []
+
+
+def test_window_verify_finds_jacobi_failures_where_x_and_y_commute() -> None:
+    # x_1 x = Dx instead of c: [x_m, x_n] = -m(m+n-1) x_{m+n-2} vanishes on
+    # m = 0 and m + n = 1, while x or y still brackets with z
+    spec = _typo("heisenberg", {("x", 1, "x"): {(1, "x"): 1}})
+    got = jacobi_window_verify(spec, 2)
+    assert got == _reference_window(spec, 2)
+    commuting = [v for v in got if v.law == "jacobi" and not bracket(
+        spec, LieElement({v.generators[0]: 1}), LieElement({v.generators[1]: 1}))]
+    assert len(commuting) == 8
+    assert commuting[0].generators == (gen(spec, "x", -1), gen(spec, "x", 2), gen(spec, "x", -2))
+    assert commuting[0].discrepancy == elem(spec, ("x", -5, 24))
+
+
+def test_window_verify_with_an_inert_vector_beside_a_broken_product() -> None:
+    # z is in no product and is not the designated central vector; b is a
+    # right operand only, so [b_n, a_m] = 0 while [a_m, b_n] = a_{m+n}
+    spec = FormulaSpec([("a", EVEN), ("b", EVEN), ("z", EVEN)],
+                       {("a", 0, "b"): {(0, "a"): 1}, ("a", 1, "a"): {(0, "b"): 1}})
+    assert spec.central is None
+    got = jacobi_window_verify(spec, 2)
+    assert got == _reference_window(spec, 2)
+    assert {v.law for v in got} == {"skew", "jacobi"}
+    z = spec.bid("z")
+    assert not any(g.bid == z for v in got for g in v.generators)
+    assert any(v.law == "skew" and v.generators == (gen(spec, "b", 0), gen(spec, "a", 0))
+               for v in got)
+
+
+def test_window_verify_rejects_a_negative_window() -> None:
+    with pytest.raises(ValueError, match="nonnegative"):
+        jacobi_window_verify(HEIS, -1)
 
 
 # ---------------------------------------------------------------------------

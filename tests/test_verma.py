@@ -79,6 +79,17 @@ def test_vacuum_basics() -> None:
         assert act(VIR, gen(VIR, "omega", n), vac).is_zero
 
 
+def test_pbw_vector_rejects_nonnegative_modes() -> None:
+    # omega_1 1 = 0, so omega_1 is no factor of a basis monomial
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="negative modes"):
+            PbwVector({PbwMonomial((LieGenerator(0, n),)): 1})
+    with pytest.raises(ValueError):
+        vec(VIR, ("omega", -2), ("omega", 3))
+    # zero terms are dropped before the check, as in Element
+    assert PbwVector({PbwMonomial((LieGenerator(0, 1),)): 0}).is_zero
+
+
 def test_act_examples() -> None:
     w = act(VIR, gen(VIR, "omega", -1), vacuum())
     assert act(VIR, gen(VIR, "omega", 1), w) == 2 * w
