@@ -199,7 +199,7 @@ def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVect
                 power += 1
             else:
                 kept.append(g)
-        _accumulate(acc, PbwMonomial(tuple(kept)), coeff * ell ** power)
+        _accumulate(acc, PbwMonomial(tuple(kept)), coeff * ell ** power if power else coeff)
     return PbwVector._of(acc)
 
 
@@ -356,6 +356,8 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     any intermediate whose weight passes the cutoff raises
     CutoffExceededError instead of being dropped.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"mode must be an integer, got {n!r}")
     _require_graded(spec)
     _require_injective(spec)
     return _field_coefficient(spec, a, n, b, _rat(cutoff), {})
@@ -378,6 +380,12 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
 
     bw and cutoff, like every weight here, are in stored form (see SparseVector).
     Every factor of mono has a mode m < 0, so no (m over i) below is zero.
+
+    The vacuum field is the identity, 1_k x = delta_{k,-1} x.  So when
+    rest (mono without its first factor u_m) is the vacuum, each sum of
+    the recursion has one live index, i = -1 - n in the first and
+    i = m + n + 1 in the second, and only that index is computed; the
+    cutoff guard of the second sum still reads every i.
     """
     if not mono.factors:
         return b if n == -1 else _ZERO
@@ -398,8 +406,10 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
             f"field coefficient of weight {total} exceeds cutoff {cutoff}")
 
     acc: dict = {}
+    base = not rest.factors
     imax = floor(wr + bw - n - 1)
-    for i in range(0, imax + 1):
+    live = ([-1 - n] if 0 <= -1 - n <= imax else []) if base else range(0, imax + 1)
+    for i in live:
         coeff = (-1) ** i * gen_binomial(m, i)
         inner = _fc(spec, rest, n + i, b, bw, cutoff, memo)
         if inner:
@@ -408,10 +418,12 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
     sign = eps * (1 if m % 2 == 0 else -1)
     imax = floor(bw + lam - 1)
     for i in range(0, imax + 1):
-        coeff = (-1) ** i * gen_binomial(m, i)
         if bw + lam - i - 1 > cutoff:
             raise CutoffExceededError(
                 f"intermediate of weight {bw + lam - i - 1} exceeds cutoff {cutoff}")
+        if base and i != m + n + 1:
+            continue
+        coeff = (-1) ** i * gen_binomial(m, i)
         ub = act(spec, LieGenerator(g.bid, i), b)
         if ub:
             _add_scaled(acc, _fc(spec, rest, m + n - i, ub, bw + lam - i - 1, cutoff, memo),
@@ -526,7 +538,12 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             # kappa(u_i v) for every i < n_max with a nonzero table product
             products = [(i, kappa(spec, prod)) for i in range(N)
                         if (prod := spec.constant_by_id(u.index, i, v.index))]
+            # the modes u_a' and v_b' that the pairs below read
+            gu = {a: LieGenerator(u.index, a) for a in range(mode_lo - N, mode_hi + 1)}
+            gv = {b: LieGenerator(v.index, b) for b in range(mode_lo, mode_hi + N + 1)}
             for iw, w in enumerate(vectors):
+                uw = {a: act(spec, g, w) for a, g in gu.items()}
+                vw = {b: act(spec, g, w) for b, g in gv.items()}
                 # (a', b') -> u_a' v_b' w - eps v_b' u_a' w; each (a, b) below
                 # reads N + 1 of these pairs, and neighbouring (a, b) share them
                 pairs: dict = {}
@@ -536,11 +553,10 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                         for coeff, j in row:
                             pair = pairs.get((a - j, b + j))
                             if pair is None:
-                                gu = LieGenerator(u.index, a - j)
-                                gv = LieGenerator(v.index, b + j)
-                                pair = pairs[(a - j, b + j)] = \
-                                    act(spec, gu, act(spec, gv, w)) \
-                                    - act(spec, gv, act(spec, gu, w)).scale(eps)
+                                acc: dict = {}
+                                _add_scaled(acc, act(spec, gu[a - j], vw[b + j]))
+                                _add_scaled(acc, act(spec, gv[b + j], uw[a - j]), -eps)
+                                pair = pairs[(a - j, b + j)] = PbwVector._of(acc)
                             if pair:
                                 _add_scaled(total, pair, coeff)
                         if total:

@@ -293,6 +293,16 @@ def test_cli_check_window_flag(capsys) -> None:
     assert "window 3: pass" in out
 
 
+def test_cli_check_window_says_when_no_law_is_evaluated(capsys) -> None:
+    # every loop-abelian vector is inert, so the window holds no law to check
+    assert main(["check", "--preset", "loop-abelian", "--window", "9"]) == 0
+    out = capsys.readouterr().out
+    assert "window 9: vacuous (every basis vector is inert; no law evaluated)\n" in out
+    assert main(["check", "--preset", "loop-abelian", "--window", "9", "--json"]) == 0
+    window = json.loads(capsys.readouterr().out)["result"]["window"]
+    assert window == {"window": 9, "violations": []}
+
+
 def test_cli_check_file_and_parse_error(tmp_path, capsys) -> None:
     good = tmp_path / "formula.vla"
     save_formula(virasoro(), good)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import sys
 import threading
 from fractions import Fraction as F
@@ -601,12 +602,35 @@ def test_field_coefficient_cutoff_guard() -> None:
     kom = kappa_basis(VIR, "omega")
     with pytest.raises(CutoffExceededError):
         field_coefficient(VIR, kom, -5, kom, 4)
+    # the only nonzero term of the second sum sits at i = 1, but the
+    # intermediate omega_0 (omega_-1 1) of weight 3 at i = 0 passes the cutoff
+    with pytest.raises(CutoffExceededError,
+                       match="^intermediate of weight 3 exceeds cutoff 2$"):
+        field_coefficient(VIR, kom, 1, kom, 2)
+
+
+@pytest.mark.parametrize("name", CLEAN_PRESETS)
+def test_field_of_a_basis_vector_is_its_mode_action(name: str) -> None:
+    # Y(u_{-1} 1, z) = u(z): the coefficient (u_{-1} 1)_n b is u_n b
+    spec = preset(name)
+    for monos in monomial_basis(spec, 3).values():
+        for mono in monos:
+            b = PbwVector({mono: 1})
+            for u in spec.vectors:
+                ku = kappa_basis(spec, u.index)
+                for n in range(-4, 5):
+                    assert field_coefficient(spec, ku, n, b, 10) == \
+                        act(spec, LieGenerator(u.index, n), b), (u.label, n, mono)
 
 
 def test_field_coefficient_guards() -> None:
     with pytest.raises(NotInjectiveError):
         field_coefficient(novikov(lambda_algebra(flipped=True)),
                           vacuum(), -1, vacuum(), 4)
+    kom = kappa_basis(VIR, "omega")
+    for mode in (F(3, 2), 1.5, "1"):
+        with pytest.raises(TypeError, match=re.escape(f"mode must be an integer, got {mode!r}")):
+            field_coefficient(VIR, kom, mode, kom, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +696,48 @@ def test_axiom_spotcheck_reports_injected_faults(name, fault, flags, count, dige
                                                  monkeypatch) -> None:
     monkeypatch.setattr(verma_module, name, fault(getattr(verma_module, name)))
     report = axiom_spotcheck(virasoro(), 2)  # a fresh spec: its memo holds the fault
+    _assert_report(report, flags, count, digest)
+
+
+def _assert_report(report, flags, count, digest) -> None:
     assert (report.creation, report.vacuum_field, report.half_skew, report.locality,
             report.translation, report.commutator_formula) == flags
     assert len(report.failures) == count and not report.ok
     assert hashlib.sha256("\n".join(report.failures).encode()).hexdigest() == digest
+
+
+# The same faults on presets with more than one active vector, so that the
+# locality and commutator-formula clauses see pairs with u != v and, on
+# neveu-schwarz, odd pairs with eps = -1: (preset, patched verma name,
+# flags, number of failures, digest) for axiom_spotcheck(preset, 1),
+# recorded before that loop read each product u_a' w and v_b' w once.
+SPOTCHECK_FAULTS_WIDE = [
+    ("affine-sl2", "_pair_bracket", (True, True, True, True, True, False), 356,
+     "5b021d85016dfc754be5db0e38c15be21012c93ab7d300b3c49c18046c8b087d"),
+    ("affine-sl2", "_fc", (False, False, True, True, True, False), 364,
+     "3e1391c285df45c3485e7ea68562d5a8331768b1777bda425038465ff8f1dca2"),
+    ("affine-sl2", "apply_D_module", (True, True, True, True, False, True), 57,
+     "8b6ebc8132d499324cfabe26ebddb2ef4010ab8e0edf531ba0cd98167cf48a17"),
+    ("affine-sl2", "_mul_gen", (True, True, True, False, True, False), 753,
+     "aaf7aead25485f8da318bbd7a05f4a3eb159c998778ea7ff0fb64157496125ea"),
+    ("neveu-schwarz", "_pair_bracket", (True, True, True, True, True, False), 50,
+     "03a0bb13c862a2c3e9136e2e4c4521655b2e6a993c9e69f033ea63ab53d02cf5"),
+    ("neveu-schwarz", "_fc", (False, False, True, True, True, False), 54,
+     "36b6e8343d735ec752dd87174fd22ac251eb5995099e37b0f714689fa18b04e5"),
+    ("neveu-schwarz", "apply_D_module", (True, True, False, True, False, True), 11,
+     "074d7eba1be3f83504ed5a51c68cbf1d4f6c0dd22ae09b0fcc9db83a1edaeff0"),
+    ("neveu-schwarz", "_mul_gen", (True, True, True, False, True, False), 82,
+     "89ffa6b03c403397fd0d33c0b4fca489e9e020a8f440675bab38ce540680c277"),
+]
+
+
+@pytest.mark.parametrize("preset_name,name,flags,count,digest", SPOTCHECK_FAULTS_WIDE,
+                         ids=[f"{f[0]}:{f[1]}" for f in SPOTCHECK_FAULTS_WIDE])
+def test_axiom_spotcheck_reports_injected_faults_on_wider_presets(
+        preset_name, name, flags, count, digest, monkeypatch) -> None:
+    fault = {f[0]: f[1] for f in SPOTCHECK_FAULTS}[name]
+    monkeypatch.setattr(verma_module, name, fault(getattr(verma_module, name)))
+    _assert_report(axiom_spotcheck(preset(preset_name), 1), flags, count, digest)
 
 
 # ---------------------------------------------------------------------------
