@@ -98,15 +98,14 @@ def _skews(spec: FormulaSpec, uid: int, vid: int) -> dict:
     u_j v enters at n = j and v_j u at every n <= j, as eps (-1)^j
     D^(j-n)/(j-n)! v_j u; nothing enters from n_max on, so the table is complete.
     """
-    eps, table = spec.epsilon(uid, vid), spec._constants
+    eps = spec.epsilon(uid, vid)
     acc: dict = {}
-    for j in range(spec.n_max):
-        if uv := table.get((uid, j, vid)):
-            _add_scaled(acc.setdefault(j, {}), uv)
-        if vu := table.get((vid, j, uid)):
-            for n in range(j + 1):
-                _add_scaled(acc.setdefault(n, {}), apply_D(vu, j - n),
-                            eps * _over((-1) ** j, factorial(j - n)))
+    for j, uv in spec._row(uid, vid).items():
+        _add_scaled(acc.setdefault(j, {}), uv)
+    for j, vu in spec._row(vid, uid).items():
+        for n in range(j + 1):
+            _add_scaled(acc.setdefault(n, {}), apply_D(vu, j - n),
+                        eps * _over((-1) ** j, factorial(j - n)))
     return {n: Element._of(acc[n]) for n in sorted(acc) if acc[n]}
 
 
@@ -118,22 +117,19 @@ def _commutators(spec: FormulaSpec, uid: int, vid: int, wid: int) -> dict:
     (m over i) (u_i v)_{m+n-i} w is read off one product row.
     """
     eps = spec.epsilon(uid, vid)
-    unit, table = _units(spec), spec._constants
+    unit = _units(spec)
     acc: dict = {}
-    for n in range(spec.n_max):
-        if vw := table.get((vid, n, wid)):
-            for m, value in _products(spec, unit[uid], vw).items():
-                _add_scaled(acc.setdefault((m, n), {}), value)
-    for m in range(spec.n_max):
-        if uw := table.get((uid, m, wid)):
-            for n, value in _products(spec, unit[vid], uw).items():
-                _add_scaled(acc.setdefault((m, n), {}), value, -eps)
-    for i in range(spec.n_max):
-        if uv := table.get((uid, i, vid)):
-            for total, value in _products(spec, uv, unit[wid]).items():
-                for m in range(i, total + i + 1):
-                    _add_scaled(acc.setdefault((m, total + i - m), {}), value,
-                                -gen_binomial(m, i))
+    for n, vw in spec._row(vid, wid).items():
+        for m, value in _products(spec, unit[uid], vw).items():
+            _add_scaled(acc.setdefault((m, n), {}), value)
+    for m, uw in spec._row(uid, wid).items():
+        for n, value in _products(spec, unit[vid], uw).items():
+            _add_scaled(acc.setdefault((m, n), {}), value, -eps)
+    for i, uv in spec._row(uid, vid).items():
+        for total, value in _products(spec, uv, unit[wid]).items():
+            for m in range(i, total + i + 1):
+                _add_scaled(acc.setdefault((m, total + i - m), {}), value,
+                            -gen_binomial(m, i))
     return {mn: Element._of(acc[mn]) for mn in sorted(acc) if acc[mn]}
 
 
@@ -221,7 +217,7 @@ def membership_central(spec: FormulaSpec, A: Element, c: BasisRef) -> bool:
 def central_check(spec: FormulaSpec, c: BasisRef) -> bool:
     """True iff c annihilates and is annihilated by every basis vector."""
     cid = spec.bid(c)
-    return not any(uid == cid or vid == cid for (uid, _n, vid) in spec._constants)
+    return not any(spec._row(cid, bid) or spec._row(bid, cid) for bid in range(spec.dim))
 
 
 @_per_spec
@@ -239,7 +235,7 @@ def central_reduction(spec: FormulaSpec) -> Optional[int]:
     if cid is None or not central_check(spec, cid):
         return None
     verdict = injectivity_verdict(spec)
-    if verdict.witnesses and verdict.status in (INJECTIVE_ZERO_IDEAL, INJECTIVE_CENTRAL_IDEAL):
+    if verdict.witnesses and verdict.injective:
         return spec.central
     return None
 
@@ -325,9 +321,7 @@ def conformal_validate(spec: FormulaSpec) -> ConformalReport:
 
     want = {0: basis_element(oid, k=1), 1: basis_element(oid).scale(2),
             3: basis_element(cid).scale(Fraction(1, 2))}
-    got = {n: spec.constant_by_id(oid, n, oid) for n in range(spec.n_max)}
-    got = {n: e for n, e in got.items() if e}
-    self_product = got == want
+    self_product = spec._row(oid, oid) == want
     if not self_product:
         failures.append("self-product of the conformal vector is not "
                         "D.omega/z + 2 omega/z^2 + (1/2)c/z^4")
@@ -338,16 +332,15 @@ def conformal_validate(spec: FormulaSpec) -> ConformalReport:
 
     action = True
     for v in spec.vectors:
+        row = spec._row(oid, v.index)
         if v.index == cid:
             # the central column is identically zero, so omega_0 c = 0;
             # Dc only matches that in the quotient where Dc = 0.
-            checks = (spec.constant_by_id(oid, 1, cid).is_zero
-                      and spec.constant_by_id(oid, 2, cid).is_zero)
+            checks = 1 not in row and 2 not in row
         else:
-            checks = (spec.constant_by_id(oid, 0, v.index) == basis_element(v.index, k=1)
-                      and spec.constant_by_id(oid, 1, v.index)
-                      == basis_element(v.index).scale(v.weight)
-                      and spec.constant_by_id(oid, 2, v.index).is_zero)
+            checks = (row.get(0, _ZERO_ELEMENT) == basis_element(v.index, k=1)
+                      and row.get(1, _ZERO_ELEMENT) == basis_element(v.index).scale(v.weight)
+                      and 2 not in row)
         if not checks:
             action = False
             failures.append(f"field of the conformal vector acts wrongly on {v.label!r}")

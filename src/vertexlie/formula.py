@@ -312,7 +312,7 @@ class FormulaSpec:
         and its central element; c must be `central` when both are given.
     """
 
-    __slots__ = ("name", "vectors", "_weights", "_by_label", "_constants", "n_max",
+    __slots__ = ("name", "vectors", "_weights", "_by_label", "_constants", "_rows", "n_max",
                  "k_max", "central", "conformal", "_hash", "_memo")
 
     def __init__(self, basis: Sequence, constants: Mapping, central: Optional[BasisRef] = None,
@@ -353,6 +353,10 @@ class FormulaSpec:
             if elt:
                 table[(uid, n, vid)] = elt
         self._constants = table
+        rows: dict = {}  # (uid, vid) -> {n: u_n v}, n increasing: read through _row
+        for (uid, n, vid), elt in sorted(table.items()):
+            rows.setdefault((uid, vid), {})[n] = elt
+        self._rows = rows
         self.n_max: int = 1 + max((n for (_, n, _) in table), default=-1)
         self.k_max: int = max((e.d_degree for e in table.values()), default=0)
 
@@ -416,8 +420,10 @@ class FormulaSpec:
         """The table product u_n v (zero when absent)."""
         return self._constants.get((self.bid(u), n, self.bid(v)), _ZERO_ELEMENT)
 
-    def constant_by_id(self, uid: int, n: int, vid: int) -> Element:
-        return self._constants.get((uid, n, vid), _ZERO_ELEMENT)
+    def _row(self, uid: int, vid: int) -> dict:
+        """Every nonzero table product u_n v of a basis pair, keyed by n in
+        increasing order; shared with the spec, so callers only read it."""
+        return self._rows.get((uid, vid), _EMPTY_ROW)
 
     def constant_entries(self) -> Iterator:
         """Deterministic iteration over nonzero (uid, n, vid) -> Element."""
@@ -450,6 +456,7 @@ class FormulaSpec:
 
 
 _ZERO_ELEMENT = Element()
+_EMPTY_ROW: dict = {}
 
 
 def _per_spec(fn):
@@ -504,10 +511,7 @@ def _products(spec: FormulaSpec, A: Element, B: Element) -> dict:
     for (a, uid), ca in A._terms.items():
         for (b, vid), cb in B._terms.items():
             scale = (-1) ** a * ca * cb
-            for j in range(spec.n_max):
-                base = spec.constant_by_id(uid, j, vid)
-                if not base:
-                    continue
+            for j, base in spec._row(uid, vid).items():
                 for i in range(b + 1):
                     n, shift = a + i + j, b - i
                     factor = scale * comb(b, i) * falling(n, a + i)

@@ -59,7 +59,7 @@ class LieElement(SparseVector):
 
 def generator(spec: FormulaSpec, ref: BasisRef, n: int) -> LieGenerator:
     """The mode ref_n of the basis vector ref (a label or an index)."""
-    if not isinstance(n, int):
+    if type(n) is not int:  # a bool is an int subclass, but not a mode
         raise TypeError(f"mode must be an integer, got {n!r}")
     return LieGenerator(spec.bid(ref), n)
 
@@ -86,14 +86,9 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
 @_per_spec
 def _pair_bracket(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> LieElement:
     acc: dict = {}
-    for i in range(spec.n_max):
-        coeff = gen_binomial(x.n, i)
-        if not coeff:
-            continue
-        prod = spec.constant_by_id(x.bid, i, y.bid)
-        if not prod:
-            continue
-        _add_scaled(acc, reduce_generator(spec, prod, x.n + y.n - i), coeff)
+    for i, prod in spec._row(x.bid, y.bid).items():
+        if coeff := gen_binomial(x.n, i):
+            _add_scaled(acc, reduce_generator(spec, prod, x.n + y.n - i), coeff)
     return LieElement._of(acc)
 
 
@@ -161,8 +156,7 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     def found(law: str, generators: tuple, acc: dict) -> None:
         if any(acc.values()):
             violations.append(LawViolation(law, generators, LieElement._of(
-                {g: c.numerator if type(c) is not int and c.denominator == 1 else c
-                 for g, c in acc.items() if c})))
+                {g: _rat(c) for g, c in acc.items() if c})))
 
     # rows[i][j]: the terms of [gens[i], gens[j]]
     rows = [[_pair_bracket(spec, gx, gy)._terms for gy in gens] for gx in gens]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, floor, lcm
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from .defects import central_check, central_reduction, injectivity_verdict
+from .defects import central_check, injectivity_verdict
 from .formula import (
     CutoffExceededError,
     Element,
@@ -30,9 +30,11 @@ from .formula import (
     _over,
     _rat,
     _signed_sum,
+    basis_element,
     gen_binomial,
 )
-from .local_algebra import LieElement, LieGenerator, _D_generator, _pair_bracket, _quotient_kills
+from .local_algebra import (LieElement, LieGenerator, _D_generator, _pair_bracket,
+                            _quotient_kills, reduce_generator)
 
 
 class NotInjectiveError(FormulaError):
@@ -233,22 +235,19 @@ def _counting_generators(spec: FormulaSpec, cutoff: RatLike) -> tuple:
     if bound < 0:
         raise ValueError("cutoff must be nonnegative")
     cid = spec.central
-    reduced = central_reduction(spec)
     gens = []
     for vec in spec.vectors:
-        start = -1
-        if vec.index == cid:
-            if reduced is not None:
-                continue
-            start = -2  # c_{-1} is the excluded polynomial generator
         if vec.weight <= 0 and vec.index != cid:
             raise FormulaError(
                 f"basis vector {vec.label!r} of weight {vec.weight} makes "
                 "graded pieces infinite-dimensional")
-        n = start
+        n = -1
         w = spec._weights[vec.index]  # wt(u_n) = w - n - 1, in stored form
         while w - n - 1 <= bound:
-            gens.append((LieGenerator(vec.index, n), w - n - 1, bool(spec.parity(vec.index))))
+            g = LieGenerator(vec.index, n)
+            # the quotient's modes, less c_{-1}, the excluded polynomial generator
+            if not _quotient_kills(spec, g) and (vec.index != cid or n != -1):
+                gens.append((g, w - n - 1, bool(spec.parity(vec.index))))
             n -= 1
     gens.sort(key=lambda item: _order_key(spec, item[0]))
     return bound, gens
@@ -324,18 +323,13 @@ def weight_of_vector(spec: FormulaSpec, v: PbwVector) -> Optional[Fraction]:
 
 
 def kappa(spec: FormulaSpec, A: Element) -> PbwVector:
-    """Embedding of Q[D] (x) S into the module: D^k u -> k! u_{-k-1} 1."""
-    acc: dict = {}
-    for (k, bid), coeff in A._terms.items():
-        g = LieGenerator(bid, -k - 1)
-        if not _quotient_kills(spec, g):
-            _accumulate(acc, PbwMonomial((g,)), coeff * factorial(k))
-    return PbwVector._of(acc)
+    """Embedding of Q[D] (x) S into the module: A -> A_{-1} 1, so D^k u -> k! u_{-k-1} 1."""
+    return act_lie(spec, reduce_generator(spec, A, -1), vacuum())
 
 
 def kappa_basis(spec: FormulaSpec, ref) -> PbwVector:
     """kappa of a single basis vector: u_{-1} 1."""
-    return PbwVector._of({PbwMonomial((LieGenerator(spec.bid(ref), -1),)): 1})
+    return kappa(spec, basis_element(spec.bid(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +350,7 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     any intermediate whose weight passes the cutoff raises
     CutoffExceededError instead of being dropped.
     """
-    if not isinstance(n, int):
+    if type(n) is not int:  # a bool is an int subclass, but not a mode
         raise TypeError(f"mode must be an integer, got {n!r}")
     _require_graded(spec)
     _require_injective(spec)
@@ -374,6 +368,13 @@ def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     return PbwVector._of(acc)
 
 
+def _live(base: bool, only: int, imax: int):
+    """The indices 0..imax of one sum of _fc; at the base case only `only` can be live."""
+    if base:
+        return (only,) if 0 <= only <= imax else ()
+    return range(imax + 1)
+
+
 def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
         bw, cutoff, memo: dict) -> PbwVector:
     """mono_n b for b nonzero and homogeneous of weight bw, memoized in memo.
@@ -384,8 +385,9 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
     The vacuum field is the identity, 1_k x = delta_{k,-1} x.  So when
     rest (mono without its first factor u_m) is the vacuum, each sum of
     the recursion has one live index, i = -1 - n in the first and
-    i = m + n + 1 in the second, and only that index is computed; the
-    cutoff guard of the second sum still reads every i.
+    i = m + n + 1 in the second, and only that index is computed (_live).
+    The second sum's intermediates u_i b weigh less as i grows, so its
+    cutoff guard reads the heaviest, u_0 b, once, whenever the sum has i = 0.
     """
     if not mono.factors:
         return b if n == -1 else _ZERO
@@ -407,22 +409,17 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
 
     acc: dict = {}
     base = not rest.factors
-    imax = floor(wr + bw - n - 1)
-    live = ([-1 - n] if 0 <= -1 - n <= imax else []) if base else range(0, imax + 1)
-    for i in live:
+    for i in _live(base, -1 - n, floor(wr + bw - n - 1)):
         coeff = (-1) ** i * gen_binomial(m, i)
         inner = _fc(spec, rest, n + i, b, bw, cutoff, memo)
         if inner:
             _add_scaled(acc, act(spec, LieGenerator(g.bid, m - i), inner), coeff)
 
     sign = eps * (1 if m % 2 == 0 else -1)
-    imax = floor(bw + lam - 1)
-    for i in range(0, imax + 1):
-        if bw + lam - i - 1 > cutoff:
-            raise CutoffExceededError(
-                f"intermediate of weight {bw + lam - i - 1} exceeds cutoff {cutoff}")
-        if base and i != m + n + 1:
-            continue
+    heaviest = bw + lam - 1  # the weight of u_0 b
+    if heaviest >= 0 and heaviest > cutoff:
+        raise CutoffExceededError(f"intermediate of weight {heaviest} exceeds cutoff {cutoff}")
+    for i in _live(base, m + n + 1, floor(heaviest)):
         coeff = (-1) ** i * gen_binomial(m, i)
         ub = act(spec, LieGenerator(g.bid, i), b)
         if ub:
@@ -507,12 +504,16 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             if field(vacuum(), n, b) != (b if n == -1 else _ZERO):
                 ledger["vacuum_field"].append(f"vacuum field acts wrongly at mode {n}")
 
+    # [u_m, v_n] w for m, n in [-2, 2] and w in vectors[:8] is read from the
+    # locality pairs, whose window always contains [-2, 2]^2.
+    N = spec.n_max
+    row = [((-1) ** j * gen_binomial(N, j), j) for j in range(N + 1)]
+    mode_lo, mode_hi = -floor(bound) - 2, floor(bound) + 2
     for u in active:
         for v in active:
             ku, kv = kappa_basis(spec, u.index), kappa_basis(spec, v.index)
             eps = spec.epsilon(u.index, v.index)
-            nmax = floor(u.weight + v.weight)
-            for n in range(0, nmax + 1):
+            for n in range(0, floor(u.weight + v.weight) + 1):
                 # u_n v = -eps sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u
                 lhs = field(ku, n, kv)
                 rhs: dict = {}
@@ -527,17 +528,9 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                     ledger["half_skew"].append(
                         f"half skew symmetry fails for ({u.label},{n},{v.label})")
 
-    # [u_m, v_n] w for m, n in [-2, 2] and w in vectors[:8] is read from the
-    # locality pairs, whose window always contains [-2, 2]^2.
-    N = spec.n_max
-    row = [((-1) ** j * gen_binomial(N, j), j) for j in range(N + 1)]
-    mode_lo, mode_hi = -floor(bound) - 2, floor(bound) + 2
-    for u in active:
-        for v in active:
-            eps = spec.epsilon(u.index, v.index)
-            # kappa(u_i v) for every i < n_max with a nonzero table product
-            products = [(i, kappa(spec, prod)) for i in range(N)
-                        if (prod := spec.constant_by_id(u.index, i, v.index))]
+            # kappa(u_i v) for every nonzero table product u_i v
+            products = [(i, kappa(spec, prod))
+                        for i, prod in spec._row(u.index, v.index).items()]
             # the modes u_a' and v_b' that the pairs below read
             gu = {a: LieGenerator(u.index, a) for a in range(mode_lo - N, mode_hi + 1)}
             gv = {b: LieGenerator(v.index, b) for b in range(mode_lo, mode_hi + N + 1)}

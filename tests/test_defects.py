@@ -321,6 +321,21 @@ def _random_element(rng: random.Random, spec: FormulaSpec) -> Element:
                     for _ in range(rng.randint(1, 3))})
 
 
+def test_product_rows_match_the_table() -> None:
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(7), 40)
+    empty = 0
+    for spec in specs:
+        for u, v in itertools.product(range(spec.dim), repeat=2):
+            want = {n: spec.constant(u, n, v) for n in range(spec.n_max + 2)
+                    if spec.constant(u, n, v)}
+            row = spec._row(u, v)
+            assert row == want and list(row) == sorted(row), (spec, u, v)
+            empty += not want  # a pair with no product has an empty row
+    assert empty
+
+
 def test_extend_product_matches_reference() -> None:
     rng = random.Random(9)
     specs = [preset(name) for name in sorted(PRESETS)]

@@ -403,6 +403,20 @@ def test_package_source_has_no_true_division() -> None:
         assert not found, f"{path.name}: true division at lines {found}"
 
 
+def test_only_formula_reads_the_constants_table() -> None:
+    # other modules reach the products through the spec's rows (FormulaSpec._row)
+    for path in sorted(Path(vertexlie.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {name for node in ast.walk(tree)
+                 for name in (getattr(node, "attr", None), getattr(node, "id", None),
+                              getattr(node, "name", None))}
+        assert "constant_by_id" not in names, f"{path.name}: constant_by_id is back"
+        if path.name != "formula.py":
+            reads = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "_constants"]
+            assert not reads, f"{path.name}: reads ._constants at lines {reads}"
+
+
 def test_operand_reuse_leaves_operands_unchanged() -> None:
     x = OM.scale(F(2, 3)) + apply_D(C)
     snapshot = dict(x._terms)

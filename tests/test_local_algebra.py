@@ -124,7 +124,7 @@ def test_bracket_virasoro_example() -> None:
 
 def test_modes_must_be_integers() -> None:
     assert generator(VIR, "omega", 2) == LieGenerator(0, 2)
-    for bad in (2.7, "3", F(3)):
+    for bad in (2.7, "3", F(3), True, False):
         with pytest.raises(TypeError):
             generator(VIR, "omega", bad)
         with pytest.raises(TypeError):

@@ -9,12 +9,14 @@ import sys
 import threading
 from fractions import Fraction as F
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
 from vertexlie import (
     PRESETS,
     CutoffExceededError,
+    Element,
     FormulaError,
     FormulaSpec,
     LieElement,
@@ -561,6 +563,40 @@ def test_kappa_embedding() -> None:
     assert kappa(VIR, apply_D(basis_element(VIR.bid("c")))).is_zero
 
 
+def _kappa_reference(spec, A: Element) -> PbwVector:
+    """D^k u -> k! u_{-k-1} 1, less the modes the central quotient kills."""
+    acc: dict = {}
+    for (k, bid), coeff in A.items():
+        g = LieGenerator(bid, -k - 1)
+        if not (g.bid == central_reduction(spec) and g.n != -1):
+            acc[PbwMonomial((g,))] = coeff * factorial(k)
+    return PbwVector(acc)
+
+
+@pytest.mark.parametrize("name", CLEAN_PRESETS)
+def test_kappa_matches_closed_form(name: str) -> None:
+    spec = preset(name)
+    rng = random.Random(5)
+
+    def coeff() -> F:
+        return F(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+
+    samples = [basis_element(u, k, coeff()) for u in range(spec.dim) for k in range(4)]
+    samples += [Element({(rng.randint(0, 3), rng.randrange(spec.dim)): coeff()
+                         for _ in range(rng.randint(1, 4))}) for _ in range(40)]
+    for A in samples:
+        assert kappa(spec, A) == _kappa_reference(spec, A), A
+    if name in ("virasoro", "affine-sl2"):
+        # the quotient kills D^k c for k >= 1; only c itself survives
+        c = spec.central
+        assert central_reduction(spec) == c
+        assert kappa(spec, basis_element(c, 0, F(2, 3))) == kappa_basis(spec, c).scale(F(2, 3))
+        for k in range(1, 4):
+            assert kappa(spec, basis_element(c, k, F(2, 3))).is_zero
+            mixed = basis_element(c, k, F(-1, 2)) + basis_element(0, k, 3)
+            assert kappa(spec, mixed) == kappa(spec, basis_element(0, k, 3))
+
+
 def test_field_coefficient_creation() -> None:
     kom = kappa_basis(VIR, "omega")
     for n in range(0, 5):
@@ -607,6 +643,9 @@ def test_field_coefficient_cutoff_guard() -> None:
     with pytest.raises(CutoffExceededError,
                        match="^intermediate of weight 3 exceeds cutoff 2$"):
         field_coefficient(VIR, kom, 1, kom, 2)
+    # c_-1 1 has weight 0, so the second sum on the vacuum is empty: its
+    # heaviest intermediate (weight -1) is never formed, and nothing is guarded
+    assert field_coefficient(VIR, kappa_basis(VIR, "c"), 5, vacuum(), -3).is_zero
 
 
 @pytest.mark.parametrize("name", CLEAN_PRESETS)
@@ -628,7 +667,7 @@ def test_field_coefficient_guards() -> None:
         field_coefficient(novikov(lambda_algebra(flipped=True)),
                           vacuum(), -1, vacuum(), 4)
     kom = kappa_basis(VIR, "omega")
-    for mode in (F(3, 2), 1.5, "1"):
+    for mode in (F(3, 2), 1.5, "1", True, False):
         with pytest.raises(TypeError, match=re.escape(f"mode must be an integer, got {mode!r}")):
             field_coefficient(VIR, kom, mode, kom, 8)
 
