@@ -5,16 +5,17 @@ compose in pipelines: 0 success (check: injective verdict), 1 failed
 verdict, refused computation or closed stdout, 2 bad input.  With --json
 the output is a single object with the stable keys {spec, verdict,
 defects, dims, result}; every rational is rendered as a "num/den" (or
-integer) string.
+integer) string.  The package writes the JSON itself, in the layout of
+json.dumps(payload, indent=2, sort_keys=True), byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, List, Optional
 
 from . import defects as defects_mod
@@ -73,13 +74,41 @@ def _spec_json(spec: FormulaSpec) -> dict:
 
 
 def _element_json(spec: FormulaSpec, elt) -> list:
+    # stored form: an int prints as its Fraction does
     return [{"d_power": k, "target": spec.vectors[bid].label, "coeff": str(c)}
-            for (k, bid), c in elt.items()]
+            for (k, bid), c in sorted(elt._terms.items())]
 
 
 def _defect_json(spec: FormulaSpec, dft) -> dict:
     return {"kind": dft.kind, "indices": list(dft.indices),
             "value": _element_json(spec, dft.value)}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it.
+
+    indent is a newline and the indentation of the line value starts on.
+    Only str, int, bool, None, list and str-keyed dict are written (exact
+    types); anything else raises TypeError.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    if kind is list:
+        items = [_json(item, inner) for item in value]
+    elif kind is dict and set(map(type, value)) <= {str}:
+        items = [f"{_json_str(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    else:
+        raise TypeError(f"cannot write {value!r} as JSON")
+    opening, closing = "[]" if kind is list else "{}"
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + indent + closing
 
 
 def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
@@ -91,7 +120,7 @@ def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
         base = {"spec": None, "verdict": None, "defects": None,
                 "dims": None, "result": None}
         base.update(payload)
-        sys.stdout.write(json.dumps(base, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(base) + "\n")
     else:
         for line in text_lines:
             print(line)

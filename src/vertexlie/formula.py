@@ -31,7 +31,7 @@ ODD = 1
 
 RatLike = Union[int, str, Fraction]
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 class FormulaError(Exception):
@@ -62,6 +62,15 @@ class _BasisEntryError(ValueError):
         self.index = index
 
 
+def _rational_parts(text: str) -> tuple:
+    """The numerator and the positive denominator of an "n" / "p/q" string, as ints."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"bad rational {text!r} (expected an integer or p/q)")
+    num, den = match.groups()
+    return int(num), 1 if den is None else int(den)
+
+
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction or "n" / "p/q" string to an exact rational.
 
@@ -72,10 +81,7 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL.fullmatch(text):
-            raise ValueError(f"bad rational {value!r} (expected an integer or p/q)")
-        return Fraction(text)
+        return Fraction(*_rational_parts(value))
     raise TypeError(f"cannot read {value!r} as a rational number")
 
 
@@ -83,6 +89,8 @@ def _rat(value: RatLike) -> Union[int, Fraction]:
     """rat() in the stored form (see SparseVector): the int when integral."""
     if type(value) is int:
         return value
+    if type(value) is str:
+        return _over(*_rational_parts(value))
     q = rat(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -418,6 +426,10 @@ class FormulaSpec:
 
     def constant(self, u: BasisRef, n: int, v: BasisRef) -> Element:
         """The table product u_n v (zero when absent)."""
+        if type(n) is not int:  # a bool is an int subclass, but not an index
+            raise TypeError(f"product index must be an integer, got {n!r}")
+        if n < 0:
+            raise ValueError("product index must be nonnegative")
         return self._constants.get((self.bid(u), n, self.bid(v)), _ZERO_ELEMENT)
 
     def _row(self, uid: int, vid: int) -> dict:
@@ -479,23 +491,26 @@ def validate_spec(spec: FormulaSpec) -> list:
     """
     out = []
     labels = spec.labels
+    parities = [v.parity for v in spec.vectors]
+    weights = spec._weights  # stored form: an int prints as its Fraction does
+    graded = spec.graded
     for (uid, n, vid), elt in spec.constant_entries():
         lu, lv = labels[uid], labels[vid]
-        want_parity = (spec.parity(uid) + spec.parity(vid)) % 2
-        for (k, tid), _c in elt.items():
+        want_parity = (parities[uid] + parities[vid]) % 2
+        for k, tid in sorted(elt._terms):
             lt = labels[tid]
-            if spec.parity(tid) != want_parity:
+            if parities[tid] != want_parity:
                 out.append(Violation(
                     "parity", (lu, n, lv, k, lt),
                     f"({lu},{n},{lv}) at D-power {k}: {lt} has parity "
-                    f"{spec.parity(tid)}, expected {want_parity}"))
-            if spec.graded:
-                want = spec.weight(uid) + spec.weight(vid) - n - 1 - k
-                if spec.weight(tid) != want:
+                    f"{parities[tid]}, expected {want_parity}"))
+            if graded:
+                want = weights[uid] + weights[vid] - n - 1 - k
+                if weights[tid] != want:
                     out.append(Violation(
                         "weight", (lu, n, lv, k, lt),
                         f"({lu},{n},{lv}) at D-power {k}: {lt} has weight "
-                        f"{spec.weight(tid)}, expected {want}"))
+                        f"{weights[tid]}, expected {want}"))
     return out
 
 

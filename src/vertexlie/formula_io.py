@@ -19,9 +19,9 @@ export(parse(export(spec))) is byte-identical to export(spec).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Union
 
-from .formula import EVEN, ODD, FormulaError, FormulaSpec, _BasisEntryError, rat
+from .formula import EVEN, ODD, FormulaError, FormulaSpec, _BasisEntryError, _rat
 
 _PARITY_NAMES = {"even": EVEN, "odd": ODD}
 _SECTIONS = ("meta", "basis", "central", "conformal", "constants")
@@ -35,9 +35,10 @@ class FormulaFileError(FormulaError):
         self.line = line
 
 
-def _rat_or_fail(token: str, line: int) -> Fraction:
+def _rat_or_fail(token: str, line: int) -> Union[int, Fraction]:
+    """The number token in stored form (see SparseVector), or the line's parse error."""
     try:
-        return rat(token)
+        return _rat(token)
     except ValueError as exc:
         raise FormulaFileError(line, str(exc)) from None
 
@@ -131,7 +132,7 @@ def parse_formula(text: str) -> FormulaSpec:
                 coeff = _rat_or_fail(parts[2], lineno)
                 key = (k, parts[1])
                 references.append((lineno, parts[1]))
-                terms[key] = terms.get(key, Fraction(0)) + coeff
+                terms[key] = terms.get(key, 0) + coeff
             if (u, n, v) in constants:
                 raise FormulaFileError(lineno, f"product ({u},{n},{v}) given twice")
             constants[(u, n, v)] = terms

@@ -354,7 +354,10 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
         raise TypeError(f"mode must be an integer, got {n!r}")
     _require_graded(spec)
     _require_injective(spec)
-    return _field_coefficient(spec, a, n, b, _rat(cutoff), {})
+    bound = _rat(cutoff)
+    if bound < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return _field_coefficient(spec, a, n, b, bound, {})
 
 
 def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,

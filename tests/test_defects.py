@@ -315,6 +315,21 @@ def _random_tables(rng: random.Random, count: int = 40) -> list:
     return tables
 
 
+def _graded_random_tables(rng: random.Random, count: int = 20) -> list:
+    """Like _random_tables, with weights in {0, 1/2, 1, 3/2, 2}: most break the
+    parity or weight rule somewhere, often with a fractional expected weight."""
+    weights = (0, F(1, 2), 1, F(3, 2), 2)
+    tables = []
+    for _ in range(count):
+        constants = {
+            (rng.choice("abc"), rng.randint(0, 2), rng.choice("abc")):
+                {(rng.randint(0, 1), rng.choice("abc")): rng.choice((1, -1, F(2, 3)))}
+            for _ in range(rng.randint(2, 4))}
+        tables.append(FormulaSpec([(x, rng.randint(0, 1), rng.choice(weights)) for x in "abc"],
+                                  constants))
+    return tables
+
+
 def _random_element(rng: random.Random, spec: FormulaSpec) -> Element:
     """Up to three terms at D-powers 0-2 with small rational coefficients."""
     return Element({(rng.randint(0, 2), rng.randrange(spec.dim)): rng.choice((1, -2, F(1, 3)))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -41,8 +42,11 @@ from vertexlie import (
     virasoro,
     weight_of,
 )
-from vertexlie.formula import falling
+from vertexlie.formula import Violation, falling
 from vertexlie.verma import monomial_weight, weight_of_vector
+
+# typo'd presets and seeded random tables, shared with the sweep tests
+from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables, _typo
 
 VIR = virasoro()
 OM = basis_element(VIR.bid("omega"))
@@ -150,6 +154,17 @@ def test_spec_rejects_bad_data() -> None:
                        conformal=("a", "c")).central == 1
 
 
+def test_constant_checks_the_product_index() -> None:
+    assert VIR.constant("omega", 1, "omega") == Element({(0, 0): 2})
+    # 1.0, True and Fraction(1) hash like the key 1, but none is an index
+    for n in (1.0, True, F(1), "1"):
+        with pytest.raises(TypeError,
+                           match=re.escape(f"product index must be an integer, got {n!r}")):
+            VIR.constant("omega", n, "omega")
+    with pytest.raises(ValueError, match="^product index must be nonnegative$"):
+        VIR.constant("omega", -1, "omega")
+
+
 def test_validate_spec_clean_presets() -> None:
     assert validate_spec(VIR) == []
     assert validate_spec(FormulaSpec([], {})) == []
@@ -178,6 +193,49 @@ def test_validate_spec_parity_violation() -> None:
                          {("a", 0, "a"): {(0, "t"): 1}})
     violations = validate_spec(broken)
     assert [v.kind for v in violations] == ["parity"]
+
+
+def _validate_by_accessors(spec: FormulaSpec) -> list:
+    """validate_spec as written through spec.parity() and spec.weight(), in Fractions."""
+    out = []
+    labels = spec.labels
+    for (uid, n, vid), elt in spec.constant_entries():
+        lu, lv = labels[uid], labels[vid]
+        want_parity = (spec.parity(uid) + spec.parity(vid)) % 2
+        for (k, tid), _c in elt.items():
+            lt = labels[tid]
+            if spec.parity(tid) != want_parity:
+                out.append(Violation(
+                    "parity", (lu, n, lv, k, lt),
+                    f"({lu},{n},{lv}) at D-power {k}: {lt} has parity "
+                    f"{spec.parity(tid)}, expected {want_parity}"))
+            if spec.graded:
+                want = spec.weight(uid) + spec.weight(vid) - n - 1 - k
+                if spec.weight(tid) != want:
+                    out.append(Violation(
+                        "weight", (lu, n, lv, k, lt),
+                        f"({lu},{n},{lv}) at D-power {k}: {lt} has weight "
+                        f"{spec.weight(tid)}, expected {want}"))
+    return out
+
+
+def test_validate_spec_matches_the_accessor_reading() -> None:
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(11), 20)
+    specs += _graded_random_tables(random.Random(13), 40)
+    # parity and weight violations on neveu-schwarz (weights 3/2, 2, 0); the
+    # first product's terms come out of order, but violations follow term order
+    specs += [_typo("neveu-schwarz", {("tau", 0, "tau"): {(1, "c"): 2, (0, "tau"): 1}}),
+              _typo("neveu-schwarz", {("omega", 1, "tau"): {(1, "c"): F(2, 3)},
+                                      ("tau", 2, "omega"): {(0, "tau"): 1}})]
+    kinds = set()
+    for spec in specs:
+        got = validate_spec(spec)
+        assert got == _validate_by_accessors(spec), list(spec.constant_entries())
+        kinds.update((v.kind, "/" in v.message) for v in got)
+    # both kinds, with fractional weights on either side of a message
+    assert kinds == {("parity", False), ("weight", False), ("weight", True)}
 
 
 def test_product_on_basis_matches_table() -> None:

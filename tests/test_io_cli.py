@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import vertexlie
-from vertexlie import PRESETS, FormulaSpec, preset, virasoro
+from vertexlie import PRESETS, Element, FormulaSpec, preset, rat, virasoro
+from vertexlie import cli
 from vertexlie.cli import main
+from vertexlie.formula import _rat
 from vertexlie.formula_io import (
     FormulaFileError,
     export_formula,
@@ -21,6 +24,9 @@ from vertexlie.formula_io import (
     parse_formula,
     save_formula,
 )
+
+# typo'd presets and seeded random tables, shared with the sweep tests
+from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables
 
 # ---------------------------------------------------------------------------
 # file format
@@ -118,6 +124,41 @@ def test_parse_reports_line_numbers() -> None:
             parse_formula(text)
         assert err.value.line == line, text
         assert str(err.value).startswith(f"line {line}:")
+
+
+@pytest.mark.parametrize("text", ["+3", "-0", "007", "3/06", "-4/2", " 5 "])
+def test_rational_tokens_read_as_fraction_does(text: str) -> None:
+    want = F(text)
+    assert rat(text) == want and type(rat(text)) is F
+    stored = _rat(text)
+    assert stored == want and type(stored) is (int if want.denominator == 1 else F)
+    token = text.strip()  # a whitespace-split token
+    spec = parse_formula(f"[basis]\na even\n[constants]\na 0 a : 0 a {token}\n")
+    assert spec.constant("a", 0, "a") == Element({(0, 0): want})
+    if want >= 0:
+        assert parse_formula(f"[basis]\na even {token}\n").weight("a") == want
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1/0", "1_000", "\u0661", "+", "2/-3", ""])
+def test_rational_tokens_rejected(text: str) -> None:
+    message = f"bad rational {text!r} (expected an integer or p/q)"
+    for read in (rat, _rat):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        assert str(err.value) == message
+    if not text:
+        return  # whitespace-split never yields an empty token
+    for source, line in ((f"[basis]\na even\nb even {text}\n", 3),
+                         (f"[basis]\na even\n\n[constants]\na 0 a : 0 a 1, 1 a {text}\n", 5)):
+        with pytest.raises(FormulaFileError) as err:
+            parse_formula(source)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def test_repeated_terms_sum_in_stored_form() -> None:
+    spec = parse_formula("[basis]\na even\n[constants]\na 0 a : 0 a 1/2, 0 a 1/2, 1 a 1/3, 1 a -1/3\n")
+    assert spec.constant("a", 0, "a")._terms == {(0, 0): 1}
+    assert type(spec.constant("a", 0, "a")._terms[(0, 0)]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +374,108 @@ def test_cli_check_file_with_inadmissible_product(tmp_path, capsys) -> None:
     assert lines[1:3] == ["invariant violations: 1", f"  {message}"]
     assert main(["check", str(path), "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["result"]["violations"] == [message]
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer, against json.dumps(indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.fixture
+def payloads(monkeypatch) -> list:
+    """Every --json payload main writes, recorded as the writer receives it."""
+    seen: list = []
+    write = cli._json
+
+    def recording(value, indent="\n"):
+        if indent == "\n":  # the whole payload, not one of its parts
+            seen.append(value)
+        return write(value, indent)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    return seen
+
+
+def _run_against_dumps(argv, payloads: list, capsys) -> str:
+    """Run main(argv): its stdout must be json.dumps of the payload, or empty
+    when it refused; returns stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    if captured.out:
+        assert captured.out == _dumps(payloads.pop()) + "\n", argv
+    else:
+        assert code == 1 and captured.err.startswith("error: "), (argv, captured.err)
+    assert not payloads
+    return captured.err
+
+
+OMEGA_FILE = """[meta]
+name = ω-algebra "2"
+
+[basis]
+ω even 2
+c even 0
+
+[constants]
+ω 0 ω : 1 ω 1
+ω 1 ω : 0 ω 2
+ω 3 ω : 0 c 1/2
+"""
+
+
+def test_json_writer_matches_json_dumps_on_check_and_defect(tmp_path, payloads, capsys) -> None:
+    paths = []
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(3), 15) + _graded_random_tables(random.Random(4), 15)
+    for k, spec in enumerate(specs):
+        paths.append(tmp_path / f"table-{k}.vla")
+        save_formula(spec, paths[-1])
+    paths.append(tmp_path / "omega.vla")
+    paths[-1].write_text(OMEGA_FILE, encoding="utf-8")
+    refused = 0
+    for path in paths:
+        for extra in ((), ("--window", "1"), ("--bound", "0")):
+            err = _run_against_dumps(("check", str(path), "--json") + extra, payloads, capsys)
+            refused += "boundary index" in err
+        _run_against_dumps(("defect", str(path), "--json"), payloads, capsys)
+    # BoundInsufficientError ends the command before anything is written
+    assert refused
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket", "--preset", "virasoro", "omega", "3", "omega", "-3"),
+    ("bracket", "--preset", "affine-sl2", "e", "1", "f", "-1"),
+    ("bracket", "--preset", "loop-abelian", "x", "1", "x", "2"),
+    ("verma", "--preset", "neveu-schwarz", "--cutoff", "7/2", "--dims"),
+    ("verma", "--preset", "virasoro", "--cutoff", "6", "--act", "omega_1 omega_-3"),
+    ("verma", "--preset", "virasoro", "--cutoff", "6", "--level", "1/2",
+     "--act", "omega_2 omega_-2"),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--field", "e_-1", "-1", "f_-1"),
+    ("verma", "--preset", "virasoro", "--cutoff", "4", "--field", "1", "-1", "omega_-2"),
+])
+def test_json_writer_matches_json_dumps_on_bracket_and_verma(argv, payloads, capsys) -> None:
+    assert not _run_against_dumps(argv + ("--json",), payloads, capsys)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], "", 0, -7, -10 ** 40, True, False, None,
+    {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
+    ['quote " and backslash \\', "\x00\x01\x1f\t\n\r\b\f\x7f", "ω", "\u2028 \U0001d524 é"],
+    {'"key"': -1, "ω": [True, False, None], "": {"z": 0, "a": 1}},
+])
+def test_json_writer_matches_json_dumps_on_hand_built_values(value) -> None:
+    assert cli._json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), F(1, 2), {1: "a"}, {"a": 1, 2: 3},
+                                   {"a": {2: 3}}, {"x"}, ["ok", 2.0]])
+def test_json_writer_rejects_other_types(value) -> None:
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_cli_check_json_schema(capsys) -> None:

@@ -643,9 +643,10 @@ def test_field_coefficient_cutoff_guard() -> None:
     with pytest.raises(CutoffExceededError,
                        match="^intermediate of weight 3 exceeds cutoff 2$"):
         field_coefficient(VIR, kom, 1, kom, 2)
-    # c_-1 1 has weight 0, so the second sum on the vacuum is empty: its
-    # heaviest intermediate (weight -1) is never formed, and nothing is guarded
-    assert field_coefficient(VIR, kappa_basis(VIR, "c"), 5, vacuum(), -3).is_zero
+    # a negative cutoff is refused before any sum is formed (it used to
+    # return 0 here: c_-1 1 has weight 0, so no intermediate was ever guarded)
+    with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+        field_coefficient(VIR, kappa_basis(VIR, "c"), 5, vacuum(), -3)
 
 
 @pytest.mark.parametrize("name", CLEAN_PRESETS)
@@ -670,6 +671,22 @@ def test_field_coefficient_guards() -> None:
     for mode in (F(3, 2), 1.5, "1", True, False):
         with pytest.raises(TypeError, match=re.escape(f"mode must be an integer, got {mode!r}")):
             field_coefficient(VIR, kom, mode, kom, 8)
+
+
+def test_field_coefficient_rejects_a_negative_cutoff() -> None:
+    kc = kappa_basis(VIR, "c")
+    for cutoff in (-3, F(-1, 2), "-1"):
+        with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+            field_coefficient(VIR, kc, 5, vacuum(), cutoff)
+    assert field_coefficient(VIR, kc, 5, vacuum(), 0).is_zero
+    # the graded and injective guards come first, as in monomial_basis
+    for spec, error in ((FormulaSpec([("a", 0)], {}), UngradedError),
+                        (novikov(lambda_algebra(flipped=True)), NotInjectiveError),
+                        (VIR, ValueError)):
+        for call in (lambda: field_coefficient(spec, vacuum(), -1, vacuum(), -1),
+                     lambda: monomial_basis(spec, -1)):
+            with pytest.raises(error):
+                call()
 
 
 # ---------------------------------------------------------------------------
