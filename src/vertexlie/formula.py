@@ -245,14 +245,20 @@ class SparseVector:
         return f"{type(self).__name__}({{{body}}})"
 
 
+def _check_d_power(k) -> None:
+    if type(k) is not int:
+        raise TypeError(f"D-power must be an integer, got {k!r}")
+    if k < 0:
+        raise ValueError("D-power must be nonnegative")
+
+
 class Element(SparseVector):
     """Vector in Q[D] (x) S, keyed by (D-power, basis index)."""
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         super().__init__(terms)
         for k, _bid in self._terms:
-            if k < 0:
-                raise ValueError("D-power must be nonnegative")
+            _check_d_power(k)
 
     @property
     def d_degree(self) -> int:
@@ -262,8 +268,7 @@ class Element(SparseVector):
 
 def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
     """The single term coeff * D^k applied to basis vector number bid."""
-    if k < 0:
-        raise ValueError("D-power must be nonnegative")
+    _check_d_power(k)
     c = _rat(coeff)
     return Element._of({(k, bid): c} if c else {})
 
@@ -350,7 +355,7 @@ class FormulaSpec:
 
         table: dict = {}
         for (u, n, v), value in constants.items():
-            if not isinstance(n, int) or n < 0:
+            if type(n) is not int or n < 0:
                 raise ValueError(f"product index must be a nonnegative integer, got {n!r}")
             uid = self._resolve(u).index
             vid = self._resolve(v).index

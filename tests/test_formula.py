@@ -117,8 +117,17 @@ def test_element_arithmetic_and_canonical_form() -> None:
 
 
 def test_element_rejects_negative_d_power() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^D-power must be nonnegative$"):
         Element({(-1, 0): 1})
+    with pytest.raises(ValueError, match="^D-power must be nonnegative$"):
+        basis_element(0, k=-1)
+    # True and 1.0 hash like the D-power 1, but neither is one
+    for k in (True, False, 1.0):
+        message = re.escape(f"D-power must be an integer, got {k!r}")
+        with pytest.raises(TypeError, match=message):
+            Element({(k, 0): 1})
+        with pytest.raises(TypeError, match=message):
+            basis_element(0, k=k)
 
 
 def test_apply_D_shifts() -> None:
@@ -147,6 +156,13 @@ def test_spec_rejects_bad_data() -> None:
         FormulaSpec([("a", EVEN, 1), ("b", EVEN)], {})
     with pytest.raises(ValueError):
         FormulaSpec([("a", EVEN)], {("a", -1, "a"): {(0, "a"): 1}})
+    # a bool or float index or D-power would export as a file that does not parse
+    for n in (True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"product index must be a nonnegative integer, got {n!r}")):
+            FormulaSpec([("a", EVEN)], {("a", n, "a"): {(0, "a"): 1}})
+        with pytest.raises(TypeError, match=re.escape(f"D-power must be an integer, got {n!r}")):
+            FormulaSpec([("a", EVEN)], {("a", 0, "a"): {(n, "a"): 1}})
     # two different central vectors; the same one named twice is fine
     with pytest.raises(ValueError):
         FormulaSpec([("a", EVEN), ("c", EVEN)], {}, central="a", conformal=("a", "c"))

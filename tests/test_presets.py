@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from vertexlie import (
     defect_sweep,
     dual_numbers,
     heisenberg,
+    injectivity_verdict,
     lambda_algebra,
     membership_central,
     neveu_schwarz,
@@ -26,6 +29,8 @@ from vertexlie import (
     validate_spec,
     virasoro,
 )
+from vertexlie.cli import main
+from vertexlie.formula_io import save_formula
 
 
 def test_every_preset_validates_clean() -> None:
@@ -75,15 +80,136 @@ def test_builders_reject_central_label(build) -> None:
 
 
 def test_lie_data_validation() -> None:
-    with pytest.raises(ValueError):  # not antisymmetric
+    with pytest.raises(ValueError, match="^bracket is not antisymmetric$"):
         LieData(("a", "b"), [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
                 [[0, 0], [0, 0]])
-    with pytest.raises(ValueError):  # form not symmetric
+    with pytest.raises(ValueError, match="^form is not symmetric$"):
         LieData(("a", "b"), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
                 [[0, 1], [0, 0]])
-    with pytest.raises(ValueError):  # form not invariant: <[a,b],b> != <a,[b,b]>
+    # <[a,b],b> != <a,[b,b]>
+    with pytest.raises(ValueError, match="^form is not invariant$"):
         LieData(("a", "b"), [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]],
                 [[0, 1], [1, 0]])
+    # a missing row, a short row and a short vector
+    for bracket in ([[[0, 0], [0, 0]]], [[[0, 0]], [[0, 0], [0, 0]]],
+                    [[[0, 0], [0]], [[0, 0], [0, 0]]]):
+        with pytest.raises(ValueError, match="^bracket table has wrong shape$"):
+            LieData(("a", "b"), bracket, [[0, 0], [0, 0]])
+    for form in ([[0, 0]], [[0, 0], [0]]):
+        with pytest.raises(ValueError, match="^form table has wrong shape$"):
+            LieData(("a", "b"), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], form)
+
+
+def _gl_n(n: int) -> LieData:
+    """gl_n on the matrix units E_ij with the trace form."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    index = {p: k for k, p in enumerate(pairs)}
+    d = len(pairs)
+    bracket = [[[0] * d for _ in range(d)] for _ in range(d)]
+    form = [[0] * d for _ in range(d)]
+    for (i, j), a in index.items():
+        for (k, l), b in index.items():
+            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj, <E_ij, E_kl> = delta_jk delta_li
+            if j == k:
+                bracket[a][b][index[(i, l)]] += 1
+            if l == i:
+                bracket[a][b][index[(k, j)]] -= 1
+            if j == k and l == i:
+                form[a][b] = 1
+    return LieData([f"E{i}{j}" for i, j in pairs], bracket, form)
+
+
+def _dense_lie_check(bracket, form):
+    """The O(d^4) check LieData made before it read nonzero entries only:
+    its first message, or None."""
+    d = len(form)
+    for i in range(d):
+        for j in range(d):
+            if form[i][j] != form[j][i]:
+                return "form is not symmetric"
+            for k in range(d):
+                if bracket[i][j][k] != -bracket[j][i][k]:
+                    return "bracket is not antisymmetric"
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                left = sum(bracket[i][j][t] * form[t][k] for t in range(d))
+                right = sum(bracket[j][k][t] * form[i][t] for t in range(d))
+                if left != right:
+                    return "form is not invariant"
+    return None
+
+
+def _sheared(data: LieData, shears) -> LieData:
+    """The same algebra on a new basis: for each (a, b), e_a becomes e_a + e_b.
+
+    The tables stay invariant but grow dense: a form row or a bracket
+    vector holds several nonzeros, which the plain sl2 and gl_n tables never do.
+    """
+    d = data.dim
+    for a, b in shears:
+        def old(p):  # e_p of the new basis on the old one
+            return {p: 1, b: 1} if p == a else {p: 1}
+
+        def new(vec):  # old coordinates to new ones: e_a = e_a' - e_b
+            out = list(vec)
+            out[b] -= vec[a]
+            return out
+
+        bracket = [[new([sum(x * y * data.bracket[s][t][r] for s, x in old(p).items()
+                             for t, y in old(q).items()) for r in range(d)])
+                    for q in range(d)] for p in range(d)]
+        form = [[sum(x * y * data.form[s][t] for s, x in old(p).items()
+                     for t, y in old(q).items()) for q in range(d)] for p in range(d)]
+        data = LieData(data.labels, bracket, form)
+    return data
+
+
+def test_lie_data_checks_agree_with_the_dense_check() -> None:
+    rng = random.Random(19)
+    gl2 = _gl_n(2)
+    bases = ([sl2()] * 50 + [_sheared(sl2(), [(0, 1), (1, 2), (2, 0)])] * 30
+             + [heisenberg()] * 20 + [gl2] * 50
+             + [_sheared(gl2, [(0, 1), (1, 2), (2, 3), (3, 0)])] * 35 + [_gl_n(3)] * 15)
+    seen = set()
+    for base in bases:
+        d = base.dim
+        bracket = [[list(v) for v in row] for row in base.bracket]
+        form = [list(row) for row in base.form]
+        for _ in range(rng.choice((1, 2))):
+            i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+            value = rng.choice((-2, -1, 0, 1, 2, F(1, 2)))
+            keep = rng.random() < 0.5  # keep antisymmetry or symmetry
+            if rng.random() < 0.5:
+                bracket[i][j][k] = value
+                if keep:
+                    bracket[j][i][k] = -value
+            else:
+                form[i][j] = value
+                if keep:
+                    form[j][i] = value
+        want = _dense_lie_check(bracket, form)
+        try:
+            LieData(base.labels, bracket, form)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (base.labels, bracket, form)
+        seen.add(want)
+    assert seen == {None, "form is not symmetric", "bracket is not antisymmetric",
+                    "form is not invariant"}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_affine_gl_n_is_injective(n: int) -> None:
+    assert injectivity_verdict(affine(_gl_n(n))).status == "injective_zero_ideal"
+
+
+def test_cli_check_json_on_gl3(tmp_path, capsys) -> None:
+    path = tmp_path / "gl3.vla"
+    save_formula(affine(_gl_n(3)), path)
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["status"] == "injective_zero_ideal"
 
 
 def test_broken_jacobi_produces_defects() -> None:
