@@ -7,6 +7,10 @@ the output is a single object with the stable keys {spec, verdict,
 defects, dims, result}; every rational is rendered as a "num/den" (or
 integer) string.  The package writes the JSON itself, in the layout of
 json.dumps(payload, indent=2, sort_keys=True), byte for byte.
+
+Each subcommand imports only the modules it needs: the mode algebra
+(local_algebra) is loaded by bracket, verma and check --window, and the
+vacuum module (verma) by verma alone.
 """
 
 from __future__ import annotations
@@ -19,13 +23,10 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, List, Optional
 
 from . import defects as defects_mod
-from . import verma as verma_mod
 from .defects import conformal_validate, defect_sweep, injectivity_verdict
 from .formula import FormulaError, FormulaSpec, format_element, rat, validate_spec
 from .formula_io import FormulaFileError, export_formula, load_formula, save_formula
-from .local_algebra import LieGenerator, bracket, jacobi_window_verify, single
 from .presets import PRESETS, preset
-from .verma import NotInjectiveError, act_word, graded_dimension, specialize_level
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -126,7 +127,9 @@ def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
             print(line)
 
 
-def _parse_generator(spec: FormulaSpec, token: str) -> LieGenerator:
+def _parse_generator(spec: FormulaSpec, token: str):
+    from .local_algebra import LieGenerator
+
     label, _, mode = token.rpartition("_")
     if not label:
         raise CliError(f"bad generator token {token!r} (expected LABEL_MODE)")
@@ -155,7 +158,10 @@ def cmd_check(args) -> int:
     sweep = defect_sweep(spec, args.bound)
     verdict = injectivity_verdict(spec)
     report = conformal_validate(spec) if spec.conformal is not None else None
-    bad = jacobi_window_verify(spec, args.window) if args.window is not None else None
+    bad = None
+    if args.window is not None:
+        from .local_algebra import jacobi_window_verify
+        bad = jacobi_window_verify(spec, args.window)
 
     def text() -> Iterator[str]:
         yield (f"formula: {spec.name or '(unnamed)'}  basis={spec.dim} "
@@ -223,6 +229,8 @@ def cmd_defect(args) -> int:
 
 
 def cmd_bracket(args) -> int:
+    from .local_algebra import bracket, single
+
     spec = _load_spec(args)
     try:
         x = single(spec, args.u, args.n)
@@ -240,6 +248,9 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_verma(args) -> int:
+    from .verma import (NotInjectiveError, act_word, field_coefficient, graded_dimension,
+                        specialize_level)
+
     spec = _load_spec(args)
     try:
         cutoff = rat(args.cutoff)
@@ -271,7 +282,7 @@ def cmd_verma(args) -> int:
                 raise CliError(f"bad mode {n_token!r}") from None
             a = act_word(spec, _parse_word(spec, a_word))
             b = act_word(spec, _parse_word(spec, b_word))
-            out = verma_mod.field_coefficient(spec, a, n, b, cutoff)
+            out = field_coefficient(spec, a, n, b, cutoff)
         if level is not None:
             out = specialize_level(spec, out, level)
     except NotInjectiveError as exc:

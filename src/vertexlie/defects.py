@@ -18,7 +18,6 @@ generates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import factorial
@@ -31,6 +30,7 @@ from .formula import (
     FormulaError,
     FormulaSpec,
     UngradedError,
+    _Record,
     _ZERO_ELEMENT,
     _add_scaled,
     _over,
@@ -53,22 +53,16 @@ UNDETERMINED = "undetermined"
 INJECTIVE_STATUSES = frozenset({INJECTIVE_ZERO_IDEAL, INJECTIVE_CENTRAL_IDEAL})
 
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(_Record):
     """One nonzero defect: its kind, index tuple and exact value."""
 
-    kind: str
-    indices: tuple
-    value: Element
+    __slots__ = ("kind", "indices", "value")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Structured outcome of the injectivity analysis."""
 
-    status: str
-    witnesses: tuple
-    notes: str
+    __slots__ = ("status", "witnesses", "notes")
 
     @property
     def injective(self) -> bool:
@@ -291,15 +285,16 @@ def injectivity_verdict(spec: FormulaSpec) -> Verdict:
                    "positive D-span of a central vector); no decision procedure")
 
 
-@dataclass(frozen=True)
-class ConformalReport:
+class ConformalReport(_Record):
     """Clause-by-clause outcome of the conformal-vector validation."""
 
-    self_product: bool        # (a) omega_n omega matches the required series
-    central: bool             # (b) c annihilates and is annihilated
-    action: bool              # (c) omega_0 = D, omega_1 = weight, omega_2 = 0 on S
-    weight_zero_space: bool   # (d) weight-0 subspace is exactly the span of c
-    failures: tuple
+    __slots__ = (
+        "self_product",       # (a) omega_n omega matches the required series
+        "central",            # (b) c annihilates and is annihilated
+        "action",             # (c) omega_0 = D, omega_1 = weight, omega_2 = 0 on S
+        "weight_zero_space",  # (d) weight-0 subspace is exactly the span of c
+        "failures",
+    )
 
     @property
     def ok(self) -> bool:

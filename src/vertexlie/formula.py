@@ -20,10 +20,10 @@ SparseVector docstring states the rule.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, factorial
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EVEN = 0
@@ -280,23 +280,92 @@ def apply_D(A: Element, power: int = 1) -> Element:
     return Element._of({(k + power, bid): c for (k, bid), c in A._terms.items()})
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class _Record:
+    """Immutable value record with the semantics of a frozen dataclass.
+
+    A subclass names its fields (two or more) in __slots__, in order, and
+    may give defaults for trailing fields in _defaults.  Two records are
+    equal when they are of the same class with equal fields; a record
+    hashes as the tuple of its fields and prints as Name(field=value, ...);
+    assignment and deletion raise AttributeError; copy and pickle
+    round-trip.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        # an attrgetter does not bind to the instance: call it as self._astuple(self)
+        cls._astuple = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        # an index loop: zip would build a tuple per field
+        i = 0
+        for setter in setters:
+            setter(self, args[i])
+            i += 1
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords, defaults or a wrong count."""
+        names, cls = self.__slots__, type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{cls}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls}() got {problem} argument {name!r}")
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __getstate__(self):
+        return self._astuple(self)
+
+    def __setstate__(self, state):
+        for setter, value in zip(self._setters, state):
+            setter(self, value)
+
+
+class BasisVector(_Record):
     """One basis vector of S: position, display label, parity, weight."""
 
-    index: int
-    label: str
-    parity: int = EVEN
-    weight: Optional[Fraction] = None
+    __slots__ = ("index", "label", "parity", "weight")
+    _defaults = {"parity": EVEN, "weight": None}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One invariant failure reported by validate_spec (data, not an error)."""
 
-    kind: str  # "parity" | "weight"
-    entry: tuple
-    message: str
+    __slots__ = ("kind", "entry", "message")  # kind: "parity" | "weight"
 
     def __str__(self) -> str:
         return self.message

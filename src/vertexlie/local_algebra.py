@@ -14,7 +14,6 @@ quotient algebra, where the Lie axioms hold on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from .defects import central_check, central_reduction
@@ -23,6 +22,7 @@ from .formula import (
     Element,
     FormulaSpec,
     SparseVector,
+    _Record,
     _accumulate,
     _add_scaled,
     _per_spec,
@@ -116,13 +116,10 @@ def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
                            if (d := _D_generator(spec, g))})
 
 
-@dataclass(frozen=True)
-class LawViolation:
+class LawViolation(_Record):
     """One failed Lie-algebra law found during window verification."""
 
-    law: str  # "skew" | "jacobi" | "derivation"
-    generators: tuple
-    discrepancy: LieElement
+    __slots__ = ("law", "generators", "discrepancy")  # law: "skew" | "jacobi" | "derivation"
 
     def __str__(self) -> str:
         return f"{self.law} fails at {self.generators}"

@@ -7,12 +7,11 @@ c), to be specialized to a number only inside the vacuum module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from . import defects
-from .formula import EVEN, ODD, FormulaSpec, rat
+from .formula import EVEN, ODD, FormulaSpec, _Record, rat
 
 
 def _table(rows) -> tuple:
@@ -23,8 +22,7 @@ def _cube(data) -> tuple:
     return tuple(tuple(tuple(rat(x) for x in vec) for vec in row) for row in data)
 
 
-@dataclass(frozen=True)
-class LieData:
+class LieData(_Record):
     """Finite-dimensional Lie algebra data with an invariant form.
 
     bracket[i][j] is the coordinate vector of [e_i, e_j]; form[i][j] is
@@ -36,14 +34,10 @@ class LieData:
     analysis on purpose.
     """
 
-    labels: Tuple[str, ...]
-    bracket: tuple
-    form: tuple
+    __slots__ = ("labels", "bracket", "form")
 
     def __init__(self, labels: Sequence[str], bracket, form):
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "bracket", _cube(bracket))
-        object.__setattr__(self, "form", _table(form))
+        super().__init__(tuple(labels), _cube(bracket), _table(form))
         self._validate()
 
     @property
@@ -79,18 +73,13 @@ class LieData:
             raise ValueError("form is not invariant")
 
 
-@dataclass(frozen=True)
-class BilinearAlgebra:
+class BilinearAlgebra(_Record):
     """A plain bilinear product and a bilinear form on a finite basis."""
 
-    labels: Tuple[str, ...]
-    product: tuple  # product[i][j] = coordinates of e_i . e_j
-    form: tuple
+    __slots__ = ("labels", "product", "form")  # product[i][j] = coordinates of e_i . e_j
 
     def __init__(self, labels: Sequence[str], product, form):
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "product", _cube(product))
-        object.__setattr__(self, "form", _table(form))
+        super().__init__(tuple(labels), _cube(product), _table(form))
         d = self.dim
         if len(self.product) != d or any(len(r) != d for r in self.product) \
                 or any(len(v) != d for r in self.product for v in r):
@@ -217,6 +206,16 @@ def novikov(algebra: BilinearAlgebra) -> FormulaSpec:
     return FormulaSpec(*_weight_two(algebra), central="c", name="novikov")
 
 
+def _combination(terms: list, vectors: list, d: int) -> list:
+    """sum of c * vectors[t] over the (t, c) in terms, as a length-d list."""
+    out = [0] * d
+    for t, c in terms:
+        for k, x in enumerate(vectors[t]):
+            if x:
+                out[k] += c * x
+    return out
+
+
 def comm_assoc(algebra: BilinearAlgebra, identity: str) -> FormulaSpec:
     """Weight-2 formula of a commutative associative algebra with identity:
 
@@ -228,27 +227,28 @@ def comm_assoc(algebra: BilinearAlgebra, identity: str) -> FormulaSpec:
     """
     if not algebra.form_symmetric:
         raise ValueError("invalid tables: form is not symmetric")
-    labels = algebra.labels
-    d = algebra.dim
-    iid = labels.index(identity)
-    one = algebra.unit(iid)
+    d, p, f = algebra.dim, algebra.product, algebra.form
+    iid = algebra.labels.index(identity)
+    # e_i e_j is p[i][j]; each product below sums over its nonzero entries
+    nonzero = [[[(t, c) for t, c in enumerate(vec) if c] for vec in row] for row in p]
+    columns = [[p[t][k] for t in range(d)] for k in range(d)]  # columns[k][t] = e_t e_k
     for i in range(d):
         ei = algebra.unit(i)
-        if algebra.mul_vec(one, ei) != ei or algebra.mul_vec(ei, one) != ei:
+        if p[iid][i] != ei or p[i][iid] != ei:
             raise ValueError(f"invalid tables: {identity!r} is not an identity")
         for j in range(d):
-            ej = algebra.unit(j)
-            if algebra.mul_vec(ei, ej) != algebra.mul_vec(ej, ei):
+            if p[i][j] != p[j][i]:
                 raise ValueError("invalid tables: product is not commutative")
+            ij = nonzero[i][j]
             for k in range(d):
-                ek = algebra.unit(k)
-                if algebra.mul_vec(algebra.mul_vec(ei, ej), ek) \
-                        != algebra.mul_vec(ei, algebra.mul_vec(ej, ek)):
+                jk = nonzero[j][k]
+                # (e_i e_j) e_k against e_i (e_j e_k)
+                if _combination(ij, columns[k], d) != _combination(jk, p[i], d):
                     raise ValueError("invalid tables: product is not associative")
-                if algebra.form_vec(algebra.mul_vec(ei, ej), ek) \
-                        != algebra.form_vec(ei, algebra.mul_vec(ej, ek)):
+                # <e_i e_j, e_k> against <e_i, e_j e_k>; the form is symmetric
+                if sum(c * f[k][t] for t, c in ij) != sum(c * f[i][t] for t, c in jk):
                     raise ValueError("invalid tables: form is not associative")
-    if algebra.form_vec(one, one) != 1:
+    if f[iid][iid] != 1:
         raise ValueError("invalid tables: <identity, identity> must be 1")
     # the product commutes, so the weight-two table's u.v + v.u is 2 u.v
     return FormulaSpec(*_weight_two(algebra), conformal=(identity, "c"), name="comm-assoc")
@@ -258,12 +258,10 @@ def comm_assoc(algebra: BilinearAlgebra, identity: str) -> FormulaSpec:
 # Novikov identity report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NovikovReport:
+class NovikovReport(_Record):
     """Identity check of a bilinear algebra, cross-validated defect-side."""
 
-    identity_failures: Tuple[str, ...]
-    defects_in_central_ideal: bool
+    __slots__ = ("identity_failures", "defects_in_central_ideal")
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,6 @@ algebra of the negative half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial, floor, lcm
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
@@ -25,6 +24,7 @@ from .formula import (
     RatLike,
     SparseVector,
     UngradedError,
+    _Record,
     _accumulate,
     _add_scaled,
     _over,
@@ -436,17 +436,11 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
 # Axiom spot-checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpotcheckReport:
+class SpotcheckReport(_Record):
     """Truncated module-level checks of the field axioms."""
 
-    creation: bool
-    vacuum_field: bool
-    half_skew: bool
-    locality: bool
-    translation: bool
-    commutator_formula: bool
-    failures: Tuple[str, ...]
+    __slots__ = ("creation", "vacuum_field", "half_skew", "locality", "translation",
+                 "commutator_formula", "failures")
 
     @property
     def ok(self) -> bool:
@@ -491,7 +485,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     def field(a: PbwVector, n: int, b: PbwVector) -> PbwVector:
         return _field_coefficient(spec, a, n, b, margin, memo)
 
-    ledger = {f.name: [] for f in fields(SpotcheckReport) if f.name != "failures"}
+    ledger = {name: [] for name in SpotcheckReport.__slots__ if name != "failures"}
     basis = monomial_basis(spec, bound)
     vectors = [PbwVector._of({m: 1}) for monos in basis.values() for m in monos]
     active = [v for v in spec.vectors if not central_check(spec, v.index)]

@@ -262,6 +262,82 @@ def test_comm_assoc_rejects_bad_tables() -> None:
         comm_assoc(noncomm, identity="omega")
 
 
+def _dense_comm_assoc_check(algebra: BilinearAlgebra, identity: str):
+    """comm_assoc's first complaint by the dense check over every basis
+    triple that it used to run, or None when it accepts the tables."""
+    if not algebra.form_symmetric:
+        return "invalid tables: form is not symmetric"
+    d = algebra.dim
+    one = algebra.unit(algebra.labels.index(identity))
+    mul, frm = algebra.mul_vec, algebra.form_vec
+    for i in range(d):
+        ei = algebra.unit(i)
+        if mul(one, ei) != ei or mul(ei, one) != ei:
+            return f"invalid tables: {identity!r} is not an identity"
+        for j in range(d):
+            ej = algebra.unit(j)
+            if mul(ei, ej) != mul(ej, ei):
+                return "invalid tables: product is not commutative"
+            for k in range(d):
+                ek = algebra.unit(k)
+                if mul(mul(ei, ej), ek) != mul(ei, mul(ej, ek)):
+                    return "invalid tables: product is not associative"
+                if frm(mul(ei, ej), ek) != frm(ei, mul(ej, ek)):
+                    return "invalid tables: form is not associative"
+    if frm(one, one) != 1:
+        return "invalid tables: <identity, identity> must be 1"
+    return None
+
+
+def _truncated_polynomials(n: int) -> BilinearAlgebra:
+    """Q[x]/(x^n) with identity "one" and <x^a, x^b> = phi(x^(a+b)), where
+    phi reads the coefficients of 1 and x^(n-1)."""
+    labels = ["one"] + [f"x{a}" for a in range(1, n)]
+    product = [[[int(a + b == t) for t in range(n)] for b in range(n)] for a in range(n)]
+    form = [[int(a + b in (0, n - 1)) for b in range(n)] for a in range(n)]
+    return BilinearAlgebra(labels, product, form)
+
+
+def test_comm_assoc_checks_agree_with_the_dense_check() -> None:
+    rng = random.Random(20)
+    bases = ([(dual_numbers(), "omega")] * 80
+             + [(_truncated_polynomials(n), "one") for n in (2, 3, 4, 5)
+                for _ in range({2: 60, 3: 50, 4: 30, 5: 20}[n])])
+    seen = set()
+    for base, identity in bases:
+        d = base.dim
+        product = [[list(v) for v in row] for row in base.product]
+        form = [list(row) for row in base.form]
+        for _ in range(rng.choice((1, 2))):
+            i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+            value = rng.choice((-1, 0, 1, 2, F(1, 2)))
+            keep = rng.random() < 0.5  # keep commutativity or symmetry
+            if rng.random() < 0.6:
+                product[i][j][k] = value
+                if keep:
+                    product[j][i][k] = value
+            else:
+                form[i][j] = value
+                if keep:
+                    form[j][i] = value
+        algebra = BilinearAlgebra(base.labels, product, form)
+        want = _dense_comm_assoc_check(algebra, identity)
+        try:
+            comm_assoc(algebra, identity)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (base.labels, product, form)
+        seen.add(want)
+    assert seen == {None, "invalid tables: form is not symmetric",
+                    "invalid tables: 'one' is not an identity",
+                    "invalid tables: 'omega' is not an identity",
+                    "invalid tables: product is not commutative",
+                    "invalid tables: product is not associative",
+                    "invalid tables: form is not associative",
+                    "invalid tables: <identity, identity> must be 1"}
+
+
 def test_novikov_form_must_be_symmetric() -> None:
     asym = BilinearAlgebra(("a", "b"),
                            [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
