@@ -21,9 +21,9 @@ _PUBLIC = {
     ),
     "formula": (
         "EVEN", "ODD", "BasisVector", "BoundInsufficientError", "CutoffExceededError",
-        "Element", "FormulaError", "FormulaSpec", "InhomogeneousError", "UngradedError",
-        "Violation", "apply_D", "basis_element", "extend_product", "format_element",
-        "gen_binomial", "parity_of", "rat", "support_bound", "validate_spec", "weight_of",
+        "Element", "FormulaError", "FormulaSpec", "UngradedError", "Violation", "apply_D",
+        "basis_element", "extend_product", "format_element", "gen_binomial", "rat",
+        "validate_spec",
     ),
     "local_algebra": (
         "LawViolation", "LieElement", "LieGenerator", "bracket", "generator",

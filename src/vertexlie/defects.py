@@ -33,6 +33,7 @@ from .formula import (
     _Record,
     _ZERO_ELEMENT,
     _add_scaled,
+    _check_index,
     _over,
     _per_spec,
     _products,
@@ -80,8 +81,7 @@ def _units(spec: FormulaSpec) -> tuple:
 
 def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    _check_index(n, "index", "index must be nonnegative")
     return _skews(spec, spec.bid(u), spec.bid(v)).get(n, _ZERO_ELEMENT)
 
 
@@ -130,8 +130,8 @@ def _commutators(spec: FormulaSpec, uid: int, vid: int, wid: int) -> dict:
 def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
                       n: int, w: BasisRef) -> Element:
     """u_m(v_n w) - eps v_n(u_m w) - sum_i (m over i) (u_i v)_{m+n-i} w."""
-    if m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
+    for i in (m, n):
+        _check_index(i, "index", "indices must be nonnegative")
     return _commutators(spec, spec.bid(u), spec.bid(v), spec.bid(w)).get((m, n), _ZERO_ELEMENT)
 
 
@@ -147,8 +147,8 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
     by sum_j (-1)^j (k over j) (m+k-j over i) = (m over i-k); the case
     k = 0 is commutator_defect(u, m, v, n, w) itself.
     """
-    if k < 0 or m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
+    for i in (k, m, n):
+        _check_index(i, "index", "indices must be nonnegative")
     table = _commutators(spec, spec.bid(u), spec.bid(v), spec.bid(w))
     acc: dict = {}
     for j in range(k + 1):
@@ -197,8 +197,7 @@ def defect_sweep(spec: FormulaSpec, bound: Optional[int] = None) -> list:
     """
     if bound is None:
         bound = default_bound(spec)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    _check_index(bound, "bound", "bound must be nonnegative")
     return list(_sweep(spec, bound))
 
 

@@ -38,10 +38,6 @@ class FormulaError(Exception):
     """Base class for errors raised by this package."""
 
 
-class InhomogeneousError(FormulaError):
-    """An operation required a parity- or weight-homogeneous input."""
-
-
 class UngradedError(FormulaError):
     """An operation required weights but the formula carries none."""
 
@@ -244,12 +240,23 @@ class SparseVector:
         body = ", ".join(f"{k!r}: {c}" for k, c in self.items())
         return f"{type(self).__name__}({{{body}}})"
 
+    # the state is a 1-tuple: protocols 0 and 1 skip a false state such as the
+    # zero vector's {}; the hash is recomputed, as string hashes vary by process
+    def __getstate__(self):
+        return (self._terms,)
 
-def _check_d_power(k) -> None:
-    if type(k) is not int:
-        raise TypeError(f"D-power must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError("D-power must be nonnegative")
+    def __setstate__(self, state):
+        (self._terms,) = state
+        self._hash = None
+
+
+def _check_index(value, what: str, negative: Optional[str] = None) -> None:
+    """Refuse an index that is not an int (a bool included) with TypeError,
+    and, when a `negative` message is given, a negative one with ValueError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if negative is not None and value < 0:
+        raise ValueError(negative)
 
 
 class Element(SparseVector):
@@ -258,7 +265,7 @@ class Element(SparseVector):
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         super().__init__(terms)
         for k, _bid in self._terms:
-            _check_d_power(k)
+            _check_index(k, "D-power", "D-power must be nonnegative")
 
     @property
     def d_degree(self) -> int:
@@ -268,15 +275,14 @@ class Element(SparseVector):
 
 def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
     """The single term coeff * D^k applied to basis vector number bid."""
-    _check_d_power(k)
+    _check_index(k, "D-power", "D-power must be nonnegative")
     c = _rat(coeff)
     return Element._of({(k, bid): c} if c else {})
 
 
 def apply_D(A: Element, power: int = 1) -> Element:
     """Raise every D-power of A by `power`."""
-    if power < 0:
-        raise ValueError("cannot shift by a negative D-power")
+    _check_index(power, "D-power", "cannot shift by a negative D-power")
     return Element._of({(k + power, bid): c for (k, bid), c in A._terms.items()})
 
 
@@ -394,8 +400,8 @@ class FormulaSpec:
         and its central element; c must be `central` when both are given.
     """
 
-    __slots__ = ("name", "vectors", "_weights", "_by_label", "_constants", "_rows", "n_max",
-                 "k_max", "central", "conformal", "_hash", "_memo")
+    __slots__ = ("name", "vectors", "_weights", "_by_label", "_rows", "n_max", "k_max",
+                 "central", "conformal", "_hash", "_memo")
 
     def __init__(self, basis: Sequence, constants: Mapping, central: Optional[BasisRef] = None,
                  conformal: Optional[tuple] = None, name: Optional[str] = None):
@@ -434,8 +440,8 @@ class FormulaSpec:
                 elt = Element({(k, self._resolve(t).index): c for (k, t), c in value.items()})
             if elt:
                 table[(uid, n, vid)] = elt
-        self._constants = table
-        rows: dict = {}  # (uid, vid) -> {n: u_n v}, n increasing: read through _row
+        # the one store of the table: (uid, vid) -> {n: u_n v}, n increasing
+        rows: dict = {}
         for (uid, n, vid), elt in sorted(table.items()):
             rows.setdefault((uid, vid), {})[n] = elt
         self._rows = rows
@@ -500,11 +506,8 @@ class FormulaSpec:
 
     def constant(self, u: BasisRef, n: int, v: BasisRef) -> Element:
         """The table product u_n v (zero when absent)."""
-        if type(n) is not int:  # a bool is an int subclass, but not an index
-            raise TypeError(f"product index must be an integer, got {n!r}")
-        if n < 0:
-            raise ValueError("product index must be nonnegative")
-        return self._constants.get((self.bid(u), n, self.bid(v)), _ZERO_ELEMENT)
+        _check_index(n, "product index", "product index must be nonnegative")
+        return self._row(self.bid(u), self.bid(v)).get(n, _ZERO_ELEMENT)
 
     def _row(self, uid: int, vid: int) -> dict:
         """Every nonzero table product u_n v of a basis pair, keyed by n in
@@ -513,7 +516,8 @@ class FormulaSpec:
 
     def constant_entries(self) -> Iterator:
         """Deterministic iteration over nonzero (uid, n, vid) -> Element."""
-        return iter(sorted(self._constants.items()))
+        return iter(sorted(((uid, n, vid), elt) for (uid, vid), row in self._rows.items()
+                           for n, elt in row.items()))
 
     def epsilon(self, u: BasisRef, v: BasisRef) -> int:
         """Koszul sign (-1)^{|u||v|} of a basis pair."""
@@ -522,8 +526,7 @@ class FormulaSpec:
     # -- value semantics ----------------------------------------------
 
     def _signature(self) -> tuple:
-        return (self.vectors, tuple(sorted(self._constants.items())),
-                self.central, self.conformal)
+        return (self.vectors, tuple(self.constant_entries()), self.central, self.conformal)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormulaSpec):
@@ -616,32 +619,8 @@ def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element
     Characterized by (DA)_n B = -n A_{n-1} B and the Leibniz rule for D;
     agrees with the constants table on basis pairs.
     """
-    if n < 0:
-        raise ValueError("product index must be nonnegative")
+    _check_index(n, "product index", "product index must be nonnegative")
     return _products(spec, A, B).get(n, _ZERO_ELEMENT)
-
-
-def support_bound(spec: FormulaSpec, A: Element, B: Element) -> int:
-    """A_n B vanishes for every n >= this bound."""
-    return spec.n_max + A.d_degree + B.d_degree
-
-
-def parity_of(spec: FormulaSpec, A: Element) -> int:
-    """Common parity of all terms of A (EVEN for the zero element)."""
-    seen = {spec.parity(bid) for (_k, bid) in A._terms}
-    if len(seen) > 1:
-        raise InhomogeneousError("element mixes even and odd terms")
-    return seen.pop() if seen else EVEN
-
-
-def weight_of(spec: FormulaSpec, A: Element) -> Optional[Fraction]:
-    """Common weight of all terms of A; None for the zero element."""
-    if not spec.graded:
-        raise UngradedError("formula carries no weights")
-    seen = {spec.weight(bid) + k for (k, bid) in A._terms}
-    if len(seen) > 1:
-        raise InhomogeneousError(f"element mixes weights {sorted(seen)}")
-    return seen.pop() if seen else None
 
 
 def _signed_sum(terms: Iterable, times: str = "*") -> str:

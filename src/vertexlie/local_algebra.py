@@ -25,6 +25,7 @@ from .formula import (
     _Record,
     _accumulate,
     _add_scaled,
+    _check_index,
     _per_spec,
     _rat,
     _signed_sum,
@@ -59,8 +60,7 @@ class LieElement(SparseVector):
 
 def generator(spec: FormulaSpec, ref: BasisRef, n: int) -> LieGenerator:
     """The mode ref_n of the basis vector ref (a label or an index)."""
-    if type(n) is not int:  # a bool is an int subclass, but not a mode
-        raise TypeError(f"mode must be an integer, got {n!r}")
+    _check_index(n, "mode")
     return LieGenerator(spec.bid(ref), n)
 
 
@@ -74,6 +74,7 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
 
     Images the central quotient kills are dropped.
     """
+    _check_index(n, "mode")
     acc: dict = {}
     for (k, bid), coeff in A._terms.items():
         f = falling(n, k)
@@ -144,8 +145,7 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
       window partners of x and y, in generator order; when [x, y] != 0
       it runs over every z.
     """
-    if window < 0:
-        raise ValueError("window must be nonnegative")
+    _check_index(window, "window", "window must be nonnegative")
     violations = []
     gens = [LieGenerator(bid, n) for bid in range(spec.dim) if not central_check(spec, bid)
             for n in range(-window, window + 1)]

@@ -111,10 +111,6 @@ class BilinearAlgebra(_Record):
                     out[k] += c * self.product[i][j][k]
         return tuple(out)
 
-    def form_vec(self, x: tuple, y: tuple) -> Fraction:
-        return sum(x[i] * y[j] * self.form[i][j]
-                   for i in range(self.dim) for j in range(self.dim))
-
     def unit(self, i: int) -> tuple:
         return tuple(Fraction(int(j == i)) for j in range(self.dim))
 
@@ -206,6 +202,13 @@ def novikov(algebra: BilinearAlgebra) -> FormulaSpec:
     return FormulaSpec(*_weight_two(algebra), central="c", name="novikov")
 
 
+def _sparse(product, d: int) -> tuple:
+    """nonzero[i][j]: the (t, c) with c != 0 in e_i e_j; columns[k][t] = e_t e_k."""
+    nonzero = [[[(t, c) for t, c in enumerate(vec) if c] for vec in row] for row in product]
+    columns = [[product[t][k] for t in range(d)] for k in range(d)]
+    return nonzero, columns
+
+
 def _combination(terms: list, vectors: list, d: int) -> list:
     """sum of c * vectors[t] over the (t, c) in terms, as a length-d list."""
     out = [0] * d
@@ -230,8 +233,7 @@ def comm_assoc(algebra: BilinearAlgebra, identity: str) -> FormulaSpec:
     d, p, f = algebra.dim, algebra.product, algebra.form
     iid = algebra.labels.index(identity)
     # e_i e_j is p[i][j]; each product below sums over its nonzero entries
-    nonzero = [[[(t, c) for t, c in enumerate(vec) if c] for vec in row] for row in p]
-    columns = [[p[t][k] for t in range(d)] for k in range(d)]  # columns[k][t] = e_t e_k
+    nonzero, columns = _sparse(p, d)
     for i in range(d):
         ei = algebra.unit(i)
         if p[iid][i] != ei or p[i][iid] != ei:
@@ -286,26 +288,25 @@ def novikov_check(algebra: BilinearAlgebra) -> NovikovReport:
     """
     if not algebra.form_symmetric:
         raise ValueError("form is not symmetric")
-    labels = algebra.labels
+    labels, d, p, f = algebra.labels, algebra.dim, algebra.product, algebra.form
+    # u, v, w = e_i, e_j, e_k; each product below sums over its nonzero entries
+    nonzero, columns = _sparse(p, d)
     failures = []
-    d = algebra.dim
-    units = [algebra.unit(i) for i in range(d)]
-    mul, frm = algebra.mul_vec, algebra.form_vec
     for i in range(d):
-        u = units[i]
         for j in range(d):
-            v = units[j]
+            uv, vu = nonzero[i][j], nonzero[j][i]
             for k in range(d):
-                w = units[k]
+                uw, vw, wu = nonzero[i][k], nonzero[j][k], nonzero[k][i]
                 name = f"({labels[i]},{labels[j]},{labels[k]})"
-                if mul(u, mul(v, w)) != mul(v, mul(u, w)):
+                v_uw = _combination(uw, p[j], d)
+                if _combination(vw, p[i], d) != v_uw:
                     failures.append(f"left-commutativity fails on {name}")
-                lhs = tuple(a + b for a, b in zip(mul(mul(v, w), u), mul(v, mul(u, w))))
-                rhs = tuple(a + b for a, b in zip(mul(v, mul(w, u)), mul(mul(v, u), w)))
-                if lhs != rhs:
+                lhs = zip(_combination(vw, columns[i], d), v_uw)
+                rhs = zip(_combination(wu, p[j], d), _combination(vu, columns[k], d))
+                if [a + b for a, b in lhs] != [a + b for a, b in rhs]:
                     failures.append(f"right-symmetry fails on {name}")
-                vals = {frm(mul(u, v), w), frm(mul(v, u), w), frm(v, mul(u, w)),
-                        frm(v, mul(w, u))}
+                vals = {sum(c * f[t][k] for t, c in uv), sum(c * f[t][k] for t, c in vu),
+                        sum(c * f[j][t] for t, c in uw), sum(c * f[j][t] for t, c in wu)}
                 if len(vals) > 1:
                     failures.append(f"form compatibility fails on {name}")
 

@@ -27,6 +27,7 @@ from .formula import (
     _Record,
     _accumulate,
     _add_scaled,
+    _check_index,
     _over,
     _rat,
     _signed_sum,
@@ -78,12 +79,8 @@ _ZERO = PbwVector()
 _HALF = Fraction(1, 2)
 
 
-def monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Fraction:
-    return Fraction(_monomial_weight(spec, mono))
-
-
 def _monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Union[int, Fraction]:
-    """monomial_weight in stored form: the sum of wt(u_n) = wt(u) - n - 1."""
+    """The weight of a monomial in stored form: the sum of wt(u_n) = wt(u) - n - 1."""
     weights = spec._weights
     return sum(weights[g.bid] - g.n - 1 for g in mono.factors)
 
@@ -209,16 +206,19 @@ def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVect
 # Graded structure
 # ---------------------------------------------------------------------------
 
-def _require_graded(spec: FormulaSpec) -> None:
+def _checked_cutoff(spec: FormulaSpec, cutoff: RatLike) -> Union[int, Fraction]:
+    """The cutoff in stored form, once the spec is graded, its verdict is
+    injective and the cutoff is nonnegative, checked in that order."""
     if not spec.graded:
         raise UngradedError("this operation needs a graded formula")
-
-
-def _require_injective(spec: FormulaSpec) -> None:
     verdict = injectivity_verdict(spec)
     if not verdict.injective:
         raise NotInjectiveError(
             f"verdict is {verdict.status}; run the defect check first")
+    bound = _rat(cutoff)
+    if bound < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return bound
 
 
 def _counting_generators(spec: FormulaSpec, cutoff: RatLike) -> tuple:
@@ -229,11 +229,7 @@ def _counting_generators(spec: FormulaSpec, cutoff: RatLike) -> tuple:
     ranks over the polynomial algebra it generates, which equals the
     dimension after level specialization.
     """
-    _require_graded(spec)
-    _require_injective(spec)
-    bound = _rat(cutoff)
-    if bound < 0:
-        raise ValueError("cutoff must be nonnegative")
+    bound = _checked_cutoff(spec, cutoff)
     cid = spec.central
     gens = []
     for vec in spec.vectors:
@@ -314,14 +310,6 @@ def _by_weight(spec: FormulaSpec, v: PbwVector) -> dict:
     return {w: PbwVector._of(d) for w, d in sorted(pieces.items())}
 
 
-def weight_of_vector(spec: FormulaSpec, v: PbwVector) -> Optional[Fraction]:
-    """Common weight of a homogeneous vector (None for zero)."""
-    pieces = _by_weight(spec, v)
-    if len(pieces) > 1:
-        raise FormulaError(f"vector mixes weights {sorted(pieces)}")
-    return next((Fraction(w) for w in pieces), None)
-
-
 def kappa(spec: FormulaSpec, A: Element) -> PbwVector:
     """Embedding of Q[D] (x) S into the module: A -> A_{-1} 1, so D^k u -> k! u_{-k-1} 1."""
     return act_lie(spec, reduce_generator(spec, A, -1), vacuum())
@@ -350,14 +338,8 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     any intermediate whose weight passes the cutoff raises
     CutoffExceededError instead of being dropped.
     """
-    if type(n) is not int:  # a bool is an int subclass, but not a mode
-        raise TypeError(f"mode must be an integer, got {n!r}")
-    _require_graded(spec)
-    _require_injective(spec)
-    bound = _rat(cutoff)
-    if bound < 0:
-        raise ValueError("cutoff must be nonnegative")
-    return _field_coefficient(spec, a, n, b, bound, {})
+    _check_index(n, "mode")
+    return _field_coefficient(spec, a, n, b, _checked_cutoff(spec, cutoff), {})
 
 
 def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
@@ -474,9 +456,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     coefficients are computed with an internal cutoff margin wide enough
     that no intermediate overflows on these windows.
     """
-    _require_graded(spec)
-    _require_injective(spec)
-    bound = _rat(cutoff)
+    bound = _checked_cutoff(spec, cutoff)
     lam_max = max(spec._weights, default=0)
     # wide enough that no deliberate window below trips the overflow guard
     margin = 2 * bound + 2 * lam_max + 6

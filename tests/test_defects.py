@@ -36,7 +36,6 @@ from vertexlie import (
     skew_defect,
     sl2,
     preset,
-    support_bound,
     virasoro,
 )
 from vertexlie.defects import COMMUTATOR, SKEW
@@ -359,7 +358,8 @@ def test_extend_product_matches_reference() -> None:
     for spec in specs:
         for _ in range(3):
             A, B = _random_element(rng, spec), _random_element(rng, spec)
-            for n in range(support_bound(spec, A, B) + 2):
+            # A_n B vanishes from n_max + A.d_degree + B.d_degree on
+            for n in range(spec.n_max + A.d_degree + B.d_degree + 2):
                 assert extend_product(spec, A, n, B) == _reference_product(spec, A, n, B), \
                     (list(spec.constant_entries()), A, n, B)
 
@@ -555,12 +555,11 @@ def test_verdict_accepts_explicit_central_argument() -> None:
 
 
 def test_defect_values_are_weight_and_parity_homogeneous() -> None:
-    from vertexlie import parity_of, weight_of
-
     for spec in (VIR, SL2, HEIS, NS):
         for d in defect_sweep(spec):
-            weight_of(spec, d.value)  # raises InhomogeneousError on mixing
-            parity_of(spec, d.value)
+            terms = d.value._terms
+            assert len({spec.weight(bid) + k for k, bid in terms}) == 1, d
+            assert len({spec.parity(bid) for _k, bid in terms}) == 1, d
 
 
 # ---------------------------------------------------------------------------

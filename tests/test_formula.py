@@ -14,14 +14,13 @@ from vertexlie import (
     PRESETS,
     Element,
     FormulaSpec,
-    InhomogeneousError,
     LieElement,
     LieGenerator,
-    UngradedError,
     act_word,
     apply_D,
     basis_element,
     bracket,
+    commutator_defect,
     defect_sweep,
     extend_product,
     field_coefficient,
@@ -29,21 +28,21 @@ from vertexlie import (
     gen_binomial,
     graded_dimension,
     injectivity_verdict,
+    jacobi_component_defect,
+    jacobi_window_verify,
     kappa,
     kappa_basis,
     lie_D,
     monomial_basis,
-    parity_of,
     preset,
     rat,
+    reduce_generator,
+    skew_defect,
     specialize_level,
-    support_bound,
     validate_spec,
     virasoro,
-    weight_of,
 )
 from vertexlie.formula import Violation, falling
-from vertexlie.verma import monomial_weight, weight_of_vector
 
 # typo'd presets and seeded random tables, shared with the sweep tests
 from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables, _typo
@@ -181,6 +180,51 @@ def test_constant_checks_the_product_index() -> None:
         VIR.constant("omega", -1, "omega")
 
 
+# every entry point that takes an index: (call on the index, the message for a
+# negative one, or None where a negative index is valid)
+INDEX_CALLS = {
+    "apply_D": (lambda k: apply_D(OM, k), "cannot shift by a negative D-power"),
+    "extend_product": (lambda k: extend_product(VIR, OM, k, OM),
+                       "product index must be nonnegative"),
+    "skew_defect": (lambda k: skew_defect(VIR, "omega", k, "omega"), "index must be nonnegative"),
+    "commutator_defect m": (lambda k: commutator_defect(VIR, "omega", k, "omega", 0, "omega"),
+                            "indices must be nonnegative"),
+    "commutator_defect n": (lambda k: commutator_defect(VIR, "omega", 0, "omega", k, "omega"),
+                            "indices must be nonnegative"),
+    "jacobi_component_defect k": (
+        lambda k: jacobi_component_defect(VIR, "omega", k, "omega", 0, "omega", 0),
+        "indices must be nonnegative"),
+    "jacobi_component_defect m": (
+        lambda k: jacobi_component_defect(VIR, "omega", 0, "omega", k, "omega", 0),
+        "indices must be nonnegative"),
+    "jacobi_component_defect n": (
+        lambda k: jacobi_component_defect(VIR, "omega", 0, "omega", 0, "omega", k),
+        "indices must be nonnegative"),
+    # loop-abelian has no products, so every bound is sufficient
+    "defect_sweep": (lambda k: defect_sweep(preset("loop-abelian"), k),
+                     "bound must be nonnegative"),
+    "jacobi_window_verify": (lambda k: jacobi_window_verify(VIR, k),
+                             "window must be nonnegative"),
+    "reduce_generator": (lambda k: reduce_generator(VIR, OM, k), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CALLS))
+def test_index_arguments_must_be_ints(name: str) -> None:
+    # apply_D(OM, 1.0) used to key an Element by the float 1.0, which then
+    # exported as a D-power that parse_formula refuses
+    call, negative = INDEX_CALLS[name]
+    for bad in (1.0, 1.5, True, False, F(1), "1"):
+        with pytest.raises(TypeError, match=r" must be an integer, got " + re.escape(repr(bad))):
+            call(bad)
+    call(1)
+    if negative is None:
+        call(-1)
+    else:
+        with pytest.raises(ValueError, match=f"^{negative}$"):
+            call(-1)
+
+
 def test_validate_spec_clean_presets() -> None:
     assert validate_spec(VIR) == []
     assert validate_spec(FormulaSpec([], {})) == []
@@ -270,9 +314,14 @@ def test_product_examples_with_derivatives() -> None:
     assert extend_product(VIR, OM, 1, dom) == Element({(1, 0): 3})
 
 
+def _support_bound(spec, A, B) -> int:
+    """A_n B vanishes for every n >= this bound."""
+    return spec.n_max + A.d_degree + B.d_degree
+
+
 def _principal_series(spec, A, B):
-    """{n: A_n B} over n below support_bound, nonzero terms only."""
-    series = {n: extend_product(spec, A, n, B) for n in range(support_bound(spec, A, B))}
+    """{n: A_n B} over n below _support_bound, nonzero terms only."""
+    series = {n: extend_product(spec, A, n, B) for n in range(_support_bound(spec, A, B))}
     return {n: v for n, v in series.items() if v}
 
 
@@ -328,35 +377,9 @@ def test_truncation_boundary_sweep() -> None:
     for _ in range(20):
         a = _random_element(rng, VIR, EVEN)
         b = _random_element(rng, VIR, EVEN)
-        bound = support_bound(VIR, a, b)
+        bound = _support_bound(VIR, a, b)
         assert extend_product(VIR, a, bound, b).is_zero
         assert extend_product(VIR, a, bound + 1, b).is_zero
-
-
-def test_parity_bookkeeping() -> None:
-    from vertexlie import neveu_schwarz
-
-    ns = neveu_schwarz()
-    tau = basis_element(ns.bid("tau"))
-    om = basis_element(ns.bid("omega"))
-    assert parity_of(ns, extend_product(ns, tau, 0, tau)) == EVEN
-    assert parity_of(ns, extend_product(ns, om, 0, tau)) == 1
-    with pytest.raises(InhomogeneousError):
-        parity_of(ns, om + tau)
-
-
-def test_weight_bookkeeping() -> None:
-    assert weight_of(VIR, apply_D(OM, 2)) == 4
-    assert weight_of(VIR, Element()) is None
-    with pytest.raises(InhomogeneousError):
-        weight_of(VIR, OM + C)
-    for n in range(5):
-        prod = extend_product(VIR, OM, n, OM)
-        if prod:
-            assert weight_of(VIR, prod) == 4 - n - 1
-    ungraded = FormulaSpec([("a", EVEN)], {})
-    with pytest.raises(UngradedError):
-        weight_of(ungraded, basis_element(0))
 
 
 def test_format_element() -> None:
@@ -393,7 +416,7 @@ def test_internal_results_store_only_nonzero_fractions(name: str) -> None:
             basis_element(i, -1)
     for a in elements:
         for b in elements:
-            for n in range(support_bound(spec, a, b) + 1):
+            for n in range(_support_bound(spec, a, b) + 1):
                 check(extend_product(spec, a, n, b))
     for d in defect_sweep(spec):
         check(d.value)
@@ -436,7 +459,7 @@ def test_public_results_are_fractions(name: str) -> None:
     units = [basis_element(i) for i in range(spec.dim)]
     for a in units:
         for b in units:
-            for n in range(support_bound(spec, a, b)):
+            for n in range(_support_bound(spec, a, b)):
                 _assert_public_fractions(extend_product(spec, a, n, b))
     gens = [LieElement({LieGenerator(i, n): 1}) for i in range(spec.dim) for n in (-2, 0, 1, 3)]
     for x in gens:
@@ -446,21 +469,17 @@ def test_public_results_are_fractions(name: str) -> None:
         return
     for i in range(spec.dim):
         assert type(spec.weight(i)) is F and type(spec.vectors[i].weight) is F
-        assert type(weight_of(spec, basis_element(i, 2))) is F
     if not injectivity_verdict(spec).injective:
         return
     dims = graded_dimension(spec, 3)
     assert dims and all(type(w) is F for w in dims)
     basis = monomial_basis(spec, 2)
     assert all(type(w) is F for w in basis)
-    assert all(type(monomial_weight(spec, m)) is F for monos in basis.values() for m in monos)
     for u in range(spec.dim):
         for v in range(spec.dim):
             word = [LieGenerator(u, 1), LieGenerator(v, -2), LieGenerator(u, -1)]
             out = act_word(spec, word)
             _assert_public_fractions(out)
-            if out:
-                assert type(weight_of_vector(spec, out)) is F
             for n in range(3):
                 _assert_public_fractions(field_coefficient(spec, kappa_basis(spec, u), n,
                                                            kappa_basis(spec, v), 10))
@@ -478,17 +497,21 @@ def test_package_source_has_no_true_division() -> None:
 
 
 def test_only_formula_reads_the_constants_table() -> None:
-    # other modules reach the products through the spec's rows (FormulaSpec._row)
+    # the spec keeps its table in one store, _rows; other modules reach the
+    # products through FormulaSpec._row and constant_entries.  linalg.RowSpace
+    # has a _rows of its own, which it reads through self.
     for path in sorted(Path(vertexlie.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         names = {name for node in ast.walk(tree)
                  for name in (getattr(node, "attr", None), getattr(node, "id", None),
                               getattr(node, "name", None))}
         assert "constant_by_id" not in names, f"{path.name}: constant_by_id is back"
+        assert "_constants" not in names, f"{path.name}: a second table store is back"
         if path.name != "formula.py":
             reads = [node.lineno for node in ast.walk(tree)
-                     if isinstance(node, ast.Attribute) and node.attr == "_constants"]
-            assert not reads, f"{path.name}: reads ._constants at lines {reads}"
+                     if isinstance(node, ast.Attribute) and node.attr == "_rows"
+                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+            assert not reads, f"{path.name}: reads a spec's ._rows at lines {reads}"
 
 
 def test_operand_reuse_leaves_operands_unchanged() -> None:

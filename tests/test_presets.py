@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -242,9 +244,8 @@ def test_neveu_schwarz_shape() -> None:
     assert spec.constant("tau", 0, "omega") == Element({(1, spec.bid("tau")): F(1, 2)})
     assert spec.constant("tau", 2, "tau") == Element({(0, spec.bid("c")): F(2, 3)})
     # index-0 square of the odd vector is even
-    from vertexlie import parity_of
-
-    assert parity_of(spec, spec.constant("tau", 0, "tau")) == 0
+    square = spec.constant("tau", 0, "tau")
+    assert square and all(spec.parity(bid) == 0 for _k, bid in square._terms)
 
 
 def test_comm_assoc_trivial_reproduces_conformal_preset() -> None:
@@ -262,6 +263,12 @@ def test_comm_assoc_rejects_bad_tables() -> None:
         comm_assoc(noncomm, identity="omega")
 
 
+def _form(algebra: BilinearAlgebra, x: tuple, y: tuple):
+    """<x, y> of two coordinate vectors, summed over their nonzero coordinates."""
+    return sum(a * b * algebra.form[i][j]
+               for i, a in enumerate(x) if a for j, b in enumerate(y) if b)
+
+
 def _dense_comm_assoc_check(algebra: BilinearAlgebra, identity: str):
     """comm_assoc's first complaint by the dense check over every basis
     triple that it used to run, or None when it accepts the tables."""
@@ -269,7 +276,7 @@ def _dense_comm_assoc_check(algebra: BilinearAlgebra, identity: str):
         return "invalid tables: form is not symmetric"
     d = algebra.dim
     one = algebra.unit(algebra.labels.index(identity))
-    mul, frm = algebra.mul_vec, algebra.form_vec
+    mul, frm = algebra.mul_vec, lambda x, y: _form(algebra, x, y)
     for i in range(d):
         ei = algebra.unit(i)
         if mul(one, ei) != ei or mul(ei, one) != ei:
@@ -336,6 +343,55 @@ def test_comm_assoc_checks_agree_with_the_dense_check() -> None:
                     "invalid tables: product is not associative",
                     "invalid tables: form is not associative",
                     "invalid tables: <identity, identity> must be 1"}
+
+
+def _dense_novikov_failures(algebra: BilinearAlgebra) -> tuple:
+    """novikov_check's identity failures by the dense check over every basis
+    triple that it used to run: full coordinate products of unit vectors."""
+    labels, d = algebra.labels, algebra.dim
+    # the same products, each computed once
+    mul, frm = lru_cache(None)(algebra.mul_vec), lambda x, y: _form(algebra, x, y)
+    failures = []
+    for i, j, k in itertools.product(range(d), repeat=3):
+        u, v, w = algebra.unit(i), algebra.unit(j), algebra.unit(k)
+        name = f"({labels[i]},{labels[j]},{labels[k]})"
+        if mul(u, mul(v, w)) != mul(v, mul(u, w)):
+            failures.append(f"left-commutativity fails on {name}")
+        lhs = tuple(a + b for a, b in zip(mul(mul(v, w), u), mul(v, mul(u, w))))
+        rhs = tuple(a + b for a, b in zip(mul(v, mul(w, u)), mul(mul(v, u), w)))
+        if lhs != rhs:
+            failures.append(f"right-symmetry fails on {name}")
+        if len({frm(mul(u, v), w), frm(mul(v, u), w), frm(v, mul(u, w)),
+                frm(v, mul(w, u))}) > 1:
+            failures.append(f"form compatibility fails on {name}")
+    return tuple(failures)
+
+
+def test_novikov_check_agrees_with_the_dense_check() -> None:
+    rng = random.Random(21)
+    bases = ([lambda_algebra()] * 30 + [lambda_algebra(flipped=True)] * 30
+             + [_truncated_polynomials(n) for n in (2, 3, 4, 5)
+                for _ in range({2: 16, 3: 10, 4: 6, 5: 4}[n])])
+    families, valid = set(), 0
+    for base in bases:
+        d = base.dim
+        product = [[list(v) for v in row] for row in base.product]
+        form = [list(row) for row in base.form]
+        for _ in range(rng.choice((1, 2))):
+            i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+            value = rng.choice((-1, 0, 1, 2, F(1, 2)))
+            if rng.random() < 0.7:
+                product[i][j][k] = value
+            else:  # novikov_check refuses a form that is not symmetric
+                form[i][j] = form[j][i] = value
+        algebra = BilinearAlgebra(base.labels, product, form)
+        report = novikov_check(algebra)
+        assert report.identity_failures == _dense_novikov_failures(algebra), \
+            (base.labels, product, form)
+        families |= {msg.split(" fails")[0] for msg in report.identity_failures}
+        valid += report.ok
+    assert families == {"left-commutativity", "right-symmetry", "form compatibility"}
+    assert valid
 
 
 def test_novikov_form_must_be_symmetric() -> None:

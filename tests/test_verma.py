@@ -54,7 +54,6 @@ from vertexlie import (
 import vertexlie.verma as verma_module
 from vertexlie.formula_io import parse_formula
 from vertexlie.linalg import RowSpace
-from vertexlie.verma import monomial_weight, weight_of_vector
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
@@ -67,6 +66,18 @@ def gen(spec, label, n):
 
 def vec(spec, *factors):
     return PbwVector({PbwMonomial(tuple(gen(spec, lbl, n) for lbl, n in factors)): 1})
+
+
+def monomial_weight(spec, mono) -> F:
+    """The sum of wt(u_n) = wt(u) - n - 1 over the factors."""
+    return sum((spec.weight(g.bid) - g.n - 1 for g in mono.factors), F(0))
+
+
+def vector_weight(spec, v) -> F:
+    """The common weight of the monomials of a nonzero homogeneous vector."""
+    weights = {monomial_weight(spec, m) for m in v._terms}
+    assert len(weights) == 1, weights
+    return weights.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +355,7 @@ def test_weight_additivity() -> None:
         m = rng.choice(monos)
         out = act(VIR, g, PbwVector({m: 1}))
         if out:
-            assert weight_of_vector(VIR, out) \
-                == monomial_weight(VIR, m) + 2 - g.n - 1
+            assert vector_weight(VIR, out) == monomial_weight(VIR, m) + 2 - g.n - 1
 
 
 def test_omega_modes_act_as_grading_and_derivation() -> None:
@@ -497,7 +507,7 @@ def test_dims_match_act_closure_rank() -> None:
         while frontier:
             vecs, frontier = frontier, []
             for w in vecs:
-                weight = weight_of_vector(spec, w)
+                weight = vector_weight(spec, w)
                 seen.setdefault(weight, []).append(w)
                 for g in creations:
                     new_weight = weight + spec.weight(g.bid) - g.n - 1
