@@ -150,6 +150,16 @@ def _parse_word(spec: FormulaSpec, word: str) -> list:
     return [_parse_generator(spec, tok) for tok in word.split()]
 
 
+def _defect_lines(spec: FormulaSpec, sweep: list, show_all: bool,
+                  indent: str = "") -> Iterator[str]:
+    """One line a defect: the first ten unless show_all, then a count of the rest."""
+    shown = sweep if show_all else sweep[:10]
+    for d in shown:
+        yield f"{indent}{d.kind} {d.indices}: {format_element(spec, d.value)}"
+    if len(sweep) > len(shown):
+        yield f"{indent}... {len(sweep) - len(shown)} more (use --all)"
+
+
 def cmd_check(args) -> int:
     _require_nonnegative("--bound", args.bound)
     _require_nonnegative("--window", args.window)
@@ -173,11 +183,7 @@ def cmd_check(args) -> int:
             yield "invariant violations: none"
         bound = args.bound if args.bound is not None else defects_mod.default_bound(spec)
         yield f"defects: {len(sweep)} nonzero (bound {bound})"
-        shown = sweep if args.all else sweep[:10]
-        for d in shown:
-            yield f"  {d.kind} {d.indices}: {format_element(spec, d.value)}"
-        if len(sweep) > len(shown):
-            yield f"  ... {len(sweep) - len(shown)} more (use --all)"
+        yield from _defect_lines(spec, sweep, args.all, "  ")
         yield f"verdict: {verdict.status}"
         yield f"  {verdict.notes}"
         if report is not None:
@@ -216,11 +222,7 @@ def cmd_defect(args) -> int:
     def text() -> Iterator[str]:
         if not sweep:
             yield "no nonzero defects"
-        shown = sweep if args.all else sweep[:10]
-        for d in shown:
-            yield f"{d.kind} {d.indices}: {format_element(spec, d.value)}"
-        if len(sweep) > len(shown):
-            yield f"... {len(sweep) - len(shown)} more (use --all)"
+        yield from _defect_lines(spec, sweep, args.all)
 
     payload = {"spec": _spec_json(spec),
                "defects": [_defect_json(spec, d) for d in sweep]}

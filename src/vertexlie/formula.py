@@ -430,8 +430,7 @@ class FormulaSpec:
 
         table: dict = {}
         for (u, n, v), value in constants.items():
-            if type(n) is not int or n < 0:
-                raise ValueError(f"product index must be a nonnegative integer, got {n!r}")
+            _check_index(n, "product index", "product index must be nonnegative")
             uid = self._resolve(u).index
             vid = self._resolve(v).index
             if isinstance(value, Element):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .formula import EVEN, ODD, FormulaError, FormulaSpec, _BasisEntryError, _rat
+from .formula import EVEN, ODD, FormulaError, FormulaSpec, _BasisEntryError, _accumulate, _rat
 
 _PARITY_NAMES = {"even": EVEN, "odd": ODD}
 _SECTIONS = ("meta", "basis", "central", "conformal", "constants")
@@ -132,7 +132,7 @@ def parse_formula(text: str) -> FormulaSpec:
                 coeff = _rat_or_fail(parts[2], lineno)
                 key = (k, parts[1])
                 references.append((lineno, parts[1]))
-                terms[key] = terms.get(key, 0) + coeff
+                _accumulate(terms, key, coeff)
             if (u, n, v) in constants:
                 raise FormulaFileError(lineno, f"product ({u},{n},{v}) given twice")
             constants[(u, n, v)] = terms

@@ -120,7 +120,7 @@ def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
 class LawViolation(_Record):
     """One failed Lie-algebra law found during window verification."""
 
-    __slots__ = ("law", "generators", "discrepancy")  # law: "skew" | "jacobi" | "derivation"
+    __slots__ = ("law", "generators", "discrepancy")  # law: "skew" | "jacobi"
 
     def __str__(self) -> str:
         return f"{self.law} fails at {self.generators}"
@@ -129,16 +129,25 @@ class LawViolation(_Record):
 def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     """Exact Lie-superalgebra laws over all modes |n| <= window.
 
-    Checks eps-skew-symmetry and the derivation law on all generator
-    pairs and the super Jacobi identity on all triples, each law summed
-    in one pass over the memoized generator brackets [u_n, v_p]
-    (_pair_bracket); returns every violation (empty list = pass), pairs
-    first, then triples, in generator order.
+    Checks eps-skew-symmetry on all generator pairs and the super Jacobi
+    identity on all triples, each law summed in one pass over the
+    memoized generator brackets [u_n, v_p] (_pair_bracket); returns every
+    violation (empty list = pass), pairs first, then triples, in
+    generator order.
+
+    The derivation law D[x, y] = [Dx, y] + [x, Dy] holds for every table,
+    a broken one included, so it is proved here rather than summed.  For
+    A = D^k u and the falling factorial (m)_k, (m - k)(m)_k = m (m-1)_k
+    gives D(reduce(A_m)) = -m reduce(A_{m-1}); when u is the central
+    vector the quotient kills, both sides are zero, because D c_{-1} =
+    c_{-2} is killed and (D^k c)_{m-1} survives only at m = k, where
+    (k-1)_k = 0.  With n (n-1 over i) = (n - i)(n over i), the terms of
+    [Du_n, v_p] + [u_n, Dv_p] at each i add up to
+    -(n + p - i)(n over i) reduce((u_i v)_{n+p-i-1}), the term of D[u_n, v_p].
 
     Two skip rules leave out only laws that read 0 = 0:
     - An inert basis vector (central_check: it is an argument of no
-      table product) brackets to zero with every mode, and so does
-      every mode D u_n = -n u_{n-1} of it, so each skew, derivation and
+      table product) brackets to zero with every mode, so each skew and
       Jacobi law with an inert generator has only zero brackets.
     - When [x, y] = 0, the Jacobiator [x, [y, z]] - eps [y, [x, z]] is
       zero unless [y, z] != 0 or [x, z] != 0, so z runs only over the
@@ -151,31 +160,17 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
             for n in range(-window, window + 1)]
 
     def found(law: str, generators: tuple, acc: dict) -> None:
-        if any(acc.values()):
-            violations.append(LawViolation(law, generators, LieElement._of(
-                {g: _rat(c) for g, c in acc.items() if c})))
+        if acc:
+            violations.append(LawViolation(law, generators, LieElement._of(acc)))
 
-    # rows[i][j]: the terms of [gens[i], gens[j]]
-    rows = [[_pair_bracket(spec, gx, gy)._terms for gy in gens] for gx in gens]
-    ds = [_D_generator(spec, g) for g in gens]
+    # rows[i][j] = [gens[i], gens[j]]
+    rows = [[_pair_bracket(spec, gx, gy) for gy in gens] for gx in gens]
     for ix, gx in enumerate(gens):
-        dx = ds[ix]
         for iy, gy in enumerate(gens):
-            xy, dy = rows[ix][iy], ds[iy]
-            skew = dict(xy)
-            eps = spec.epsilon(gx.bid, gy.bid)
-            for g, c in rows[iy][ix].items():
-                skew[g] = skew.get(g, 0) + eps * c
+            skew: dict = {}  # [x, y] + eps [y, x]
+            _add_scaled(skew, rows[ix][iy])
+            _add_scaled(skew, rows[iy][ix], spec.epsilon(gx.bid, gy.bid))
             found("skew", (gx, gy), skew)
-            # D[x, y] - [Dx, y] - [x, Dy]; D[x, y] term by term, as in lie_D
-            leib = {d[0]: d[1] * c for g, c in xy.items() if (d := _D_generator(spec, g))}
-            if dx:
-                for g, c in _pair_bracket(spec, dx[0], gy)._terms.items():
-                    leib[g] = leib.get(g, 0) - dx[1] * c
-            if dy:
-                for g, c in _pair_bracket(spec, gx, dy[0])._terms.items():
-                    leib[g] = leib.get(g, 0) - dy[1] * c
-            found("derivation", (gx, gy), leib)
 
     # partners[i]: the indices j with [gens[i], gens[j]] != 0
     partners = [{iy for iy, xy in enumerate(row) if xy} for row in rows]
@@ -186,14 +181,11 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
             for iz in every if xy else sorted(partners[ix] | partners[iy]):
                 gz = gens[iz]
                 jac: dict = {}  # [x, [y, z]] - [[x, y], z] - eps [y, [x, z]]
-                for g, c in rows[iy][iz].items():
-                    for h, d in _pair_bracket(spec, gx, g)._terms.items():
-                        jac[h] = jac.get(h, 0) + c * d
-                for g, c in xy.items():
-                    for h, d in _pair_bracket(spec, g, gz)._terms.items():
-                        jac[h] = jac.get(h, 0) - c * d
-                for g, c in rows[ix][iz].items():
-                    for h, d in _pair_bracket(spec, gy, g)._terms.items():
-                        jac[h] = jac.get(h, 0) + meps * c * d
+                for g, c in rows[iy][iz]._terms.items():
+                    _add_scaled(jac, _pair_bracket(spec, gx, g), c)
+                for g, c in xy._terms.items():
+                    _add_scaled(jac, _pair_bracket(spec, g, gz), -c)
+                for g, c in rows[ix][iz]._terms.items():
+                    _add_scaled(jac, _pair_bracket(spec, gy, g), meps * c)
                 found("jacobi", (gx, gy, gz), jac)
     return violations

@@ -21,11 +21,8 @@ from vertexlie import (
     LieGenerator,
     PbwVector,
     abelian,
-    act,
     act_lie,
     affine,
-    apply_D,
-    apply_D_module,
     axiom_spotcheck,
     bracket,
     commutator_defect,
@@ -33,14 +30,12 @@ from vertexlie import (
     defect_sweep,
     dual_numbers,
     extend_product,
-    field_coefficient,
     gen_binomial,
     graded_dimension,
     heisenberg,
     injectivity_verdict,
     jacobi_component_defect,
     jacobi_window_verify,
-    kappa_basis,
     lambda_algebra,
     membership_central,
     monomial_basis,
@@ -49,10 +44,9 @@ from vertexlie import (
     novikov_check,
     skew_defect,
     sl2,
-    vacuum,
     virasoro,
 )
-from vertexlie.defects import COMMUTATOR, JACOBI, SKEW
+from vertexlie.defects import COMMUTATOR, JACOBI
 from vertexlie.linalg import RowSpace
 from vertexlie.local_algebra import single
 

@@ -16,6 +16,7 @@ from vertexlie import (
     FormulaSpec,
     LieElement,
     LieGenerator,
+    UngradedError,
     act_word,
     apply_D,
     basis_element,
@@ -144,6 +145,16 @@ def test_spec_lookup_and_errors() -> None:
     assert VIR.graded
 
 
+def test_spec_lookup_refuses_bad_references() -> None:
+    with pytest.raises(KeyError, match="^'no basis vector number 99'$"):
+        VIR.bid(99)
+    with pytest.raises(TypeError, match=r"^cannot use 1\.5 as a basis reference$"):
+        VIR.bid(1.5)
+    with pytest.raises(UngradedError, match="^formula carries no weights$"):
+        FormulaSpec([("a", EVEN)], {}).weight("a")
+    assert VIR.weight("omega") == 2
+
+
 def test_spec_rejects_bad_data() -> None:
     with pytest.raises(ValueError):
         FormulaSpec([("a", EVEN), ("a", EVEN)], {})
@@ -153,12 +164,12 @@ def test_spec_rejects_bad_data() -> None:
         FormulaSpec([("a", EVEN, -1)], {})
     with pytest.raises(ValueError):
         FormulaSpec([("a", EVEN, 1), ("b", EVEN)], {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^product index must be nonnegative$"):
         FormulaSpec([("a", EVEN)], {("a", -1, "a"): {(0, "a"): 1}})
     # a bool or float index or D-power would export as a file that does not parse
     for n in (True, 1.0):
-        with pytest.raises(ValueError, match=re.escape(
-                f"product index must be a nonnegative integer, got {n!r}")):
+        with pytest.raises(TypeError,
+                           match=re.escape(f"product index must be an integer, got {n!r}")):
             FormulaSpec([("a", EVEN)], {("a", n, "a"): {(0, "a"): 1}})
         with pytest.raises(TypeError, match=re.escape(f"D-power must be an integer, got {n!r}")):
             FormulaSpec([("a", EVEN)], {("a", 0, "a"): {(n, "a"): 1}})
@@ -184,6 +195,8 @@ def test_constant_checks_the_product_index() -> None:
 # negative one, or None where a negative index is valid)
 INDEX_CALLS = {
     "apply_D": (lambda k: apply_D(OM, k), "cannot shift by a negative D-power"),
+    "FormulaSpec": (lambda k: FormulaSpec([("a", EVEN)], {("a", k, "a"): {(0, "a"): 1}}),
+                    "product index must be nonnegative"),
     "extend_product": (lambda k: extend_product(VIR, OM, k, OM),
                        "product index must be nonnegative"),
     "skew_defect": (lambda k: skew_defect(VIR, "omega", k, "omega"), "index must be nonnegative"),
@@ -512,6 +525,35 @@ def test_only_formula_reads_the_constants_table() -> None:
                      if isinstance(node, ast.Attribute) and node.attr == "_rows"
                      and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
             assert not reads, f"{path.name}: reads a spec's ._rows at lines {reads}"
+
+
+def _self_get_updates(tree: ast.AST) -> list:
+    """Lines of `d[key] = ... d.get(key, 0) ...`: a dict entry updated from its own value."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if not isinstance(target, ast.Subscript):
+                continue
+            own = (ast.dump(target.value), ast.dump(target.slice))
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                   and call.func.attr == "get" and call.args
+                   and (ast.dump(call.func.value), ast.dump(call.args[0])) == own
+                   for call in ast.walk(node.value)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_formula_accumulates_by_hand() -> None:
+    # one accumulate helper: formula._accumulate (and _add_scaled over it)
+    # keeps a dict of coefficients in stored form and drops zeros
+    assert _self_get_updates(ast.parse("acc[g] = acc.get(g, 0) + eps * c")) == [1]
+    assert _self_get_updates(ast.parse("out[k] = row.get(k, 0) * p")) == []
+    found = {path.name: lines for path in sorted(Path(vertexlie.__file__).parent.glob("*.py"))
+             if path.name != "formula.py"
+             and (lines := _self_get_updates(ast.parse(path.read_text(), filename=str(path))))}
+    assert not found, f"accumulated by hand (module: lines): {found}"
 
 
 def test_operand_reuse_leaves_operands_unchanged() -> None:

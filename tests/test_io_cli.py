@@ -292,7 +292,7 @@ def test_cli_text_is_byte_identical(argv: tuple, capsys) -> None:
 
 
 # Virasoro with the conformal weight of omega typo'd from 2 to 3: the
-# window check lists skew, derivation and Jacobi violations.
+# window check lists skew and Jacobi violations.
 TYPO_VIRASORO = """\
 [basis]
 omega even 2
@@ -315,6 +315,14 @@ def test_cli_window_on_a_typo_table_is_byte_identical(tmp_path, capsys) -> None:
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) \
         == ("c812bb90eab7ebe5e0f09d334ebe637628ab6872500abf86bb2519e60542d408", 1)
+
+
+def test_cli_window_text_counts_the_violations(tmp_path, capsys) -> None:
+    path = tmp_path / "typo-virasoro.vla"
+    path.write_text(TYPO_VIRASORO)
+    assert main(["check", str(path), "--window", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "mode-algebra laws on window 2: 131 violations"
 
 
 def test_cli_check_affine_exit_codes(capsys) -> None:
@@ -609,6 +617,34 @@ def test_cli_check_file_not_utf8(tmp_path, capsys) -> None:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {path}: {message}"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[meta]\nname virasoro\n", "line 2: meta lines look like 'key = value'"),
+    ("[basis]\n\na\n", "line 3: basis lines look like 'LABEL PARITY [WEIGHT]'"),
+    ("[basis]\na even 1 2\n", "line 2: basis lines look like 'LABEL PARITY [WEIGHT]'"),
+    ("[basis]\na even\n[conformal]\nomega a\n", "line 4: conformal lines look like 'omega = LABEL'"),
+    ("[basis]\na even\n[conformal]\nL = a\n", "line 4: conformal keys are omega and c, got 'L'"),
+    ("[basis]\na even\n[constants]\na 0 : 0 a 1\n", "line 4: product head must be 'U N V'"),
+    ("[basis]\na even\n[constants]\na 0 a : 0 a 1, D a 1\n", "line 4: bad D-power 'D'"),
+    ("[basis]\na even\n# D^-1\n[constants]\na 0 a : -1 a 1\n",
+     "line 5: D-power must be nonnegative"),
+])
+def test_cli_check_file_line_diagnostics(text: str, message: str, tmp_path, capsys) -> None:
+    path = tmp_path / "formula.vla"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: {message}"]
+
+
+def test_cli_check_directory_cannot_be_read(tmp_path, capsys) -> None:
+    assert main(["check", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: cannot read {tmp_path}: ")
 
 
 def test_cli_rejects_conflicting_inputs(capsys) -> None:

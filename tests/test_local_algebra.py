@@ -209,7 +209,11 @@ def test_window_verify_neveu_schwarz_anticommutator() -> None:
 
 def _reference_window(spec, window):
     """Every law violation on the window, each law built from bracket and
-    lie_D on one-term elements and their sums, term by term."""
+    lie_D on one-term elements and their sums, term by term.
+
+    The derivation clause stays although jacobi_window_verify proves that
+    law instead of summing it: a derivation violation here fails every
+    comparison with the library."""
     violations = []
     modes = range(-window, window + 1)
     gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in modes]
@@ -255,6 +259,12 @@ def test_window_verify_matches_reference_on_presets(name: str) -> None:
 def test_window_verify_matches_reference_on_typo_and_random_tables() -> None:
     specs = [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
     specs += _random_tables(random.Random(7), 40)
+    # D^2 products: the reference's derivation clause sees (D^2 u)_n reduced
+    d2 = FormulaSpec([("a", EVEN), ("b", 1)],
+                     {("a", 0, "a"): {(2, "a"): 1}, ("a", 1, "b"): {(2, "b"): F(1, 2)},
+                      ("b", 0, "b"): {(1, "a"): 1}})
+    assert d2.k_max == 2
+    specs.append(d2)
     caught = 0
     for spec in specs:
         want = _reference_window(spec, 2)

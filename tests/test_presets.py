@@ -102,6 +102,22 @@ def test_lie_data_validation() -> None:
             LieData(("a", "b"), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], form)
 
 
+ZERO_PRODUCT = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("product,form,table", [
+    ([[[0, 0], [0, 0]]], [[0, 0], [0, 0]], "product"),               # a missing row
+    ([[[0, 0]], [[0, 0], [0, 0]]], [[0, 0], [0, 0]], "product"),     # a short row
+    ([[[0, 0], [0]], [[0, 0], [0, 0]]], [[0, 0], [0, 0]], "product"),  # a short vector
+    (ZERO_PRODUCT, [[0, 0]], "form"),
+    (ZERO_PRODUCT, [[0, 0], [0]], "form"),
+])
+def test_bilinear_algebra_refuses_a_table_of_the_wrong_shape(product, form, table) -> None:
+    with pytest.raises(ValueError, match=f"^{table} table has wrong shape$"):
+        BilinearAlgebra(("a", "b"), product, form)
+    assert BilinearAlgebra(("a", "b"), ZERO_PRODUCT, [[0, 0], [0, 0]]).dim == 2
+
+
 def _gl_n(n: int) -> LieData:
     """gl_n on the matrix units E_ij with the trace form."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]

@@ -530,6 +530,18 @@ def test_dims_need_grading_and_verdict() -> None:
         graded_dimension(novikov(lambda_algebra(flipped=True)), 3)
 
 
+def test_dims_refuse_a_noncentral_vector_of_weight_zero() -> None:
+    from vertexlie import EVEN, injectivity_verdict
+
+    # every power of a_{-1} has weight 0; the central c of weight 0 is allowed
+    spec = FormulaSpec([("a", EVEN, 0), ("b", EVEN, 1)], {})
+    assert injectivity_verdict(spec).injective
+    with pytest.raises(FormulaError, match="^basis vector 'a' of weight 0 makes graded "
+                                           "pieces infinite-dimensional$"):
+        graded_dimension(spec, 2)
+    assert VIR.weight("c") == 0 and graded_dimension(VIR, 2)[F(2)] == 1
+
+
 def test_monomial_basis_is_sorted_and_normal_ordered() -> None:
     basis = monomial_basis(VIR, 8)
     for monos in basis.values():
