@@ -20,6 +20,7 @@ SparseVector docstring states the rule.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, factorial
@@ -437,6 +438,8 @@ class FormulaSpec:
                 elt = value
             else:
                 elt = Element({(k, self._resolve(t).index): c for (k, t), c in value.items()})
+            if max(n, elt.d_degree) > sys.maxsize:
+                raise ValueError("product index and D-power must be at most sys.maxsize")
             if elt:
                 table[(uid, n, vid)] = elt
         # the one store of the table: (uid, vid) -> {n: u_n v}, n increasing

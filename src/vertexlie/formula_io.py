@@ -18,6 +18,7 @@ export(parse(export(spec))) is byte-identical to export(spec).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import List, Optional, Union
 
@@ -41,6 +42,18 @@ def _rat_or_fail(token: str, line: int) -> Union[int, Fraction]:
         return _rat(token)
     except ValueError as exc:
         raise FormulaFileError(line, str(exc)) from None
+
+
+def _index_or_fail(token: str, what: str, line: int) -> int:
+    """The index token as an int in 0..sys.maxsize, or the line's parse error."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise FormulaFileError(line, f"bad {what} {token!r}") from None
+    if not 0 <= value <= sys.maxsize:
+        bound = "nonnegative" if value < 0 else "at most sys.maxsize"
+        raise FormulaFileError(line, f"{what} must be {bound}")
+    return value
 
 
 def parse_formula(text: str) -> FormulaSpec:
@@ -112,23 +125,13 @@ def parse_formula(text: str) -> FormulaSpec:
                 raise FormulaFileError(lineno, "product head must be 'U N V'")
             u, n_token, v = head_parts
             references += [(lineno, u), (lineno, v)]
-            try:
-                n = int(n_token)
-            except ValueError:
-                raise FormulaFileError(lineno, f"bad product index {n_token!r}") from None
-            if n < 0:
-                raise FormulaFileError(lineno, "product index must be nonnegative")
+            n = _index_or_fail(n_token, "product index", lineno)
             terms: dict = {}
             for chunk in tail.split(","):
                 parts = chunk.split()
                 if len(parts) != 3:
                     raise FormulaFileError(lineno, "each term is 'K TARGET COEFF'")
-                try:
-                    k = int(parts[0])
-                except ValueError:
-                    raise FormulaFileError(lineno, f"bad D-power {parts[0]!r}") from None
-                if k < 0:
-                    raise FormulaFileError(lineno, "D-power must be nonnegative")
+                k = _index_or_fail(parts[0], "D-power", lineno)
                 coeff = _rat_or_fail(parts[2], lineno)
                 key = (k, parts[1])
                 references.append((lineno, parts[1]))

@@ -129,11 +129,12 @@ class LawViolation(_Record):
 def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     """Exact Lie-superalgebra laws over all modes |n| <= window.
 
-    Checks eps-skew-symmetry on all generator pairs and the super Jacobi
-    identity on all triples, each law summed in one pass over the
-    memoized generator brackets [u_n, v_p] (_pair_bracket); returns every
-    violation (empty list = pass), pairs first, then triples, in
-    generator order.
+    Checks eps-skew-symmetry S(x, y) = [x, y] + eps [y, x] = 0 on all
+    generator pairs and the super Jacobi identity J(x, y, z) = [x, [y, z]]
+    - [[x, y], z] - eps [y, [x, z]] = 0 on all triples, eps = eps(x, y),
+    each law summed in one pass over the memoized generator brackets
+    [u_n, v_p] (_pair_bracket); returns every violation (empty list =
+    pass), pairs first, then triples, in generator order.
 
     The derivation law D[x, y] = [Dx, y] + [x, Dy] holds for every table,
     a broken one included, so it is proved here rather than summed.  For
@@ -145,40 +146,55 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     [Du_n, v_p] + [u_n, Dv_p] at each i add up to
     -(n + p - i)(n over i) reduce((u_i v)_{n+p-i-1}), the term of D[u_n, v_p].
 
+    The window's own brackets give the mirrored law of a pair exactly, so
+    it is read off the sum for the other order.  With eps^2 = 1,
+    - S(y, x) = [y, x] + eps [x, y]
+              = eps (eps [y, x] + [x, y])
+              = eps S(x, y) for every pair;
+    - when S(x, y) = 0, [y, x] = -eps [x, y] as computed, so for every z
+      J(y, x, z) = [y, [x, z]] - [[y, x], z] - eps [x, [y, z]]
+                 = [y, [x, z]] + eps [[x, y], z] - eps [x, [y, z]]
+                 = -eps J(x, y, z), with z over the same range (below).
+    A pair whose skew law fails, and x = y, are summed as they are; the
+    violations, their order and each coefficient's stored form are unchanged.
+
     Two skip rules leave out only laws that read 0 = 0:
     - An inert basis vector (central_check: it is an argument of no
       table product) brackets to zero with every mode, so each skew and
       Jacobi law with an inert generator has only zero brackets.
-    - When [x, y] = 0, the Jacobiator [x, [y, z]] - eps [y, [x, z]] is
-      zero unless [y, z] != 0 or [x, z] != 0, so z runs only over the
-      window partners of x and y, in generator order; when [x, y] != 0
-      it runs over every z.
+    - When [x, y] = 0, J(x, y, z) is zero unless [y, z] != 0 or
+      [x, z] != 0, so z runs only over the window partners of x and y,
+      in generator order; when [x, y] != 0 it runs over every z.
     """
     _check_index(window, "window", "window must be nonnegative")
     violations = []
     gens = [LieGenerator(bid, n) for bid in range(spec.dim) if not central_check(spec, bid)
             for n in range(-window, window + 1)]
 
-    def found(law: str, generators: tuple, acc: dict) -> None:
-        if acc:
-            violations.append(LawViolation(law, generators, LieElement._of(acc)))
-
     # rows[i][j] = [gens[i], gens[j]]
     rows = [[_pair_bracket(spec, gx, gy) for gy in gens] for gx in gens]
+    skews: dict = {}  # (i, j) -> S(gens[i], gens[j])
     for ix, gx in enumerate(gens):
         for iy, gy in enumerate(gens):
-            skew: dict = {}  # [x, y] + eps [y, x]
-            _add_scaled(skew, rows[ix][iy])
-            _add_scaled(skew, rows[iy][ix], spec.epsilon(gx.bid, gy.bid))
-            found("skew", (gx, gy), skew)
+            eps = spec.epsilon(gx.bid, gy.bid)
+            skew = skews[ix, iy] = (skews[iy, ix].scale(eps) if iy < ix
+                                    else rows[ix][iy] + rows[iy][ix].scale(eps))
+            if skew:
+                violations.append(LawViolation("skew", (gx, gy), skew))
 
     # partners[i]: the indices j with [gens[i], gens[j]] != 0
     partners = [{iy for iy, xy in enumerate(row) if xy} for row in rows]
-    every = range(len(gens))
+    mirrors: dict = {}  # (j, i) -> the Jacobi violations of a skew-clean pair i < j
     for ix, gx in enumerate(gens):
         for iy, gy in enumerate(gens):
             xy, meps = rows[ix][iy], -spec.epsilon(gx.bid, gy.bid)
-            for iz in every if xy else sorted(partners[ix] | partners[iy]):
+            if (ix, iy) in mirrors:
+                violations += [LawViolation("jacobi", (gx, gy, v.generators[2]),
+                                            v.discrepancy.scale(meps))
+                               for v in mirrors.pop((ix, iy))]
+                continue
+            start = len(violations)
+            for iz in range(len(gens)) if xy else sorted(partners[ix] | partners[iy]):
                 gz = gens[iz]
                 jac: dict = {}  # [x, [y, z]] - [[x, y], z] - eps [y, [x, z]]
                 for g, c in rows[iy][iz]._terms.items():
@@ -187,5 +203,8 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
                     _add_scaled(jac, _pair_bracket(spec, g, gz), -c)
                 for g, c in rows[ix][iz]._terms.items():
                     _add_scaled(jac, _pair_bracket(spec, gy, g), meps * c)
-                found("jacobi", (gx, gy, gz), jac)
+                if jac:
+                    violations.append(LawViolation("jacobi", (gx, gy, gz), LieElement._of(jac)))
+            if ix < iy and not skews[ix, iy]:
+                mirrors[iy, ix] = violations[start:]
     return violations

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import random
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -173,6 +174,14 @@ def test_spec_rejects_bad_data() -> None:
             FormulaSpec([("a", EVEN)], {("a", n, "a"): {(0, "a"): 1}})
         with pytest.raises(TypeError, match=re.escape(f"D-power must be an integer, got {n!r}")):
             FormulaSpec([("a", EVEN)], {("a", 0, "a"): {(n, "a"): 1}})
+    # factorial() overflows above sys.maxsize, and a D-power loops once per unit
+    big = sys.maxsize + 1
+    for n, k in ((big, 0), (0, big), (big, big)):
+        with pytest.raises(ValueError,
+                           match="^product index and D-power must be at most sys.maxsize$"):
+            FormulaSpec([("a", EVEN)], {("a", n, "a"): {(k, "a"): 1}})
+    at_max = FormulaSpec([("a", EVEN)], {("a", sys.maxsize, "a"): {(sys.maxsize, "a"): 1}})
+    assert (at_max.n_max, at_max.k_max) == (sys.maxsize + 1, sys.maxsize)
     # two different central vectors; the same one named twice is fine
     with pytest.raises(ValueError):
         FormulaSpec([("a", EVEN), ("c", EVEN)], {}, central="a", conformal=("a", "c"))

@@ -629,6 +629,11 @@ def test_cli_check_file_not_utf8(tmp_path, capsys) -> None:
     ("[basis]\na even\n[constants]\na 0 a : 0 a 1, D a 1\n", "line 4: bad D-power 'D'"),
     ("[basis]\na even\n# D^-1\n[constants]\na 0 a : -1 a 1\n",
      "line 5: D-power must be nonnegative"),
+    # factorial() overflowed on such an index; such a D-power looped once per unit
+    ("[basis]\na even\n[constants]\na 99999999999999999999 a : 0 a 1\n",
+     "line 4: product index must be at most sys.maxsize"),
+    ("[basis]\na even\n[constants]\na 0 a : 99999999999999999999 a 1\n",
+     "line 4: D-power must be at most sys.maxsize"),
 ])
 def test_cli_check_file_line_diagnostics(text: str, message: str, tmp_path, capsys) -> None:
     path = tmp_path / "formula.vla"

@@ -211,20 +211,23 @@ def _reference_window(spec, window):
     """Every law violation on the window, each law built from bracket and
     lie_D on one-term elements and their sums, term by term.
 
-    The derivation clause stays although jacobi_window_verify proves that
-    law instead of summing it: a derivation violation here fails every
-    comparison with the library."""
+    The bracket of each ordered pair of one-term window elements is
+    computed once, into a dict local to this call.  The derivation clause
+    stays although jacobi_window_verify proves that law instead of summing
+    it: a derivation violation here fails every comparison with the library."""
     violations = []
     modes = range(-window, window + 1)
     gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in modes]
+    one = {g: LieElement({g: 1}) for g in gens}
+    pair = {(gx, gy): bracket(spec, one[gx], one[gy]) for gx in gens for gy in gens}
     for gx in gens:
-        x = LieElement({gx: 1})
+        x = one[gx]
         dx = lie_D(spec, x)
         for gy in gens:
-            y = LieElement({gy: 1})
-            xy = bracket(spec, x, y)
+            y = one[gy]
+            xy = pair[gx, gy]
             eps = spec.epsilon(gx.bid, gy.bid)
-            skew = xy + bracket(spec, y, x).scale(eps)
+            skew = xy + pair[gy, gx].scale(eps)
             if skew:
                 violations.append(LawViolation("skew", (gx, gy), skew))
             leib = lie_D(spec, xy) - bracket(spec, dx, y) - bracket(spec, x, lie_D(spec, y))
@@ -234,19 +237,39 @@ def _reference_window(spec, window):
              if not any(bid in (uid, vid) for (uid, _n, vid), _ in spec.constant_entries())}
     triple_gens = [g for g in gens if g.bid not in inert]
     for gx in triple_gens:
-        x = LieElement({gx: 1})
+        x = one[gx]
         for gy in triple_gens:
-            y = LieElement({gy: 1})
+            y = one[gy]
             eps = spec.epsilon(gx.bid, gy.bid)
-            xy = bracket(spec, x, y)
+            xy = pair[gx, gy]
             for gz in triple_gens:
-                z = LieElement({gz: 1})
-                jac = bracket(spec, x, bracket(spec, y, z)) \
-                    - bracket(spec, xy, z) \
-                    - bracket(spec, y, bracket(spec, x, z)).scale(eps)
+                jac = bracket(spec, x, pair[gy, gz]) \
+                    - bracket(spec, xy, one[gz]) \
+                    - bracket(spec, y, pair[gx, gz]).scale(eps)
                 if jac:
                     violations.append(LawViolation("jacobi", (gx, gy, gz), jac))
     return violations
+
+
+def _mirrored_jacobi_pairs(spec, violations) -> dict:
+    """Check the two mirror identities on a list of window violations.
+
+    S(y, x) = eps S(x, y) for every pair, and J(y, x, z) = -eps J(x, y, z)
+    wherever [y, x] = -eps [x, y], that is where the skew law of (x, y)
+    holds.  Returns {eps: the number of nonzero J(x, y, z) with x < y and
+    a skew-clean pair (x, y)}."""
+    zero = LieElement()
+    skew = {v.generators: v.discrepancy for v in violations if v.law == "skew"}
+    jac = {v.generators: v.discrepancy for v in violations if v.law == "jacobi"}
+    for (gx, gy), s in skew.items():
+        assert skew.get((gy, gx), zero) == s.scale(spec.epsilon(gx.bid, gy.bid))
+    counts = {1: 0, -1: 0}
+    for (gx, gy, gz), j in jac.items():
+        if (gx, gy) not in skew:
+            eps = spec.epsilon(gx.bid, gy.bid)
+            assert jac.get((gy, gx, gz), zero) == j.scale(-eps)
+            counts[eps] += gx < gy
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -266,11 +289,39 @@ def test_window_verify_matches_reference_on_typo_and_random_tables() -> None:
     assert d2.k_max == 2
     specs.append(d2)
     caught = 0
+    mirrored = {1: 0, -1: 0}
     for spec in specs:
         want = _reference_window(spec, 2)
-        assert jacobi_window_verify(spec, 2) == want, list(spec.constant_entries())
+        got = jacobi_window_verify(spec, 2)
+        assert got == want, list(spec.constant_entries())
         caught += bool(want)
+        for eps, count in _mirrored_jacobi_pairs(spec, want).items():
+            mirrored[eps] += count
+        # LieElement equality reads Fraction(2, 1) == 2: pin the stored form
+        for v in got:
+            for c in v.discrepancy._terms.values():
+                assert type(c) is int or (type(c) is F and c.denominator != 1), (v, c)
     assert caught >= len(specs) // 2
+    # the corpus exercises the Jacobi mirror for even and for odd pairs
+    assert mirrored[1] and mirrored[-1], mirrored
+
+
+def test_window_verify_reads_each_mirrored_pair_once(monkeypatch) -> None:
+    # a machine-independent work count: the skew-clean pair (y, x) reuses
+    # the Jacobi laws of (x, y), so about half of the 2133 bracket reads of
+    # summing every ordered pair remain
+    from vertexlie import local_algebra
+
+    reads = []
+    pair_bracket = local_algebra._pair_bracket
+
+    def counted(spec, x, y):
+        reads.append((x, y))
+        return pair_bracket(spec, x, y)
+
+    monkeypatch.setattr(local_algebra, "_pair_bracket", counted)
+    assert jacobi_window_verify(preset("virasoro"), 4) == []
+    assert 0 < len(reads) <= 1300
 
 
 def test_window_verify_matches_reference_on_heisenberg_window_3() -> None:
