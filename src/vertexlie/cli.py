@@ -20,7 +20,7 @@ import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from . import defects as defects_mod
 from .defects import conformal_validate, defect_sweep, injectivity_verdict
@@ -112,19 +112,28 @@ def _json(value, indent: str = "\n") -> str:
     return opening + inner + ("," + inner).join(items) + indent + closing
 
 
-def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
-    """Write payload as one JSON object under --json, else the text lines.
+def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]]) -> None:
+    """Write payload() as one JSON object under --json, else the lines of text_lines().
 
-    text_lines may be a generator: under --json it is never run.
+    Only the chosen form is built, and all of it before anything is written.
+    Building it only renders values already computed; the one ValueError it
+    can raise is the interpreter's limit on the digits of an int written as
+    text (sys.set_int_max_str_digits, a guard against quadratic-time
+    conversion), and that refuses the command.
     """
-    if args.json:
-        base = {"spec": None, "verdict": None, "defects": None,
-                "dims": None, "result": None}
-        base.update(payload)
-        sys.stdout.write(_json(base) + "\n")
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.json:
+            base = {"spec": None, "verdict": None, "defects": None,
+                    "dims": None, "result": None}
+            base.update(payload())
+            out = _json(base) + "\n"
+        else:
+            out = "".join(line + "\n" for line in text_lines())
+    except ValueError:
+        raise CliError(f"a coefficient of the result has more than {sys.get_int_max_str_digits()} "
+                       "digits, the limit for writing an integer as text "
+                       "(the PYTHONINTMAXSTRDIGITS variable sets it)", EXIT_FAIL) from None
+    sys.stdout.write(out)
 
 
 def _parse_generator(spec: FormulaSpec, token: str):
@@ -198,18 +207,20 @@ def cmd_check(args) -> int:
                 outcome = "pass"
             yield f"mode-algebra laws on window {args.window}: {outcome}"
 
-    payload = {
-        "spec": _spec_json(spec),
-        "verdict": {"status": verdict.status, "notes": verdict.notes,
-                    "injective": verdict.injective},
-        "defects": [_defect_json(spec, d) for d in sweep],
-        "result": {"violations": [str(v) for v in violations],
-                   "conformal": None if report is None else
-                   {"ok": report.ok, "failures": list(report.failures)},
-                   "window": None if bad is None else
-                   {"window": args.window, "violations": [str(b) for b in bad]}},
-    }
-    _emit(args, payload, text())
+    def payload() -> dict:
+        return {
+            "spec": _spec_json(spec),
+            "verdict": {"status": verdict.status, "notes": verdict.notes,
+                        "injective": verdict.injective},
+            "defects": [_defect_json(spec, d) for d in sweep],
+            "result": {"violations": [str(v) for v in violations],
+                       "conformal": None if report is None else
+                       {"ok": report.ok, "failures": list(report.failures)},
+                       "window": None if bad is None else
+                       {"window": args.window, "violations": [str(b) for b in bad]}},
+        }
+
+    _emit(args, payload, text)
     ok = verdict.injective and not violations
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -224,9 +235,8 @@ def cmd_defect(args) -> int:
             yield "no nonzero defects"
         yield from _defect_lines(spec, sweep, args.all)
 
-    payload = {"spec": _spec_json(spec),
-               "defects": [_defect_json(spec, d) for d in sweep]}
-    _emit(args, payload, text())
+    _emit(args, lambda: {"spec": _spec_json(spec),
+                         "defects": [_defect_json(spec, d) for d in sweep]}, text)
     return EXIT_OK
 
 
@@ -240,12 +250,10 @@ def cmd_bracket(args) -> int:
     except KeyError as exc:
         raise CliError(exc.args[0]) from None
     value = bracket(spec, x, y)
-    payload = {
-        "spec": _spec_json(spec),
-        "result": [{"generator": f"{spec.vectors[g.bid].label}_{g.n}",
-                    "coeff": str(c)} for g, c in value.items()],
-    }
-    _emit(args, payload, [value.display(spec)])
+    _emit(args, lambda: {"spec": _spec_json(spec),
+                         "result": [{"generator": f"{spec.vectors[g.bid].label}_{g.n}",
+                                     "coeff": str(c)} for g, c in value.items()]},
+          lambda: [value.display(spec)])
     return EXIT_OK
 
 
@@ -269,10 +277,9 @@ def cmd_verma(args) -> int:
     try:
         if args.dims:
             dims = graded_dimension(spec, cutoff)
-            payload = {"spec": _spec_json(spec),
-                       "dims": {str(w): d for w, d in dims.items()}}
-            lines = [f"{w}\t{d}" for w, d in dims.items()]
-            _emit(args, payload, lines)
+            _emit(args, lambda: {"spec": _spec_json(spec),
+                                 "dims": {str(w): d for w, d in dims.items()}},
+                  lambda: [f"{w}\t{d}" for w, d in dims.items()])
             return EXIT_OK
         if args.act is not None:
             out = act_word(spec, _parse_word(spec, args.act))
@@ -291,10 +298,10 @@ def cmd_verma(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: run `vertexlie check` on this input first", file=sys.stderr)
         return EXIT_FAIL
-    payload = {"spec": _spec_json(spec),
-               "result": [{"monomial": m.display(spec), "coeff": str(c)}
-                          for m, c in out.items()]}
-    _emit(args, payload, [out.display(spec)])
+    _emit(args, lambda: {"spec": _spec_json(spec),
+                         "result": [{"monomial": m.display(spec), "coeff": str(c)}
+                                    for m, c in out.items()]},
+          lambda: [out.display(spec)])
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import comb, factorial
+from math import comb, perm
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -98,23 +98,23 @@ def _over(num: int, den: int) -> Union[int, Fraction]:
 
 
 def falling(n: int, i: int) -> int:
-    """Falling factorial n(n-1)...(n-i+1); zero whenever 0 <= n < i."""
-    out = 1
-    for j in range(i):
-        out *= n - j
-    return out
+    """Falling factorial n(n-1)...(n-i+1) for any integer n and i >= 0; zero whenever 0 <= n < i.
+
+    For n < 0 the factors are -(-n), ..., -(i-n-1), so the product is
+    (-1)^i (i-n-1)!/(-n-1)!.  A negative i raises ValueError (math.perm).
+    """
+    return perm(n, i) if n >= 0 else (-1) ** i * perm(i - n - 1, i)
 
 
 @lru_cache(maxsize=None)
 def gen_binomial(n: int, i: int) -> int:
     """Binomial coefficient (n choose i) for any integer n and i >= 0, as an exact int.
 
-    i! divides the product of any i consecutive integers, so the
-    floor division is exact for negative n too.
+    For n < 0 it is (-1)^i (i-n-1 choose i), the upper-negation identity.
     """
     if i < 0:
         raise ValueError("lower binomial index must be nonnegative")
-    return falling(n, i) // factorial(i)
+    return comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
 
 
 def _accumulate(acc: dict, key, coeff: Union[int, Fraction]) -> None:

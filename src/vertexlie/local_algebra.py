@@ -14,6 +14,7 @@ quotient algebra, where the Lie axioms hold on the nose.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple, Optional, Tuple
 
 from .defects import central_check, central_reduction
@@ -26,6 +27,7 @@ from .formula import (
     _accumulate,
     _add_scaled,
     _check_index,
+    _over,
     _per_spec,
     _rat,
     _signed_sum,
@@ -94,13 +96,29 @@ def _pair_bracket(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> LieEle
 
 
 def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
-    """[x, y], bilinear over [u_n, v_p] = sum_i (n over i)(u_i v)_{n+p-i}."""
+    """[x, y], bilinear over [u_n, v_p] = sum_i (n over i)(u_i v)_{n+p-i}.
+
+    With dx, dy the lcm of the coefficient denominators of x and y, write
+    x = X/dx and y = Y/dy for elements X, Y with integer coefficients;
+    then [x, y] = [X, Y]/(dx dy).  The numerators of X and Y and the
+    factors cx cy of the sum are int products; the generator brackets
+    are added as they are stored (a fractional table constant stays a
+    Fraction), and each result coefficient is divided by dx dy once.
+    """
+    dx = lcm(*(c.denominator for c in x._terms.values()))
+    dy = lcm(*(c.denominator for c in y._terms.values()))
+    ys = [(gy, c.numerator * (dy // c.denominator)) for gy, c in y._terms.items()]
     acc: dict = {}
     for gx, cx in x._terms.items():
-        for gy, cy in y._terms.items():
+        cx = cx.numerator * (dx // cx.denominator)
+        for gy, cy in ys:
             pb = _pair_bracket(spec, gx, gy)
             if pb:
                 _add_scaled(acc, pb, cx * cy)
+    d = dx * dy
+    if d != 1:
+        acc = {g: _over(c, d) if type(c) is int else _over(c.numerator, c.denominator * d)
+               for g, c in acc.items()}
     return LieElement._of(acc)
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,22 @@ def test_gen_binomial_against_product_oracle() -> None:
 def test_gen_binomial_rejects_negative_lower_index() -> None:
     with pytest.raises(ValueError):
         gen_binomial(3, -1)
+
+
+def test_falling_and_gen_binomial_match_the_product_loop() -> None:
+    # the closed forms through math.perm and math.comb, against the defining
+    # product n(n-1)...(n-i+1) and (n choose i) = that product / i!
+    for n in range(-60, 61):
+        for i in range(25):
+            product = 1
+            for j in range(i):
+                product *= n - j
+            assert type(falling(n, i)) is int and falling(n, i) == product, (n, i)
+            assert type(gen_binomial(n, i)) is int, (n, i)
+            assert gen_binomial(n, i) * factorial(i) == product, (n, i)
+    for n in (-3, 0, 3):
+        with pytest.raises(ValueError):
+            falling(n, -1)
 
 
 def test_falling_zeroes_out_in_range() -> None:

@@ -535,7 +535,7 @@ def test_cli_unknown_name_message(argv: tuple, capsys) -> None:
 
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_cli_closed_stdout_exits_quietly(unbuffered: bool) -> None:
-    # buffered, the write fails in the flush at exit; unbuffered, in print
+    # buffered, the write fails in the flush at exit; unbuffered, in the write
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -642,6 +642,27 @@ def test_cli_check_file_line_diagnostics(text: str, message: str, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {path}: {message}"]
+
+
+def test_cli_refuses_coefficients_past_the_digit_limit(tmp_path, capsys) -> None:
+    # D^1600 a gives defects whose integer coefficients pass the interpreter's
+    # limit on digits written as text; the limit itself stays where it is
+    path = tmp_path / "formula.vla"
+    path.write_text("[basis]\na even\n[constants]\na 0 a : 1600 a 1\n")
+    limit = sys.get_int_max_str_digits()
+    for argv in (["check", "--json"], ["defect", "--json"], ["check", "--all"]):
+        assert main(argv + [str(path)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.splitlines() == [
+            f"error: a coefficient of the result has more than {limit} digits, the limit "
+            "for writing an integer as text (the PYTHONINTMAXSTRDIGITS variable sets it)"], argv
+    assert sys.get_int_max_str_digits() == limit
+    # the text form shows ten defects, and builds no JSON it does not write
+    assert main(["defect", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "... 4789 more (use --all)"
 
 
 def test_cli_check_directory_cannot_be_read(tmp_path, capsys) -> None:

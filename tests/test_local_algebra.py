@@ -169,6 +169,47 @@ def test_bracket_bilinear() -> None:
     assert direct == split
 
 
+def _fraction_bracket(spec, x, y) -> dict:
+    """sum cx cy [gx, gy] in Fraction arithmetic, zero sums kept; each [gx, gy]
+    is a bracket of two unit modes, which clears no denominator."""
+    acc: dict = {}
+    for gx, cx in x.items():
+        for gy, cy in y.items():
+            for g, c in bracket(spec, LieElement({gx: 1}), LieElement({gy: 1})).items():
+                acc[g] = acc.get(g, F(0)) + cx * cy * c
+    return acc
+
+
+@pytest.mark.parametrize("spec,max_den", [(VIR, 12), (NS, 12), (SL2, 12), (VIR, 1), (SL2, 1)],
+                         ids=["virasoro", "neveu-schwarz", "affine-sl2",
+                              "virasoro-integers", "affine-sl2-integers"])
+def test_bracket_matches_a_fraction_sum(spec, max_den: int) -> None:
+    # [X/dx, Y/dy] = [X, Y]/(dx dy): the integer sum divided once must give the
+    # Fraction sum term by term, in stored form.  y carries a multiple of x, so
+    # the sum cancels terms of [x, x] on the way; small modes make terms collide.
+    rng = random.Random(2400 + max_den)
+
+    def element():
+        return LieElement([(LieGenerator(rng.randrange(spec.dim), rng.randint(-4, 4)),
+                            F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, max_den)))
+                           for _ in range(8)])
+
+    cancelled = integral = fractional = 0
+    for _ in range(60):
+        x = element()
+        y = element() + x.scale(F(rng.randint(-6, 6), rng.randint(1, max_den)))
+        got = bracket(spec, x, y)
+        want = _fraction_bracket(spec, x, y)
+        assert got == LieElement(want)
+        for c in got._terms.values():
+            assert c != 0 and type(c) is (int if c.denominator == 1 else F)
+        cancelled += sum(not c for c in want.values())
+        integral += sum(c.denominator == 1 for c in want.values() if c)
+        fractional += sum(c.denominator != 1 for c in want.values())
+    assert cancelled and integral
+    assert fractional if max_den > 1 or spec is VIR else not fractional
+
+
 # ---------------------------------------------------------------------------
 # derivation
 # ---------------------------------------------------------------------------
