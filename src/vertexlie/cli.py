@@ -112,16 +112,35 @@ def _json(value, indent: str = "\n") -> str:
     return opening + inner + ("," + inner).join(items) + indent + closing
 
 
-def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]]) -> None:
+def _fits_digit_limit(numbers: Iterable) -> bool:
+    """False when an int, or a Fraction's numerator or denominator, of numbers
+    must pass the interpreter's limit on digits written as text (0: no limit).
+
+    Read from bit lengths: b bits give at least 2**(b - 1), which passes
+    10**limit once b - 1 >= 3.32193 limit > log2(10) limit.  An int just
+    below that is left to the conversion's own ValueError.
+    """
+    limit = sys.get_int_max_str_digits()
+    most = -(-limit * 332193 // 100000)  # the most bits that may still fit
+    return not limit or all(x.numerator.bit_length() <= most and x.denominator.bit_length() <= most
+                            for x in numbers)
+
+
+def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]],
+          written: Callable[[bool], Iterable]) -> None:
     """Write payload() as one JSON object under --json, else the lines of text_lines().
 
     Only the chosen form is built, and all of it before anything is written.
-    Building it only renders values already computed; the one ValueError it
-    can raise is the interpreter's limit on the digits of an int written as
-    text (sys.set_int_max_str_digits, a guard against quadratic-time
-    conversion), and that refuses the command.
+    Building it only renders values already computed; what can stop it is
+    the interpreter's limit on the digits of an int written as text
+    (sys.set_int_max_str_digits, a guard against quadratic-time conversion),
+    and that refuses the command: before anything is converted when one of
+    the numbers written(args.json) gives for the chosen form must pass the
+    limit, else through the ValueError the conversion raises.
     """
     try:
+        if not _fits_digit_limit(written(args.json)):
+            raise ValueError("refused before any conversion")
         if args.json:
             base = {"spec": None, "verdict": None, "defects": None,
                     "dims": None, "result": None}
@@ -159,10 +178,20 @@ def _parse_word(spec: FormulaSpec, word: str) -> list:
     return [_parse_generator(spec, tok) for tok in word.split()]
 
 
+def _shown(sweep: list, show_all: bool) -> list:
+    """The defects the text form writes: the first ten unless show_all."""
+    return sweep if show_all else sweep[:10]
+
+
+def _defect_numbers(sweep: list, show_all: bool) -> Iterator:
+    """Every coefficient of the defects in _shown(sweep, show_all)."""
+    return (c for d in _shown(sweep, show_all) for c in d.value._terms.values())
+
+
 def _defect_lines(spec: FormulaSpec, sweep: list, show_all: bool,
                   indent: str = "") -> Iterator[str]:
-    """One line a defect: the first ten unless show_all, then a count of the rest."""
-    shown = sweep if show_all else sweep[:10]
+    """One line a defect in _shown(sweep, show_all), then a count of the rest."""
+    shown = _shown(sweep, show_all)
     for d in shown:
         yield f"{indent}{d.kind} {d.indices}: {format_element(spec, d.value)}"
     if len(sweep) > len(shown):
@@ -220,7 +249,7 @@ def cmd_check(args) -> int:
                        {"window": args.window, "violations": [str(b) for b in bad]}},
         }
 
-    _emit(args, payload, text)
+    _emit(args, payload, text, lambda json: _defect_numbers(sweep, json or args.all))
     ok = verdict.injective and not violations
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -236,7 +265,8 @@ def cmd_defect(args) -> int:
         yield from _defect_lines(spec, sweep, args.all)
 
     _emit(args, lambda: {"spec": _spec_json(spec),
-                         "defects": [_defect_json(spec, d) for d in sweep]}, text)
+                         "defects": [_defect_json(spec, d) for d in sweep]}, text,
+          lambda json: _defect_numbers(sweep, json or args.all))
     return EXIT_OK
 
 
@@ -253,7 +283,7 @@ def cmd_bracket(args) -> int:
     _emit(args, lambda: {"spec": _spec_json(spec),
                          "result": [{"generator": f"{spec.vectors[g.bid].label}_{g.n}",
                                      "coeff": str(c)} for g, c in value.items()]},
-          lambda: [value.display(spec)])
+          lambda: [value.display(spec)], lambda json: value._terms.values())
     return EXIT_OK
 
 
@@ -279,7 +309,8 @@ def cmd_verma(args) -> int:
             dims = graded_dimension(spec, cutoff)
             _emit(args, lambda: {"spec": _spec_json(spec),
                                  "dims": {str(w): d for w, d in dims.items()}},
-                  lambda: [f"{w}\t{d}" for w, d in dims.items()])
+                  lambda: [f"{w}\t{d}" for w, d in dims.items()],
+                  lambda json: [*dims, *dims.values()])
             return EXIT_OK
         if args.act is not None:
             out = act_word(spec, _parse_word(spec, args.act))
@@ -301,7 +332,7 @@ def cmd_verma(args) -> int:
     _emit(args, lambda: {"spec": _spec_json(spec),
                          "result": [{"monomial": m.display(spec), "coeff": str(c)}
                                     for m, c in out.items()]},
-          lambda: [out.display(spec)])
+          lambda: [out.display(spec)], lambda json: out._terms.values())
     return EXIT_OK
 
 

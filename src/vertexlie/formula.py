@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import comb, perm
+from math import comb, lcm, perm
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -401,8 +401,8 @@ class FormulaSpec:
         and its central element; c must be `central` when both are given.
     """
 
-    __slots__ = ("name", "vectors", "_weights", "_by_label", "_rows", "n_max", "k_max",
-                 "central", "conformal", "_hash", "_memo")
+    __slots__ = ("name", "vectors", "_weights", "_order_scale", "_order_base", "_by_label",
+                 "_rows", "n_max", "k_max", "central", "conformal", "_hash", "_memo")
 
     def __init__(self, basis: Sequence, constants: Mapping, central: Optional[BasisRef] = None,
                  conformal: Optional[tuple] = None, name: Optional[str] = None):
@@ -427,6 +427,13 @@ class FormulaSpec:
         # the weights in stored form (see SparseVector), read by the hot loops
         self._weights: tuple = tuple(None if v.weight is None else _rat(v.weight)
                                      for v in vectors)
+        # int PBW order keys (verma._order_key): L the lcm of the weight denominators
+        # and L - L w per vector, both 0 when ungraded
+        weights = self._weights
+        scale = 0 if None in weights else lcm(*(w.denominator for w in weights))
+        self._order_scale: int = scale
+        self._order_base: tuple = tuple(
+            0 if w is None else scale - w.numerator * (scale // w.denominator) for w in weights)
         self._by_label = by_label
 
         table: dict = {}

@@ -86,8 +86,16 @@ def _monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Union[int, Fractio
 
 
 def _order_key(spec: FormulaSpec, g: LieGenerator) -> tuple:
-    w = spec._weights[g.bid]  # weights are all-or-nothing: None means ungraded
-    return (0 if w is None else g.n + 1 - w, g.bid, g.n)
+    """The PBW sort key of a negative mode: factors of a monomial ascend in it.
+
+    It is (n + 1 - w, bid, n), whose first component is minus the weight
+    of u_n, with that component scaled by L, the lcm of the weight
+    denominators: L (n + 1 - w) = L n + (L - L w) is an int, and scaling
+    one component by L > 0 keeps every comparison and every tie, so the
+    order is that of the rational key.  Ungraded specs have L = 0 and
+    order by (bid, n) alone.
+    """
+    return (spec._order_scale * g.n + spec._order_base[g.bid], g.bid, g.n)
 
 
 def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector:
@@ -99,6 +107,13 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
     g head rest = eps head (g rest) + [g, head] rest reads every term of
     the right side from the memo and adds it, scaled, into one
     accumulator; so does an odd square.
+
+    A step costs ints and plain tuples.  g goes before head when its
+    _order_key is smaller, compared inline: first the ints L (n + 1 - w),
+    which order and tie as the rational n + 1 - w do because L > 0 (see
+    _order_key), then (bid, n), which is g < head.  Parities are read
+    from spec.vectors, and monomials are built with tuple.__new__,
+    skipping the NamedTuple constructor.
     """
     if _quotient_kills(spec, g):
         return _ZERO
@@ -106,30 +121,37 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
     if not factors:
         if g.n >= 0:
             return _ZERO
-        return PbwVector._of({PbwMonomial((g,)): 1})
-    memo = spec._memo
-    head, rest = factors[0], PbwMonomial(factors[1:])
+        return PbwVector._of({tuple.__new__(PbwMonomial, ((g,),)): 1})
+    head = factors[0]
     square = False
     if g.n < 0:
-        kg, kh = _order_key(spec, g), _order_key(spec, head)
-        square = kg == kh  # identical generator: keys determine (bid, n)
-        if kg < kh or (square and not spec.parity(g.bid)):
-            return PbwVector._of({PbwMonomial((g,) + factors): 1})
+        scale, base = spec._order_scale, spec._order_base
+        kg, kh = scale * g.n + base[g.bid], scale * head.n + base[head.bid]
+        square = g == head  # g g rest is in order when g is even
+        if kg < kh or kg == kh and g < head or square and not spec.vectors[g.bid].parity:
+            return PbwVector._of({tuple.__new__(PbwMonomial, ((g,) + factors,)): 1})
+    memo = spec._memo
+    rest = tuple.__new__(PbwMonomial, (factors[1:],))
+    acc: dict = {}
     if square:  # odd square: g g rest = (1/2)[g, g] rest
-        terms = [((x, rest), c * _HALF) for x, c in _pair_bracket(spec, g, g)._terms.items()]
+        pair = _pair_bracket(spec, g, g)
     else:
-        eps = spec.epsilon(g.bid, head.bid)
+        vectors = spec.vectors
+        eps = -1 if vectors[g.bid].parity and vectors[head.bid].parity else 1
         inner = memo.get((g, rest))
         if inner is None:
             inner = memo[(g, rest)] = _mul_gen(spec, g, rest)
-        terms = [((head, m), eps * c) for m, c in inner._terms.items()]
-        terms += [((x, rest), c) for x, c in _pair_bracket(spec, g, head)._terms.items()]
-    acc: dict = {}
-    for key, c in terms:
-        prod = memo.get(key)
+        for m, c in inner._terms.items():
+            prod = memo.get((head, m))
+            if prod is None:
+                prod = memo[(head, m)] = _mul_gen(spec, head, m)
+            _add_scaled(acc, prod, eps * c)
+        pair = _pair_bracket(spec, g, head)
+    for x, c in pair._terms.items():
+        prod = memo.get((x, rest))
         if prod is None:
-            prod = memo[key] = _mul_gen(spec, *key)
-        _add_scaled(acc, prod, c)
+            prod = memo[(x, rest)] = _mul_gen(spec, x, rest)
+        _add_scaled(acc, prod, c * _HALF if square else c)
     return PbwVector._of(acc)
 
 

@@ -665,6 +665,47 @@ def test_cli_refuses_coefficients_past_the_digit_limit(tmp_path, capsys) -> None
     assert captured.out.splitlines()[-1] == "... 4789 more (use --all)"
 
 
+def test_cli_refuses_long_coefficients_before_building_any_output(tmp_path, capsys,
+                                                                   monkeypatch) -> None:
+    # D^330 a gives defects of up to 690 digits, the first ten short; under a
+    # 640-digit limit the bit lengths refuse before either form is built
+    path = tmp_path / "formula.vla"
+    path.write_text("[basis]\na even\n[constants]\na 0 a : 330 a 1\n")
+
+    def built(*args):
+        raise AssertionError("an output form was built")
+
+    monkeypatch.setattr(cli, "_defect_json", built)
+    monkeypatch.setattr(cli, "format_element", built)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv in (["check", "--json"], ["defect", "--json"], ["check", "--all"],
+                     ["defect", "--all"]):
+            assert main(argv + [str(path)]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.splitlines() == [
+                "error: a coefficient of the result has more than 640 digits, the limit "
+                "for writing an integer as text (the PYTHONINTMAXSTRDIGITS variable sets it)"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_digit_limit_check_refuses_only_numbers_past_the_limit() -> None:
+    limit = sys.get_int_max_str_digits()
+    top = 10 ** 640 - 1  # the largest number of 640 digits
+    try:
+        sys.set_int_max_str_digits(640)
+        assert cli._fits_digit_limit([top, -top, F(1, top), F(-top, 7), 0])
+        for x in (10 ** 641, -10 ** 641, F(1, 10 ** 641), F(10 ** 641, 3)):
+            assert not cli._fits_digit_limit([1, x]), x
+        sys.set_int_max_str_digits(0)  # no limit
+        assert cli._fits_digit_limit([10 ** 5000])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_cli_check_directory_cannot_be_read(tmp_path, capsys) -> None:
     assert main(["check", str(tmp_path)]) == 2
     captured = capsys.readouterr()

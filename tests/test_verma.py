@@ -162,7 +162,7 @@ def test_representation_property_random() -> None:
 # {PbwMonomial: Fraction}.
 
 def _oracle_key(spec, g) -> tuple:
-    w = spec.weight(g.bid)
+    w = spec.vectors[g.bid].weight  # a Fraction, or None when ungraded
     return (0 if w is None else g.n + 1 - w, g.bid, g.n)
 
 
@@ -226,9 +226,32 @@ def _seeded_words(spec, rng, count: int) -> list:
 CLEAN_PRESETS = sorted(set(PRESETS) - {"novikov-flipped"})
 
 
-@pytest.mark.parametrize("name", CLEAN_PRESETS)
+def _ungraded_ns() -> FormulaSpec:
+    """neveu-schwarz without its weights: the PBW order is (bid, n) alone."""
+    ns = neveu_schwarz()
+    return FormulaSpec([(v.label, v.parity) for v in ns.vectors], dict(ns.constant_entries()),
+                       central="c", name="ungraded-ns")
+
+
+def _thirds_and_quarters() -> FormulaSpec:
+    """Weights with denominators 3 and 4: [x_m, x_n] = ((m - n)/2) t_{m+n-1},
+    t inert, and an inert odd y, so y squares to zero."""
+    return FormulaSpec([("x", 0, F(4, 3)), ("t", 0, F(2, 3)), ("y", 1, F(3, 4))],
+                       {("x", 1, "x"): {(0, "t"): 1}, ("x", 0, "x"): {(1, "t"): F(1, 2)}},
+                       name="thirds-and-quarters")
+
+
+HAND_BUILT = {"ungraded-ns": _ungraded_ns, "thirds-and-quarters": _thirds_and_quarters}
+
+
+def _assert_stored_form(v: PbwVector) -> None:
+    for c in v._terms.values():
+        assert type(c) is (int if c.denominator == 1 else F), c
+
+
+@pytest.mark.parametrize("name", CLEAN_PRESETS + sorted(HAND_BUILT))
 def test_normal_ordering_matches_memo_free_oracle(name: str) -> None:
-    spec = preset(name)
+    spec = HAND_BUILT[name]() if name in HAND_BUILT else preset(name)
     rng = random.Random(f"oracle-{name}")
     words = _seeded_words(spec, rng, 40)
     labels = [v.label for v in spec.vectors]
@@ -239,13 +262,33 @@ def test_normal_ordering_matches_memo_free_oracle(name: str) -> None:
         want = {PbwMonomial(): F(1)}
         for g in reversed(word):
             want = _oracle_act(spec, g, want)
-        assert dict(act_word(spec, word).items()) == want, word
+        got = act_word(spec, word)
+        assert dict(got.items()) == want, word
+        _assert_stored_form(got)
     # one-term inputs whose coefficient is not 1, on the word results
     for word, coeff in zip(words, itertools.cycle((F(-1), F(3), F(-5, 2), F(2, 3)))):
         g = word[0]
         for mono, c in act_word(spec, word[1:]).items():
             want = _oracle_act(spec, g, {mono: coeff * c})
-            assert dict(act(spec, g, PbwVector({mono: coeff * c})).items()) == want, (g, mono)
+            got = act(spec, g, PbwVector({mono: coeff * c}))
+            assert dict(got.items()) == want, (g, mono)
+            _assert_stored_form(got)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(HAND_BUILT) + ["empty"])
+def test_integer_order_key_matches_the_rational_key(name: str) -> None:
+    # L (n + 1 - w) for L the lcm of the weight denominators orders and ties
+    # exactly as n + 1 - w does
+    spec = (FormulaSpec([], {}) if name == "empty" else
+            HAND_BUILT[name]() if name in HAND_BUILT else preset(name))
+    gens = [LieGenerator(v.index, n) for v in spec.vectors for n in range(-6, 7)]
+    assert [g for g in gens if type(verma_module._order_key(spec, g)[0]) is not int] == []
+    assert (sorted(gens, key=lambda g: verma_module._order_key(spec, g))
+            == sorted(gens, key=lambda g: _oracle_key(spec, g)))
+    for g, h in itertools.product(gens, repeat=2):
+        kg, kh = verma_module._order_key(spec, g)[0], verma_module._order_key(spec, h)[0]
+        qg, qh = _oracle_key(spec, g)[0], _oracle_key(spec, h)[0]
+        assert (kg < kh, kg == kh) == (qg < qh, qg == qh), (g, h)
 
 
 def test_normal_ordering_oracle_covers_odd_squares_and_killed_modes() -> None:
