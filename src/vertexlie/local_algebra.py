@@ -14,10 +14,11 @@ quotient algebra, where the Lie axioms hold on the nose.
 
 from __future__ import annotations
 
+from itertools import product
 from math import lcm
 from typing import NamedTuple, Optional, Tuple
 
-from .defects import central_check, central_reduction
+from .defects import _commutators, _skews, central_check, central_reduction, membership_central
 from .formula import (
     BasisRef,
     Element,
@@ -74,15 +75,18 @@ def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:
 def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
     """Canonical image of the mode A_n: (D^k u)_n -> (-1)^k n...(n-k+1) u_{n-k}.
 
-    Images the central quotient kills are dropped.
+    Images the central quotient kills are dropped (_quotient_kills); the
+    central reduction is read once, at the first term with (n)_k != 0.
     """
     _check_index(n, "mode")
     acc: dict = {}
+    cid = -1  # not read yet; central_reduction gives a basis index or None
     for (k, bid), coeff in A._terms.items():
-        f = falling(n, k)
-        g = LieGenerator(bid, n - k)
-        if f and not _quotient_kills(spec, g):
-            _accumulate(acc, g, coeff * f * (-1) ** k)
+        if f := falling(n, k):
+            if cid == -1:
+                cid = central_reduction(spec)
+            if bid != cid or n - k == -1:
+                _accumulate(acc, LieGenerator(bid, n - k), coeff * f * (-1) ** k)
     return LieElement._of(acc)
 
 
@@ -147,12 +151,33 @@ class LawViolation(_Record):
 def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     """Exact Lie-superalgebra laws over all modes |n| <= window.
 
-    Checks eps-skew-symmetry S(x, y) = [x, y] + eps [y, x] = 0 on all
-    generator pairs and the super Jacobi identity J(x, y, z) = [x, [y, z]]
-    - [[x, y], z] - eps [y, [x, z]] = 0 on all triples, eps = eps(x, y),
-    each law summed in one pass over the memoized generator brackets
-    [u_n, v_p] (_pair_bracket); returns every violation (empty list =
-    pass), pairs first, then triples, in generator order.
+    Checks eps-skew-symmetry S(x, y) = [x, y] + eps [y, x] = 0 on all generator
+    pairs and the super Jacobi identity J(x, y, z) = [x, [y, z]] - [[x, y], z]
+    - eps [y, [x, z]] = 0 on all triples, eps = eps(x, y); returns every
+    violation (empty list = pass), pairs first, then triples, in generator order.
+
+    Both laws are the image of the complete defect tables: for basis
+    vectors u, v, w, all integers m, n, p and reduce = reduce_generator,
+
+        S(u_m, v_n)      = sum_i     (m over i)            reduce(s_i)_{m+n-i},
+        J(u_m, v_n, w_p) = sum_{i,j} (m over i)(n over j)  reduce(d_ij)_{m+n+p-i-j},
+
+    s_i = skew_defect(u, i, v), d_ij = commutator_defect(u, i, v, j, w).
+    Expanding the brackets gives every term but two.  In S, s_i holds
+    eps (-1)^j D^(j-i)/(j-i)! v_j u for each j >= i, and reduce turns the
+    sum over i into (n over j) eps reduce(v_j u)_{m+n-j}: sum_i (-1)^i
+    (m over i)(m+n-i over j-i) is the x^j coefficient of sum_i (m over i)
+    (-x)^i (1+x)^(m+n-i) = (1+x)^n.  In J, [[u_m, v_n], w_p] holds
+    (m over l)(m+n-l over s) reduce((u_l v)_s w)_{m+n+p-l-s}, and (m over i)
+    (i over l) = (m over l)(m-l over i-l) with Vandermonde's identity gives
+    sum_{i+j=l+s} (m over i)(n over j)(i over l) = (m over l)(m+n-l over s),
+    the factor that the third term of d_ij collects.
+
+    An entry made only of D^k c, k >= 1, c = central_reduction (read first,
+    so a verdict that raises BoundInsufficientError raises at every window),
+    is zero at every mode: (D^k c)_q is a multiple of c_{q-k}, alive only at
+    q = k - 1, where (k-1)_k = 0.  It is dropped, so a clean preset sums
+    nothing; inert vectors (central_check) have empty tables.
 
     The derivation law D[x, y] = [Dx, y] + [x, Dy] holds for every table,
     a broken one included, so it is proved here rather than summed.  For
@@ -163,66 +188,41 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     (k-1)_k = 0.  With n (n-1 over i) = (n - i)(n over i), the terms of
     [Du_n, v_p] + [u_n, Dv_p] at each i add up to
     -(n + p - i)(n over i) reduce((u_i v)_{n+p-i-1}), the term of D[u_n, v_p].
-
-    The window's own brackets give the mirrored law of a pair exactly, so
-    it is read off the sum for the other order.  With eps^2 = 1,
-    - S(y, x) = [y, x] + eps [x, y]
-              = eps (eps [y, x] + [x, y])
-              = eps S(x, y) for every pair;
-    - when S(x, y) = 0, [y, x] = -eps [x, y] as computed, so for every z
-      J(y, x, z) = [y, [x, z]] - [[y, x], z] - eps [x, [y, z]]
-                 = [y, [x, z]] + eps [[x, y], z] - eps [x, [y, z]]
-                 = -eps J(x, y, z), with z over the same range (below).
-    A pair whose skew law fails, and x = y, are summed as they are; the
-    violations, their order and each coefficient's stored form are unchanged.
-
-    Two skip rules leave out only laws that read 0 = 0:
-    - An inert basis vector (central_check: it is an argument of no
-      table product) brackets to zero with every mode, so each skew and
-      Jacobi law with an inert generator has only zero brackets.
-    - When [x, y] = 0, J(x, y, z) is zero unless [y, z] != 0 or
-      [x, z] != 0, so z runs only over the window partners of x and y,
-      in generator order; when [x, y] != 0 it runs over every z.
     """
     _check_index(window, "window", "window must be nonnegative")
+    cid = central_reduction(spec)
+    ids = [bid for bid in range(spec.dim) if not central_check(spec, bid)]
+    modes = range(-window, window + 1)
+    gens = [LieGenerator(bid, n) for bid in ids for n in modes]
+
+    def live(table: dict) -> list:  # the entries the quotient does not kill
+        return [(key, A) for key, A in table.items()
+                if cid is None or not membership_central(spec, A, cid)]
+
+    skews = {(u, v): live(_skews(spec, u, v)) for u, v in product(ids, repeat=2)}
+    # (u, v) -> every (w, live entries) with live entries, w in basis order
+    triples = {(u, v): [(w, t) for w in ids if (t := live(_commutators(spec, u, v, w)))]
+               for u, v in product(ids, repeat=2)}
+    reduced: dict = {}  # (A, q) -> reduce(A)_q, shared by all laws
+
+    def image(terms: list, q: int) -> LieElement:  # sum coeff reduce(A)_{q-shift}
+        acc: dict = {}
+        for coeff, A, shift in terms:
+            if (key := (A, q - shift)) not in reduced:
+                reduced[key] = reduce_generator(spec, A, q - shift)
+            _add_scaled(acc, reduced[key], coeff)
+        return LieElement._of(acc)
+
     violations = []
-    gens = [LieGenerator(bid, n) for bid in range(spec.dim) if not central_check(spec, bid)
-            for n in range(-window, window + 1)]
-
-    # rows[i][j] = [gens[i], gens[j]]
-    rows = [[_pair_bracket(spec, gx, gy) for gy in gens] for gx in gens]
-    skews: dict = {}  # (i, j) -> S(gens[i], gens[j])
-    for ix, gx in enumerate(gens):
-        for iy, gy in enumerate(gens):
-            eps = spec.epsilon(gx.bid, gy.bid)
-            skew = skews[ix, iy] = (skews[iy, ix].scale(eps) if iy < ix
-                                    else rows[ix][iy] + rows[iy][ix].scale(eps))
-            if skew:
-                violations.append(LawViolation("skew", (gx, gy), skew))
-
-    # partners[i]: the indices j with [gens[i], gens[j]] != 0
-    partners = [{iy for iy, xy in enumerate(row) if xy} for row in rows]
-    mirrors: dict = {}  # (j, i) -> the Jacobi violations of a skew-clean pair i < j
-    for ix, gx in enumerate(gens):
-        for iy, gy in enumerate(gens):
-            xy, meps = rows[ix][iy], -spec.epsilon(gx.bid, gy.bid)
-            if (ix, iy) in mirrors:
-                violations += [LawViolation("jacobi", (gx, gy, v.generators[2]),
-                                            v.discrepancy.scale(meps))
-                               for v in mirrors.pop((ix, iy))]
-                continue
-            start = len(violations)
-            for iz in range(len(gens)) if xy else sorted(partners[ix] | partners[iy]):
-                gz = gens[iz]
-                jac: dict = {}  # [x, [y, z]] - [[x, y], z] - eps [y, [x, z]]
-                for g, c in rows[iy][iz]._terms.items():
-                    _add_scaled(jac, _pair_bracket(spec, gx, g), c)
-                for g, c in xy._terms.items():
-                    _add_scaled(jac, _pair_bracket(spec, g, gz), -c)
-                for g, c in rows[ix][iz]._terms.items():
-                    _add_scaled(jac, _pair_bracket(spec, gy, g), meps * c)
-                if jac:
-                    violations.append(LawViolation("jacobi", (gx, gy, gz), LieElement._of(jac)))
-            if ix < iy and not skews[ix, iy]:
-                mirrors[iy, ix] = violations[start:]
+    for x, y in product(gens, repeat=2):
+        terms = [(c, A, i) for i, A in skews[x.bid, y.bid] if (c := gen_binomial(x.n, i))]
+        if terms and (law := image(terms, x.n + y.n)):
+            violations.append(LawViolation("skew", (x, y), law))
+    for x, y in product(gens, repeat=2):
+        for w, table in triples[x.bid, y.bid]:
+            terms = [(c, A, i + j) for (i, j), A in table
+                     if (c := gen_binomial(x.n, i) * gen_binomial(y.n, j))]
+            for p in modes if terms else ():
+                if law := image(terms, x.n + y.n + p):
+                    violations.append(LawViolation("jacobi", (x, y, LieGenerator(w, p)), law))
     return violations

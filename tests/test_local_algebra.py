@@ -19,6 +19,7 @@ from vertexlie import (
     apply_D,
     basis_element,
     bracket,
+    central_check,
     central_reduction,
     defect_sweep,
     extend_product,
@@ -35,10 +36,11 @@ from vertexlie import (
     virasoro,
 )
 from vertexlie.formula_io import export_formula, parse_formula
-from vertexlie.local_algebra import LawViolation, generator, single
+from vertexlie.formula import falling
+from vertexlie.local_algebra import LawViolation, _quotient_kills, generator, single
 
 # typo'd presets and seeded one-sided random tables, shared with the sweep tests
-from test_defects import TYPO_TABLES, _random_tables, _typo
+from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables, _typo
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
@@ -83,6 +85,62 @@ def test_reduce_generator_kills_central_modes() -> None:
     assert reduce_generator(VIR, c, 0).is_zero
     assert reduce_generator(VIR, c, -2).is_zero
     assert reduce_generator(VIR, apply_D(c), -1).is_zero
+
+
+def _raising_virasoro() -> FormulaSpec:
+    """Virasoro with omega_3 omega = c/2 - omega: its verdict raises
+    BoundInsufficientError (a commutator defect at the default bound 6)."""
+    return _typo("virasoro", {("omega", 3, "omega"): {(0, "c"): F(1, 2), (0, "omega"): -1}})
+
+
+def _reduce_term_by_term(spec, A, n):
+    """reduce_generator with _quotient_kills asked at every term whose
+    falling factorial is nonzero, as the outcome: the element, or the
+    type of the error raised."""
+    acc = LieElement()
+    try:
+        for (k, bid), c in A.items():
+            g = LieGenerator(bid, n - k)
+            if falling(n, k) and not _quotient_kills(spec, g):
+                acc = acc + LieElement({g: c * falling(n, k) * (-1) ** k})
+    except BoundInsufficientError as err:
+        return type(err)
+    return acc
+
+
+def _reduce_outcome(spec, A, n):
+    try:
+        return reduce_generator(spec, A, n)
+    except BoundInsufficientError as err:
+        return type(err)
+
+
+def _reduce_inputs(spec) -> list:
+    """Every table product, and u + D^2 c for each basis vector u and c."""
+    units = [basis_element(bid) for bid in range(spec.dim)]
+    return [A for _key, A in spec.constant_entries()] + \
+        [u + apply_D(c, 2) for u in units for c in units]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(TYPO_TABLES))
+def test_reduce_generator_matches_the_term_by_term_rule(name: str) -> None:
+    spec = TYPO_TABLES[name]() if name in TYPO_TABLES else preset(name)
+    for A in _reduce_inputs(spec):
+        for n in range(-4, 5):
+            got = reduce_generator(spec, A, n)
+            assert got == _reduce_term_by_term(spec, A, n), (A, n)
+            assert all(type(c) is int or c.denominator != 1 for c in got._terms.values())
+
+
+def test_reduce_generator_raises_where_the_term_by_term_rule_raises() -> None:
+    # the central reduction raises on this table; it is read at the first
+    # term whose falling factorial is nonzero, and only there
+    spec = _raising_virasoro()
+    outcomes = [(_reduce_outcome(spec, A, n), _reduce_term_by_term(spec, A, n))
+                for A in _reduce_inputs(spec) + [Element()] for n in range(-4, 5)]
+    assert all(got == want for got, want in outcomes)
+    raised = [got is BoundInsufficientError for got, _want in outcomes]
+    assert any(raised) and not all(raised)
 
 
 def test_reduce_generator_keeps_central_modes_without_quotient() -> None:
@@ -347,22 +405,82 @@ def test_window_verify_matches_reference_on_typo_and_random_tables() -> None:
     assert mirrored[1] and mirrored[-1], mirrored
 
 
-def test_window_verify_reads_each_mirrored_pair_once(monkeypatch) -> None:
-    # a machine-independent work count: the skew-clean pair (y, x) reuses
-    # the Jacobi laws of (x, y), so about half of the 2133 bracket reads of
-    # summing every ordered pair remain
+def test_window_verify_matches_reference_on_graded_random_tables() -> None:
+    # weights in {0, 1/2, 1, 3/2, 2} and products up to u_2 v: every table
+    # breaks a law somewhere on window 1
+    for spec in _graded_random_tables(random.Random(7), 20):
+        want = _reference_window(spec, 1)
+        got = jacobi_window_verify(spec, 1)
+        assert want and got == want, list(spec.constant_entries())
+        assert all(type(c) is int or c.denominator != 1
+                   for v in got for c in v.discrepancy._terms.values())
+
+
+@pytest.mark.parametrize("name", ["affine-sl2:e_0f", "affine-sl2:h_1e",
+                                  "neveu-schwarz:tau_0tau", "novikov-lambda:u1_0u1"])
+def test_window_verify_drops_only_what_a_forced_quotient_kills(name: str, monkeypatch) -> None:
+    # the typo leaves c central but the verdict unsettled, so there is no
+    # quotient; forcing it (the modes of a central c span an ideal) gives
+    # tables that mix entries the quotient kills with entries it keeps, on
+    # which the window check must still agree with the bracket reference
     from vertexlie import local_algebra
 
-    reads = []
-    pair_bracket = local_algebra._pair_bracket
+    spec = TYPO_TABLES[name]()
+    assert central_reduction(spec) is None and central_check(spec, spec.central)
+    monkeypatch.setattr(local_algebra, "central_reduction", lambda spec: spec.central)
+    want = _reference_window(spec, 2)
+    assert want and jacobi_window_verify(spec, 2) == want
 
-    def counted(spec, x, y):
-        reads.append((x, y))
-        return pair_bracket(spec, x, y)
 
-    monkeypatch.setattr(local_algebra, "_pair_bracket", counted)
+def _count_calls(monkeypatch, module, *names) -> dict:
+    """Count the calls of each named module function through its global name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_window_verify_reads_no_mode_bracket(monkeypatch) -> None:
+    # a machine-independent work count: the laws are read off the defect
+    # tables, so no generator bracket is formed, on a clean preset or a typo
+    from vertexlie import local_algebra
+
+    calls = _count_calls(monkeypatch, local_algebra, "_pair_bracket", "reduce_generator")
     assert jacobi_window_verify(preset("virasoro"), 4) == []
-    assert 0 < len(reads) <= 1300
+    assert calls == {"_pair_bracket": 0, "reduce_generator": 0}
+    assert jacobi_window_verify(TYPO_TABLES["affine-sl2:h_1e"](), 2)
+    assert calls["_pair_bracket"] == 0 and calls["reduce_generator"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - {"novikov-flipped"}))
+def test_window_verify_reduces_nothing_on_a_clean_preset(name: str, monkeypatch) -> None:
+    # every table entry of a clean preset is a D^k c that the quotient kills
+    # at every mode, so the laws hold with no mode reduced
+    from vertexlie import local_algebra
+
+    calls = _count_calls(monkeypatch, local_algebra, "reduce_generator")
+    assert jacobi_window_verify(preset(name), 6) == []
+    assert calls == {"reduce_generator": 0}
+
+
+def test_window_verify_raises_at_every_window_where_the_verdict_raises(
+        tmp_path, capsys) -> None:
+    # the central reduction is read before any law, so window 0, whose laws
+    # reduce no mode with a nonzero falling factorial, raises as well
+    for window in range(3):
+        with pytest.raises(BoundInsufficientError, match="boundary index 6"):
+            jacobi_window_verify(_raising_virasoro(), window)
+    # check builds the verdict before the window, so its answer is the error
+    from vertexlie.cli import main
+
+    path = tmp_path / "raising.vla"
+    path.write_text(export_formula(_raising_virasoro()))
+    assert main(["check", str(path), "--window", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: commutator defect nonzero at boundary index 6: (omega,6,omega,0,omega)\n")
 
 
 def test_window_verify_matches_reference_on_heisenberg_window_3() -> None:
