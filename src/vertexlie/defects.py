@@ -32,11 +32,13 @@ from .formula import (
     UngradedError,
     _Record,
     _ZERO_ELEMENT,
+    _accumulate,
     _add_scaled,
     _check_index,
     _over,
     _per_spec,
     _products,
+    _scaled_rows,
     apply_D,
     basis_element,
     gen_binomial,
@@ -73,12 +75,6 @@ class Verdict(_Record):
         return f"{self.status}: {self.notes}"
 
 
-@_per_spec
-def _units(spec: FormulaSpec) -> tuple:
-    """The unit element of every basis vector, by basis index."""
-    return tuple(basis_element(bid) for bid in range(spec.dim))
-
-
 def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
     _check_index(n, "index", "index must be nonnegative")
@@ -104,27 +100,46 @@ def _skews(spec: FormulaSpec, uid: int, vid: int) -> dict:
 
 
 @_per_spec
-def _commutators(spec: FormulaSpec, uid: int, vid: int, wid: int) -> dict:
-    """Every nonzero commutator defect of a basis triple, keyed by sorted (m, n).
+def _commutator_tables(spec: FormulaSpec) -> dict:
+    """Every nonempty commutator-defect table, keyed by basis triple (u, v, w)
+    in index order; a table maps each sorted (m, n) to its nonzero defect.
 
-    Each of the three terms u_m(v_n w), eps v_n(u_m w) and
-    (m over i) (u_i v)_{m+n-i} w is read off one product row.
+    One pass over the table rows builds them all.  For a row entry v_n w and
+    each u, the left product u_m(v_n w) is expanded once: it is the first
+    term of (u, v, w) at (m, n), and times -eps the term eps v_n(u_m w) of
+    (v, u, w) at (n, m).  For a row entry u_i v and each w, (u_i v)_total w
+    enters (u, v, w) at (m, total + i - m) times -(m over i), i <= m <=
+    total + i.  The products run over _scaled_rows, the table times L in
+    ints; each term is bilinear in the constants, so it is exactly L^2 times
+    its value, and each coefficient is divided by L^2 once, at the end.
     """
-    eps = spec.epsilon(uid, vid)
-    unit = _units(spec)
-    acc: dict = {}
-    for n, vw in spec._row(vid, wid).items():
-        for m, value in _products(spec, unit[uid], vw).items():
-            _add_scaled(acc.setdefault((m, n), {}), value)
-    for m, uw in spec._row(uid, wid).items():
-        for n, value in _products(spec, unit[vid], uw).items():
-            _add_scaled(acc.setdefault((m, n), {}), value, -eps)
-    for i, uv in spec._row(uid, vid).items():
-        for total, value in _products(spec, uv, unit[wid]).items():
-            for m in range(i, total + i + 1):
-                _add_scaled(acc.setdefault((m, total + i - m), {}), value,
-                            -gen_binomial(m, i))
-    return {mn: Element._of(acc[mn]) for mn in sorted(acc) if acc[mn]}
+    scale, rows = _scaled_rows(spec)
+    lefts, rights = {u for u, _ in rows}, {w for _, w in rows}  # the others give zero products
+    acc: dict = {}  # (u, v, w, m, n) -> {(k, tid): int}
+
+    def add(at: tuple, cell: dict, factor: int) -> None:
+        into = acc.setdefault(at, {})
+        for key, coeff in cell.items():
+            _accumulate(into, key, factor * coeff)
+    for (v, w), row in rows.items():
+        for n, vw in row.items():
+            for u in lefts:
+                eps = spec.epsilon(u, v)
+                for m, cell in _products(rows, [((0, u), 1)], vw).items():
+                    add((u, v, w, m, n), cell, 1)
+                    add((v, u, w, n, m), cell, -eps)
+    for (u, v), row in rows.items():
+        for i, uv in row.items():
+            for w in rights:
+                for total, cell in _products(rows, uv, [((0, w), 1)]).items():
+                    for m in range(i, total + i + 1):
+                        add((u, v, w, m, total + i - m), cell, -gen_binomial(m, i))
+    tables: dict = {}
+    for u, v, w, m, n in sorted(acc):  # triples in index order, each by (m, n)
+        if cell := acc[u, v, w, m, n]:
+            tables.setdefault((u, v, w), {})[m, n] = Element._of(
+                {key: _over(c, scale * scale) for key, c in cell.items()})
+    return tables
 
 
 def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
@@ -132,7 +147,8 @@ def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
     """u_m(v_n w) - eps v_n(u_m w) - sum_i (m over i) (u_i v)_{m+n-i} w."""
     for i in (m, n):
         _check_index(i, "index", "indices must be nonnegative")
-    return _commutators(spec, spec.bid(u), spec.bid(v), spec.bid(w)).get((m, n), _ZERO_ELEMENT)
+    table = _commutator_tables(spec).get((spec.bid(u), spec.bid(v), spec.bid(w)), {})
+    return table.get((m, n), _ZERO_ELEMENT)
 
 
 def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
@@ -145,15 +161,15 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
 
     equals sum_j (-1)^j (k over j) commutator_defect(u, m+k-j, v, n+j, w)
     by sum_j (-1)^j (k over j) (m+k-j over i) = (m over i-k); the case
-    k = 0 is commutator_defect(u, m, v, n, w) itself.
+    k = 0 is commutator_defect(u, m, v, n, w) itself.  The sum reads the triple's
+    table: entry (m', n') is the term j = n' - n if 0 <= j <= k, m' = m + k - j.
     """
     for i in (k, m, n):
         _check_index(i, "index", "indices must be nonnegative")
-    table = _commutators(spec, spec.bid(u), spec.bid(v), spec.bid(w))
+    table = _commutator_tables(spec).get((spec.bid(u), spec.bid(v), spec.bid(w)), {})
     acc: dict = {}
-    for j in range(k + 1):
-        value = table.get((m + k - j, n + j))
-        if value:
+    for (mj, nj), value in table.items():
+        if 0 <= (j := nj - n) <= k and mj == m + k - j:
             _add_scaled(acc, value, (-1) ** j * gen_binomial(k, j))
     return Element._of(acc)
 
@@ -174,8 +190,8 @@ def _sweep(spec: FormulaSpec, bound: int) -> tuple:
         (Defect(SKEW, (labels[u], n, labels[v]), value) for u, v in product(ids, repeat=2)
          for n, value in _skews(spec, u, v).items()),
         (Defect(COMMUTATOR, (labels[u], m, labels[v], n, labels[w]), value)
-         for u, v, w in product(ids, repeat=3)
-         for (m, n), value in _commutators(spec, u, v, w).items()))
+         for (u, v, w), table in _commutator_tables(spec).items()
+         for (m, n), value in table.items()))
     defects = []
     for d in rows:  # keep the rows below the bound; the first one at it raises
         top = max(d.indices[1::2])

@@ -600,36 +600,56 @@ def validate_spec(spec: FormulaSpec) -> list:
     return out
 
 
+def _numerators(vec: SparseVector, d: int = 0) -> tuple:
+    """(d, the (key, int) pairs of d vec), d by default the lcm of vec's denominators."""
+    d = d or lcm(*(c.denominator for c in vec._terms.values()))
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in vec._terms.items()]
+
+
 @_per_spec
-def _products(spec: FormulaSpec, A: Element, B: Element) -> dict:
-    """Every nonzero A_n B, keyed by n in increasing order.
+def _scaled_rows(spec: FormulaSpec) -> tuple:
+    """(L, rows): L the lcm of every table coefficient's denominator and rows
+    (uid, vid) -> {n: [((k, tid), L c), ...]}, the table rows times L in ints."""
+    scale = lcm(*(c.denominator for row in spec._rows.values()
+                  for elt in row.values() for c in elt._terms.values()))
+    return scale, {pair: {n: _numerators(elt, scale)[1] for n, elt in row.items()}
+                   for pair, row in spec._rows.items()}
+
+
+def _products(rows: dict, A: list, B: list) -> dict:
+    """L A_n B for every n, as {n: {(k, tid): int}} (a cell may be empty), for int
+    term lists A, B [((D-power, bid), coeff), ...] over the rows of _scaled_rows.
 
     The table product u_j v enters (D^a u)_n (D^b v) at n = a + i + j,
     0 <= i <= b, with factor (-1)^a (b over i) (n)_(a+i) and D-shift
     b - i; the falling factorial is never zero there.
     """
-    rows: dict = {}
-    for (a, uid), ca in A._terms.items():
-        for (b, vid), cb in B._terms.items():
+    out: dict = {}
+    for (a, uid), ca in A:
+        for (b, vid), cb in B:
             scale = (-1) ** a * ca * cb
-            for j, base in spec._row(uid, vid).items():
+            for j, base in rows.get((uid, vid), _EMPTY_ROW).items():
                 for i in range(b + 1):
                     n, shift = a + i + j, b - i
                     factor = scale * comb(b, i) * falling(n, a + i)
-                    acc = rows.setdefault(n, {})
-                    for (k, tid), ct in base._terms.items():
+                    acc = out.setdefault(n, {})
+                    for (k, tid), ct in base:
                         _accumulate(acc, (k + shift, tid), factor * ct)
-    return {n: Element._of(rows[n]) for n in sorted(rows) if rows[n]}
+    return out
 
 
 def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:
     """The product A_n B on all of Q[D] (x) S, n >= 0.
 
     Characterized by (DA)_n B = -n A_{n-1} B and the Leibniz rule for D;
-    agrees with the constants table on basis pairs.
+    agrees with the constants table on basis pairs.  With dA, dB, L the lcm of the
+    denominators of A, B and the table, _products gives L dA dB A_n B, divided once.
     """
     _check_index(n, "product index", "product index must be nonnegative")
-    return _products(spec, A, B).get(n, _ZERO_ELEMENT)
+    scale, rows = _scaled_rows(spec)
+    (dA, a), (dB, b) = _numerators(A), _numerators(B)
+    cell = _products(rows, a, b).get(n, {})
+    return Element._of({key: _over(c, scale * dA * dB) for key, c in cell.items()})
 
 
 def _signed_sum(terms: Iterable, times: str = "*") -> str:

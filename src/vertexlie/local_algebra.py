@@ -15,10 +15,10 @@ quotient algebra, where the Lie axioms hold on the nose.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
 from typing import NamedTuple, Optional, Tuple
 
-from .defects import _commutators, _skews, central_check, central_reduction, membership_central
+from .defects import (_commutator_tables, _skews, central_check, central_reduction,
+                      membership_central)
 from .formula import (
     BasisRef,
     Element,
@@ -28,6 +28,7 @@ from .formula import (
     _accumulate,
     _add_scaled,
     _check_index,
+    _numerators,
     _over,
     _per_spec,
     _rat,
@@ -109,12 +110,9 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     are added as they are stored (a fractional table constant stays a
     Fraction), and each result coefficient is divided by dx dy once.
     """
-    dx = lcm(*(c.denominator for c in x._terms.values()))
-    dy = lcm(*(c.denominator for c in y._terms.values()))
-    ys = [(gy, c.numerator * (dy // c.denominator)) for gy, c in y._terms.items()]
+    (dx, xs), (dy, ys) = _numerators(x), _numerators(y)
     acc: dict = {}
-    for gx, cx in x._terms.items():
-        cx = cx.numerator * (dx // cx.denominator)
+    for gx, cx in xs:
         for gy, cy in ys:
             pb = _pair_bracket(spec, gx, gy)
             if pb:
@@ -201,7 +199,8 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
 
     skews = {(u, v): live(_skews(spec, u, v)) for u, v in product(ids, repeat=2)}
     # (u, v) -> every (w, live entries) with live entries, w in basis order
-    triples = {(u, v): [(w, t) for w in ids if (t := live(_commutators(spec, u, v, w)))]
+    tables = _commutator_tables(spec)
+    triples = {(u, v): [(w, t) for w in ids if (t := live(tables.get((u, v, w), {})))]
                for u, v in product(ids, repeat=2)}
     reduced: dict = {}  # (A, q) -> reduce(A)_q, shared by all laws
 

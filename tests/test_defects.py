@@ -38,9 +38,10 @@ from vertexlie import (
     preset,
     virasoro,
 )
-from vertexlie.defects import COMMUTATOR, SKEW
+from vertexlie.defects import COMMUTATOR, SKEW, _commutator_tables
 from vertexlie.presets import PRESETS
 from vertexlie.linalg import RowSpace
+from test_presets import _gl_n
 
 VIR = virasoro()
 SL2 = affine(sl2())
@@ -430,6 +431,121 @@ def test_sparse_sweep_matches_dense_reference_past_the_default_bound() -> None:
     rows = _sweep_outcome(defect_sweep, spec, 7)
     assert len(rows) == 27
     assert rows == _sweep_outcome(_dense_sweep, spec, 7)
+
+
+def test_jacobi_component_defect_sums_only_the_table() -> None:
+    # the sum runs over the finite table, not over j <= k: a huge k is as
+    # cheap as k = 0 and finds no entry (a loop over j <= k would not return)
+    for spec in (VIR, SL2, NS, TYPO_TABLES["virasoro:c_2omega"]()):
+        for u, v, w in itertools.product(range(spec.dim), repeat=3):
+            assert jacobi_component_defect(spec, u, 2**64, v, 0, w, 1) == Element({})
+            assert jacobi_component_defect(spec, u, 2**64, v, 2**64, w, 0) == Element({})
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(TYPO_TABLES))
+def test_jacobi_component_defect_matches_the_term_by_term_sum(name: str) -> None:
+    spec = preset(name) if name in PRESETS else TYPO_TABLES[name]()
+    window = range(default_bound(spec) + 1)
+    for u, v, w in itertools.product(range(spec.dim), repeat=3):
+        for k, m, n in itertools.product(range(5), window, window):
+            acc: dict = {}
+            for j in range(k + 1):
+                for key, c in commutator_defect(spec, u, m + k - j, v, n + j, w).items():
+                    acc[key] = acc.get(key, 0) + (-1) ** j * comb(k, j) * c
+            got = jacobi_component_defect(spec, u, k, v, m, w, n)
+            assert got == Element(acc), (u, k, v, m, w, n)
+            _assert_stored_nonzero_fractions(got)
+
+
+def _assert_stored_nonzero_fractions(vec) -> None:
+    # the stored form (SparseVector docstring): a nonzero int when the value
+    # is integral, else a Fraction; never a bool, a float or an integral Fraction
+    for key, coeff in vec._terms.items():
+        assert coeff != 0, (vec, key, coeff)
+        assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), \
+            (vec, key, coeff)
+
+
+def _coprime_tables(rng: random.Random, count: int = 12) -> list:
+    """Like _random_tables, with constants whose denominators mix 2, 3, 5, 7
+    and 11, so the lcm L of a table's denominators has several prime factors."""
+    dens = (1, 2, 3, 5, 7, 11)
+    tables = []
+    for _ in range(count):
+        constants = {
+            (rng.choice("abc"), rng.randint(0, 1), rng.choice("abc")):
+                {(rng.randint(0, 1), rng.choice("abc")):
+                 F(rng.choice((1, -1, 2, -3)), rng.choice(dens)) for _ in range(rng.randint(1, 2))}
+            for _ in range(rng.randint(2, 4))}
+        tables.append(FormulaSpec([(x, rng.randint(0, 1)) for x in "abc"], constants))
+    return tables
+
+
+_BIG = 10**39 + 3  # a 40-digit denominator
+
+
+def _sweep_message(spec, bound) -> str:
+    """defect_sweep's boundary error, or '' when it sweeps."""
+    try:
+        defect_sweep(spec, bound)
+    except BoundInsufficientError as err:
+        return str(err)
+    return ""
+
+
+def test_scaled_tables_match_the_references() -> None:
+    # the defect tables and extend_product run on integer numerators (the
+    # table times L, the lcm of its denominators) and divide once at the end
+    specs = _coprime_tables(random.Random(11))
+    specs.append(_typo("virasoro", {("omega", 3, "omega"): {(0, "c"): F(7, _BIG)}}))
+    specs.append(FormulaSpec([("a", 0), ("b", 1)], {
+        ("a", 0, "b"): {(1, "b"): F(1, _BIG), (0, "b"): F(3, 11)},
+        ("b", 1, "b"): {(0, "a"): F(-2, _BIG + 2)}, ("b", 0, "a"): {(0, "b"): F(5, 7)}}))
+    rng = random.Random(13)
+    raised = 0
+    for spec in specs:
+        for bound in (1, default_bound(spec)):
+            dense = _sweep_outcome(_dense_sweep, spec, bound)
+            assert _sweep_outcome(defect_sweep, spec, bound) == dense
+            if isinstance(dense, str):  # the full message names the kind
+                kind = SKEW if dense.count(",") == 2 else COMMUTATOR
+                assert _sweep_message(spec, bound) \
+                    == f"{kind} defect nonzero at boundary index {bound}: {dense}"
+                raised += 1
+            else:
+                for d in defect_sweep(spec, bound):
+                    _assert_stored_nonzero_fractions(d.value)
+        window = range(default_bound(spec) + 2)
+        for u, v, w in itertools.product(range(spec.dim), repeat=3):
+            for m, n in itertools.product(window, repeat=2):
+                got = commutator_defect(spec, u, m, v, n, w)
+                assert got == _reference_commutator(spec, u, m, v, n, w), (spec, u, m, v, n, w)
+                _assert_stored_nonzero_fractions(got)
+        for _ in range(3):
+            A, B = (Element({(rng.randint(0, 2), rng.randrange(spec.dim)):
+                             F(rng.choice((1, -4, 5)), rng.choice((1, 3, 7, _BIG)))
+                             for _ in range(rng.randint(1, 3))}) for _ in "AB")
+            for n in range(spec.n_max + A.d_degree + B.d_degree + 2):
+                got = extend_product(spec, A, n, B)
+                assert got == _reference_product(spec, A, n, B), (spec, A, n, B)
+                _assert_stored_nonzero_fractions(got)
+    assert raised  # the corpus reaches the boundary rule
+
+
+def test_verdict_memo_holds_one_table_per_derivation() -> None:
+    # derived data on gl3 (dim 10) after the verdict: the 100 skew tables, one
+    # dict of every nonempty commutator-defect table, the scaled rows, the
+    # sweep and the verdict; no memoized products and no per-triple tables
+    spec = affine(_gl_n(3))
+    injectivity_verdict(spec)
+    sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
+    assert sizes == {"_skews": 100, "_commutator_tables": 1, "_scaled_rows": 1,
+                     "_sweep": 1, "injectivity_verdict": 1}
+    assert sum(sizes.values()) == 104
+    # every commutator defect of an affine table vanishes, so no triple is kept
+    assert _commutator_tables(spec) == {}
+    tables = _commutator_tables(VIR)
+    assert tables and all(table and all(table.values()) for table in tables.values())
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ from vertexlie import (
 from vertexlie.formula import Violation, falling
 
 # typo'd presets and seeded random tables, shared with the sweep tests
-from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables, _typo
+from test_defects import (TYPO_TABLES, _assert_stored_nonzero_fractions, _graded_random_tables,
+                          _random_tables, _typo)
 
 VIR = virasoro()
 OM = basis_element(VIR.bid("omega"))
@@ -426,15 +427,6 @@ def test_format_element() -> None:
     # equal weights sort by D-power, so D.omega precedes D^3.c
     assert format_element(VIR, apply_D(OM) - F(1, 2) * apply_D(C, 3)) \
         == "D.omega - 1/2*D^3.c"
-
-
-def _assert_stored_nonzero_fractions(vec) -> None:
-    # the stored form (SparseVector docstring): a nonzero int when the value
-    # is integral, else a Fraction; never a bool, a float or an integral Fraction
-    for key, coeff in vec._terms.items():
-        assert coeff != 0, (vec, key, coeff)
-        assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), \
-            (vec, key, coeff)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
