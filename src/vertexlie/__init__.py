@@ -21,9 +21,8 @@ _PUBLIC = {
     ),
     "formula": (
         "EVEN", "ODD", "BasisVector", "BoundInsufficientError", "CutoffExceededError",
-        "Element", "FormulaError", "FormulaSpec", "UngradedError", "Violation", "apply_D",
-        "basis_element", "extend_product", "format_element", "gen_binomial", "rat",
-        "validate_spec",
+        "Element", "FormulaError", "FormulaSpec", "UngradedError", "Violation", "basis_element",
+        "extend_product", "format_element", "gen_binomial", "rat", "validate_spec",
     ),
     "local_algebra": (
         "LawViolation", "LieElement", "LieGenerator", "bracket", "generator",

@@ -19,7 +19,7 @@ generates:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import factorial
 from typing import Optional
 
@@ -39,7 +39,6 @@ from .formula import (
     _per_spec,
     _products,
     _scaled_rows,
-    apply_D,
     basis_element,
     gen_binomial,
 )
@@ -78,68 +77,66 @@ class Verdict(_Record):
 def skew_defect(spec: FormulaSpec, u: BasisRef, n: int, v: BasisRef) -> Element:
     """u_n v + eps * sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u."""
     _check_index(n, "index", "index must be nonnegative")
-    return _skews(spec, spec.bid(u), spec.bid(v)).get(n, _ZERO_ELEMENT)
+    return _defect_tables(spec)[0].get((spec.bid(u), spec.bid(v)), {}).get(n, _ZERO_ELEMENT)
 
 
 @_per_spec
-def _skews(spec: FormulaSpec, uid: int, vid: int) -> dict:
-    """Every nonzero skew defect of a basis pair, keyed by n in increasing order.
+def _defect_tables(spec: FormulaSpec) -> tuple:
+    """(skews, commutators): every nonempty skew-defect table, keyed by basis
+    pair (u, v), and every nonempty commutator-defect table, keyed by basis
+    triple (u, v, w), each in index order; a table maps each sorted index,
+    n or (m, n), to its nonzero defect.
 
-    u_j v enters at n = j and v_j u at every n <= j, as eps (-1)^j
-    D^(j-n)/(j-n)! v_j u; nothing enters from n_max on, so the table is complete.
-    """
-    eps = spec.epsilon(uid, vid)
-    acc: dict = {}
-    for j, uv in spec._row(uid, vid).items():
-        _add_scaled(acc.setdefault(j, {}), uv)
-    for j, vu in spec._row(vid, uid).items():
-        for n in range(j + 1):
-            _add_scaled(acc.setdefault(n, {}), apply_D(vu, j - n),
-                        eps * _over((-1) ** j, factorial(j - n)))
-    return {n: Element._of(acc[n]) for n in sorted(acc) if acc[n]}
-
-
-@_per_spec
-def _commutator_tables(spec: FormulaSpec) -> dict:
-    """Every nonempty commutator-defect table, keyed by basis triple (u, v, w)
-    in index order; a table maps each sorted (m, n) to its nonzero defect.
-
-    One pass over the table rows builds them all.  For a row entry v_n w and
-    each u, the left product u_m(v_n w) is expanded once: it is the first
-    term of (u, v, w) at (m, n), and times -eps the term eps v_n(u_m w) of
-    (v, u, w) at (n, m).  For a row entry u_i v and each w, (u_i v)_total w
-    enters (u, v, w) at (m, total + i - m) times -(m over i), i <= m <=
-    total + i.  The products run over _scaled_rows, the table times L in
-    ints; each term is bilinear in the constants, so it is exactly L^2 times
-    its value, and each coefficient is divided by L^2 once, at the end.
+    One pass over the table rows builds them all.  A row entry v_n w enters
+    skew (v, w) at n, and as eps (-1)^n D^(n-i)/(n-i)! v_n w skew (w, v) at
+    every i <= n.  For each u, the left product u_m(v_n w) is expanded once:
+    it is the first term of (u, v, w) at (m, n), and times -eps the term
+    eps v_n(u_m w) of (v, u, w) at (n, m).  For a row entry u_i v and each w,
+    (u_i v)_total w enters (u, v, w) at (m, total + i - m) times -(m over i),
+    i <= m <= total + i.  The sums run over _scaled_rows, the table times L
+    in ints, with F = (n_max - 1)!, which every (n - i)! divides: a skew
+    coefficient is exactly L F times its value and a commutator one, bilinear
+    in the constants, L^2 times; each is divided once, at the end.
     """
     scale, rows = _scaled_rows(spec)
+    fact = factorial(max(spec.n_max - 1, 0))
     lefts, rights = {u for u, _ in rows}, {w for _, w in rows}  # the others give zero products
-    acc: dict = {}  # (u, v, w, m, n) -> {(k, tid): int}
+    skews: dict = {}        # ((u, v), n) -> {(k, tid): int}
+    commutators: dict = {}  # ((u, v, w), (m, n)) -> {(k, tid): int}
 
-    def add(at: tuple, cell: dict, factor: int) -> None:
+    def add(acc: dict, at: tuple, terms, factor: int) -> None:
         into = acc.setdefault(at, {})
-        for key, coeff in cell.items():
+        for key, coeff in terms:
             _accumulate(into, key, factor * coeff)
     for (v, w), row in rows.items():
+        koszul = spec.epsilon(w, v)
         for n, vw in row.items():
+            add(skews, ((v, w), n), vw, fact)
+            factor = koszul * (-1) ** n * fact
+            for i in range(n, -1, -1):  # factor = eps (-1)^n F/(n-i)!
+                add(skews, ((w, v), i), [((k + n - i, t), c) for (k, t), c in vw], factor)
+                factor //= n - i + 1
             for u in lefts:
                 eps = spec.epsilon(u, v)
                 for m, cell in _products(rows, [((0, u), 1)], vw).items():
-                    add((u, v, w, m, n), cell, 1)
-                    add((v, u, w, n, m), cell, -eps)
+                    add(commutators, ((u, v, w), (m, n)), cell.items(), 1)
+                    add(commutators, ((v, u, w), (n, m)), cell.items(), -eps)
     for (u, v), row in rows.items():
         for i, uv in row.items():
             for w in rights:
                 for total, cell in _products(rows, uv, [((0, w), 1)]).items():
                     for m in range(i, total + i + 1):
-                        add((u, v, w, m, total + i - m), cell, -gen_binomial(m, i))
-    tables: dict = {}
-    for u, v, w, m, n in sorted(acc):  # triples in index order, each by (m, n)
-        if cell := acc[u, v, w, m, n]:
-            tables.setdefault((u, v, w), {})[m, n] = Element._of(
-                {key: _over(c, scale * scale) for key, c in cell.items()})
-    return tables
+                        add(commutators, ((u, v, w), (m, total + i - m)), cell.items(),
+                            -gen_binomial(m, i))
+
+    def tables(acc: dict, den: int) -> dict:  # basis tuples in index order, each by index
+        out: dict = {}
+        for at, index in sorted(acc):
+            if cell := acc[at, index]:
+                out.setdefault(at, {})[index] = Element._of(
+                    {key: _over(c, den) for key, c in cell.items()})
+        return out
+    return tables(skews, scale * fact), tables(commutators, scale * scale)
 
 
 def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
@@ -147,7 +144,7 @@ def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
     """u_m(v_n w) - eps v_n(u_m w) - sum_i (m over i) (u_i v)_{m+n-i} w."""
     for i in (m, n):
         _check_index(i, "index", "indices must be nonnegative")
-    table = _commutator_tables(spec).get((spec.bid(u), spec.bid(v), spec.bid(w)), {})
+    table = _defect_tables(spec)[1].get((spec.bid(u), spec.bid(v), spec.bid(w)), {})
     return table.get((m, n), _ZERO_ELEMENT)
 
 
@@ -166,7 +163,7 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
     """
     for i in (k, m, n):
         _check_index(i, "index", "indices must be nonnegative")
-    table = _commutator_tables(spec).get((spec.bid(u), spec.bid(v), spec.bid(w)), {})
+    table = _defect_tables(spec)[1].get((spec.bid(u), spec.bid(v), spec.bid(w)), {})
     acc: dict = {}
     for (mj, nj), value in table.items():
         if 0 <= (j := nj - n) <= k and mj == m + k - j:
@@ -185,13 +182,13 @@ def default_bound(spec: FormulaSpec) -> int:
 
 @_per_spec
 def _sweep(spec: FormulaSpec, bound: int) -> tuple:
-    ids, labels = range(spec.dim), spec.labels
+    labels = spec.labels
+    skews, commutators = _defect_tables(spec)
     rows = chain(  # skew pairs, then commutator triples, each table in index order
-        (Defect(SKEW, (labels[u], n, labels[v]), value) for u, v in product(ids, repeat=2)
-         for n, value in _skews(spec, u, v).items()),
+        (Defect(SKEW, (labels[u], n, labels[v]), value)
+         for (u, v), table in skews.items() for n, value in table.items()),
         (Defect(COMMUTATOR, (labels[u], m, labels[v], n, labels[w]), value)
-         for (u, v, w), table in _commutator_tables(spec).items()
-         for (m, n), value in table.items()))
+         for (u, v, w), table in commutators.items() for (m, n), value in table.items()))
     defects = []
     for d in rows:  # keep the rows below the bound; the first one at it raises
         top = max(d.indices[1::2])

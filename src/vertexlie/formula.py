@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from math import comb, lcm, perm
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -106,7 +106,6 @@ def falling(n: int, i: int) -> int:
     return perm(n, i) if n >= 0 else (-1) ** i * perm(i - n - 1, i)
 
 
-@lru_cache(maxsize=None)
 def gen_binomial(n: int, i: int) -> int:
     """Binomial coefficient (n choose i) for any integer n and i >= 0, as an exact int.
 
@@ -279,12 +278,6 @@ def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
     _check_index(k, "D-power", "D-power must be nonnegative")
     c = _rat(coeff)
     return Element._of({(k, bid): c} if c else {})
-
-
-def apply_D(A: Element, power: int = 1) -> Element:
-    """Raise every D-power of A by `power`."""
-    _check_index(power, "D-power", "cannot shift by a negative D-power")
-    return Element._of({(k + power, bid): c for (k, bid), c in A._terms.items()})
 
 
 class _Record:

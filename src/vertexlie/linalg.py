@@ -8,7 +8,7 @@ normalization), so every intermediate stays an exact integer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 
@@ -17,13 +17,9 @@ def _integer_row(row: Mapping) -> dict:
     items = {k: Fraction(c) for k, c in row.items() if c}
     if not items:
         return {}
-    denom = 1
-    for c in items.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {k: int(c * denom) for k, c in items.items()}
-    g = 0
-    for c in ints.values():
-        g = gcd(g, abs(c))
+    denom = lcm(*(c.denominator for c in items.values()))
+    ints = {k: c.numerator * (denom // c.denominator) for k, c in items.items()}
+    g = gcd(*ints.values())
     return {k: c // g for k, c in ints.items()}
 
 
@@ -50,9 +46,7 @@ class RowSpace:
             row = out
         if not row:
             return row
-        g = 0
-        for c in row.values():
-            g = gcd(g, abs(c))
+        g = gcd(*row.values())
         return {k: c // g for k, c in row.items()}
 
     def add(self, row: Mapping) -> bool:

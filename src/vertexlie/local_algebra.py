@@ -17,8 +17,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple, Optional, Tuple
 
-from .defects import (_commutator_tables, _skews, central_check, central_reduction,
-                      membership_central)
+from .defects import _defect_tables, central_check, central_reduction, membership_central
 from .formula import (
     BasisRef,
     Element,
@@ -197,9 +196,9 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
         return [(key, A) for key, A in table.items()
                 if cid is None or not membership_central(spec, A, cid)]
 
-    skews = {(u, v): live(_skews(spec, u, v)) for u, v in product(ids, repeat=2)}
+    skew_tables, tables = _defect_tables(spec)
+    skews = {(u, v): live(skew_tables.get((u, v), {})) for u, v in product(ids, repeat=2)}
     # (u, v) -> every (w, live entries) with live entries, w in basis order
-    tables = _commutator_tables(spec)
     triples = {(u, v): [(w, t) for w in ids if (t := live(tables.get((u, v, w), {})))]
                for u, v in product(ids, repeat=2)}
     reduced: dict = {}  # (A, q) -> reduce(A)_q, shared by all laws

@@ -22,6 +22,14 @@ def _cube(data) -> tuple:
     return tuple(tuple(tuple(rat(x) for x in vec) for vec in row) for row in data)
 
 
+def _check_shapes(d: int, cube: tuple, name: str, form: tuple) -> None:
+    """Refuse a table `name` that is not d x d x d, then a form that is not d x d."""
+    if len(cube) != d or any(len(r) != d or any(len(v) != d for v in r) for r in cube):
+        raise ValueError(f"{name} table has wrong shape")
+    if len(form) != d or any(len(r) != d for r in form):
+        raise ValueError("form table has wrong shape")
+
+
 class LieData(_Record):
     """Finite-dimensional Lie algebra data with an invariant form.
 
@@ -46,10 +54,7 @@ class LieData(_Record):
 
     def _validate(self) -> None:
         d, b, f = self.dim, self.bracket, self.form
-        if len(b) != d or any(len(r) != d for r in b) or any(len(v) != d for r in b for v in r):
-            raise ValueError("bracket table has wrong shape")
-        if len(f) != d or any(len(r) != d for r in f):
-            raise ValueError("form table has wrong shape")
+        _check_shapes(d, b, "bracket", f)
         # both failure sets are closed under (i, j) -> (j, i), so the first
         # failing pair in (i, j) order lies in the upper triangle
         for i in range(d):
@@ -80,12 +85,7 @@ class BilinearAlgebra(_Record):
 
     def __init__(self, labels: Sequence[str], product, form):
         super().__init__(tuple(labels), _cube(product), _table(form))
-        d = self.dim
-        if len(self.product) != d or any(len(r) != d for r in self.product) \
-                or any(len(v) != d for r in self.product for v in r):
-            raise ValueError("product table has wrong shape")
-        if len(self.form) != d or any(len(r) != d for r in self.form):
-            raise ValueError("form table has wrong shape")
+        _check_shapes(self.dim, self.product, "product", self.form)
 
     @property
     def dim(self) -> int:

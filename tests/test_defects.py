@@ -15,7 +15,6 @@ from vertexlie import (
     FormulaSpec,
     UngradedError,
     affine,
-    apply_D,
     basis_element,
     central_check,
     central_reduction,
@@ -29,6 +28,7 @@ from vertexlie import (
     heisenberg,
     injectivity_verdict,
     jacobi_component_defect,
+    jacobi_window_verify,
     lambda_algebra,
     membership_central,
     neveu_schwarz,
@@ -38,7 +38,7 @@ from vertexlie import (
     preset,
     virasoro,
 )
-from vertexlie.defects import COMMUTATOR, SKEW, _commutator_tables
+from vertexlie.defects import COMMUTATOR, SKEW, _defect_tables
 from vertexlie.presets import PRESETS
 from vertexlie.linalg import RowSpace
 from test_presets import _gl_n
@@ -51,6 +51,12 @@ NS = neveu_schwarz()
 
 def dc(spec, power=1, coeff=1):
     return Element({(power, spec.bid("c")): coeff})
+
+
+def apply_D(A: Element, power: int = 1) -> Element:
+    """Raise every D-power of A by `power` (the package reads its D-shifts off
+    the integer rows and has no public shift of its own)."""
+    return Element({(k + power, bid): c for (k, bid), c in A.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +507,9 @@ def test_scaled_tables_match_the_references() -> None:
     specs.append(FormulaSpec([("a", 0), ("b", 1)], {
         ("a", 0, "b"): {(1, "b"): F(1, _BIG), (0, "b"): F(3, 11)},
         ("b", 1, "b"): {(0, "a"): F(-2, _BIG + 2)}, ("b", 0, "a"): {(0, "b"): F(5, 7)}}))
+    # a skew row u_j v with j >= 2 enters skew (v, u) times 1/(j - n)!, so the
+    # skew tables are scaled by (n_max - 1)! != 1 on the Virasoro typo
+    assert max(spec.n_max for spec in specs) >= 3
     rng = random.Random(13)
     raised = 0
     for spec in specs:
@@ -533,19 +542,42 @@ def test_scaled_tables_match_the_references() -> None:
 
 
 def test_verdict_memo_holds_one_table_per_derivation() -> None:
-    # derived data on gl3 (dim 10) after the verdict: the 100 skew tables, one
-    # dict of every nonempty commutator-defect table, the scaled rows, the
-    # sweep and the verdict; no memoized products and no per-triple tables
+    # derived data on gl3 (dim 10) after the verdict: one store of every
+    # nonempty skew and commutator-defect table, the scaled rows, the sweep
+    # and the verdict; no memoized products and no per-pair or per-triple tables
     spec = affine(_gl_n(3))
     injectivity_verdict(spec)
     sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
-    assert sizes == {"_skews": 100, "_commutator_tables": 1, "_scaled_rows": 1,
-                     "_sweep": 1, "injectivity_verdict": 1}
-    assert sum(sizes.values()) == 104
-    # every commutator defect of an affine table vanishes, so no triple is kept
-    assert _commutator_tables(spec) == {}
-    tables = _commutator_tables(VIR)
-    assert tables and all(table and all(table.values()) for table in tables.values())
+    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_sweep": 1,
+                     "injectivity_verdict": 1}
+    assert sum(sizes.values()) == 4
+    # every commutator defect of an affine table vanishes, so no triple is kept;
+    # the skew defects -<u, v> Dc are kept for the pairs the form pairs
+    skews, commutators = _defect_tables(spec)
+    assert commutators == {}
+    assert len(skews) == sum(1 for u in range(spec.dim) for v in range(spec.dim)
+                             if skew_defect(spec, u, 0, v))
+    for store in _defect_tables(VIR):
+        assert store and all(table and all(table.values()) for table in store.values())
+        assert list(store) == sorted(store)
+        assert all(list(table) == sorted(table) for table in store.values())
+
+
+@pytest.mark.parametrize("name", ["gl3", "virasoro"])
+def test_every_defect_query_reads_the_one_store(name: str) -> None:
+    # skew_defect on every pair, two sweeps and the window laws add no
+    # per-pair or per-triple entry: one entry per derivation
+    spec = affine(_gl_n(3)) if name == "gl3" else virasoro()
+    for u, v in itertools.product(range(spec.dim), repeat=2):
+        for n in range(spec.n_max + 1):
+            skew_defect(spec, u, n, v)
+    bound = default_bound(spec)
+    defect_sweep(spec, bound)
+    defect_sweep(spec, bound + 1)
+    jacobi_window_verify(spec, 1)
+    sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
+    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_sweep": 2,
+                     "injectivity_verdict": 1, "central_reduction": 1}
 
 
 # ---------------------------------------------------------------------------

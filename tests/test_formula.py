@@ -20,7 +20,6 @@ from vertexlie import (
     LieGenerator,
     UngradedError,
     act_word,
-    apply_D,
     basis_element,
     bracket,
     commutator_defect,
@@ -49,7 +48,7 @@ from vertexlie.formula import Violation, falling
 
 # typo'd presets and seeded random tables, shared with the sweep tests
 from test_defects import (TYPO_TABLES, _assert_stored_nonzero_fractions, _graded_random_tables,
-                          _random_tables, _typo)
+                          _random_tables, _typo, apply_D)
 
 VIR = virasoro()
 OM = basis_element(VIR.bid("omega"))
@@ -149,12 +148,6 @@ def test_element_rejects_negative_d_power() -> None:
             basis_element(0, k=k)
 
 
-def test_apply_D_shifts() -> None:
-    assert apply_D(OM) == Element({(1, 0): 1})
-    assert apply_D(OM, 3).d_degree == 3
-    assert apply_D(Element()).is_zero
-
-
 def test_spec_lookup_and_errors() -> None:
     assert VIR.bid("omega") == 0
     assert VIR.bid(1) == 1
@@ -221,7 +214,7 @@ def test_constant_checks_the_product_index() -> None:
 # every entry point that takes an index: (call on the index, the message for a
 # negative one, or None where a negative index is valid)
 INDEX_CALLS = {
-    "apply_D": (lambda k: apply_D(OM, k), "cannot shift by a negative D-power"),
+    "basis_element": (lambda k: basis_element(0, k=k), "D-power must be nonnegative"),
     "FormulaSpec": (lambda k: FormulaSpec([("a", EVEN)], {("a", k, "a"): {(0, "a"): 1}}),
                     "product index must be nonnegative"),
     "extend_product": (lambda k: extend_product(VIR, OM, k, OM),
@@ -251,8 +244,8 @@ INDEX_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(INDEX_CALLS))
 def test_index_arguments_must_be_ints(name: str) -> None:
-    # apply_D(OM, 1.0) used to key an Element by the float 1.0, which then
-    # exported as a D-power that parse_formula refuses
+    # basis_element(0, k=1.0) would key an Element by the float 1.0, which
+    # then exports as a D-power that parse_formula refuses
     call, negative = INDEX_CALLS[name]
     for bad in (1.0, 1.5, True, False, F(1), "1"):
         with pytest.raises(TypeError, match=r" must be an integer, got " + re.escape(repr(bad))):
@@ -572,6 +565,31 @@ def test_only_formula_accumulates_by_hand() -> None:
              if path.name != "formula.py"
              and (lines := _self_get_updates(ast.parse(path.read_text(), filename=str(path))))}
     assert not found, f"accumulated by hand (module: lines): {found}"
+
+
+def _functools_caches(tree: ast.AST) -> list:
+    """Each use of functools' lru_cache or cache: the name of the function it
+    decorates, or its line when it is not a decorator."""
+    decorated = {id(dec.func if isinstance(dec, ast.Call) else dec): node.name
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for dec in node.decorator_list}
+    return [decorated.get(id(node), node.lineno) for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache"))
+            or (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                and isinstance(node.value, ast.Name) and node.value.id == "functools")]
+
+
+def test_only_the_parser_has_a_module_global_cache() -> None:
+    # derived per-spec data lives in spec._memo (formula._per_spec) and is
+    # freed with the spec; a module-global cache keeps every entry for the life
+    # of the process.  The CLI's argument parser is built once per process.
+    sample = "@lru_cache(maxsize=None)\ndef f(): pass\n@functools.cache\ndef g(): pass\n" \
+             "h = lru_cache(None)(len)\n"
+    assert sorted(map(str, _functools_caches(ast.parse(sample)))) == ["5", "f", "g"]
+    found = {(path.name, use) for path in sorted(Path(vertexlie.__file__).parent.glob("*.py"))
+             for use in _functools_caches(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == {("cli.py", "build_parser")}
 
 
 def test_operand_reuse_leaves_operands_unchanged() -> None:

@@ -16,7 +16,6 @@ from vertexlie import (
     LieElement,
     LieGenerator,
     affine,
-    apply_D,
     basis_element,
     bracket,
     central_check,
@@ -40,7 +39,7 @@ from vertexlie.formula import falling
 from vertexlie.local_algebra import LawViolation, _quotient_kills, generator, single
 
 # typo'd presets and seeded one-sided random tables, shared with the sweep tests
-from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables, _typo
+from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables, _typo, apply_D
 
 VIR = virasoro()
 HEIS = affine(heisenberg())

@@ -29,7 +29,6 @@ from vertexlie import (
     act_lie,
     act_word,
     affine,
-    apply_D,
     apply_D_module,
     axiom_spotcheck,
     basis_element,
@@ -54,6 +53,8 @@ from vertexlie import (
 import vertexlie.verma as verma_module
 from vertexlie.formula_io import parse_formula
 from vertexlie.linalg import RowSpace
+
+from test_defects import apply_D
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
