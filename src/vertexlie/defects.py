@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import factorial
 from typing import Optional
 
 from .formula import (
@@ -94,28 +93,33 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     eps v_n(u_m w) of (v, u, w) at (n, m).  For a row entry u_i v and each w,
     (u_i v)_total w enters (u, v, w) at (m, total + i - m) times -(m over i),
     i <= m <= total + i.  The sums run over _scaled_rows, the table times L
-    in ints, with F = (n_max - 1)!, which every (n - i)! divides: a skew
-    coefficient is exactly L F times its value and a commutator one, bilinear
-    in the constants, L^2 times; each is divided once, at the end.
+    in ints.  A commutator coefficient, bilinear in the constants, is exactly
+    L^2 times its value and is divided once, at the end.  Each skew part is
+    divided over its own L (n - i)! as it is added, so one large index makes
+    no common denominator that every skew coefficient must be reduced over.
     """
     scale, rows = _scaled_rows(spec)
-    fact = factorial(max(spec.n_max - 1, 0))
     lefts, rights = {u for u, _ in rows}, {w for _, w in rows}  # the others give zero products
-    skews: dict = {}        # ((u, v), n) -> {(k, tid): int}
+    skews: dict = {}        # ((u, v), n) -> {(k, tid): stored-form rational}
     commutators: dict = {}  # ((u, v, w), (m, n)) -> {(k, tid): int}
 
     def add(acc: dict, at: tuple, terms, factor: int) -> None:
         into = acc.setdefault(at, {})
         for key, coeff in terms:
             _accumulate(into, key, factor * coeff)
+
+    def skew_part(at: tuple, terms: list, shift: int, sign: int, den: int) -> None:
+        into = skews.setdefault(at, {})
+        for (k, t), c in terms:
+            _accumulate(into, (k + shift, t), _over(sign * c, den))
     for (v, w), row in rows.items():
         koszul = spec.epsilon(w, v)
         for n, vw in row.items():
-            add(skews, ((v, w), n), vw, fact)
-            factor = koszul * (-1) ** n * fact
-            for i in range(n, -1, -1):  # factor = eps (-1)^n F/(n-i)!
-                add(skews, ((w, v), i), [((k + n - i, t), c) for (k, t), c in vw], factor)
-                factor //= n - i + 1
+            skew_part(((v, w), n), vw, 0, 1, scale)
+            den = scale
+            for i in range(n, -1, -1):  # den = L (n-i)!
+                skew_part(((w, v), i), vw, n - i, koszul * (-1) ** n, den)
+                den *= n - i + 1
             for u in lefts:
                 eps = spec.epsilon(u, v)
                 for m, cell in _products(rows, [((0, u), 1)], vw).items():
@@ -134,9 +138,9 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
         for at, index in sorted(acc):
             if cell := acc[at, index]:
                 out.setdefault(at, {})[index] = Element._of(
-                    {key: _over(c, den) for key, c in cell.items()})
+                    {key: _over(c, den) for key, c in cell.items()} if den != 1 else cell)
         return out
-    return tables(skews, scale * fact), tables(commutators, scale * scale)
+    return tables(skews, 1), tables(commutators, scale * scale)
 
 
 def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,

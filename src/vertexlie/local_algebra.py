@@ -23,6 +23,7 @@ from .formula import (
     Element,
     FormulaSpec,
     SparseVector,
+    _EMPTY_ROW,
     _Record,
     _accumulate,
     _add_scaled,
@@ -31,6 +32,7 @@ from .formula import (
     _over,
     _per_spec,
     _rat,
+    _scaled_rows,
     _signed_sum,
     falling,
     gen_binomial,
@@ -72,6 +74,21 @@ def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:
     return LieElement({generator(spec, ref, n): 1})
 
 
+def _reduce_into(spec: FormulaSpec, acc: dict, terms, n: int, factor, cid: int) -> int:
+    """Add factor times reduce_generator of the ((k, bid), coeff) terms at n into acc.
+
+    cid is central_reduction(spec), or -1 while it is not read: it is read
+    at the first term with (n)_k != 0, and returned for the caller's next term.
+    """
+    for (k, bid), coeff in terms:
+        if f := falling(n, k):
+            if cid == -1:
+                cid = central_reduction(spec)
+            if bid != cid or n - k == -1:
+                _accumulate(acc, LieGenerator(bid, n - k), (-1) ** k * factor * f * coeff)
+    return cid
+
+
 def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
     """Canonical image of the mode A_n: (D^k u)_n -> (-1)^k n...(n-k+1) u_{n-k}.
 
@@ -80,23 +97,27 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
     """
     _check_index(n, "mode")
     acc: dict = {}
-    cid = -1  # not read yet; central_reduction gives a basis index or None
-    for (k, bid), coeff in A._terms.items():
-        if f := falling(n, k):
-            if cid == -1:
-                cid = central_reduction(spec)
-            if bid != cid or n - k == -1:
-                _accumulate(acc, LieGenerator(bid, n - k), coeff * f * (-1) ** k)
+    _reduce_into(spec, acc, A._terms.items(), n, 1, -1)
     return LieElement._of(acc)
+
+
+def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
+    """L [x, y] as ((LieGenerator, int), ...), L the scale of _scaled_rows:
+    sum_i (m over i) reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n,
+    over the scaled rows, reading the central reduction where reduce_generator
+    on each u_i v would first read it."""
+    acc: dict = {}
+    cid = -1
+    for i, terms in _scaled_rows(spec)[1].get((x.bid, y.bid), _EMPTY_ROW).items():
+        if b := gen_binomial(x.n, i):
+            cid = _reduce_into(spec, acc, terms, x.n + y.n - i, b, cid)
+    return tuple(acc.items())
 
 
 @_per_spec
 def _pair_bracket(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> LieElement:
-    acc: dict = {}
-    for i, prod in spec._row(x.bid, y.bid).items():
-        if coeff := gen_binomial(x.n, i):
-            _add_scaled(acc, reduce_generator(spec, prod, x.n + y.n - i), coeff)
-    return LieElement._of(acc)
+    scale = _scaled_rows(spec)[0]
+    return LieElement._of({g: _over(c, scale) for g, c in _pair_terms(spec, x, y)})
 
 
 def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
@@ -104,23 +125,24 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
 
     With dx, dy the lcm of the coefficient denominators of x and y, write
     x = X/dx and y = Y/dy for elements X, Y with integer coefficients;
-    then [x, y] = [X, Y]/(dx dy).  The numerators of X and Y and the
-    factors cx cy of the sum are int products; the generator brackets
-    are added as they are stored (a fractional table constant stays a
-    Fraction), and each result coefficient is divided by dx dy once.
+    then [x, y] = [X, Y]/(dx dy).  Each generator pair's L [gx, gy] is read
+    as int terms from one per-spec table of _pair_terms, so the sum of
+    cx cy L [gx, gy] is all ints, and each coefficient is divided by
+    L dx dy once.
     """
     (dx, xs), (dy, ys) = _numerators(x), _numerators(y)
+    table = spec._memo.setdefault(_pair_terms, {})
     acc: dict = {}
     for gx, cx in xs:
         for gy, cy in ys:
-            pb = _pair_bracket(spec, gx, gy)
-            if pb:
-                _add_scaled(acc, pb, cx * cy)
-    d = dx * dy
-    if d != 1:
-        acc = {g: _over(c, d) if type(c) is int else _over(c.numerator, c.denominator * d)
-               for g, c in acc.items()}
-    return LieElement._of(acc)
+            terms = table.get((gx, gy))
+            if terms is None:
+                terms = table[gx, gy] = _pair_terms(spec, gx, gy)
+            factor = cx * cy
+            for g, c in terms:
+                _accumulate(acc, g, factor * c)
+    d = _scaled_rows(spec)[0] * dx * dy
+    return LieElement._of({g: _over(c, d) for g, c in acc.items()} if d != 1 else acc)
 
 
 def _D_generator(spec: FormulaSpec, g: LieGenerator) -> Optional[Tuple[LieGenerator, int]]:

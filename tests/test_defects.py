@@ -396,6 +396,26 @@ def test_skew_defect_matches_reference() -> None:
                     (list(spec.constant_entries()), u, n, v)
 
 
+@pytest.mark.parametrize("parities", [(0, 0), (0, 1), (1, 1)])
+def test_skew_defect_matches_reference_at_a_large_index(parities) -> None:
+    # each skew part carries its own 1/(n - i)!: a_40 b puts D^40 a / 40! into
+    # skew (b, a) at 0, and at i <= 3 the parts of a_5 b, a_7 b and b_3 a meet
+    # on D^(7 - i) a, D^4 a at i = 3, so a cell sums Fractions over different (n - i)!
+    spec = FormulaSpec([("a", parities[0]), ("b", parities[1])], {
+        ("a", 40, "b"): {(0, "a"): 1}, ("a", 5, "b"): {(2, "a"): 1},
+        ("a", 7, "b"): {(0, "a"): F(3, 2)}, ("b", 3, "a"): {(4, "a"): F(-1, 2), (0, "b"): 1}})
+    for u, v in itertools.product(range(spec.dim), repeat=2):
+        for n in range(spec.n_max + 2):
+            got = skew_defect(spec, u, n, v)
+            assert got == _reference_skew(spec, u, n, v), (u, n, v)
+            _assert_stored_nonzero_fractions(got)
+    a, b = spec.bid("a"), spec.bid("b")
+    eps = spec.epsilon(a, b)
+    assert skew_defect(spec, b, 0, a).coeff((40, a)) == eps * F(1, factorial(40))
+    # -1/2 from b_3 a, -eps/2! from a_5 b and -eps (3/2)/4! from a_7 b
+    assert skew_defect(spec, b, 3, a).coeff((4, a)) == F(-1, 2) - eps * (F(1, 2) + F(1, 16))
+
+
 # The first BoundInsufficientError of defect_sweep at explicit bounds,
 # recorded when skew defects were still evaluated one index at a time;
 # every other preset bound from 0 to n_max sweeps without error.

@@ -267,6 +267,106 @@ def test_bracket_matches_a_fraction_sum(spec, max_den: int) -> None:
     assert fractional if max_den > 1 or spec is VIR else not fractional
 
 
+def _reference_pair(spec, x, y) -> LieElement:
+    """[u_m, v_n] = sum_i (m over i) reduce_generator((u_i v)_{m+n-i}), in Fractions."""
+    acc = LieElement()
+    for i in range(spec.n_max):  # u_i v = 0 from n_max on
+        if c := gen_binomial(x.n, i):
+            A = spec.constant(x.bid, i, y.bid)
+            acc = acc + reduce_generator(spec, A, x.n + y.n - i).scale(c)
+    return acc
+
+
+def _reference_bracket(spec, x, y) -> LieElement:
+    acc = LieElement()
+    for gx, cx in x.items():
+        for gy, cy in y.items():
+            acc = acc + _reference_pair(spec, gx, gy).scale(cx * cy)
+    return acc
+
+
+def _bracket_specs() -> list:
+    """The presets, the typo'd tables, seeded random tables and two tables
+    with a 40-digit denominator."""
+    from test_defects import _BIG
+
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(31), 20)
+    specs.append(_typo("virasoro", {("omega", 3, "omega"): {(0, "c"): F(7, _BIG)}}))
+    specs.append(FormulaSpec([("a", 0), ("b", 1)], {
+        ("a", 0, "b"): {(1, "b"): F(1, _BIG), (0, "b"): F(3, 11)},
+        ("b", 1, "b"): {(0, "a"): F(-2, _BIG + 2)}, ("b", 0, "a"): {(0, "b"): F(5, 7)}}))
+    return specs
+
+
+def _assert_stored(vec) -> None:
+    assert all(c != 0 and type(c) is (int if c.denominator == 1 else F)
+               for c in vec._terms.values()), vec
+
+
+def test_bracket_matches_the_reduce_generator_reference() -> None:
+    # the int pair kernel over the scaled rows against sum_i (m over i)
+    # reduce_generator(u_i v) in Fractions, on generator pairs and on
+    # seeded elements with fractional coefficients
+    from vertexlie.local_algebra import _pair_bracket
+
+    rng = random.Random(2900)
+    for spec in _bracket_specs():
+        gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in range(-4, 5)]
+        for gx in gens:
+            for gy in gens:
+                got = _pair_bracket(spec, gx, gy)
+                assert got == _reference_pair(spec, gx, gy), (spec, gx, gy)
+                _assert_stored(got)
+        for _ in range(10):
+            x, y = (LieElement([(rng.choice(gens), F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+                                for _ in range(rng.randint(1, 4))]) for _ in "xy")
+            got = bracket(spec, x, y)
+            assert got == _reference_bracket(spec, x, y), (spec, x, y)
+            _assert_stored(got)
+
+
+def _bracket_outcome(fn, spec, x, y):
+    try:
+        return fn(spec, x, y)
+    except BoundInsufficientError as err:
+        return str(err)
+
+
+def test_bracket_raises_where_the_reference_raises() -> None:
+    # the central reduction raises on this table; a pair reads it at its
+    # first term with a nonzero binomial and falling factorial, and only there
+    spec = _raising_virasoro()
+    ones = [LieElement({LieGenerator(bid, n): 1}) for bid in range(spec.dim) for n in range(-4, 5)]
+    outcomes = [tuple(_bracket_outcome(fn, spec, x, y) for fn in (bracket, _reference_bracket))
+                for x in ones for y in ones]
+    assert all(got == want for got, want in outcomes)
+    raised = [isinstance(got, str) for got, _want in outcomes]
+    assert any(raised) and not all(raised)
+    assert {got for got, _want in outcomes if isinstance(got, str)} \
+        == {"commutator defect nonzero at boundary index 6: (omega,6,omega,0,omega)"}
+
+
+def test_bracket_reduces_no_mode_and_keeps_one_entry_per_pair(monkeypatch) -> None:
+    # a machine-independent work count: bracket queries read int pair terms
+    # from one per-spec table, made once per distinct generator pair
+    from vertexlie import local_algebra
+
+    spec = preset("virasoro")
+    calls = _count_calls(monkeypatch, local_algebra, "reduce_generator")
+    rng = random.Random(2901)
+    pairs = set()
+    for _ in range(30):
+        x, y = (LieElement({LieGenerator(rng.randrange(spec.dim), rng.randint(-6, 6)): F(1, 3)
+                            for _ in range(3)}) for _ in "xy")
+        bracket(spec, x, y)
+        pairs.update((gx, gy) for gx in x._terms for gy in y._terms)
+    assert calls == {"reduce_generator": 0}
+    sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
+    assert sizes["_pair_terms"] == len(pairs) and "_pair_bracket" not in sizes
+
+
 # ---------------------------------------------------------------------------
 # derivation
 # ---------------------------------------------------------------------------
@@ -447,11 +547,12 @@ def test_window_verify_reads_no_mode_bracket(monkeypatch) -> None:
     # tables, so no generator bracket is formed, on a clean preset or a typo
     from vertexlie import local_algebra
 
-    calls = _count_calls(monkeypatch, local_algebra, "_pair_bracket", "reduce_generator")
+    calls = _count_calls(monkeypatch, local_algebra, "_pair_bracket", "_pair_terms",
+                         "reduce_generator")
     assert jacobi_window_verify(preset("virasoro"), 4) == []
-    assert calls == {"_pair_bracket": 0, "reduce_generator": 0}
+    assert calls == {"_pair_bracket": 0, "_pair_terms": 0, "reduce_generator": 0}
     assert jacobi_window_verify(TYPO_TABLES["affine-sl2:h_1e"](), 2)
-    assert calls["_pair_bracket"] == 0 and calls["reduce_generator"] > 0
+    assert calls["_pair_bracket"] == calls["_pair_terms"] == 0 and calls["reduce_generator"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"novikov-flipped"}))
