@@ -129,9 +129,10 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
         for i, uv in row.items():
             for w in rights:
                 for total, cell in _products(rows, uv, [((0, w), 1)]).items():
+                    b = 1  # (m over i), stepped along m: no binomial is recomputed
                     for m in range(i, total + i + 1):
-                        add(commutators, ((u, v, w), (m, total + i - m)), cell.items(),
-                            -gen_binomial(m, i))
+                        add(commutators, ((u, v, w), (m, total + i - m)), cell.items(), -b)
+                        b = b * (m + 1) // (m + 1 - i)
 
     def tables(acc: dict, den: int) -> dict:  # basis tuples in index order, each by index
         out: dict = {}

@@ -15,7 +15,7 @@ quotient algebra, where the Lie axioms hold on the nose.
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 from .defects import _defect_tables, central_check, central_reduction, membership_central
 from .formula import (
@@ -26,12 +26,9 @@ from .formula import (
     _EMPTY_ROW,
     _Record,
     _accumulate,
-    _add_scaled,
     _check_index,
     _numerators,
     _over,
-    _per_spec,
-    _rat,
     _scaled_rows,
     _signed_sum,
     falling,
@@ -75,11 +72,11 @@ def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:
 
 
 def _reduce_into(spec: FormulaSpec, acc: dict, terms, n: int, factor, cid: int) -> int:
-    """Add factor times reduce_generator of the ((k, bid), coeff) terms at n into acc.
-
-    cid is central_reduction(spec), or -1 while it is not read: it is read
-    at the first term with (n)_k != 0, and returned for the caller's next term.
-    """
+    """Add factor times the image of the ((k, bid), coeff) terms at mode n into
+    acc: the one loop of the mode rule (D^k u)_n -> (-1)^k (n)_k u_{n-k}, less
+    what the quotient kills (_quotient_kills).  cid is central_reduction(spec),
+    or -1 while it is not read: it is read at the first term with (n)_k != 0,
+    and returned for the caller's next term."""
     for (k, bid), coeff in terms:
         if f := falling(n, k):
             if cid == -1:
@@ -114,21 +111,15 @@ def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
     return tuple(acc.items())
 
 
-@_per_spec
-def _pair_bracket(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> LieElement:
-    scale = _scaled_rows(spec)[0]
-    return LieElement._of({g: _over(c, scale) for g, c in _pair_terms(spec, x, y)})
-
-
 def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     """[x, y], bilinear over [u_n, v_p] = sum_i (n over i)(u_i v)_{n+p-i}.
 
     With dx, dy the lcm of the coefficient denominators of x and y, write
     x = X/dx and y = Y/dy for elements X, Y with integer coefficients;
-    then [x, y] = [X, Y]/(dx dy).  Each generator pair's L [gx, gy] is read
-    as int terms from one per-spec table of _pair_terms, so the sum of
-    cx cy L [gx, gy] is all ints, and each coefficient is divided by
-    L dx dy once.
+    then [x, y] = [X, Y]/(dx dy).  Each generator pair's L [gx, gy] is read as
+    int terms from the one per-spec table of _pair_terms, which verma._mul_gen
+    reads too, so the sum of cx cy L [gx, gy] is all ints, and each
+    coefficient is divided by L dx dy once.
     """
     (dx, xs), (dy, ys) = _numerators(x), _numerators(y)
     table = spec._memo.setdefault(_pair_terms, {})
@@ -145,17 +136,14 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     return LieElement._of({g: _over(c, d) for g, c in acc.items()} if d != 1 else acc)
 
 
-def _D_generator(spec: FormulaSpec, g: LieGenerator) -> Optional[Tuple[LieGenerator, int]]:
-    """D u_n = -n u_{n-1} as the pair (u_{n-1}, -n), or None where it is zero."""
-    dg = LieGenerator(g.bid, g.n - 1)
-    return (dg, -g.n) if g.n and not _quotient_kills(spec, dg) else None
-
-
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
-    """The derivation u_n -> -n u_{n-1} (descending to the quotient)."""
-    # distinct modes have distinct images, so no two terms collide
-    return LieElement._of({d[0]: _rat(d[1] * c) for g, c in x._terms.items()
-                           if (d := _D_generator(spec, g))})
+    """The derivation u_n -> -n u_{n-1}: the mode (D u)_n, the k = 1 case of
+    _reduce_into, zero at n = 0 and where the quotient kills u_{n-1}."""
+    acc: dict = {}
+    cid = -1
+    for g, c in x._terms.items():  # distinct modes have distinct images
+        cid = _reduce_into(spec, acc, (((1, g.bid), c),), g.n, 1, cid)
+    return LieElement._of(acc)
 
 
 class LawViolation(_Record):
@@ -192,11 +180,12 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     sum_{i+j=l+s} (m over i)(n over j)(i over l) = (m over l)(m+n-l over s),
     the factor that the third term of d_ij collects.
 
-    An entry made only of D^k c, k >= 1, c = central_reduction (read first,
-    so a verdict that raises BoundInsufficientError raises at every window),
-    is zero at every mode: (D^k c)_q is a multiple of c_{q-k}, alive only at
-    q = k - 1, where (k-1)_k = 0.  It is dropped, so a clean preset sums
-    nothing; inert vectors (central_check) have empty tables.
+    An entry made only of D^k c, k >= 1, c = central_reduction, is zero at
+    every mode: (D^k c)_q is a multiple of c_{q-k}, alive only at q = k - 1,
+    where (k-1)_k = 0.  It is dropped, so a clean preset sums nothing; inert
+    vectors (central_check) have empty tables.  c is read first, so a verdict
+    that raises BoundInsufficientError raises at every window, and each law
+    sums its reduce terms into one accumulator through _reduce_into with it.
 
     The derivation law D[x, y] = [Dx, y] + [x, Dy] holds for every table,
     a broken one included, so it is proved here rather than summed.  For
@@ -223,14 +212,11 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     # (u, v) -> every (w, live entries) with live entries, w in basis order
     triples = {(u, v): [(w, t) for w in ids if (t := live(tables.get((u, v, w), {})))]
                for u, v in product(ids, repeat=2)}
-    reduced: dict = {}  # (A, q) -> reduce(A)_q, shared by all laws
 
     def image(terms: list, q: int) -> LieElement:  # sum coeff reduce(A)_{q-shift}
         acc: dict = {}
         for coeff, A, shift in terms:
-            if (key := (A, q - shift)) not in reduced:
-                reduced[key] = reduce_generator(spec, A, q - shift)
-            _add_scaled(acc, reduced[key], coeff)
+            _reduce_into(spec, acc, A._terms.items(), q - shift, coeff, cid)
         return LieElement._of(acc)
 
     violations = []

@@ -30,12 +30,13 @@ from .formula import (
     _check_index,
     _over,
     _rat,
+    _scaled_rows,
     _signed_sum,
     basis_element,
     gen_binomial,
 )
-from .local_algebra import (LieElement, LieGenerator, _D_generator, _pair_bracket,
-                            _quotient_kills, reduce_generator)
+from .local_algebra import (LieElement, LieGenerator, _pair_terms, _quotient_kills, lie_D,
+                            reduce_generator)
 
 
 class NotInjectiveError(FormulaError):
@@ -76,7 +77,6 @@ def vacuum() -> PbwVector:
 
 
 _ZERO = PbwVector()
-_HALF = Fraction(1, 2)
 
 
 def _monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Union[int, Fraction]:
@@ -106,7 +106,10 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
     immutable and shared: act hands them out as they are.  A swap
     g head rest = eps head (g rest) + [g, head] rest reads every term of
     the right side from the memo and adds it, scaled, into one
-    accumulator; so does an odd square.
+    accumulator; so does an odd square.  [g, head] is read as the int
+    terms of L [g, head] from the one per-spec pair table that bracket
+    reads (local_algebra._pair_terms), and each term is divided once,
+    by L, or by 2 L for the odd square.
 
     A step costs ints and plain tuples.  g goes before head when its
     _order_key is smaller, compared inline: first the ints L (n + 1 - w),
@@ -133,9 +136,7 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
     memo = spec._memo
     rest = tuple.__new__(PbwMonomial, (factors[1:],))
     acc: dict = {}
-    if square:  # odd square: g g rest = (1/2)[g, g] rest
-        pair = _pair_bracket(spec, g, g)
-    else:
+    if not square:  # an odd square is g g rest = (1/2)[g, g] rest
         vectors = spec.vectors
         eps = -1 if vectors[g.bid].parity and vectors[head.bid].parity else 1
         inner = memo.get((g, rest))
@@ -146,12 +147,17 @@ def _mul_gen(spec: FormulaSpec, g: LieGenerator, mono: PbwMonomial) -> PbwVector
             if prod is None:
                 prod = memo[(head, m)] = _mul_gen(spec, head, m)
             _add_scaled(acc, prod, eps * c)
-        pair = _pair_bracket(spec, g, head)
-    for x, c in pair._terms.items():
-        prod = memo.get((x, rest))
-        if prod is None:
-            prod = memo[(x, rest)] = _mul_gen(spec, x, rest)
-        _add_scaled(acc, prod, c * _HALF if square else c)
+    pairs = memo.setdefault(_pair_terms, {})
+    terms = pairs.get((g, head))
+    if terms is None:
+        terms = pairs[g, head] = _pair_terms(spec, g, head)
+    if terms:
+        d = _scaled_rows(spec)[0] * (2 if square else 1)
+        for x, c in terms:
+            prod = memo.get((x, rest))
+            if prod is None:
+                prod = memo[(x, rest)] = _mul_gen(spec, x, rest)
+            _add_scaled(acc, prod, _over(c, d))
     return PbwVector._of(acc)
 
 
@@ -193,15 +199,15 @@ def act_word(spec: FormulaSpec, word: Iterable[LieGenerator],
 
 
 def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
-    """Derivation with [D, u_n] = -n u_{n-1} and D(vacuum) = 0."""
+    """Derivation with [D, u_n] = lie_D(u_n) = -n u_{n-1} and D(vacuum) = 0."""
     acc: dict = {}
     for mono, coeff in v._terms.items():
         factors = mono.factors
         for i, g in enumerate(factors):
-            if d := _D_generator(spec, g):
-                piece = act_word(spec, factors[:i] + (d[0],),
+            for dg, c in lie_D(spec, LieElement._of({g: 1}))._terms.items():
+                piece = act_word(spec, factors[:i] + (dg,),
                                  PbwVector._of({PbwMonomial(factors[i + 1:]): 1}))
-                _add_scaled(acc, piece, coeff * d[1])
+                _add_scaled(acc, piece, coeff * c)
     return PbwVector._of(acc)
 
 

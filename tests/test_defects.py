@@ -416,6 +416,27 @@ def test_skew_defect_matches_reference_at_a_large_index(parities) -> None:
     assert skew_defect(spec, b, 3, a).coeff((4, a)) == F(-1, 2) - eps * (F(1, 2) + F(1, 16))
 
 
+def test_commutator_tables_match_the_reference_at_a_large_index() -> None:
+    # (a_40 b)_total b = a_40 b enters (a, b, b) at every m in 40..80 times
+    # -(m over 40), up to (80 over 40) ~ 1.1e23, which the table pass steps
+    # along m; the reference computes each binomial with gen_binomial
+    spec = FormulaSpec([("a", 0), ("b", 0)], {
+        ("a", 40, "b"): {(0, "a"): 1}, ("b", 3, "a"): {(0, "b"): 1},
+        ("a", 1, "a"): {(1, "b"): F(1, 2)}})
+    tables = _defect_tables(spec)[1]
+    for (u, v, w), table in tables.items():
+        for (m, n), value in table.items():
+            assert value == _reference_commutator(spec, u, m, v, n, w), (u, m, v, n, w)
+    a, b = spec.bid("a"), spec.bid("b")
+    big = tables[a, b, b]
+    assert len(big) == 42 and max(big) == (80, 0)
+    assert max(abs(c) for value in big.values() for c in value._terms.values()) \
+        == gen_binomial(80, 40)
+    for m in range(38, 83):  # the complete table: zero wherever it has no entry
+        for n in range(5):
+            assert big.get((m, n), Element()) == _reference_commutator(spec, a, m, b, n, b)
+
+
 # The first BoundInsufficientError of defect_sweep at explicit bounds,
 # recorded when skew defects were still evaluated one index at a time;
 # every other preset bound from 0 to n_max sweeps without error.

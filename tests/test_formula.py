@@ -592,6 +592,50 @@ def test_only_the_parser_has_a_module_global_cache() -> None:
     assert found == {("cli.py", "build_parser")}
 
 
+def _falling_callers(tree: ast.AST) -> list:
+    """For each call of falling, the name of the innermost function around
+    it, or its line when it is at module level."""
+    out = []
+
+    def visit(node: ast.AST, inside) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        if isinstance(node, ast.Call) and "falling" in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+            out.append(inside or node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, None)
+    return out
+
+
+def _uses(tree: ast.AST, name: str) -> list:
+    """Lines that name `name`: a read, an attribute or an import."""
+    return [node.lineno for node in ast.walk(tree)
+            if name in (getattr(node, "id", None), getattr(node, "attr", None))
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)]
+
+
+def test_one_mode_rule_and_no_per_spec_wrapper_in_the_mode_algebra() -> None:
+    # the mode rule (D^k u)_n -> (-1)^k (n)_k u_{n-k} has one loop,
+    # local_algebra._reduce_into, and the product kernel formula._products
+    # is the only other reader of falling.  The mode algebra and the module
+    # keep their one pair table, the generator brackets, in
+    # spec._memo[_pair_terms], read with no _per_spec wrapper frame.
+    sample = "def f():\n    def g():\n        return falling(3, 1)\n    return m.falling(2, 2)\n" \
+             "x = falling(1, 1)\n"
+    assert _falling_callers(ast.parse(sample)) == ["g", "f", 5]
+    sample = "from .formula import _per_spec\n@_per_spec\ndef f(): pass\ng = formula._per_spec(f)\n"
+    assert _uses(ast.parse(sample), "_per_spec") == [1, 2, 4]
+    package = Path(vertexlie.__file__).parent
+    callers = {(path.stem, caller) for path in sorted(package.glob("*.py"))
+               for caller in _falling_callers(ast.parse(path.read_text(), filename=str(path)))}
+    assert callers <= {("formula", "_products"), ("local_algebra", "_reduce_into")}, callers
+    for name in ("local_algebra.py", "verma.py"):
+        assert not _uses(ast.parse((package / name).read_text()), "_per_spec"), name
+
+
 def test_operand_reuse_leaves_operands_unchanged() -> None:
     x = OM.scale(F(2, 3)) + apply_D(C)
     snapshot = dict(x._terms)

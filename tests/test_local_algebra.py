@@ -307,16 +307,14 @@ def _assert_stored(vec) -> None:
 
 def test_bracket_matches_the_reduce_generator_reference() -> None:
     # the int pair kernel over the scaled rows against sum_i (m over i)
-    # reduce_generator(u_i v) in Fractions, on generator pairs and on
+    # reduce_generator(u_i v) in Fractions, on single generators and on
     # seeded elements with fractional coefficients
-    from vertexlie.local_algebra import _pair_bracket
-
     rng = random.Random(2900)
     for spec in _bracket_specs():
         gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in range(-4, 5)]
         for gx in gens:
             for gy in gens:
-                got = _pair_bracket(spec, gx, gy)
+                got = bracket(spec, LieElement({gx: 1}), LieElement({gy: 1}))
                 assert got == _reference_pair(spec, gx, gy), (spec, gx, gy)
                 _assert_stored(got)
         for _ in range(10):
@@ -377,6 +375,61 @@ def test_lie_D_examples() -> None:
     # reindexed: D omega_{-1} = omega_{-2}
     assert lie_D(VIR, single(VIR, "omega", -1)) == elem(VIR, ("omega", -2, 1))
     assert lie_D(VIR, single(VIR, "c", -1)).is_zero
+
+
+def _D_by_its_own_rule(spec, x):
+    """-n u_{n-1} for each term u_n of x, dropped at n = 0 and where the
+    quotient kills u_{n-1}, asked at every term with n != 0: the terms as
+    (generator, coefficient, stored type) in order, or the type of the error."""
+    out = []
+    try:
+        for g, c in x._terms.items():
+            dg = LieGenerator(g.bid, g.n - 1)
+            if g.n and not _quotient_kills(spec, dg):
+                d = F(-g.n * c)
+                d = d.numerator if d.denominator == 1 else d
+                out.append((dg, d, type(d)))
+    except BoundInsufficientError as err:
+        return type(err)
+    return out
+
+
+def _D_outcome(spec, x):
+    try:
+        return [(g, c, type(c)) for g, c in lie_D(spec, x)._terms.items()]
+    except BoundInsufficientError as err:
+        return type(err)
+
+
+def _D_inputs(spec, rng) -> list:
+    """Every one-term mode u_n, |n| <= 4, and seeded sums with fractional coefficients."""
+    gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in range(-4, 5)]
+    return [LieElement({g: 1}) for g in gens] + [
+        LieElement([(rng.choice(gens), F(rng.randint(-9, 9), rng.choice((1, 2, 3))))
+                    for _ in range(rng.randint(1, 5))]) for _ in range(10)]
+
+
+def test_lie_D_matches_its_own_rule() -> None:
+    # lie_D is the k = 1 case of the mode rule of reduce_generator; it must
+    # give the derivation's values, stored types and term order
+    rng = random.Random(3000)
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(3001), 20)
+    for spec in specs:
+        for x in _D_inputs(spec, rng):
+            assert _D_outcome(spec, x) == _D_by_its_own_rule(spec, x), (spec, x)
+
+
+def test_lie_D_raises_where_its_own_rule_raises() -> None:
+    # the central reduction raises on this table; it is read at the first
+    # term with a nonzero mode, and only there
+    spec = _raising_virasoro()
+    inputs = _D_inputs(spec, random.Random(3002)) + [LieElement()]
+    outcomes = [(_D_outcome(spec, x), _D_by_its_own_rule(spec, x)) for x in inputs]
+    assert all(got == want for got, want in outcomes)
+    raised = [got is BoundInsufficientError for got, _want in outcomes]
+    assert any(raised) and not all(raised)
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +600,13 @@ def test_window_verify_reads_no_mode_bracket(monkeypatch) -> None:
     # tables, so no generator bracket is formed, on a clean preset or a typo
     from vertexlie import local_algebra
 
-    calls = _count_calls(monkeypatch, local_algebra, "_pair_bracket", "_pair_terms",
-                         "reduce_generator")
+    calls = _count_calls(monkeypatch, local_algebra, "_pair_terms", "reduce_generator",
+                         "_reduce_into")
     assert jacobi_window_verify(preset("virasoro"), 4) == []
-    assert calls == {"_pair_bracket": 0, "_pair_terms": 0, "reduce_generator": 0}
+    assert calls == {"_pair_terms": 0, "reduce_generator": 0, "_reduce_into": 0}
+    # on a typo the laws sum their table entries straight through the mode rule
     assert jacobi_window_verify(TYPO_TABLES["affine-sl2:h_1e"](), 2)
-    assert calls["_pair_bracket"] == calls["_pair_terms"] == 0 and calls["reduce_generator"] > 0
+    assert calls["_pair_terms"] == calls["reduce_generator"] == 0 and calls["_reduce_into"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"novikov-flipped"}))
@@ -561,9 +615,9 @@ def test_window_verify_reduces_nothing_on_a_clean_preset(name: str, monkeypatch)
     # at every mode, so the laws hold with no mode reduced
     from vertexlie import local_algebra
 
-    calls = _count_calls(monkeypatch, local_algebra, "reduce_generator")
+    calls = _count_calls(monkeypatch, local_algebra, "reduce_generator", "_reduce_into")
     assert jacobi_window_verify(preset(name), 6) == []
-    assert calls == {"reduce_generator": 0}
+    assert calls == {"reduce_generator": 0, "_reduce_into": 0}
 
 
 def test_window_verify_raises_at_every_window_where_the_verdict_raises(

@@ -15,6 +15,7 @@ import pytest
 
 from vertexlie import (
     PRESETS,
+    BoundInsufficientError,
     CutoffExceededError,
     Element,
     FormulaError,
@@ -347,6 +348,32 @@ def test_normal_ordering_memo_does_not_grow(name: str) -> None:
     assert len(spec._memo) <= MEMO_SIZE[name]
 
 
+def _pair_tables(spec) -> dict:
+    """The derived tables of spec._memo keyed by generator pairs, by name."""
+    return {key.__name__: table for key, table in spec._memo.items() if callable(key)
+            and table and all(isinstance(k, tuple) and len(k) == 2
+                              and all(type(g) is LieGenerator for g in k) for k in table)}
+
+
+def test_bracket_and_normal_ordering_share_one_pair_table() -> None:
+    # a generator bracket [g, h] is made once per spec, whichever of bracket
+    # and the normal ordering asks for it first: bracket reads the entries
+    # that act_word made (the very tuples) and adds one entry per new pair
+    spec = virasoro()
+    act_word(spec, [gen(spec, "omega", 2), gen(spec, "omega", -1), gen(spec, "omega", -3)])
+    tables = _pair_tables(spec)
+    assert list(tables) == ["_pair_terms"]
+    table = tables["_pair_terms"]
+    made = dict(table)
+    assert any(made.values())
+    for gx, gy in made:
+        bracket(spec, LieElement({gx: 1}), LieElement({gy: 1}))
+    assert list(table) == list(made) and all(table[k] is terms for k, terms in made.items())
+    fresh = (gen(spec, "omega", 5), gen(spec, "omega", -4))
+    bracket(spec, LieElement({fresh[0]: 1}), LieElement({fresh[1]: 1}))
+    assert list(table) == list(made) + [fresh] and list(_pair_tables(spec)) == ["_pair_terms"]
+
+
 def test_normal_ordering_confluence() -> None:
     # a fixed word applied with different associations agrees
     rng = random.Random(2718)
@@ -369,6 +396,78 @@ def test_apply_D_module_examples() -> None:
     got = apply_D_module(VIR, two)
     assert got == 2 * vec(VIR, ("omega", -3), ("omega", -1)) \
         + vec(VIR, ("omega", -2), ("omega", -2))
+
+
+def _apply_D_by_its_own_rule(spec, v):
+    """sum over the factors u_n of each monomial of -n (... u_{n-1} ...), the
+    factor dropped at n = 0 and where the quotient kills u_{n-1}: the terms as
+    (monomial, coefficient, stored type) in order, or the type of the error."""
+    from vertexlie.formula import _add_scaled
+    from vertexlie.local_algebra import _quotient_kills
+
+    acc: dict = {}
+    try:
+        for mono, coeff in v._terms.items():
+            factors = mono.factors
+            for i, g in enumerate(factors):
+                dg = LieGenerator(g.bid, g.n - 1)
+                if g.n and not _quotient_kills(spec, dg):
+                    piece = act_word(spec, factors[:i] + (dg,),
+                                     PbwVector({PbwMonomial(factors[i + 1:]): 1}))
+                    _add_scaled(acc, piece, -g.n * coeff)
+    except BoundInsufficientError as err:
+        return type(err)
+    return [(m, c, type(c)) for m, c in acc.items()]
+
+
+def _apply_D_outcome(spec, v):
+    try:
+        return [(m, c, type(c)) for m, c in apply_D_module(spec, v)._terms.items()]
+    except BoundInsufficientError as err:
+        return type(err)
+
+
+def _module_words(spec, rng) -> list:
+    """Seeded sums of words of one to three negative modes, fractional coefficients."""
+    gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in range(-3, 0)]
+    out = []
+    for _ in range(6):
+        acc = PbwVector()
+        for _ in range(rng.randint(1, 3)):
+            word = [rng.choice(gens) for _ in range(rng.randint(1, 3))]
+            acc = acc + act_word(spec, word).scale(F(rng.randint(1, 9), rng.choice((1, 2, 3))))
+        out.append(acc)
+    return out
+
+
+def test_apply_D_module_matches_its_own_rule() -> None:
+    # apply_D_module takes each factor's image from lie_D; it must give the
+    # derivation's values, stored types and term order
+    from test_defects import TYPO_TABLES, _random_tables
+
+    rng = random.Random(3003)
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(3004), 20)
+    for spec in specs:
+        for v in _module_words(spec, rng):
+            assert _apply_D_outcome(spec, v) == _apply_D_by_its_own_rule(spec, v), (spec, v)
+
+
+def test_apply_D_module_raises_where_its_own_rule_raises() -> None:
+    # the central reduction raises on this table: the first factor with a
+    # nonzero mode reads it, in apply_D_module as in the rule
+    from test_local_algebra import _raising_virasoro
+
+    spec = _raising_virasoro()
+    om, c = spec.bid("omega"), spec.bid("c")
+    monos = [PbwMonomial(tuple(LieGenerator(bid, n) for bid, n in factors))
+             for factors in ([], [(om, -2)], [(c, -1)], [(om, -3), (om, -1)])]
+    inputs = [PbwVector(), vacuum()] + [PbwVector({m: F(3, 2)}) for m in monos]
+    outcomes = [(_apply_D_outcome(spec, v), _apply_D_by_its_own_rule(spec, v)) for v in inputs]
+    assert all(got == want for got, want in outcomes)
+    raised = [got is BoundInsufficientError for got, _want in outcomes]
+    assert any(raised) and not all(raised)
 
 
 def test_D_commutation_with_modes() -> None:
@@ -776,6 +875,11 @@ def _doubled(real):
     return lambda *args: real(*args).scale(2)
 
 
+def _doubled_terms(real):
+    # every generator bracket [g, h] comes out doubled
+    return lambda *args: tuple((x, 2 * c) for x, c in real(*args))
+
+
 def _doubled_base_case(real):
     # 1_{-1} b = 2 b at the bottom of the field recursion
     def fc(spec, mono, *args):
@@ -797,7 +901,7 @@ def _negated_annihilators(real):
 # axiom_spotcheck(virasoro(), 2), recorded before the report was built
 # from one ledger; they pin every failure message and its order.
 SPOTCHECK_FAULTS = [
-    ("_pair_bracket", _doubled, (True, True, True, True, True, False), 30,
+    ("_pair_terms", _doubled_terms, (True, True, True, True, True, False), 30,
      "22011ff76bfde89068934182262bd0c69aed7cb2992b6a12cc99ca77fd062799"),
     ("_fc", _doubled_base_case, (False, False, True, True, True, False), 34,
      "b600166fb2b0aa300b756094ac7589823436069ee2743d41cb1f469d6d8dd3b3"),
@@ -834,7 +938,7 @@ def _assert_report(report, flags, count, digest) -> None:
 # flags, number of failures, digest) for axiom_spotcheck(preset, 1),
 # recorded before that loop read each product u_a' w and v_b' w once.
 SPOTCHECK_FAULTS_WIDE = [
-    ("affine-sl2", "_pair_bracket", (True, True, True, True, True, False), 356,
+    ("affine-sl2", "_pair_terms", (True, True, True, True, True, False), 356,
      "5b021d85016dfc754be5db0e38c15be21012c93ab7d300b3c49c18046c8b087d"),
     ("affine-sl2", "_fc", (False, False, True, True, True, False), 364,
      "3e1391c285df45c3485e7ea68562d5a8331768b1777bda425038465ff8f1dca2"),
@@ -842,7 +946,7 @@ SPOTCHECK_FAULTS_WIDE = [
      "8b6ebc8132d499324cfabe26ebddb2ef4010ab8e0edf531ba0cd98167cf48a17"),
     ("affine-sl2", "_mul_gen", (True, True, True, False, True, False), 753,
      "aaf7aead25485f8da318bbd7a05f4a3eb159c998778ea7ff0fb64157496125ea"),
-    ("neveu-schwarz", "_pair_bracket", (True, True, True, True, True, False), 50,
+    ("neveu-schwarz", "_pair_terms", (True, True, True, True, True, False), 50,
      "03a0bb13c862a2c3e9136e2e4c4521655b2e6a993c9e69f033ea63ab53d02cf5"),
     ("neveu-schwarz", "_fc", (False, False, True, True, True, False), 54,
      "36b6e8343d735ec752dd87174fd22ac251eb5995099e37b0f714689fa18b04e5"),
