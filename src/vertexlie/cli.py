@@ -5,8 +5,8 @@ compose in pipelines: 0 success (check: injective verdict), 1 failed
 verdict, refused computation or closed stdout, 2 bad input.  With --json
 the output is a single object with the stable keys {spec, verdict,
 defects, dims, result}; every rational is rendered as a "num/den" (or
-integer) string.  The package writes the JSON itself, in the layout of
-json.dumps(payload, indent=2, sort_keys=True), byte for byte.
+integer) string.  The package writes the JSON itself, each defect row from
+one template, as json.dumps(payload, indent=2, sort_keys=True) would, byte for byte.
 
 Each subcommand imports only the modules it needs: the mode algebra
 (local_algebra) is loaded by bracket, verma and check --window, and the
@@ -74,15 +74,27 @@ def _spec_json(spec: FormulaSpec) -> dict:
     }
 
 
-def _element_json(spec: FormulaSpec, elt) -> list:
-    # stored form: an int prints as its Fraction does
-    return [{"d_power": k, "target": spec.vectors[bid].label, "coeff": str(c)}
-            for (k, bid), c in sorted(elt._terms.items())]
+class _Rendered(str):
+    """JSON text already written for its place in the payload; _json copies it as is."""
 
 
-def _defect_json(spec: FormulaSpec, dft) -> dict:
-    return {"kind": dft.kind, "indices": list(dft.indices),
-            "value": _element_json(spec, dft.value)}
+def _defect_rows(spec: FormulaSpec, sweep: list) -> _Rendered:
+    """The payload's "defects", as json.dumps(indent=2, sort_keys=True) writes them:
+    one template a defect and one a term of its value (sorted by (d_power, basis
+    index), coefficients in stored form), each label escaped once."""
+    row = ('{\n      "indices": [\n        %s\n      ],\n      "kind": %s,'
+           '\n      "value": [\n        %s\n      ]\n    }')  # a defect's value is nonzero
+    term = '{\n          "coeff": "%s",\n          "d_power": %s,\n          "target": %s\n        }'
+    targets = [_json_str(label) for label in spec.labels]
+    escaped = dict(zip(spec.labels, targets))
+    rows = []
+    for d in sweep:
+        indices = ",\n        ".join([escaped[x] if x.__class__ is str else int.__repr__(x)
+                                      for x in d.indices])
+        value = ",\n        ".join([term % (str(c), int.__repr__(k), targets[bid])
+                                     for (k, bid), c in sorted(d.value._terms.items())])
+        rows.append(row % (indices, _json_str(d.kind), value))
+    return _Rendered("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]")
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -90,11 +102,13 @@ def _json(value, indent: str = "\n") -> str:
 
     indent is a newline and the indentation of the line value starts on.
     Only str, int, bool, None, list and str-keyed dict are written (exact
-    types); anything else raises TypeError.
+    types), and _Rendered text is copied; anything else raises TypeError.
     """
     kind = type(value)
     if kind is str:
         return _json_str(value)
+    if kind is _Rendered:
+        return value
     if kind is int:
         return int.__repr__(value)
     if value is None or kind is bool:
@@ -241,7 +255,7 @@ def cmd_check(args) -> int:
             "spec": _spec_json(spec),
             "verdict": {"status": verdict.status, "notes": verdict.notes,
                         "injective": verdict.injective},
-            "defects": [_defect_json(spec, d) for d in sweep],
+            "defects": _defect_rows(spec, sweep),
             "result": {"violations": [str(v) for v in violations],
                        "conformal": None if report is None else
                        {"ok": report.ok, "failures": list(report.failures)},
@@ -264,8 +278,7 @@ def cmd_defect(args) -> int:
             yield "no nonzero defects"
         yield from _defect_lines(spec, sweep, args.all)
 
-    _emit(args, lambda: {"spec": _spec_json(spec),
-                         "defects": [_defect_json(spec, d) for d in sweep]}, text,
+    _emit(args, lambda: {"spec": _spec_json(spec), "defects": _defect_rows(spec, sweep)}, text,
           lambda json: _defect_numbers(sweep, json or args.all))
     return EXIT_OK
 

@@ -13,7 +13,8 @@ ignored.  Sections:
 Parities are 'even'/'odd'; every number is an integer or 'p/q' — no
 floating point anywhere.  Export is canonical: fixed section order,
 basis order, products sorted by (u, n, v), terms by (k, target), so
-export(parse(export(spec))) is byte-identical to export(spec).
+export(parse(export(spec))) is byte-identical to export(spec); a label or name
+that would not read back is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -173,8 +174,20 @@ def load_formula(path) -> FormulaSpec:
     return parse_formula(text)
 
 
+def _check_exportable(spec: FormulaSpec) -> None:
+    """Refuse the first label that is not one word free of '#', ':' and ',' (a central
+    one: nor '[...]'), or a name that is not one line free of '#' and edge spaces."""
+    for i, label in enumerate(spec.labels):
+        if label.split() != [label] or any(ch in label for ch in "#:,") or (
+                i == spec.central and label.startswith("[") and label.endswith("]")):
+            raise FormulaError(f"basis label {label!r} cannot be written to a formula file")
+    if spec.name and ("#" in spec.name or spec.name.splitlines() != [spec.name.strip()]):
+        raise FormulaError(f"name {spec.name!r} cannot be written to a formula file")
+
+
 def export_formula(spec: FormulaSpec) -> str:
     """Canonical text rendering (deterministic, re-parses identically)."""
+    _check_exportable(spec)
     lines: List[str] = []
     if spec.name:
         lines += ["[meta]", f"name = {spec.name}", ""]
@@ -204,5 +217,6 @@ def export_formula(spec: FormulaSpec) -> str:
 
 
 def save_formula(spec: FormulaSpec, path) -> None:
+    text = export_formula(spec)  # a refused spec leaves the file untouched
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(export_formula(spec))
+        handle.write(text)

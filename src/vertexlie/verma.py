@@ -332,6 +332,8 @@ def graded_dimension(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, int]:
 
 def _by_weight(spec: FormulaSpec, v: PbwVector) -> dict:
     """The homogeneous pieces of v, keyed by their stored-form weight."""
+    if len(v._terms) == 1:  # one term: v is its own piece
+        return {_monomial_weight(spec, next(iter(v._terms))): v}
     pieces: dict = {}
     for mono, coeff in v._terms.items():
         pieces.setdefault(_monomial_weight(spec, mono), {})[mono] = coeff
@@ -409,11 +411,12 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
     if out is not None:
         return out
     g = mono.factors[0]
-    rest = PbwMonomial(mono.factors[1:])
+    rest = tuple.__new__(PbwMonomial, (mono.factors[1:],))
     m = g.n
+    vectors = spec.vectors
     lam = spec._weights[g.bid]
     wr = _monomial_weight(spec, rest)
-    eps = -1 if spec.parity(g.bid) and sum(spec.parity(h.bid) for h in rest.factors) % 2 else 1
+    eps = -1 if vectors[g.bid].parity and sum(vectors[h.bid].parity for h in rest.factors) % 2 else 1
 
     total = lam + wr + bw - m - n - 2
     if total > cutoff:

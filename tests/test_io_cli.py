@@ -16,7 +16,8 @@ import vertexlie
 from vertexlie import PRESETS, Element, FormulaSpec, preset, rat, virasoro
 from vertexlie import cli
 from vertexlie.cli import main
-from vertexlie.formula import _rat
+from vertexlie.defects import defect_sweep
+from vertexlie.formula import FormulaError, _rat
 from vertexlie.formula_io import (
     FormulaFileError,
     export_formula,
@@ -39,6 +40,49 @@ def test_round_trip_every_preset() -> None:
         again = parse_formula(text)
         assert again == spec, name
         assert export_formula(again) == text, name
+
+
+def test_round_trip_random_tables() -> None:
+    # the presets' round trip is test_round_trip_every_preset
+    for spec in _random_tables(random.Random(21), 40) + _graded_random_tables(random.Random(22), 40):
+        text = export_formula(spec)
+        again = parse_formula(text)
+        assert again == spec, text
+        assert export_formula(again) == text, text
+
+
+@pytest.mark.parametrize("labels,central,name,refused", [
+    (("a b",), None, None, "a b"),
+    (("a#b",), None, None, "a#b"),
+    (("",), None, None, ""),
+    (("a:b",), None, None, "a:b"),
+    (("a,b",), None, None, "a,b"),
+    (("a\nb",), None, None, "a\nb"),
+    (("a\u2028b",), None, None, "a\u2028b"),
+    (("x", "[meta]"), "[meta]", None, "[meta]"),
+    (("x",), None, "x # y", "x # y"),
+    (("x",), None, " padded ", " padded "),
+    (("x",), None, "two\nlines", "two\nlines"),
+])
+def test_export_refuses_what_would_not_read_back(tmp_path, labels, central, name,
+                                                  refused) -> None:
+    spec = FormulaSpec([(label, 0) for label in labels], {}, central=central, name=name)
+    with pytest.raises(FormulaError) as err:
+        export_formula(spec)
+    assert repr(refused) in str(err.value)  # the message names the label or name
+    path = tmp_path / "formula.vla"
+    path.write_text("kept")
+    with pytest.raises(FormulaError):
+        save_formula(spec, path)
+    assert path.read_text() == "kept"  # refused before the file was opened
+
+
+def test_export_keeps_labels_and_names_that_read_back() -> None:
+    # a bracketed label that is not central, '=' and inner spaces in a name
+    spec = FormulaSpec([("[x]", 0), ("c", 0), ('"q"\\', 1)], {("[x]", 0, "[x]"): {(0, "c"): 1}},
+                       central="c", name="ω = a b")
+    again = parse_formula(export_formula(spec))
+    assert again == spec and again.name == "ω = a b"
 
 
 def test_round_trip_via_files(tmp_path) -> None:
@@ -407,13 +451,25 @@ def payloads(monkeypatch) -> list:
     return seen
 
 
-def _run_against_dumps(argv, payloads: list, capsys) -> str:
+def _defect_json(spec: FormulaSpec, dft) -> dict:
+    """A defect as a dict of the JSON payload: the reference for the CLI's rows."""
+    return {"kind": dft.kind, "indices": list(dft.indices),
+            "value": [{"d_power": k, "target": spec.vectors[bid].label, "coeff": str(c)}
+                      for (k, bid), c in sorted(dft.value._terms.items())]}
+
+
+def _run_against_dumps(argv, payloads: list, capsys, spec=None, bound=None) -> str:
     """Run main(argv): its stdout must be json.dumps of the payload, or empty
-    when it refused; returns stderr."""
+    when it refused; returns stderr.  With spec, the payload's defects (which
+    reach the writer as text) are replaced by the dicts of _defect_json for
+    defect_sweep(spec, bound)."""
     code = main(list(argv))
     captured = capsys.readouterr()
     if captured.out:
-        assert captured.out == _dumps(payloads.pop()) + "\n", argv
+        reference = payloads.pop()
+        if spec is not None:
+            reference["defects"] = [_defect_json(spec, d) for d in defect_sweep(spec, bound)]
+        assert captured.out == _dumps(reference) + "\n", argv
     else:
         assert code == 1 and captured.err.startswith("error: "), (argv, captured.err)
     assert not payloads
@@ -446,12 +502,39 @@ def test_json_writer_matches_json_dumps_on_check_and_defect(tmp_path, payloads, 
     paths[-1].write_text(OMEGA_FILE, encoding="utf-8")
     refused = 0
     for path in paths:
-        for extra in ((), ("--window", "1"), ("--bound", "0")):
-            err = _run_against_dumps(("check", str(path), "--json") + extra, payloads, capsys)
+        spec = load_formula(path)
+        for extra, bound in (((), None), (("--window", "1"), None), (("--bound", "0"), 0)):
+            err = _run_against_dumps(("check", str(path), "--json") + extra, payloads, capsys,
+                                     spec, bound)
             refused += "boundary index" in err
-        _run_against_dumps(("defect", str(path), "--json"), payloads, capsys)
+        _run_against_dumps(("defect", str(path), "--json"), payloads, capsys, spec)
     # BoundInsufficientError ends the command before anything is written
     assert refused
+
+
+# labels the writer must escape: a quote, a backslash, a control character
+# and non-ASCII text (each is one word, so the file format holds it)
+ESCAPED_LABELS_FILE = """[basis]
+"q" even
+back\\slash odd
+ctl\x01 even
+ωé\U0001d524 even
+
+[constants]
+"q" 0 back\\slash : 0 ctl\x01 1, 1 ωé\U0001d524 -2/3
+ctl\x01 1 "q" : 0 "q" 1/2, 2 back\\slash 3
+ωé\U0001d524 0 ωé\U0001d524 : 1 "q" 7
+"""
+
+
+def test_json_writer_escapes_labels_in_defect_rows(tmp_path, payloads, capsys) -> None:
+    path = tmp_path / "escaped.vla"
+    path.write_text(ESCAPED_LABELS_FILE, encoding="utf-8")
+    spec = load_formula(path)
+    assert spec.labels == ('"q"', "back\\slash", "ctl\x01", "ωé\U0001d524")
+    assert defect_sweep(spec)
+    for argv in (("check", "--all"), ("check", "--window", "1"), ("defect",)):
+        assert not _run_against_dumps(argv + (str(path), "--json"), payloads, capsys, spec)
 
 
 @pytest.mark.parametrize("argv", [
@@ -675,7 +758,7 @@ def test_cli_refuses_long_coefficients_before_building_any_output(tmp_path, caps
     def built(*args):
         raise AssertionError("an output form was built")
 
-    monkeypatch.setattr(cli, "_defect_json", built)
+    monkeypatch.setattr(cli, "_defect_rows", built)
     monkeypatch.setattr(cli, "format_element", built)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
