@@ -19,7 +19,6 @@ generates:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 from .formula import (
@@ -177,25 +176,41 @@ def jacobi_component_defect(spec: FormulaSpec, u: BasisRef, k: int, v: BasisRef,
 
 
 def default_bound(spec: FormulaSpec) -> int:
-    """The sweep bound used when none is given: n_max + k_max + 1.
+    """The window that check and defect print when no bound is given:
+    n_max + k_max + 1.
 
     Every skew defect lies below it; a commutator defect need not (Virasoro
-    with c_2 omega = (3/2) D omega has one at 6), and then the sweep raises.
+    with c_2 omega = (3/2) D omega has one at 6), and then defect_sweep
+    raises.  The verdict reads every defect and does not depend on it.
     """
     return spec.n_max + spec.k_max + 1
 
 
 @_per_spec
-def _sweep(spec: FormulaSpec, bound: int) -> tuple:
+def _defects(spec: FormulaSpec) -> tuple:
+    """Every nonzero defect row: skew pairs, then commutator triples, each
+    table in index order."""
     labels = spec.labels
     skews, commutators = _defect_tables(spec)
-    rows = chain(  # skew pairs, then commutator triples, each table in index order
-        (Defect(SKEW, (labels[u], n, labels[v]), value)
-         for (u, v), table in skews.items() for n, value in table.items()),
-        (Defect(COMMUTATOR, (labels[u], m, labels[v], n, labels[w]), value)
-         for (u, v, w), table in commutators.items() for (m, n), value in table.items()))
+    return (*(Defect(SKEW, (labels[u], n, labels[v]), value)
+              for (u, v), table in skews.items() for n, value in table.items()),
+            *(Defect(COMMUTATOR, (labels[u], m, labels[v], n, labels[w]), value)
+              for (u, v, w), table in commutators.items() for (m, n), value in table.items()))
+
+
+def defect_sweep(spec: FormulaSpec, bound: Optional[int] = None) -> list:
+    """The nonzero skew and commutator defects whose indices lie below the bound
+    (default_bound when none is given), in the order of _defects.
+
+    The bound is a window on the complete defect list, which the verdict
+    reads whole.  The boundary row (any index equal to the bound) must be
+    identically zero; the first nonzero one raises BoundInsufficientError.
+    """
+    if bound is None:
+        bound = default_bound(spec)
+    _check_index(bound, "bound", "bound must be nonnegative")
     defects = []
-    for d in rows:  # keep the rows below the bound; the first one at it raises
+    for d in _defects(spec):
         top = max(d.indices[1::2])
         if top == bound:
             raise BoundInsufficientError(
@@ -203,20 +218,7 @@ def _sweep(spec: FormulaSpec, bound: int) -> tuple:
                 f"({','.join(map(str, d.indices))})")
         if top < bound:
             defects.append(d)
-    return tuple(defects)
-
-
-def defect_sweep(spec: FormulaSpec, bound: Optional[int] = None) -> list:
-    """All nonzero skew and commutator defects over the index window.
-
-    The boundary row (any index equal to the bound) is evaluated and must
-    be identically zero; otherwise the bound is reported insufficient.
-    Each basis pair's and triple's defects are read from its complete table.
-    """
-    if bound is None:
-        bound = default_bound(spec)
-    _check_index(bound, "bound", "bound must be nonnegative")
-    return list(_sweep(spec, bound))
+    return defects
 
 
 def membership_central(spec: FormulaSpec, A: Element, c: BasisRef) -> bool:
@@ -240,7 +242,8 @@ def central_reduction(spec: FormulaSpec) -> Optional[int]:
     ideal as the full positive D-span of the designated central vector:
     status injective_zero_ideal or injective_central_ideal with defects
     present.  Returns None otherwise, in particular when there are no
-    defects at all (free case, no quotient).
+    defects at all (free case, no quotient).  The verdict reads every
+    defect, so this never raises: a reader takes it once per call.
     """
     cid = spec.central
     if cid is None or not central_check(spec, cid):
@@ -260,11 +263,12 @@ def injectivity_verdict(spec: FormulaSpec) -> Verdict:
     absorbed by the central quotient), injective_central_ideal when the
     commutator defects generate exactly the positive D-span of the
     spec's designated central vector.  Everything the two settled routes
-    do not cover is reported undetermined rather than guessed; computed
-    once per spec.
+    do not cover is reported undetermined rather than guessed.  It reads
+    the complete defect list (_defects), not a window of it, so no bound
+    enters and it raises nothing; computed once per spec.
     """
     cid = spec.central
-    defects = _sweep(spec, default_bound(spec))
+    defects = _defects(spec)
     if not defects:
         return Verdict(INJECTIVE_ZERO_IDEAL, (),
                        "all skew and commutator defects vanish; the free module "

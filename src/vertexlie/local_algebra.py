@@ -15,7 +15,7 @@ quotient algebra, where the Lie axioms hold on the nose.
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .defects import _defect_tables, central_check, central_reduction, membership_central
 from .formula import (
@@ -23,7 +23,6 @@ from .formula import (
     Element,
     FormulaSpec,
     SparseVector,
-    _EMPTY_ROW,
     _Record,
     _accumulate,
     _check_index,
@@ -50,7 +49,7 @@ def _quotient_kills(spec: FormulaSpec, g: LieGenerator) -> bool:
     mode that survives.  A mode (D^k c)_n with k >= 1 is a multiple of
     c_{n-k} that vanishes at n - k = -1, so this one rule covers it.
     """
-    return g.bid == central_reduction(spec) and g.n != -1
+    return g.n != -1 and g.bid == spec.central and central_reduction(spec) is not None
 
 
 class LieElement(SparseVector):
@@ -71,43 +70,38 @@ def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:
     return LieElement({generator(spec, ref, n): 1})
 
 
-def _reduce_into(spec: FormulaSpec, acc: dict, terms, n: int, factor, cid: int) -> int:
+def _reduce_into(acc: dict, terms, n: int, factor, cid: Optional[int]) -> None:
     """Add factor times the image of the ((k, bid), coeff) terms at mode n into
     acc: the one loop of the mode rule (D^k u)_n -> (-1)^k (n)_k u_{n-k}, less
-    what the quotient kills (_quotient_kills).  cid is central_reduction(spec),
-    or -1 while it is not read: it is read at the first term with (n)_k != 0,
-    and returned for the caller's next term."""
+    what the quotient kills (_quotient_kills); cid is central_reduction(spec)."""
     for (k, bid), coeff in terms:
-        if f := falling(n, k):
-            if cid == -1:
-                cid = central_reduction(spec)
-            if bid != cid or n - k == -1:
-                _accumulate(acc, LieGenerator(bid, n - k), (-1) ** k * factor * f * coeff)
-    return cid
+        if (f := falling(n, k)) and (bid != cid or n - k == -1):
+            _accumulate(acc, LieGenerator(bid, n - k), (-1) ** k * factor * f * coeff)
 
 
 def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
     """Canonical image of the mode A_n: (D^k u)_n -> (-1)^k n...(n-k+1) u_{n-k}.
 
-    Images the central quotient kills are dropped (_quotient_kills); the
-    central reduction is read once, at the first term with (n)_k != 0.
+    Images the central quotient kills are dropped (_quotient_kills).
     """
     _check_index(n, "mode")
     acc: dict = {}
-    _reduce_into(spec, acc, A._terms.items(), n, 1, -1)
+    _reduce_into(acc, A._terms.items(), n, 1, central_reduction(spec))
     return LieElement._of(acc)
 
 
 def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
     """L [x, y] as ((LieGenerator, int), ...), L the scale of _scaled_rows:
     sum_i (m over i) reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n,
-    over the scaled rows, reading the central reduction where reduce_generator
-    on each u_i v would first read it."""
+    over the scaled rows."""
+    row = _scaled_rows(spec)[1].get((x.bid, y.bid))
+    if row is None:
+        return ()
+    cid = central_reduction(spec)
     acc: dict = {}
-    cid = -1
-    for i, terms in _scaled_rows(spec)[1].get((x.bid, y.bid), _EMPTY_ROW).items():
+    for i, terms in row.items():
         if b := gen_binomial(x.n, i):
-            cid = _reduce_into(spec, acc, terms, x.n + y.n - i, b, cid)
+            _reduce_into(acc, terms, x.n + y.n - i, b, cid)
     return tuple(acc.items())
 
 
@@ -140,9 +134,9 @@ def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
     """The derivation u_n -> -n u_{n-1}: the mode (D u)_n, the k = 1 case of
     _reduce_into, zero at n = 0 and where the quotient kills u_{n-1}."""
     acc: dict = {}
-    cid = -1
+    cid = central_reduction(spec)
     for g, c in x._terms.items():  # distinct modes have distinct images
-        cid = _reduce_into(spec, acc, (((1, g.bid), c),), g.n, 1, cid)
+        _reduce_into(acc, (((1, g.bid), c),), g.n, 1, cid)
     return LieElement._of(acc)
 
 
@@ -183,9 +177,8 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     An entry made only of D^k c, k >= 1, c = central_reduction, is zero at
     every mode: (D^k c)_q is a multiple of c_{q-k}, alive only at q = k - 1,
     where (k-1)_k = 0.  It is dropped, so a clean preset sums nothing; inert
-    vectors (central_check) have empty tables.  c is read first, so a verdict
-    that raises BoundInsufficientError raises at every window, and each law
-    sums its reduce terms into one accumulator through _reduce_into with it.
+    vectors (central_check) have empty tables.  Each law sums its reduce
+    terms into one accumulator through _reduce_into.
 
     The derivation law D[x, y] = [Dx, y] + [x, Dy] holds for every table,
     a broken one included, so it is proved here rather than summed.  For
@@ -216,7 +209,7 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     def image(terms: list, q: int) -> LieElement:  # sum coeff reduce(A)_{q-shift}
         acc: dict = {}
         for coeff, A, shift in terms:
-            _reduce_into(spec, acc, A._terms.items(), q - shift, coeff, cid)
+            _reduce_into(acc, A._terms.items(), q - shift, coeff, cid)
         return LieElement._of(acc)
 
     violations = []

@@ -38,7 +38,7 @@ from vertexlie import (
     preset,
     virasoro,
 )
-from vertexlie.defects import COMMUTATOR, SKEW, _defect_tables
+from vertexlie.defects import COMMUTATOR, SKEW, _defect_tables, _defects
 from vertexlie.presets import PRESETS
 from vertexlie.linalg import RowSpace
 from test_presets import _gl_n
@@ -584,12 +584,12 @@ def test_scaled_tables_match_the_references() -> None:
 
 def test_verdict_memo_holds_one_table_per_derivation() -> None:
     # derived data on gl3 (dim 10) after the verdict: one store of every
-    # nonempty skew and commutator-defect table, the scaled rows, the sweep
-    # and the verdict; no memoized products and no per-pair or per-triple tables
+    # nonempty skew and commutator-defect table, the scaled rows, the defect
+    # rows and the verdict; no memoized products and no per-pair or per-triple tables
     spec = affine(_gl_n(3))
     injectivity_verdict(spec)
     sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
-    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_sweep": 1,
+    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_defects": 1,
                      "injectivity_verdict": 1}
     assert sum(sizes.values()) == 4
     # every commutator defect of an affine table vanishes, so no triple is kept;
@@ -607,7 +607,7 @@ def test_verdict_memo_holds_one_table_per_derivation() -> None:
 @pytest.mark.parametrize("name", ["gl3", "virasoro"])
 def test_every_defect_query_reads_the_one_store(name: str) -> None:
     # skew_defect on every pair, two sweeps and the window laws add no
-    # per-pair or per-triple entry: one entry per derivation
+    # per-pair, per-triple or per-bound entry: one entry per derivation
     spec = affine(_gl_n(3)) if name == "gl3" else virasoro()
     for u, v in itertools.product(range(spec.dim), repeat=2):
         for n in range(spec.n_max + 1):
@@ -617,7 +617,7 @@ def test_every_defect_query_reads_the_one_store(name: str) -> None:
     defect_sweep(spec, bound + 1)
     jacobi_window_verify(spec, 1)
     sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
-    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_sweep": 2,
+    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_defects": 1,
                      "injectivity_verdict": 1, "central_reduction": 1}
 
 
@@ -722,6 +722,69 @@ def test_verdict_undetermined_without_central() -> None:
         {("a", 0, "a"): {(2, "z"): 1}},
     )
     assert injectivity_verdict(spec).status == "undetermined"
+
+
+def _reference_verdict(spec) -> tuple:
+    """(status, witnesses, central reduction), decided term by term on the
+    sweep at T: 1 plus the largest index of any _defect_tables key, at least
+    n_max, so that the sweep is complete and no defect reaches its bound."""
+    skews, commutators = _defect_tables(spec)
+    indices = [n for table in skews.values() for n in table]
+    indices += [i for table in commutators.values() for key in table for i in key]
+    rows = tuple(defect_sweep(spec, max([spec.n_max] + [1 + i for i in indices])))
+    c = spec.central
+    if not rows:
+        return "injective_zero_ideal", (), None
+    bad = tuple(d for d in rows if d.kind == SKEW
+                and any(k == 0 and bid != c for (k, bid), _coeff in d.value.items()))
+    if bad:
+        return "not_injective_candidate", bad, None
+    terms = [key for d in rows for key, _coeff in d.value.items()]
+    if c is None or not central_check(spec, c) or any(bid != c or k < 1 for k, bid in terms):
+        return "undetermined", rows, None
+    if min(k for k, _bid in terms) > 1:
+        return "undetermined", rows, None
+    if any(d.kind == COMMUTATOR for d in rows):
+        return "injective_central_ideal", rows, c
+    return "injective_zero_ideal", rows, c
+
+
+def test_verdict_matches_the_reference_on_the_complete_sweep() -> None:
+    # the verdict reads every defect, those past the default bound included,
+    # and neither it nor the central reduction raises
+    from test_local_algebra import _raising_virasoro
+
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)] + [_raising_virasoro()]
+    specs += _random_tables(random.Random(3200), 40)
+    specs += _graded_random_tables(random.Random(3201), 20)
+    statuses, past_the_default = set(), 0
+    for spec in specs:
+        status, witnesses, cid = _reference_verdict(spec)
+        verdict = injectivity_verdict(spec)
+        assert (verdict.status, verdict.witnesses) == (status, witnesses), \
+            list(spec.constant_entries())
+        assert central_reduction(spec) == cid
+        statuses.add(status)
+        try:
+            defect_sweep(spec)
+        except BoundInsufficientError:
+            past_the_default += 1
+    assert statuses == {"injective_zero_ideal", "injective_central_ideal",
+                        "not_injective_candidate", "undetermined"}
+    assert past_the_default >= 2  # virasoro:c_2omega and the raising Virasoro table
+
+
+def test_sweeps_at_every_bound_keep_one_list_of_defect_rows() -> None:
+    # each bound filters the one per-spec list of rows; no bound adds an entry
+    for spec in (affine(_gl_n(3)), TYPO_TABLES["virasoro:c_2omega"]()):
+        raised = 0
+        for bound in range(50):
+            try:
+                defect_sweep(spec, bound)
+            except BoundInsufficientError:
+                raised += 1
+        assert raised and len(spec._memo[_defects]) == 1
 
 
 def test_verdict_accepts_explicit_central_argument() -> None:

@@ -592,22 +592,52 @@ def test_only_the_parser_has_a_module_global_cache() -> None:
     assert found == {("cli.py", "build_parser")}
 
 
-def _falling_callers(tree: ast.AST) -> list:
-    """For each call of falling, the name of the innermost function around
-    it, or its line when it is at module level."""
+def _sites(tree: ast.AST, hit) -> list:
+    """For each node where hit(node) holds, the name of the innermost function
+    around it, or its line when it is at module level."""
     out = []
 
     def visit(node: ast.AST, inside) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = node.name
-        if isinstance(node, ast.Call) and "falling" in (getattr(node.func, "id", None),
-                                                       getattr(node.func, "attr", None)):
+        if hit(node):
             out.append(inside or node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(tree, None)
     return out
+
+
+def _named(node: ast.AST, name: str) -> bool:
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def _falling_callers(tree: ast.AST) -> list:
+    """For each call of falling, where it is (see _sites)."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call) and _named(node.func, "falling"))
+
+
+def _bound_raises(tree: ast.AST) -> list:
+    """For each raise of BoundInsufficientError, where it is (see _sites)."""
+    def hit(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _named(exc, "BoundInsufficientError")
+
+    return _sites(tree, hit)
+
+
+def test_only_the_sweep_raises_bound_insufficient() -> None:
+    # the verdict reads every defect, so a bound is only the window that
+    # check and defect print and guard: defect_sweep alone refuses one
+    sample = "def f():\n    raise BoundInsufficientError('x')\n" \
+             "raise formula.BoundInsufficientError\nraise ValueError('BoundInsufficientError')\n"
+    assert _bound_raises(ast.parse(sample)) == ["f", 3]
+    found = {(path.stem, site) for path in sorted(Path(vertexlie.__file__).parent.glob("*.py"))
+             for site in _bound_raises(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == {("defects", "defect_sweep")}
 
 
 def _uses(tree: ast.AST, name: str) -> list:

@@ -813,6 +813,33 @@ def test_cli_check_bound_flag(capsys) -> None:
     assert "bound" in capsys.readouterr().err
 
 
+def test_cli_check_bound_past_the_default_on_a_typo_table(tmp_path, capsys) -> None:
+    # c_2 omega = (3/2) D omega puts a commutator defect at index 6, the default
+    # bound: the default sweep refuses, while --bound 7 holds every defect and
+    # the verdict, read from all of them, is undetermined
+    path = tmp_path / "typo.vla"
+    path.write_text(export_formula(virasoro()) + "c 2 omega : 1 omega 3/2\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: commutator defect nonzero at boundary index 6: (c,6,omega,0,omega)\n")
+    assert main(["check", str(path), "--bound", "7"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and "defects: 27 nonzero (bound 7)" in lines
+    assert "verdict: undetermined" in lines
+    assert main(["check", str(path), "--bound", "7", "--json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert captured.err == "" and payload["verdict"]["status"] == "undetermined"
+    assert [(d["kind"], tuple(d["indices"])) for d in payload["defects"]] \
+        == [(d.kind, d.indices) for d in defect_sweep(load_formula(path), 7)]
+    assert len(payload["defects"]) == 27
+    # the vacuum module refuses the undetermined verdict with its hint
+    assert main(["verma", str(path), "--cutoff", "2", "--dims"]) == 1
+    assert capsys.readouterr() == ("", "error: verdict is undetermined; run the defect check "
+                                   "first\nhint: run `vertexlie check` on this input first\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["check", "--preset", "virasoro", "--bound", "-1"], "--bound must be nonnegative, got -1"),
     (["check", "--preset", "virasoro", "--window", "-2"], "--window must be nonnegative, got -2"),

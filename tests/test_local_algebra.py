@@ -24,6 +24,7 @@ from vertexlie import (
     extend_product,
     gen_binomial,
     heisenberg,
+    injectivity_verdict,
     jacobi_window_verify,
     lambda_algebra,
     lie_D,
@@ -35,6 +36,7 @@ from vertexlie import (
     virasoro,
 )
 from vertexlie.formula_io import export_formula, parse_formula
+from vertexlie.defects import UNDETERMINED
 from vertexlie.formula import falling
 from vertexlie.local_algebra import LawViolation, _quotient_kills, generator, single
 
@@ -87,31 +89,21 @@ def test_reduce_generator_kills_central_modes() -> None:
 
 
 def _raising_virasoro() -> FormulaSpec:
-    """Virasoro with omega_3 omega = c/2 - omega: its verdict raises
-    BoundInsufficientError (a commutator defect at the default bound 6)."""
+    """Virasoro with omega_3 omega = c/2 - omega: its sweep at the default
+    bound 6 raises BoundInsufficientError (a commutator defect at index 6),
+    while its verdict, read from every defect, is undetermined."""
     return _typo("virasoro", {("omega", 3, "omega"): {(0, "c"): F(1, 2), (0, "omega"): -1}})
 
 
 def _reduce_term_by_term(spec, A, n):
     """reduce_generator with _quotient_kills asked at every term whose
-    falling factorial is nonzero, as the outcome: the element, or the
-    type of the error raised."""
+    falling factorial is nonzero."""
     acc = LieElement()
-    try:
-        for (k, bid), c in A.items():
-            g = LieGenerator(bid, n - k)
-            if falling(n, k) and not _quotient_kills(spec, g):
-                acc = acc + LieElement({g: c * falling(n, k) * (-1) ** k})
-    except BoundInsufficientError as err:
-        return type(err)
+    for (k, bid), c in A.items():
+        g = LieGenerator(bid, n - k)
+        if falling(n, k) and not _quotient_kills(spec, g):
+            acc = acc + LieElement({g: c * falling(n, k) * (-1) ** k})
     return acc
-
-
-def _reduce_outcome(spec, A, n):
-    try:
-        return reduce_generator(spec, A, n)
-    except BoundInsufficientError as err:
-        return type(err)
 
 
 def _reduce_inputs(spec) -> list:
@@ -121,25 +113,15 @@ def _reduce_inputs(spec) -> list:
         [u + apply_D(c, 2) for u in units for c in units]
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(TYPO_TABLES))
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(TYPO_TABLES) + ["raising-virasoro"])
 def test_reduce_generator_matches_the_term_by_term_rule(name: str) -> None:
-    spec = TYPO_TABLES[name]() if name in TYPO_TABLES else preset(name)
-    for A in _reduce_inputs(spec):
+    spec = _raising_virasoro() if name == "raising-virasoro" else \
+        TYPO_TABLES[name]() if name in TYPO_TABLES else preset(name)
+    for A in _reduce_inputs(spec) + [Element()]:
         for n in range(-4, 5):
             got = reduce_generator(spec, A, n)
             assert got == _reduce_term_by_term(spec, A, n), (A, n)
             assert all(type(c) is int or c.denominator != 1 for c in got._terms.values())
-
-
-def test_reduce_generator_raises_where_the_term_by_term_rule_raises() -> None:
-    # the central reduction raises on this table; it is read at the first
-    # term whose falling factorial is nonzero, and only there
-    spec = _raising_virasoro()
-    outcomes = [(_reduce_outcome(spec, A, n), _reduce_term_by_term(spec, A, n))
-                for A in _reduce_inputs(spec) + [Element()] for n in range(-4, 5)]
-    assert all(got == want for got, want in outcomes)
-    raised = [got is BoundInsufficientError for got, _want in outcomes]
-    assert any(raised) and not all(raised)
 
 
 def test_reduce_generator_keeps_central_modes_without_quotient() -> None:
@@ -333,17 +315,15 @@ def _bracket_outcome(fn, spec, x, y):
 
 
 def test_bracket_raises_where_the_reference_raises() -> None:
-    # the central reduction raises on this table; a pair reads it at its
-    # first term with a nonzero binomial and falling factorial, and only there
+    # the sweep at the default bound raises on this table, but the verdict
+    # reads every defect, so the quotient kills no mode: bracket and the
+    # reference agree on every pair, and neither raises
     spec = _raising_virasoro()
     ones = [LieElement({LieGenerator(bid, n): 1}) for bid in range(spec.dim) for n in range(-4, 5)]
     outcomes = [tuple(_bracket_outcome(fn, spec, x, y) for fn in (bracket, _reference_bracket))
                 for x in ones for y in ones]
     assert all(got == want for got, want in outcomes)
-    raised = [isinstance(got, str) for got, _want in outcomes]
-    assert any(raised) and not all(raised)
-    assert {got for got, _want in outcomes if isinstance(got, str)} \
-        == {"commutator defect nonzero at boundary index 6: (omega,6,omega,0,omega)"}
+    assert not any(isinstance(got, str) for got, _want in outcomes)
 
 
 def test_bracket_reduces_no_mode_and_keeps_one_entry_per_pair(monkeypatch) -> None:
@@ -379,18 +359,15 @@ def test_lie_D_examples() -> None:
 
 def _D_by_its_own_rule(spec, x):
     """-n u_{n-1} for each term u_n of x, dropped at n = 0 and where the
-    quotient kills u_{n-1}, asked at every term with n != 0: the terms as
-    (generator, coefficient, stored type) in order, or the type of the error."""
+    quotient kills u_{n-1}: the terms as (generator, coefficient, stored
+    type) in order."""
     out = []
-    try:
-        for g, c in x._terms.items():
-            dg = LieGenerator(g.bid, g.n - 1)
-            if g.n and not _quotient_kills(spec, dg):
-                d = F(-g.n * c)
-                d = d.numerator if d.denominator == 1 else d
-                out.append((dg, d, type(d)))
-    except BoundInsufficientError as err:
-        return type(err)
+    for g, c in x._terms.items():
+        dg = LieGenerator(g.bid, g.n - 1)
+        if g.n and not _quotient_kills(spec, dg):
+            d = F(-g.n * c)
+            d = d.numerator if d.denominator == 1 else d
+            out.append((dg, d, type(d)))
     return out
 
 
@@ -422,14 +399,14 @@ def test_lie_D_matches_its_own_rule() -> None:
 
 
 def test_lie_D_raises_where_its_own_rule_raises() -> None:
-    # the central reduction raises on this table; it is read at the first
-    # term with a nonzero mode, and only there
+    # the sweep at the default bound raises on this table, but the verdict
+    # reads every defect, so the quotient kills no mode: lie_D follows its
+    # rule on every input, the empty element too, and neither raises
     spec = _raising_virasoro()
     inputs = _D_inputs(spec, random.Random(3002)) + [LieElement()]
     outcomes = [(_D_outcome(spec, x), _D_by_its_own_rule(spec, x)) for x in inputs]
     assert all(got == want for got, want in outcomes)
-    raised = [got is BoundInsufficientError for got, _want in outcomes]
-    assert any(raised) and not all(raised)
+    assert BoundInsufficientError not in [got for got, _want in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +508,7 @@ def test_window_verify_matches_reference_on_presets(name: str) -> None:
 
 
 def test_window_verify_matches_reference_on_typo_and_random_tables() -> None:
-    specs = [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs = [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)] + [_raising_virasoro()]
     specs += _random_tables(random.Random(7), 40)
     # D^2 products: the reference's derivation clause sees (D^2 u)_n reduced
     d2 = FormulaSpec([("a", EVEN), ("b", 1)],
@@ -620,18 +597,21 @@ def test_window_verify_reduces_nothing_on_a_clean_preset(name: str, monkeypatch)
     assert calls == {"reduce_generator": 0, "_reduce_into": 0}
 
 
-def test_window_verify_raises_at_every_window_where_the_verdict_raises(
+def test_check_window_ends_in_the_sweep_error_on_an_undetermined_table(
         tmp_path, capsys) -> None:
-    # the central reduction is read before any law, so window 0, whose laws
-    # reduce no mode with a nonzero falling factorial, raises as well
+    # the verdict reads every defect, past the default bound 6 too, so it
+    # settles nothing and the quotient kills no mode; every window's laws
+    # are evaluated, window 0 included
+    spec = _raising_virasoro()
+    assert injectivity_verdict(spec).status == UNDETERMINED
+    assert central_reduction(spec) is None
     for window in range(3):
-        with pytest.raises(BoundInsufficientError, match="boundary index 6"):
-            jacobi_window_verify(_raising_virasoro(), window)
-    # check builds the verdict before the window, so its answer is the error
+        assert jacobi_window_verify(spec, window) == _reference_window(spec, window), window
+    # check runs the sweep at the default bound first, so its answer is the error
     from vertexlie.cli import main
 
     path = tmp_path / "raising.vla"
-    path.write_text(export_formula(_raising_virasoro()))
+    path.write_text(export_formula(spec))
     assert main(["check", str(path), "--window", "0"]) == 1
     assert capsys.readouterr().err == (
         "error: commutator defect nonzero at boundary index 6: (omega,6,omega,0,omega)\n")
