@@ -61,7 +61,7 @@ FIELDS = {
     BilinearAlgebra: ("labels", "product", "form"),
     NovikovReport: ("identity_failures", "defects_in_central_ideal"),
     SpotcheckReport: ("creation", "vacuum_field", "half_skew", "locality", "translation",
-                      "commutator_formula", "failures"),
+                      "commutator_formula", "failures", "vacuous"),
 }
 
 
@@ -84,8 +84,8 @@ def _samples(cls) -> list:
         LawViolation: [("skew", (generator(spec, "omega", 1),), omega),
                        ("jacobi", (), LieElement())],
         NovikovReport: [(("left symmetry",), False), ((), True)],
-        SpotcheckReport: [(True, True, False, True, True, True, ("locality",)),
-                          (True,) * 6 + ((),)],
+        SpotcheckReport: [(True, True, False, True, True, True, ("locality",), ()),
+                          (True,) * 6 + ((), ("half_skew",))],
     }[cls]
     return [cls(*values[0]), cls(*values[1]), cls(*[copy.copy(v) for v in values[0]])]
 

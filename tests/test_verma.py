@@ -319,8 +319,6 @@ def test_act_result_is_safe_to_share() -> None:
     v = vec(spec, ("omega", -2), ("omega", -1))
     for g in (gen(spec, "omega", n) for n in (-3, 1, 2, 3)):
         first = act(spec, g, v)
-        # a one-term input with coefficient 1 gets the memoized vector itself
-        assert act(spec, g, v) is act(spec, g, v)
         want = dict(first.items())
         # every operation on the shared product builds a new vector
         for derived in (first + first, first - first, -first, first.scale(F(-7, 3)),
@@ -335,17 +333,41 @@ def test_act_result_is_safe_to_share() -> None:
 
 
 # len(spec._memo) on a fresh spec after the seeded act_word list of
-# test_normal_ordering_memo_does_not_grow, recorded before act began
-# returning memoized products unchanged.
-MEMO_SIZE = {"virasoro": 101, "neveu-schwarz": 272, "affine-sl2": 174}
+# _after_seeded_words, recorded once the memo kept only rewrites.
+MEMO_SIZE = {"virasoro": 40, "neveu-schwarz": 128, "affine-sl2": 71}
+
+
+def _after_seeded_words(name: str):
+    """A fresh preset spec after normal-ordering 60 seeded words."""
+    spec = preset(name)
+    for word in _seeded_words(spec, random.Random(f"memo-{name}"), 60):
+        act_word(spec, word)
+    return spec
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_SIZE))
 def test_normal_ordering_memo_does_not_grow(name: str) -> None:
-    spec = preset(name)
-    for word in _seeded_words(spec, random.Random(f"memo-{name}"), 60):
-        act_word(spec, word)
-    assert len(spec._memo) <= MEMO_SIZE[name]
+    assert len(_after_seeded_words(name)._memo) <= MEMO_SIZE[name]
+
+
+def _normal_ordering_entries(spec) -> list:
+    """The (g, mono) keys of spec._memo: the memoized normal-ordering products."""
+    return [key for key in spec._memo if type(key) is tuple and len(key) == 2
+            and type(key[0]) is LieGenerator and type(key[1]) is PbwMonomial]
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SIZE))
+def test_normal_ordering_memoizes_only_rewrites(name: str) -> None:
+    # a rewrite moves g past the first factor, or is an odd square; a product
+    # the quotient or the vacuum kills, or that puts g in front, is not stored
+    spec = _after_seeded_words(name)
+    entries = _normal_ordering_entries(spec)
+    assert entries
+    for g, mono in entries:
+        assert mono.factors and not verma_module._quotient_kills(spec, g), (g, mono)
+        head = mono.factors[0]
+        key, head_key = verma_module._order_key(spec, g), verma_module._order_key(spec, head)
+        assert g.n >= 0 or key > head_key or g == head and spec.parity(g.bid), (g, mono)
 
 
 def _pair_tables(spec) -> dict:
@@ -868,6 +890,14 @@ def test_axiom_spotcheck_abelian() -> None:
     assert report.ok, report.failures[:5]
 
 
+def test_axiom_spotcheck_names_the_clauses_that_compared_nothing() -> None:
+    # every basis vector of loop-abelian is central: u and v run over nothing
+    report = axiom_spotcheck(preset("loop-abelian"), 2)
+    assert report.ok and report.half_skew and report.locality and report.commutator_formula
+    assert report.vacuous == ("half_skew", "locality", "commutator_formula")
+    assert axiom_spotcheck(virasoro(), 2).vacuous == ()
+
+
 def _doubled(real):
     return lambda *args: real(*args).scale(2)
 
@@ -887,9 +917,8 @@ def _doubled_base_case(real):
 
 def _negated_annihilators(real):
     # u_n w comes out negated for n >= 0 and w != 1
-    def mul_gen(spec, g, mono):
-        out = real(spec, g, mono)
-        return -out if g.n >= 0 and mono.factors else out
+    def mul_gen(spec, acc, g, mono, factor):
+        real(spec, acc, g, mono, -factor if g.n >= 0 and mono.factors else factor)
     return mul_gen
 
 
@@ -970,6 +999,8 @@ def test_axiom_spotcheck_reports_injected_faults_on_wider_presets(
 def test_deep_word_normal_orders_without_recursion_error() -> None:
     spec = affine(heisenberg())
     word = act_word(spec, [gen(spec, "x", -2)] * 600)
+    # x_{-2} goes in front of every power of itself: no rewrite is memoized
+    assert _normal_ordering_entries(spec) == []
     out = act(spec, gen(spec, "x", 2), word)
     # x_2 x_{-2}^600 1 = 1200 c_{-1} x_{-2}^599 1
     assert len(out) == 1
