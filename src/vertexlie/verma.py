@@ -1,19 +1,19 @@
 """The vacuum module of a formula: PBW vectors, gradings, fields.
 
-Vectors are rational combinations of normal-ordered monomials
-u^(1)_{n_1} ... u^(k)_{n_k} . 1 with every mode n_i < 0, factors sorted
-by (generator weight descending, basis index, mode).  Modes n >= 0 kill
-the vacuum; left multiplication rewrites to normal form through
-x y = eps y x + [x, y] with the bracket of the local algebra, so the
-module structure is exactly left multiplication in the enveloping
-algebra of the negative half.
+Vectors, built only from vacuum() by act and act_word, are rational
+combinations of normal-ordered monomials u^(1)_{n_1} ... u^(k)_{n_k} . 1,
+every mode n_i < 0 and kept by the central quotient, factors sorted by
+(generator weight descending, basis index, mode).  Modes n >= 0 kill the
+vacuum; left multiplication rewrites to normal form through the bracket
+of the local algebra, x y = eps y x + [x, y], so the module structure is
+exactly left multiplication in the enveloping algebra of the negative half.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, floor, lcm
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .defects import central_check, injectivity_verdict
 from .formula import (
@@ -59,13 +59,10 @@ VACUUM_MONOMIAL = PbwMonomial()
 
 
 class PbwVector(SparseVector):
-    """Finite rational combination of normal-ordered monomials."""
+    """Combination of normal-ordered monomials; only act, act_word, vacuum build one."""
 
-    def __init__(self, terms: Union[Mapping, Iterable] = ()):
-        super().__init__(terms)
-        for mono in self._terms:
-            if any(g.n >= 0 for g in mono.factors):
-                raise ValueError("a PBW monomial holds only negative modes")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("PbwVector has no public constructor: use vacuum() and act_word()")
 
     def display(self, spec: FormulaSpec) -> str:
         return _signed_sum(((c, m.display(spec)) for m, c in self.items()), " * ")
@@ -76,7 +73,7 @@ def vacuum() -> PbwVector:
     return PbwVector._of({VACUUM_MONOMIAL: 1})
 
 
-_ZERO = PbwVector()
+_ZERO = PbwVector._of({})
 
 
 def _monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Union[int, Fraction]:
@@ -102,17 +99,18 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
              factor: Union[int, Fraction]) -> None:
     """Add factor (g mono), normal-ordered, into the accumulator acc.
 
-    A product that needs no rewrite goes straight into acc: g killed by
-    the quotient or on the vacuum at n >= 0 adds nothing, and g before
-    the first factor head, or an even square, adds one monomial.  Only a
-    rewrite is memoized, as a tuple of (monomial, coefficient) pairs in
-    spec._memo[(g, mono)], and added in scaled: a swap
-    g head rest = eps head (g rest) + [g, head] rest, or an odd square
-    g g rest = (1/2)[g, g] rest.  A miss builds its terms through calls
-    back into this function, one frame per factor.  [g, head] is read
-    as the int terms of L [g, head] from the one per-spec pair table
-    that bracket reads (local_algebra._pair_terms), and each term is
-    divided once, by L, or by 2 L for the odd square.
+    The central quotient keeps g (act, act_lie and _fc test a mode where it
+    enters; the modes passed on here are stored factors or bracket terms).
+    A product that needs no rewrite goes straight into acc: g on the vacuum
+    at n >= 0 adds nothing, and g before the first factor head, or an even
+    square, adds one monomial.  Only a rewrite is memoized, as a tuple of
+    (monomial, coefficient) pairs in spec._memo[(g, mono)], and added in
+    scaled: a swap g head rest = eps head (g rest) + [g, head] rest, or an
+    odd square g g rest = (1/2)[g, g] rest.  A miss builds its terms through
+    calls back into this function, one frame per factor.  [g, head] is read
+    as the int terms of L [g, head] from the one per-spec pair table that
+    bracket reads (local_algebra._pair_terms), and each term is divided
+    once, by L, or by 2 L for the odd square.
 
     A step costs ints and plain tuples.  g goes before head when its
     _order_key is smaller, compared inline: first the ints L (n + 1 - w),
@@ -121,8 +119,6 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
     from spec.vectors, and monomials are built with tuple.__new__,
     skipping the NamedTuple constructor.
     """
-    if _quotient_kills(spec, g):
-        return
     factors = mono.factors
     if not factors:
         if g.n < 0:
@@ -165,8 +161,9 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
 def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
     """Action of the mode g on a module vector: a fresh, normal-ordered vector."""
     acc: dict = {}
-    for mono, coeff in v._terms.items():
-        _mul_gen(spec, acc, g, mono, coeff)
+    if not _quotient_kills(spec, g):
+        for mono, coeff in v._terms.items():
+            _mul_gen(spec, acc, g, mono, coeff)
     return PbwVector._of(acc)
 
 
@@ -174,8 +171,9 @@ def act_lie(spec: FormulaSpec, x: LieElement, v: PbwVector) -> PbwVector:
     """Linear extension of act over a combination of modes."""
     acc: dict = {}
     for g, coeff in x._terms.items():
-        for mono, c in v._terms.items():
-            _mul_gen(spec, acc, g, mono, coeff * c)
+        if not _quotient_kills(spec, g):
+            for mono, c in v._terms.items():
+                _mul_gen(spec, acc, g, mono, coeff * c)
     return PbwVector._of(acc)
 
 
@@ -416,14 +414,16 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
     acc: dict = {}
     base = not rest.factors
     for i in _live(base, -1 - n, floor(wr + bw - n - 1)):
+        gi = LieGenerator(g.bid, m - i)  # a c_{-1} factor gives c_{-1-i}
+        if _quotient_kills(spec, gi):
+            continue
         coeff = (-1) ** i * gen_binomial(m, i)
-        gi = LieGenerator(g.bid, m - i)
         for w, c in _fc(spec, rest, n + i, b, bw, cutoff, memo)._terms.items():
             _mul_gen(spec, acc, gi, w, coeff * c)
 
     sign = eps * (1 if m % 2 == 0 else -1)
     heaviest = bw + lam - 1  # the weight of u_0 b
-    if heaviest >= 0 and heaviest > cutoff:
+    if heaviest > cutoff:
         raise CutoffExceededError(f"intermediate of weight {heaviest} exceeds cutoff {cutoff}")
     for i in _live(base, m + n + 1, floor(heaviest)):
         coeff = (-1) ** i * gen_binomial(m, i)

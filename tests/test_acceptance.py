@@ -19,9 +19,9 @@ from vertexlie import (
     Element,
     LieElement,
     LieGenerator,
-    PbwVector,
     abelian,
     act_lie,
+    act_word,
     affine,
     axiom_spotcheck,
     bracket,
@@ -271,7 +271,7 @@ def test_criterion_08() -> None:
     checked = 0
     for monos in basis.values():
         for mono in monos:
-            v = PbwVector({mono: 1})
+            v = act_word(VIR, mono.factors)
             assert commutator(h, e, v) == 2 * act_lie(VIR, e, v)
             assert commutator(h, f, v) == -2 * act_lie(VIR, f, v)
             assert commutator(e, f, v) == act_lie(VIR, h, v)

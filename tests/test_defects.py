@@ -661,6 +661,8 @@ def test_verdict_virasoro_central_ideal() -> None:
     assert verdict.injective
     assert "D.Q[D].c" in verdict.notes
     assert verdict.witnesses
+    assert str(verdict) == \
+        "injective_central_ideal: defect ideal equals D.Q[D].c (central element c)"
 
 
 def test_verdict_affine_zero_ideal() -> None:

@@ -132,6 +132,15 @@ def test_element_arithmetic_and_canonical_form() -> None:
     assert (2 * a).coeff((2, 1)) == 1
     assert a == Element([((2, 1), F(1, 2)), ((0, 0), F(1, 2)), ((0, 0), F(1, 2))])
     assert hash(a) == hash(Element({(2, 1): F(1, 2), (0, 0): 1}))
+    # vectors of different types do not mix: each operator defers, then refuses
+    x = LieElement({LieGenerator(0, 0): 1})
+    for op in (a.__add__, a.__sub__, a.__eq__):
+        assert op(x) is NotImplemented
+    with pytest.raises(TypeError):
+        a + x
+    with pytest.raises(TypeError):
+        a - x
+    assert a != x and a != {(0, 0): 1}
 
 
 def test_element_rejects_negative_d_power() -> None:
@@ -155,6 +164,9 @@ def test_spec_lookup_and_errors() -> None:
         VIR.bid("nope")
     assert VIR.n_max == 4 and VIR.k_max == 1
     assert VIR.graded
+    assert repr(VIR) == "<FormulaSpec 'virasoro' dim=2 n_max=4 k_max=1>"
+    assert repr(FormulaSpec([], {})) == "<FormulaSpec dim=0 n_max=0 k_max=0>"
+    assert VIR.__eq__("virasoro") is NotImplemented and VIR != "virasoro"
 
 
 def test_spec_lookup_refuses_bad_references() -> None:
@@ -613,9 +625,9 @@ def _named(node: ast.AST, name: str) -> bool:
     return name in (getattr(node, "id", None), getattr(node, "attr", None))
 
 
-def _falling_callers(tree: ast.AST) -> list:
-    """For each call of falling, where it is (see _sites)."""
-    return _sites(tree, lambda node: isinstance(node, ast.Call) and _named(node.func, "falling"))
+def _calls(tree: ast.AST, name: str) -> list:
+    """For each call of name, bare or as an attribute, where it is (see _sites)."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call) and _named(node.func, name))
 
 
 def _bound_raises(tree: ast.AST) -> list:
@@ -640,6 +652,24 @@ def test_only_the_sweep_raises_bound_insufficient() -> None:
     assert found == {("defects", "defect_sweep")}
 
 
+def test_module_vectors_come_only_from_the_vacuum_module() -> None:
+    # PbwVector has no public constructor and the package wraps its own dicts
+    # with PbwVector._of, so every stored monomial is normal-ordered and holds
+    # no mode the central quotient kills.  Normal ordering (verma._mul_gen)
+    # trusts that: a mode is tested against the quotient where it enters.
+    sample = "def f():\n    return PbwVector({})\nv = verma.PbwVector()\nw = PbwVector._of({})\n"
+    assert _calls(ast.parse(sample), "PbwVector") == ["f", 3]
+    package = Path(vertexlie.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    assert {(name, site) for name, tree in trees.items()
+            for site in _calls(tree, "PbwVector")} == set()
+    kills = {(name, site) for name, tree in trees.items()
+             for site in _calls(tree, "_quotient_kills")}
+    assert kills == {("verma", "act"), ("verma", "act_lie"), ("verma", "_fc"),
+                     ("verma", "_counting_generators")}
+
+
 def _uses(tree: ast.AST, name: str) -> list:
     """Lines that name `name`: a read, an attribute or an import."""
     return [node.lineno for node in ast.walk(tree)
@@ -655,12 +685,12 @@ def test_one_mode_rule_and_no_per_spec_wrapper_in_the_mode_algebra() -> None:
     # spec._memo[_pair_terms], read with no _per_spec wrapper frame.
     sample = "def f():\n    def g():\n        return falling(3, 1)\n    return m.falling(2, 2)\n" \
              "x = falling(1, 1)\n"
-    assert _falling_callers(ast.parse(sample)) == ["g", "f", 5]
+    assert _calls(ast.parse(sample), "falling") == ["g", "f", 5]
     sample = "from .formula import _per_spec\n@_per_spec\ndef f(): pass\ng = formula._per_spec(f)\n"
     assert _uses(ast.parse(sample), "_per_spec") == [1, 2, 4]
     package = Path(vertexlie.__file__).parent
     callers = {(path.stem, caller) for path in sorted(package.glob("*.py"))
-               for caller in _falling_callers(ast.parse(path.read_text(), filename=str(path)))}
+               for caller in _calls(ast.parse(path.read_text(), filename=str(path)), "falling")}
     assert callers <= {("formula", "_products"), ("local_algebra", "_reduce_into")}, callers
     for name in ("local_algebra.py", "verma.py"):
         assert not _uses(ast.parse((package / name).read_text()), "_per_spec"), name

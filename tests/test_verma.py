@@ -66,8 +66,20 @@ def gen(spec, label, n):
     return LieGenerator(spec.bid(label), n)
 
 
+def monomial(spec, *factors):
+    return PbwMonomial(tuple(gen(spec, lbl, n) for lbl, n in factors))
+
+
+def basis_vector(spec, m: PbwMonomial, coeff=1) -> PbwVector:
+    """coeff times the module vector of the normal-ordered monomial m, built
+    from the vacuum: act_word on its factors gives {m: 1} exactly."""
+    v = act_word(spec, m.factors)
+    assert dict(v.items()) == {m: 1}, m
+    return v.scale(coeff)
+
+
 def vec(spec, *factors):
-    return PbwVector({PbwMonomial(tuple(gen(spec, lbl, n) for lbl, n in factors)): 1})
+    return basis_vector(spec, monomial(spec, *factors))
 
 
 def monomial_weight(spec, mono) -> F:
@@ -88,7 +100,7 @@ def vector_weight(spec, v) -> F:
 
 def test_vacuum_basics() -> None:
     vac = vacuum()
-    assert vac == PbwVector({PbwMonomial(): 1})
+    assert dict(vac.items()) == {PbwMonomial(): 1}
     assert apply_D_module(VIR, vac).is_zero
     assert monomial_weight(VIR, PbwMonomial()) == 0
     for n in range(0, 4):
@@ -96,37 +108,44 @@ def test_vacuum_basics() -> None:
 
 
 def test_pbw_vector_rejects_nonnegative_modes() -> None:
-    # omega_1 1 = 0, so omega_1 is no factor of a basis monomial
-    for n in (1, 0):
-        with pytest.raises(ValueError, match="negative modes"):
-            PbwVector({PbwMonomial((LieGenerator(0, n),)): 1})
-    with pytest.raises(ValueError):
-        vec(VIR, ("omega", -2), ("omega", 3))
-    # zero terms are dropped before the check, as in Element
-    assert PbwVector({PbwMonomial((LieGenerator(0, 1),)): 0}).is_zero
+    # module vectors come only from the vacuum module, so the constructor
+    # refuses every argument: none, an empty map, a normal-ordered monomial
+    # and a mode >= 0 (omega_1 1 = 0, so omega_1 is no factor of a monomial)
+    message = re.escape("no public constructor: use vacuum() and act_word()")
+    for args in ((), ({},), ({PbwMonomial((gen(VIR, "omega", -2),)): 1},),
+                 ({PbwMonomial((LieGenerator(0, 1),)): 1},),
+                 ({PbwMonomial((LieGenerator(0, 0),)): 0},)):
+        with pytest.raises(TypeError, match=message):
+            PbwVector(*args)
+    # the same words through act_word: a mode >= 0 acts, it is not stored
+    assert act_word(VIR, [gen(VIR, "omega", 1)]).is_zero
+    assert act_word(VIR, [gen(VIR, "omega", -2)]) == vec(VIR, ("omega", -2))
 
 
 def test_act_examples() -> None:
     w = act(VIR, gen(VIR, "omega", -1), vacuum())
     assert act(VIR, gen(VIR, "omega", 1), w) == 2 * w
-    assert act(VIR, gen(VIR, "omega", 3), w) == F(1, 2) * vec(VIR, ("c", -1))
+    assert dict(act(VIR, gen(VIR, "omega", 3), w).items()) == {monomial(VIR, ("c", -1)): F(1, 2)}
     assert act(VIR, gen(VIR, "omega", 5), w).is_zero
 
 
 def test_act_normal_orders_creation_modes() -> None:
-    sorted_mono = vec(VIR, ("omega", -3), ("omega", -1))
+    sorted_mono = monomial(VIR, ("omega", -3), ("omega", -1))
     a = act_word(VIR, [gen(VIR, "omega", -3), gen(VIR, "omega", -1)])
-    assert a == sorted_mono
+    assert dict(a.items()) == {sorted_mono: 1}
     # the reversed word needs a sorting swap, which emits the bracket
     # correction [omega_{-1}, omega_{-3}] = 2 omega_{-5}
     b = act_word(VIR, [gen(VIR, "omega", -1), gen(VIR, "omega", -3)])
-    assert b == sorted_mono + 2 * vec(VIR, ("omega", -5))
+    assert dict(b.items()) == {sorted_mono: 1, monomial(VIR, ("omega", -5)): 2}
 
 
 def test_act_kills_reduced_central_modes() -> None:
     w = act(VIR, gen(VIR, "c", -2), vacuum())
     assert w.is_zero
     assert act(VIR, gen(VIR, "c", 0), vec(VIR, ("omega", -1))).is_zero
+    # act_lie drops a killed mode of a combination and acts with the rest
+    x = LieElement({gen(VIR, "c", -2): 3, gen(VIR, "omega", -2): 1})
+    assert dict(act_lie(VIR, x, vacuum()).items()) == {monomial(VIR, ("omega", -2)): 1}
     loop = affine(__import__("vertexlie").abelian())
     assert not act(loop, gen(loop, "c", -2), vacuum()).is_zero
 
@@ -134,7 +153,7 @@ def test_act_kills_reduced_central_modes() -> None:
 def test_odd_square_rewrites() -> None:
     t = gen(NS, "tau", -1)
     square = act(NS, t, act(NS, t, vacuum()))
-    assert square == vec(NS, ("omega", -2))
+    assert dict(square.items()) == {monomial(NS, ("omega", -2)): 1}
 
 
 def test_representation_property_random() -> None:
@@ -148,7 +167,7 @@ def test_representation_property_random() -> None:
         for _ in range(30):
             gx = gen(spec, rng.choice(labels), rng.randint(-3, 3))
             gy = gen(spec, rng.choice(labels), rng.randint(-3, 3))
-            v = PbwVector({rng.choice(monos): 1})
+            v = basis_vector(spec, rng.choice(monos))
             eps = -1 if spec.parity(gx.bid) and spec.parity(gy.bid) else 1
             lhs = act(spec, gx, act(spec, gy, v)) \
                 - act(spec, gy, act(spec, gx, v)).scale(eps)
@@ -272,7 +291,7 @@ def test_normal_ordering_matches_memo_free_oracle(name: str) -> None:
         g = word[0]
         for mono, c in act_word(spec, word[1:]).items():
             want = _oracle_act(spec, g, {mono: coeff * c})
-            got = act(spec, g, PbwVector({mono: coeff * c}))
+            got = act(spec, g, basis_vector(spec, mono, coeff * c))
             assert dict(got.items()) == want, (g, mono)
             _assert_stored_form(got)
 
@@ -304,13 +323,19 @@ def test_normal_ordering_oracle_covers_odd_squares_and_killed_modes() -> None:
     for spec in (virasoro(), preset("affine-sl2")):
         c = spec.bid("c")
         other = next(v.label for v in spec.vectors if v.index != c)
-        # a hand-built monomial holding a mode the central quotient kills
-        held = PbwMonomial((gen(spec, other, -3), LieGenerator(c, -2), gen(spec, other, -1)))
+        # modes the central quotient kills, and c_{-1}, entering a word first,
+        # in the middle and last; the first letter acts on a scaled vector
+        x3, x1 = gen(spec, other, -3), gen(spec, other, -1)
         for g in (gen(spec, other, -2), gen(spec, other, 1), gen(spec, other, 3),
                   LieGenerator(c, -2), LieGenerator(c, 1), LieGenerator(c, -1)):
-            for coeff in (F(1), F(-3, 2)):
-                got = act(spec, g, PbwVector({held: coeff}))
-                assert dict(got.items()) == _oracle_act(spec, g, {held: coeff}), g
+            for word in ([g, x3, x1], [x3, g, x1], [x3, x1, g]):
+                rest = {PbwMonomial(): F(1)}
+                for x in reversed(word[1:]):
+                    rest = _oracle_act(spec, x, rest)
+                for coeff in (F(1), F(-3, 2)):
+                    want = _oracle_act(spec, word[0], {m: coeff * r for m, r in rest.items()})
+                    got = act(spec, word[0], act_word(spec, word[1:]).scale(coeff))
+                    assert dict(got.items()) == want, word
         assert act(spec, LieGenerator(c, -2), vacuum()).is_zero
 
 
@@ -412,12 +437,13 @@ def test_normal_ordering_confluence() -> None:
 # ---------------------------------------------------------------------------
 
 def test_apply_D_module_examples() -> None:
-    assert apply_D_module(VIR, vec(VIR, ("omega", -1))) == vec(VIR, ("omega", -2))
+    assert dict(apply_D_module(VIR, vec(VIR, ("omega", -1))).items()) == \
+        {monomial(VIR, ("omega", -2)): 1}
     assert apply_D_module(VIR, vec(VIR, ("c", -1))).is_zero
     two = vec(VIR, ("omega", -2), ("omega", -1))
     got = apply_D_module(VIR, two)
-    assert got == 2 * vec(VIR, ("omega", -3), ("omega", -1)) \
-        + vec(VIR, ("omega", -2), ("omega", -2))
+    assert dict(got.items()) == {monomial(VIR, ("omega", -3), ("omega", -1)): 2,
+                                 monomial(VIR, ("omega", -2), ("omega", -2)): 1}
 
 
 def _apply_D_by_its_own_rule(spec, v):
@@ -434,7 +460,7 @@ def _apply_D_by_its_own_rule(spec, v):
             dg = LieGenerator(g.bid, g.n - 1)
             if g.n and not _quotient_kills(spec, dg):
                 piece = act_word(spec, factors[:i] + (dg,),
-                                 PbwVector({PbwMonomial(factors[i + 1:]): 1}))
+                                 basis_vector(spec, PbwMonomial(factors[i + 1:])))
                 _add_scaled(acc, piece, -g.n * coeff)
     return [(m, c, type(c)) for m, c in acc.items()]
 
@@ -451,7 +477,7 @@ def _module_words(spec, rng) -> list:
     gens = [LieGenerator(bid, n) for bid in range(spec.dim) for n in range(-3, 0)]
     out = []
     for _ in range(6):
-        acc = PbwVector()
+        acc = vacuum().scale(0)
         for _ in range(rng.randint(1, 3)):
             word = [rng.choice(gens) for _ in range(rng.randint(1, 3))]
             acc = acc + act_word(spec, word).scale(F(rng.randint(1, 9), rng.choice((1, 2, 3))))
@@ -483,7 +509,7 @@ def test_apply_D_module_raises_where_its_own_rule_raises() -> None:
     om, c = spec.bid("omega"), spec.bid("c")
     monos = [PbwMonomial(tuple(LieGenerator(bid, n) for bid, n in factors))
              for factors in ([], [(om, -2)], [(c, -1)], [(om, -3), (om, -1)])]
-    inputs = [PbwVector(), vacuum()] + [PbwVector({m: F(3, 2)}) for m in monos]
+    inputs = [vacuum().scale(0), vacuum()] + [basis_vector(spec, m, F(3, 2)) for m in monos]
     outcomes = [(_apply_D_outcome(spec, v), _apply_D_by_its_own_rule(spec, v)) for v in inputs]
     assert all(got == want for got, want in outcomes)
     assert BoundInsufficientError not in [got for got, _want in outcomes]
@@ -497,7 +523,7 @@ def test_D_commutation_with_modes() -> None:
     monos = [m for monos in basis.values() for m in monos]
     for _ in range(25):
         g = gen(VIR, "omega", rng.randint(-3, 3))
-        v = PbwVector({rng.choice(monos): 1})
+        v = basis_vector(VIR, rng.choice(monos))
         lhs = apply_D_module(VIR, act(VIR, g, v))
         rhs = act_lie(VIR, lie_D(VIR, LieElement({g: 1})), v) \
             + act(VIR, g, apply_D_module(VIR, v))
@@ -515,7 +541,7 @@ def test_weight_additivity() -> None:
     for _ in range(30):
         g = gen(VIR, "omega", rng.randint(-3, 3))
         m = rng.choice(monos)
-        out = act(VIR, g, PbwVector({m: 1}))
+        out = act(VIR, g, basis_vector(VIR, m))
         if out:
             assert vector_weight(VIR, out) == monomial_weight(VIR, m) + 2 - g.n - 1
 
@@ -524,8 +550,8 @@ def test_omega_modes_act_as_grading_and_derivation() -> None:
     basis = monomial_basis(VIR, 6)
     for w, monos in basis.items():
         for m in monos:
-            v = PbwVector({m: 1})
-            assert act(VIR, gen(VIR, "omega", 1), v) == v.scale(w)
+            v = basis_vector(VIR, m)
+            assert dict(act(VIR, gen(VIR, "omega", 1), v).items()) == ({m: w} if w else {})
             assert act(VIR, gen(VIR, "omega", 0), v) == apply_D_module(VIR, v)
 
 
@@ -741,20 +767,21 @@ def test_specialize_needs_central() -> None:
 def test_kappa_embedding() -> None:
     om = basis_element(VIR.bid("omega"))
     assert kappa(VIR, om) == kappa_basis(VIR, "omega")
-    assert kappa(VIR, apply_D(om)) == vec(VIR, ("omega", -2))
-    assert kappa(VIR, apply_D(om, 2)) == 2 * vec(VIR, ("omega", -3))
+    assert dict(kappa(VIR, apply_D(om)).items()) == {monomial(VIR, ("omega", -2)): 1}
+    assert dict(kappa(VIR, apply_D(om, 2)).items()) == {monomial(VIR, ("omega", -3)): 2}
     # positive D-powers of the central vector die in the quotient
     assert kappa(VIR, apply_D(basis_element(VIR.bid("c")))).is_zero
 
 
-def _kappa_reference(spec, A: Element) -> PbwVector:
-    """D^k u -> k! u_{-k-1} 1, less the modes the central quotient kills."""
+def _kappa_reference(spec, A: Element) -> dict:
+    """D^k u -> k! u_{-k-1} 1, less the modes the central quotient kills, as
+    {monomial: Fraction}."""
     acc: dict = {}
     for (k, bid), coeff in A.items():
         g = LieGenerator(bid, -k - 1)
         if not (g.bid == central_reduction(spec) and g.n != -1):
             acc[PbwMonomial((g,))] = coeff * factorial(k)
-    return PbwVector(acc)
+    return acc
 
 
 @pytest.mark.parametrize("name", CLEAN_PRESETS)
@@ -769,7 +796,7 @@ def test_kappa_matches_closed_form(name: str) -> None:
     samples += [Element({(rng.randint(0, 3), rng.randrange(spec.dim)): coeff()
                          for _ in range(rng.randint(1, 4))}) for _ in range(40)]
     for A in samples:
-        assert kappa(spec, A) == _kappa_reference(spec, A), A
+        assert dict(kappa(spec, A).items()) == _kappa_reference(spec, A), A
     if name in ("virasoro", "affine-sl2"):
         # the quotient kills D^k c for k >= 1; only c itself survives
         c = spec.central
@@ -794,8 +821,8 @@ def test_field_coefficient_creation() -> None:
 def test_field_coefficient_vacuum_identity() -> None:
     b = act_word(VIR, [gen(VIR, "omega", -2), gen(VIR, "omega", -1)])
     for n in range(-3, 3):
-        want = b if n == -1 else PbwVector()
-        assert field_coefficient(VIR, vacuum(), n, b, 10) == want
+        want = dict(b.items()) if n == -1 else {}
+        assert dict(field_coefficient(VIR, vacuum(), n, b, 10).items()) == want
 
 
 def test_field_coefficient_matches_mode_action_on_basis() -> None:
@@ -839,12 +866,45 @@ def test_field_of_a_basis_vector_is_its_mode_action(name: str) -> None:
     spec = preset(name)
     for monos in monomial_basis(spec, 3).values():
         for mono in monos:
-            b = PbwVector({mono: 1})
+            b = basis_vector(spec, mono)
             for u in spec.vectors:
                 ku = kappa_basis(spec, u.index)
                 for n in range(-4, 5):
                     assert field_coefficient(spec, ku, n, b, 10) == \
                         act(spec, LieGenerator(u.index, n), b), (u.label, n, mono)
+
+
+@pytest.mark.parametrize("name", ["virasoro", "neveu-schwarz", "affine-sl2"])
+def test_field_coefficient_is_linear_in_a_vector_of_several_terms(name: str) -> None:
+    # a_n b for b of several monomials, homogeneous or not, is the sum of
+    # a_n over b's one-term parts
+    spec = preset(name)
+    active = [v.label for v in spec.vectors if v.index != spec.central]
+    first, last = active[0], active[-1]
+    # out of PBW order: the swap adds the bracket, of the same weight
+    unordered = act_word(spec, [gen(spec, last, -1), gen(spec, first, -3)])
+    assert len(unordered) > 1 and len({monomial_weight(spec, m) for m in unordered._terms}) == 1
+    mixed = unordered + act_word(spec, [gen(spec, first, -1)]).scale(F(2, 3))
+    assert len({monomial_weight(spec, m) for m in mixed._terms}) == 2
+    sources = [kappa_basis(spec, u) for u in active]
+    sources.append(act_word(spec, [gen(spec, first, -2), gen(spec, last, -1)]))
+    for b in (unordered, mixed):
+        parts = [basis_vector(spec, m, c) for m, c in b.items()]
+        for a in sources:
+            for n in range(-3, 4):
+                want = vacuum().scale(0)
+                for part in parts:
+                    want = want + field_coefficient(spec, a, n, part, 20)
+                assert field_coefficient(spec, a, n, b, 20) == want, (a, n, b)
+    # a part past the cutoff raises, though the lighter part alone does not
+    a = kappa_basis(spec, first)
+    light = act_word(spec, [gen(spec, first, -1)])
+    heavy = act_word(spec, [gen(spec, first, -4)])
+    cutoff = 2 * spec.weight(first)
+    assert field_coefficient(spec, a, -1, light, cutoff)
+    for b in (heavy, light + heavy):
+        with pytest.raises(CutoffExceededError):
+            field_coefficient(spec, a, -1, b, cutoff)
 
 
 def test_field_coefficient_guards() -> None:
@@ -1019,8 +1079,9 @@ def test_derived_data_is_freed_with_its_spec() -> None:
         assert len(defect_sweep(spec)) == 1
         assert jacobi_window_verify(spec, 2) == []
         v = act_word(spec, [gen(spec, "x", -1)])
-        assert field_coefficient(spec, v, 1, v, 4) == vec(spec, ("c", -1)).scale(level)
-    del specs, spec, v
+        got = field_coefficient(spec, v, 1, v, 4)
+        assert dict(got.items()) == {monomial(spec, ("c", -1)): level}
+    del specs, spec, v, got
     assert live_specs() == before
 
 
