@@ -7,6 +7,10 @@ the output is a single object with the stable keys {spec, verdict,
 defects, dims, result}; every rational is rendered as a "num/den" (or
 integer) string.  The package writes the JSON itself, each defect row from
 one template, as json.dumps(payload, indent=2, sort_keys=True) would, byte for byte.
+Either form is built whole from values already computed, then written at
+once; so a ValueError while building it is the interpreter's limit on the
+digits of an int written as text, and refuses the command (exit 1) with
+nothing written.
 
 Each subcommand imports only the modules it needs: the mode algebra
 (local_algebra) is loaded by bracket, verma and check --window, and the
@@ -126,35 +130,16 @@ def _json(value, indent: str = "\n") -> str:
     return opening + inner + ("," + inner).join(items) + indent + closing
 
 
-def _fits_digit_limit(numbers: Iterable) -> bool:
-    """False when an int, or a Fraction's numerator or denominator, of numbers
-    must pass the interpreter's limit on digits written as text (0: no limit).
-
-    Read from bit lengths: b bits give at least 2**(b - 1), which passes
-    10**limit once b - 1 >= 3.32193 limit > log2(10) limit.  An int just
-    below that is left to the conversion's own ValueError.
-    """
-    limit = sys.get_int_max_str_digits()
-    most = -(-limit * 332193 // 100000)  # the most bits that may still fit
-    return not limit or all(x.numerator.bit_length() <= most and x.denominator.bit_length() <= most
-                            for x in numbers)
-
-
-def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]],
-          written: Callable[[bool], Iterable]) -> None:
+def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]]) -> None:
     """Write payload() as one JSON object under --json, else the lines of text_lines().
 
     Only the chosen form is built, and all of it before anything is written.
-    Building it only renders values already computed; what can stop it is
-    the interpreter's limit on the digits of an int written as text
-    (sys.set_int_max_str_digits, a guard against quadratic-time conversion),
-    and that refuses the command: before anything is converted when one of
-    the numbers written(args.json) gives for the chosen form must pass the
-    limit, else through the ValueError the conversion raises.
+    Building it only renders values already computed, so the one ValueError
+    it can raise is the interpreter's limit on the digits of an int written
+    as text (sys.set_int_max_str_digits, a guard against quadratic-time
+    conversion); that refuses the command, and nothing is written.
     """
     try:
-        if not _fits_digit_limit(written(args.json)):
-            raise ValueError("refused before any conversion")
         if args.json:
             base = {"spec": None, "verdict": None, "defects": None,
                     "dims": None, "result": None}
@@ -192,20 +177,10 @@ def _parse_word(spec: FormulaSpec, word: str) -> list:
     return [_parse_generator(spec, tok) for tok in word.split()]
 
 
-def _shown(sweep: list, show_all: bool) -> list:
-    """The defects the text form writes: the first ten unless show_all."""
-    return sweep if show_all else sweep[:10]
-
-
-def _defect_numbers(sweep: list, show_all: bool) -> Iterator:
-    """Every coefficient of the defects in _shown(sweep, show_all)."""
-    return (c for d in _shown(sweep, show_all) for c in d.value._terms.values())
-
-
 def _defect_lines(spec: FormulaSpec, sweep: list, show_all: bool,
                   indent: str = "") -> Iterator[str]:
-    """One line a defect in _shown(sweep, show_all), then a count of the rest."""
-    shown = _shown(sweep, show_all)
+    """One line a defect, the first ten unless show_all, then a count of the rest."""
+    shown = sweep if show_all else sweep[:10]
     for d in shown:
         yield f"{indent}{d.kind} {d.indices}: {format_element(spec, d.value)}"
     if len(sweep) > len(shown):
@@ -263,7 +238,7 @@ def cmd_check(args) -> int:
                        {"window": args.window, "violations": [str(b) for b in bad]}},
         }
 
-    _emit(args, payload, text, lambda json: _defect_numbers(sweep, json or args.all))
+    _emit(args, payload, text)
     ok = verdict.injective and not violations
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -278,8 +253,7 @@ def cmd_defect(args) -> int:
             yield "no nonzero defects"
         yield from _defect_lines(spec, sweep, args.all)
 
-    _emit(args, lambda: {"spec": _spec_json(spec), "defects": _defect_rows(spec, sweep)}, text,
-          lambda json: _defect_numbers(sweep, json or args.all))
+    _emit(args, lambda: {"spec": _spec_json(spec), "defects": _defect_rows(spec, sweep)}, text)
     return EXIT_OK
 
 
@@ -296,7 +270,7 @@ def cmd_bracket(args) -> int:
     _emit(args, lambda: {"spec": _spec_json(spec),
                          "result": [{"generator": f"{spec.vectors[g.bid].label}_{g.n}",
                                      "coeff": str(c)} for g, c in value.items()]},
-          lambda: [value.display(spec)], lambda json: value._terms.values())
+          lambda: [value.display(spec)])
     return EXIT_OK
 
 
@@ -322,8 +296,7 @@ def cmd_verma(args) -> int:
             dims = graded_dimension(spec, cutoff)
             _emit(args, lambda: {"spec": _spec_json(spec),
                                  "dims": {str(w): d for w, d in dims.items()}},
-                  lambda: [f"{w}\t{d}" for w, d in dims.items()],
-                  lambda json: [*dims, *dims.values()])
+                  lambda: [f"{w}\t{d}" for w, d in dims.items()])
             return EXIT_OK
         if args.act is not None:
             out = act_word(spec, _parse_word(spec, args.act))
@@ -345,7 +318,7 @@ def cmd_verma(args) -> int:
     _emit(args, lambda: {"spec": _spec_json(spec),
                          "result": [{"monomial": m.display(spec), "coeff": str(c)}
                                     for m, c in out.items()]},
-          lambda: [out.display(spec)], lambda json: out._terms.values())
+          lambda: [out.display(spec)])
     return EXIT_OK
 
 

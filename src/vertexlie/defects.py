@@ -242,16 +242,14 @@ def central_reduction(spec: FormulaSpec) -> Optional[int]:
     ideal as the full positive D-span of the designated central vector:
     status injective_zero_ideal or injective_central_ideal with defects
     present.  Returns None otherwise, in particular when there are no
-    defects at all (free case, no quotient).  The verdict reads every
-    defect, so this never raises: a reader takes it once per call.
+    defects at all (free case, no quotient).  The verdict is injective
+    with witnesses only on its central route, which already requires a
+    designated central vector that passes central_check, so neither is
+    tested again here.  The verdict reads every defect, so this never
+    raises: a reader takes it once per call.
     """
-    cid = spec.central
-    if cid is None or not central_check(spec, cid):
-        return None
     verdict = injectivity_verdict(spec)
-    if verdict.witnesses and verdict.injective:
-        return spec.central
-    return None
+    return spec.central if verdict.injective and verdict.witnesses else None
 
 
 @_per_spec

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -748,45 +749,45 @@ def test_cli_refuses_coefficients_past_the_digit_limit(tmp_path, capsys) -> None
     assert captured.out.splitlines()[-1] == "... 4789 more (use --all)"
 
 
-def test_cli_refuses_long_coefficients_before_building_any_output(tmp_path, capsys,
-                                                                   monkeypatch) -> None:
-    # D^330 a gives defects of up to 690 digits, the first ten short; under a
-    # 640-digit limit the bit lengths refuse before either form is built
-    path = tmp_path / "formula.vla"
-    path.write_text("[basis]\na even\n[constants]\na 0 a : 330 a 1\n")
-
-    def built(*args):
-        raise AssertionError("an output form was built")
-
-    monkeypatch.setattr(cli, "_defect_rows", built)
-    monkeypatch.setattr(cli, "format_element", built)
+def test_cli_refuses_long_bracket_and_verma_coefficients(capsys) -> None:
+    # [omega_N, omega_{2-N}] on virasoro holds C(N, 3)/2 c_-1, about 750 digits
+    # at N = 10**250: past a 640-digit limit in every form bracket and verma write
+    n = 10 ** 250
+    act = ["verma", "--preset", "virasoro", "--cutoff", "1", "--act", f"omega_{n} omega_{2 - n}"]
+    bracket = ["bracket", "--preset", "virasoro", "omega", str(n), "omega", str(2 - n)]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        for argv in (["check", "--json"], ["defect", "--json"], ["check", "--all"],
-                     ["defect", "--all"]):
-            assert main(argv + [str(path)]) == 1, argv
+        for argv in (bracket, bracket + ["--json"], act, act + ["--json"], act + ["--level", "3"]):
+            assert main(argv) == 1, argv
             captured = capsys.readouterr()
             assert captured.out == "", argv
             assert captured.err.splitlines() == [
                 "error: a coefficient of the result has more than 640 digits, the limit "
                 "for writing an integer as text (the PYTHONINTMAXSTRDIGITS variable sets it)"]
+        # the same commands at a small N are written under the same limit
+        assert main(["bracket", "--preset", "virasoro", "omega", "5", "omega", "-3"]) == 0
+        assert capsys.readouterr().out == "8*omega_1 + 5*c_-1\n"
+        assert main(act[:-1] + ["omega_5 omega_-3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == [
+            {"coeff": "5", "monomial": "c_-1 1"}]
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def test_digit_limit_check_refuses_only_numbers_past_the_limit() -> None:
-    limit = sys.get_int_max_str_digits()
-    top = 10 ** 640 - 1  # the largest number of 640 digits
-    try:
-        sys.set_int_max_str_digits(640)
-        assert cli._fits_digit_limit([top, -top, F(1, top), F(-top, 7), 0])
-        for x in (10 ** 641, -10 ** 641, F(1, 10 ** 641), F(10 ** 641, 3)):
-            assert not cli._fits_digit_limit([1, x]), x
-        sys.set_int_max_str_digits(0)  # no limit
-        assert cli._fits_digit_limit([10 ** 5000])
-    finally:
-        sys.set_int_max_str_digits(limit)
+def test_readme_command_line_examples_print_their_documented_output(capsys) -> None:
+    # every `vertexlie ...` line of the README's command-line block that is
+    # followed by a `# -> ...` line prints that text
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    examples = [(line, expected[len("# -> "):]) for line, expected in zip(lines, lines[1:])
+                if line.startswith("vertexlie ") and expected.startswith("# -> ")]
+    assert len(examples) == 3
+    for line, expected in examples:
+        assert main(shlex.split(line)[1:]) == 0, line
+        captured = capsys.readouterr()
+        assert (captured.out.strip(), captured.err) == (expected, ""), line
 
 
 def test_cli_check_directory_cannot_be_read(tmp_path, capsys) -> None:
