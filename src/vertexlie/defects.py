@@ -241,13 +241,13 @@ def central_reduction(spec: FormulaSpec) -> Optional[int]:
     algebra) is justified exactly when the verdict settles the defect
     ideal as the full positive D-span of the designated central vector:
     status injective_zero_ideal or injective_central_ideal with defects
-    present.  Returns None otherwise, in particular when there are no
-    defects at all (free case, no quotient).  The verdict is injective
-    with witnesses only on its central route, which already requires a
-    designated central vector that passes central_check, so neither is
-    tested again here.  The verdict reads every defect, so this never
-    raises: a reader takes it once per call.
+    present.  Returns None otherwise: first, with no verdict computed, when
+    no central vector is designated, and also when there are no defects at
+    all (free case, no quotient).  The verdict is injective with witnesses
+    only on its central route, which already checks the central vector.
     """
+    if spec.central is None:
+        return None
     verdict = injectivity_verdict(spec)
     return spec.central if verdict.injective and verdict.witnesses else None
 

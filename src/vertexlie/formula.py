@@ -463,7 +463,7 @@ class FormulaSpec:
         self.conformal: Optional[tuple] = conformal
         self.name = name
         self._hash: Optional[int] = None
-        self._memo: dict = {}  # derived data: _per_spec tables, normal-ordering entries
+        self._memo: dict = {}  # derived data: _per_spec tables, rewrites, interned monomials
 
     # -- basis access ------------------------------------------------
 

@@ -103,14 +103,14 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
     enters; the modes passed on here are stored factors or bracket terms).
     A product that needs no rewrite goes straight into acc: g on the vacuum
     at n >= 0 adds nothing, and g before the first factor head, or an even
-    square, adds one monomial.  Only a rewrite is memoized, as a tuple of
-    (monomial, coefficient) pairs in spec._memo[(g, mono)], and added in
+    square, adds one monomial.  Only a rewrite is memoized, as a flat tuple
+    (m1, c1, m2, c2, ...) in spec._memo[_mul_gen][g][mono], and added in
     scaled: a swap g head rest = eps head (g rest) + [g, head] rest, or an
-    odd square g g rest = (1/2)[g, g] rest.  A miss builds its terms through
-    calls back into this function, one frame per factor.  [g, head] is read
-    as the int terms of L [g, head] from the one per-spec pair table that
-    bracket reads (local_algebra._pair_terms), and each term is divided
-    once, by L, or by 2 L for the odd square.
+    odd square g g rest = (1/2)[g, g] rest.  A miss builds it through calls
+    back into this function, one frame per factor, and interns its key and
+    monomials in spec._memo[PbwMonomial].  [g, head] is read as the int
+    terms of L [g, head] from bracket's pair table, local_algebra._pair_terms,
+    and each term is divided once, by L, or by 2 L for the odd square.
 
     A step costs ints and plain tuples.  g goes before head when its
     _order_key is smaller, compared inline: first the ints L (n + 1 - w),
@@ -134,7 +134,11 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
             _accumulate(acc, tuple.__new__(PbwMonomial, ((g,) + factors,)), factor)
             return
     memo = spec._memo
-    terms = memo.get((g, mono))
+    try:
+        by_mono = memo[_mul_gen][g]
+    except KeyError:
+        by_mono = memo.setdefault(_mul_gen, {}).setdefault(g, {})
+    terms = by_mono.get(mono)
     if terms is None:
         store: dict = {}
         rest = tuple.__new__(PbwMonomial, (factors[1:],))
@@ -153,8 +157,14 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
             d = _scaled_rows(spec)[0] * (2 if square else 1)
             for x, c in bracket:
                 _mul_gen(spec, store, x, rest, _over(c, d))
-        terms = memo[(g, mono)] = tuple(store.items())
-    for m, c in terms:
+        intern, flat = memo.setdefault(PbwMonomial, {}), []
+        for m, c in store.items():
+            flat += intern.setdefault(m, m), c
+            _accumulate(acc, flat[-2], factor * c)
+        by_mono[intern.setdefault(mono, mono)] = tuple(flat)
+        return
+    it = iter(terms)
+    for m, c in zip(it, it):
         _accumulate(acc, m, factor * c)
 
 

@@ -723,6 +723,9 @@ def test_verdict_undetermined_without_central() -> None:
         [("a", EVEN), ("z", EVEN)],
         {("a", 0, "a"): {(2, "z"): 1}},
     )
+    # with no central vector there is nothing to quotient: no verdict is computed
+    assert central_reduction(spec) is None
+    assert injectivity_verdict not in spec._memo
     assert injectivity_verdict(spec).status == "undetermined"
 
 

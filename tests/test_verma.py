@@ -357,9 +357,11 @@ def test_act_result_is_safe_to_share() -> None:
         assert dict(act(spec, g, v.scale(3)).items()) == {m: 3 * c for m, c in want.items()}
 
 
-# len(spec._memo) on a fresh spec after the seeded act_word list of
-# _after_seeded_words, recorded once the memo kept only rewrites.
-MEMO_SIZE = {"virasoro": 40, "neveu-schwarz": 128, "affine-sl2": 71}
+# The normal-ordering rewrites memoized on a fresh spec after the seeded
+# act_word list of _after_seeded_words, recorded once the memo kept only
+# rewrites, and the distinct monomials those rewrites keep, each interned once.
+MEMO_SIZE = {"virasoro": 34, "neveu-schwarz": 122, "affine-sl2": 65}
+INTERNED_SIZE = {"virasoro": 23, "neveu-schwarz": 101, "affine-sl2": 59}
 
 
 def _after_seeded_words(name: str):
@@ -372,13 +374,19 @@ def _after_seeded_words(name: str):
 
 @pytest.mark.parametrize("name", sorted(MEMO_SIZE))
 def test_normal_ordering_memo_does_not_grow(name: str) -> None:
-    assert len(_after_seeded_words(name)._memo) <= MEMO_SIZE[name]
+    assert len(_normal_ordering_entries(_after_seeded_words(name))) <= MEMO_SIZE[name]
 
 
 def _normal_ordering_entries(spec) -> list:
-    """The (g, mono) keys of spec._memo: the memoized normal-ordering products."""
-    return [key for key in spec._memo if type(key) is tuple and len(key) == 2
-            and type(key[0]) is LieGenerator and type(key[1]) is PbwMonomial]
+    """The (g, mono) keys of spec._memo[_mul_gen]: the memoized normal-ordering products."""
+    return [(g, mono) for g, table in spec._memo.get(verma_module._mul_gen, {}).items()
+            for mono in table]
+
+
+def _memo_sizes(spec) -> tuple:
+    """The numbers of derived tables, normal-ordering entries and interned monomials."""
+    return (len(spec._memo), len(_normal_ordering_entries(spec)),
+            len(spec._memo.get(PbwMonomial, ())))
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_SIZE))
@@ -393,6 +401,23 @@ def test_normal_ordering_memoizes_only_rewrites(name: str) -> None:
         head = mono.factors[0]
         key, head_key = verma_module._order_key(spec, g), verma_module._order_key(spec, head)
         assert g.n >= 0 or key > head_key or g == head and spec.parity(g.bid), (g, mono)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SIZE))
+def test_normal_ordering_memo_holds_each_monomial_once(name: str) -> None:
+    # each rewrite is a flat tuple (m1, c1, m2, c2, ...) under its generator, and
+    # every monomial it keeps, key or term, is the one object of the intern table,
+    # which holds nothing that no rewrite keeps
+    spec = _after_seeded_words(name)
+    interned = spec._memo[PbwMonomial]
+    kept = []
+    for table in spec._memo[verma_module._mul_gen].values():
+        for mono, terms in table.items():
+            assert type(terms) is tuple and len(terms) % 2 == 0 and all(terms[1::2])
+            kept += [mono, *terms[::2]]
+    assert all(interned[m] is m for m in kept)
+    assert set(interned) == set(kept)
+    assert len(interned) == INTERNED_SIZE[name]
 
 
 def _pair_tables(spec) -> dict:
@@ -1060,8 +1085,11 @@ def test_deep_word_normal_orders_without_recursion_error() -> None:
     spec = affine(heisenberg())
     word = act_word(spec, [gen(spec, "x", -2)] * 600)
     # x_{-2} goes in front of every power of itself: no rewrite is memoized
-    assert _normal_ordering_entries(spec) == []
+    assert _memo_sizes(spec)[1:] == (0, 0)
     out = act(spec, gen(spec, "x", 2), word)
+    # one rewrite per suffix: x_2 past x_{-2}^k (k <= 600) and c_{-1} past
+    # x_{-2}^k (k <= 599), keeping the 600 powers and the 600 x_{-2}^k c_{-1}
+    assert _memo_sizes(spec)[1:] == (1199, 1200)
     # x_2 x_{-2}^600 1 = 1200 c_{-1} x_{-2}^599 1
     assert len(out) == 1
     assert out.coeff(PbwMonomial((gen(spec, "x", -2),) * 599 + (gen(spec, "c", -1),))) == 1200
@@ -1089,13 +1117,13 @@ def test_field_coefficient_memo_is_not_kept_on_the_spec() -> None:
     spec = virasoro()
     a = act_word(spec, [gen(spec, "omega", -2), gen(spec, "omega", -1)])
     first = field_coefficient(spec, a, 1, a, 16)
-    size = len(spec._memo)
+    sizes = _memo_sizes(spec)
     assert field_coefficient(spec, a, 1, a, 16) == first
-    assert len(spec._memo) == size
+    assert _memo_sizes(spec) == sizes
     assert axiom_spotcheck(spec, 2).ok
-    size = len(spec._memo)
+    sizes = _memo_sizes(spec)
     assert axiom_spotcheck(spec, 2).ok
-    assert len(spec._memo) == size
+    assert _memo_sizes(spec) == sizes
 
 
 def test_shared_spec_is_safe_across_threads() -> None:
