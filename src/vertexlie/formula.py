@@ -131,13 +131,14 @@ def _accumulate(acc: dict, key, coeff: Union[int, Fraction]) -> None:
     acc[key] = coeff
 
 
-def _add_scaled(acc: dict, vec: "SparseVector", factor: Union[int, Fraction] = 1) -> None:
-    """Add factor * vec into the accumulator dict acc, dropping zeros."""
+def _add_scaled(acc: dict, vec, factor: Union[int, Fraction] = 1) -> None:
+    """Add factor * vec, a vector or a dict of its terms, into the dict acc, dropping zeros."""
+    terms = vec if type(vec) is dict else vec._terms
     if factor == 1:
-        for key, coeff in vec._terms.items():
+        for key, coeff in terms.items():
             _accumulate(acc, key, coeff)
     else:
-        for key, coeff in vec._terms.items():
+        for key, coeff in terms.items():
             _accumulate(acc, key, factor * coeff)
 
 
@@ -463,7 +464,7 @@ class FormulaSpec:
         self.conformal: Optional[tuple] = conformal
         self.name = name
         self._hash: Optional[int] = None
-        self._memo: dict = {}  # derived data: _per_spec tables, rewrites, interned monomials
+        self._memo: dict = {}  # derived data: _per_spec tables, monomial trie, rewrites
 
     # -- basis access ------------------------------------------------
 

@@ -76,10 +76,10 @@ def vacuum() -> PbwVector:
 _ZERO = PbwVector._of({})
 
 
-def _monomial_weight(spec: FormulaSpec, mono: PbwMonomial) -> Union[int, Fraction]:
-    """The weight of a monomial in stored form: the sum of wt(u_n) = wt(u) - n - 1."""
+def _monomial_weight(spec: FormulaSpec, factors: tuple) -> Union[int, Fraction]:
+    """The weight of a monomial's factors in stored form: the sum of wt(u_n) = wt(u) - n - 1."""
     weights = spec._weights
-    return sum(weights[g.bid] - g.n - 1 for g in mono.factors)
+    return sum(weights[g.bid] - g.n - 1 for g in factors)
 
 
 def _order_key(spec: FormulaSpec, g: LieGenerator) -> tuple:
@@ -95,60 +95,102 @@ def _order_key(spec: FormulaSpec, g: LieGenerator) -> tuple:
     return (spec._order_scale * g.n + spec._order_base[g.bid], g.bid, g.n)
 
 
-def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
-             factor: Union[int, Fraction]) -> None:
-    """Add factor (g mono), normal-ordered, into the accumulator acc.
+class _Node:
+    """A normal-ordered monomial head rest . 1 of one spec, as a node of its trie.
 
-    The central quotient keeps g (act, act_lie and _fc test a mode where it
-    enters; the modes passed on here are stored factors or bracket terms).
-    A product that needs no rewrite goes straight into acc: g on the vacuum
-    at n >= 0 adds nothing, and g before the first factor head, or an even
-    square, adds one monomial.  Only a rewrite is memoized, as a flat tuple
-    (m1, c1, m2, c2, ...) in spec._memo[_mul_gen][g][mono], and added in
-    scaled: a swap g head rest = eps head (g rest) + [g, head] rest, or an
-    odd square g g rest = (1/2)[g, g] rest.  A miss builds it through calls
-    back into this function, one frame per factor, and interns its key and
-    monomials in spec._memo[PbwMonomial].  [g, head] is read as the int
-    terms of L [g, head] from bracket's pair table, local_algebra._pair_terms,
-    and each term is divided once, by L, or by 2 L for the odd square.
-
-    A step costs ints and plain tuples.  g goes before head when its
-    _order_key is smaller, compared inline: first the ints L (n + 1 - w),
-    which order and tie as the rational n + 1 - w do because L > 0 (see
-    _order_key), then (bid, n), which is g < head.  Parities are read
-    from spec.vectors, and monomials are built with tuple.__new__,
-    skipping the NamedTuple constructor.
+    spec._memo[_Node] is {g: {rest: node}}, grown only by setdefault (_child),
+    so even concurrent callers make one node per monomial, and a node hashes
+    by identity.  A PbwMonomial is built only for a public PbwVector (_vector).
     """
-    factors = mono.factors
-    if not factors:
+
+    __slots__ = ("head", "rest")
+
+    def __init__(self, head: Optional[LieGenerator], rest: Optional[_Node]):
+        self.head, self.rest = head, rest
+
+
+_ROOT = _Node(None, None)  # the vacuum, shared by every spec's trie
+
+
+def _child(spec: FormulaSpec, g: LieGenerator, rest: _Node) -> _Node:
+    """The node of g rest, for g that goes in front of rest."""
+    try:
+        return spec._memo[_Node][g][rest]
+    except KeyError:
+        return spec._memo.setdefault(_Node, {}).setdefault(g, {}).setdefault(rest, _Node(g, rest))
+
+
+def _heads(node: _Node) -> tuple:
+    """The factors of a node's monomial, first factor first."""
+    out = []
+    while node is not _ROOT:
+        out.append(node.head)
+        node = node.rest
+    return tuple(out)
+
+
+def _nodes(spec: FormulaSpec, v: PbwVector) -> dict:
+    """The terms of v keyed by the nodes of their monomials."""
+    out = {}
+    for mono, coeff in v._terms.items():
+        node = _ROOT
+        for g in reversed(mono.factors):
+            node = _child(spec, g, node)
+        out[node] = coeff
+    return out
+
+
+def _vector(terms: dict) -> PbwVector:
+    """The public vector of node-keyed terms."""
+    return PbwVector._of({tuple.__new__(PbwMonomial, (_heads(x),)): c for x, c in terms.items()})
+
+
+def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
+             factor: Union[int, Fraction]) -> None:
+    """Add factor (g node), normal-ordered, into the node-keyed accumulator acc.
+
+    The central quotient keeps g (it is tested where a mode enters: _act_into,
+    _fc).  g on the vacuum at n >= 0 adds nothing, and g before the head, or
+    an even square, adds the trie's node of g node (_child).  Only a rewrite
+    is memoized, as a flat tuple (x1, c1, x2, c2, ...) of nodes and
+    coefficients in spec._memo[_mul_gen][g][node], and added in scaled: a
+    swap g head rest = eps head (g rest) + [g, head] rest, or an odd square
+    g g rest = (1/2)[g, g] rest, built on a miss through calls back into this
+    function, one frame per factor.  [g, head] is the int terms of L [g, head]
+    from local_algebra._pair_terms, each divided once by L (2 L for the odd
+    square).  g goes before head when its _order_key is smaller, compared
+    inline: the ints L (n + 1 - w), which order as n + 1 - w since L > 0,
+    then (bid, n), which is g < head.
+    """
+    head = node.head
+    if head is None:
         if g.n < 0:
-            _accumulate(acc, tuple.__new__(PbwMonomial, ((g,),)), factor)
+            _accumulate(acc, _child(spec, g, node), factor)
         return
-    head = factors[0]
     square = False
     if g.n < 0:
         scale, base = spec._order_scale, spec._order_base
         kg, kh = scale * g.n + base[g.bid], scale * head.n + base[head.bid]
         square = g == head  # g g rest is in order when g is even
         if kg < kh or kg == kh and g < head or square and not spec.vectors[g.bid].parity:
-            _accumulate(acc, tuple.__new__(PbwMonomial, ((g,) + factors,)), factor)
+            _accumulate(acc, _child(spec, g, node), factor)
             return
     memo = spec._memo
     try:
-        by_mono = memo[_mul_gen][g]
+        by_node = memo[_mul_gen][g]
     except KeyError:
-        by_mono = memo.setdefault(_mul_gen, {}).setdefault(g, {})
-    terms = by_mono.get(mono)
+        by_node = memo.setdefault(_mul_gen, {}).setdefault(g, {})
+    terms = by_node.get(node)
     if terms is None:
         store: dict = {}
-        rest = tuple.__new__(PbwMonomial, (factors[1:],))
+        rest = node.rest
         if not square:
             vectors = spec.vectors
             eps = -1 if vectors[g.bid].parity and vectors[head.bid].parity else 1
             inner: dict = {}
             _mul_gen(spec, inner, g, rest, 1)
-            for m, c in inner.items():
-                _mul_gen(spec, store, head, m, eps * c)
+            for x, c in inner.items():
+                _mul_gen(spec, store, head, x, eps * c)
         pairs = memo.setdefault(_pair_terms, {})
         bracket = pairs.get((g, head))
         if bracket is None:
@@ -157,56 +199,61 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, mono: PbwMonomial,
             d = _scaled_rows(spec)[0] * (2 if square else 1)
             for x, c in bracket:
                 _mul_gen(spec, store, x, rest, _over(c, d))
-        intern, flat = memo.setdefault(PbwMonomial, {}), []
-        for m, c in store.items():
-            flat += intern.setdefault(m, m), c
-            _accumulate(acc, flat[-2], factor * c)
-        by_mono[intern.setdefault(mono, mono)] = tuple(flat)
+        flat: list = []
+        for x, c in store.items():
+            flat += x, c
+            _accumulate(acc, x, factor * c)
+        by_node[node] = tuple(flat)
         return
     it = iter(terms)
-    for m, c in zip(it, it):
-        _accumulate(acc, m, factor * c)
+    for x, c in zip(it, it):
+        _accumulate(acc, x, factor * c)
+
+
+def _act_into(spec: FormulaSpec, acc: dict, g: LieGenerator, terms: dict, factor=1) -> dict:
+    """Add factor (g v), v node-keyed, into acc unless the central quotient kills g."""
+    if not _quotient_kills(spec, g):
+        for node, coeff in terms.items():
+            _mul_gen(spec, acc, g, node, factor * coeff)
+    return acc
+
+
+def _act_word(spec: FormulaSpec, word, terms: dict) -> dict:
+    """Apply a word of modes, rightmost first, to node-keyed terms."""
+    for g in reversed(word):
+        terms = _act_into(spec, {}, g, terms)
+    return terms
 
 
 def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
     """Action of the mode g on a module vector: a fresh, normal-ordered vector."""
-    acc: dict = {}
-    if not _quotient_kills(spec, g):
-        for mono, coeff in v._terms.items():
-            _mul_gen(spec, acc, g, mono, coeff)
-    return PbwVector._of(acc)
+    return _vector(_act_into(spec, {}, g, _nodes(spec, v)))
 
 
 def act_lie(spec: FormulaSpec, x: LieElement, v: PbwVector) -> PbwVector:
     """Linear extension of act over a combination of modes."""
-    acc: dict = {}
+    acc, terms = {}, _nodes(spec, v)
     for g, coeff in x._terms.items():
-        if not _quotient_kills(spec, g):
-            for mono, c in v._terms.items():
-                _mul_gen(spec, acc, g, mono, coeff * c)
-    return PbwVector._of(acc)
+        _act_into(spec, acc, g, terms, coeff)
+    return _vector(acc)
 
 
 def act_word(spec: FormulaSpec, word: Iterable[LieGenerator],
              v: Optional[PbwVector] = None) -> PbwVector:
     """Apply a word of modes to v (default vacuum), rightmost first."""
-    out = vacuum() if v is None else v
-    for g in reversed(list(word)):
-        out = act(spec, g, out)
-    return out
+    return _vector(_act_word(spec, list(word), {_ROOT: 1} if v is None else _nodes(spec, v)))
 
 
 def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
     """Derivation with [D, u_n] = lie_D(u_n) = -n u_{n-1} and D(vacuum) = 0."""
     acc: dict = {}
-    for mono, coeff in v._terms.items():
-        factors = mono.factors
+    for node, coeff in _nodes(spec, v).items():
+        factors = _heads(node)
         for i, g in enumerate(factors):
+            node = node.rest  # the suffix after factor i
             for dg, c in lie_D(spec, LieElement._of({g: 1}))._terms.items():
-                piece = act_word(spec, factors[:i] + (dg,),
-                                 PbwVector._of({PbwMonomial(factors[i + 1:]): 1}))
-                _add_scaled(acc, piece, coeff * c)
-    return PbwVector._of(acc)
+                _add_scaled(acc, _act_word(spec, factors[:i] + (dg,), {node: 1}), coeff * c)
+    return _vector(acc)
 
 
 def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVector:
@@ -328,16 +375,6 @@ def graded_dimension(spec: FormulaSpec, cutoff: RatLike) -> Dict[Fraction, int]:
     return dict(sorted(dims.items()))
 
 
-def _by_weight(spec: FormulaSpec, v: PbwVector) -> dict:
-    """The homogeneous pieces of v, keyed by their stored-form weight."""
-    if len(v._terms) == 1:  # one term: v is its own piece
-        return {_monomial_weight(spec, next(iter(v._terms))): v}
-    pieces: dict = {}
-    for mono, coeff in v._terms.items():
-        pieces.setdefault(_monomial_weight(spec, mono), {})[mono] = coeff
-    return {w: PbwVector._of(d) for w, d in sorted(pieces.items())}
-
-
 def kappa(spec: FormulaSpec, A: Element) -> PbwVector:
     """Embedding of Q[D] (x) S into the module: A -> A_{-1} 1, so D^k u -> k! u_{-k-1} 1."""
     return act_lie(spec, reduce_generator(spec, A, -1), vacuum())
@@ -373,12 +410,14 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
 def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
                        cutoff, memo: dict) -> PbwVector:
     """field_coefficient without its guards; memo holds _fc results of one call."""
-    pieces = _by_weight(spec, b)
+    pieces: dict = {}  # the homogeneous pieces of b, node-keyed, by stored-form weight
+    for node, coeff in _nodes(spec, b).items():
+        pieces.setdefault(_monomial_weight(spec, _heads(node)), {})[node] = coeff
     acc: dict = {}
-    for mono, coeff in a._terms.items():
-        for bw, piece in pieces.items():
-            _add_scaled(acc, _fc(spec, mono, n, piece, bw, cutoff, memo), coeff)
-    return PbwVector._of(acc)
+    for node, coeff in _nodes(spec, a).items():
+        for bw, piece in sorted(pieces.items()):
+            _add_scaled(acc, _fc(spec, node, n, piece, bw, cutoff, memo), coeff)
+    return _vector(acc)
 
 
 def _live(base: bool, only: int, imax: int):
@@ -388,33 +427,32 @@ def _live(base: bool, only: int, imax: int):
     return range(imax + 1)
 
 
-def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
-        bw, cutoff, memo: dict) -> PbwVector:
-    """mono_n b for b nonzero and homogeneous of weight bw, memoized in memo.
+def _fc(spec: FormulaSpec, node: _Node, n: int, b: dict, bw, cutoff, memo: dict) -> dict:
+    """node_n b for b nonzero and homogeneous of weight bw, memoized in memo.
 
-    bw and cutoff, like every weight here, are in stored form (see SparseVector).
-    Every factor of mono has a mode m < 0, so no (m over i) below is zero.
+    b and the result are node-keyed; bw and cutoff, like every weight here, are in
+    stored form.  Every factor has a mode m < 0, so no (m over i) below is zero.
 
     The vacuum field is the identity, 1_k x = delta_{k,-1} x.  So when
-    rest (mono without its first factor u_m) is the vacuum, each sum of
+    rest (the monomial without its first factor u_m) is the vacuum, each sum of
     the recursion has one live index, i = -1 - n in the first and
     i = m + n + 1 in the second, and only that index is computed (_live).
     The second sum's intermediates u_i b weigh less as i grows, so its
     cutoff guard reads the heaviest, u_0 b, once, whenever the sum has i = 0.
     """
-    if not mono.factors:
-        return b if n == -1 else _ZERO
-    key = (mono, n, b, cutoff)
+    if node is _ROOT:
+        return b if n == -1 else {}
+    key = (node, n, frozenset(b.items()), cutoff)
     out = memo.get(key)
     if out is not None:
         return out
-    g = mono.factors[0]
-    rest = tuple.__new__(PbwMonomial, (mono.factors[1:],))
+    g, rest = node.head, node.rest
     m = g.n
     vectors = spec.vectors
     lam = spec._weights[g.bid]
-    wr = _monomial_weight(spec, rest)
-    eps = -1 if vectors[g.bid].parity and sum(vectors[h.bid].parity for h in rest.factors) % 2 else 1
+    heads = _heads(rest)
+    wr = _monomial_weight(spec, heads)
+    eps = -1 if vectors[g.bid].parity and sum(vectors[h.bid].parity for h in heads) % 2 else 1
 
     total = lam + wr + bw - m - n - 2
     if total > cutoff:
@@ -422,14 +460,14 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
             f"field coefficient of weight {total} exceeds cutoff {cutoff}")
 
     acc: dict = {}
-    base = not rest.factors
+    base = rest is _ROOT
     for i in _live(base, -1 - n, floor(wr + bw - n - 1)):
         gi = LieGenerator(g.bid, m - i)  # a c_{-1} factor gives c_{-1-i}
         if _quotient_kills(spec, gi):
             continue
         coeff = (-1) ** i * gen_binomial(m, i)
-        for w, c in _fc(spec, rest, n + i, b, bw, cutoff, memo)._terms.items():
-            _mul_gen(spec, acc, gi, w, coeff * c)
+        for x, c in _fc(spec, rest, n + i, b, bw, cutoff, memo).items():
+            _mul_gen(spec, acc, gi, x, coeff * c)
 
     sign = eps * (1 if m % 2 == 0 else -1)
     heaviest = bw + lam - 1  # the weight of u_0 b
@@ -437,12 +475,12 @@ def _fc(spec: FormulaSpec, mono: PbwMonomial, n: int, b: PbwVector,
         raise CutoffExceededError(f"intermediate of weight {heaviest} exceeds cutoff {cutoff}")
     for i in _live(base, m + n + 1, floor(heaviest)):
         coeff = (-1) ** i * gen_binomial(m, i)
-        ub = act(spec, LieGenerator(g.bid, i), b)
+        ub = _act_into(spec, {}, LieGenerator(g.bid, i), b)
         if ub:
             _add_scaled(acc, _fc(spec, rest, m + n - i, ub, bw + lam - i - 1, cutoff, memo),
                         -sign * coeff)
-    out = memo[key] = PbwVector._of(acc)
-    return out
+    memo[key] = acc
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +583,9 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             gu = {a: LieGenerator(u.index, a) for a in range(mode_lo - N, mode_hi + 1)}
             gv = {b: LieGenerator(v.index, b) for b in range(mode_lo, mode_hi + N + 1)}
             for iw, w in enumerate(vectors):
-                uw = {a: act(spec, g, w) for a, g in gu.items()}
-                vw = {b: act(spec, g, w) for b, g in gv.items()}
+                wn = _nodes(spec, w)
+                uw = {a: _act_into(spec, {}, g, wn) for a, g in gu.items()}
+                vw = {b: _act_into(spec, {}, g, wn) for b, g in gv.items()}
                 # (a', b') -> u_a' v_b' w - eps v_b' u_a' w; each (a, b) below
                 # reads N + 1 of these pairs, and neighbouring (a, b) share them
                 pairs: dict = {}
@@ -557,11 +596,11 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                             pair = pairs.get((a - j, b + j))
                             if pair is None:
                                 acc: dict = {}
-                                for x, c in vw[b + j]._terms.items():
+                                for x, c in vw[b + j].items():
                                     _mul_gen(spec, acc, gu[a - j], x, c)
-                                for x, c in uw[a - j]._terms.items():
+                                for x, c in uw[a - j].items():
                                     _mul_gen(spec, acc, gv[b + j], x, -eps * c)
-                                pair = pairs[(a - j, b + j)] = PbwVector._of(acc)
+                                pair = pairs[(a - j, b + j)] = acc
                             if pair:
                                 _add_scaled(total, pair, coeff)
                         if total:
@@ -576,7 +615,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                         for i, kp in products:
                             if coeff := gen_binomial(m, i):
                                 _add_scaled(rhs, field(kp, m + n - i, w), coeff)
-                        if pairs[(m, n)] != PbwVector._of(rhs):
+                        if _vector(pairs[(m, n)]) != PbwVector._of(rhs):
                             ledger["commutator_formula"].append(
                                 f"commutator formula fails for "
                                 f"({u.label},{m},{v.label},{n})")

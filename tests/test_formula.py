@@ -656,7 +656,9 @@ def test_module_vectors_come_only_from_the_vacuum_module() -> None:
     # PbwVector has no public constructor and the package wraps its own dicts
     # with PbwVector._of, so every stored monomial is normal-ordered and holds
     # no mode the central quotient kills.  Normal ordering (verma._mul_gen)
-    # trusts that: a mode is tested against the quotient where it enters.
+    # trusts that: a mode is tested against the quotient where it enters,
+    # in _act_into (act, act_lie, act_word and the module's internal actions)
+    # or as _fc's shifted factor mode.
     sample = "def f():\n    return PbwVector({})\nv = verma.PbwVector()\nw = PbwVector._of({})\n"
     assert _calls(ast.parse(sample), "PbwVector") == ["f", 3]
     package = Path(vertexlie.__file__).parent
@@ -666,7 +668,7 @@ def test_module_vectors_come_only_from_the_vacuum_module() -> None:
             for site in _calls(tree, "PbwVector")} == set()
     kills = {(name, site) for name, tree in trees.items()
              for site in _calls(tree, "_quotient_kills")}
-    assert kills == {("verma", "act"), ("verma", "act_lie"), ("verma", "_fc"),
+    assert kills == {("verma", "_act_into"), ("verma", "_fc"),
                      ("verma", "_counting_generators")}
 
 

@@ -52,6 +52,7 @@ from vertexlie import (
     virasoro,
 )
 import vertexlie.verma as verma_module
+from vertexlie.verma import _heads
 from vertexlie.formula_io import parse_formula
 from vertexlie.linalg import RowSpace
 
@@ -359,9 +360,10 @@ def test_act_result_is_safe_to_share() -> None:
 
 # The normal-ordering rewrites memoized on a fresh spec after the seeded
 # act_word list of _after_seeded_words, recorded once the memo kept only
-# rewrites, and the distinct monomials those rewrites keep, each interned once.
+# rewrites, and the nodes of the spec's monomial trie after that list: one
+# per monomial normal ordering built, as a product or a rewrite's term.
 MEMO_SIZE = {"virasoro": 34, "neveu-schwarz": 122, "affine-sl2": 65}
-INTERNED_SIZE = {"virasoro": 23, "neveu-schwarz": 101, "affine-sl2": 59}
+NODE_COUNT = {"virasoro": 30, "neveu-schwarz": 110, "affine-sl2": 71}
 
 
 def _after_seeded_words(name: str):
@@ -378,15 +380,38 @@ def test_normal_ordering_memo_does_not_grow(name: str) -> None:
 
 
 def _normal_ordering_entries(spec) -> list:
-    """The (g, mono) keys of spec._memo[_mul_gen]: the memoized normal-ordering products."""
-    return [(g, mono) for g, table in spec._memo.get(verma_module._mul_gen, {}).items()
-            for mono in table]
+    """The (g, node) keys of spec._memo[_mul_gen]: the memoized normal-ordering products."""
+    return [(g, node) for g, table in spec._memo.get(verma_module._mul_gen, {}).items()
+            for node in table]
+
+
+def _trie(spec) -> list:
+    """The nodes of the spec's monomial trie, spec._memo[_Node]."""
+    return [node for kids in spec._memo.get(verma_module._Node, {}).values()
+            for node in kids.values()]
 
 
 def _memo_sizes(spec) -> tuple:
-    """The numbers of derived tables, normal-ordering entries and interned monomials."""
-    return (len(spec._memo), len(_normal_ordering_entries(spec)),
-            len(spec._memo.get(PbwMonomial, ())))
+    """The numbers of derived tables, normal-ordering entries and trie nodes."""
+    return len(spec._memo), len(_normal_ordering_entries(spec)), len(_trie(spec))
+
+
+def _assert_one_node_per_monomial(spec) -> None:
+    # every node that the trie, a node's rest or a rewrite holds is the trie's
+    # node for its (head, rest), so no two such nodes share (head, rest)
+    trie = spec._memo.get(verma_module._Node, {})
+    held = _trie(spec)
+    for table in spec._memo.get(verma_module._mul_gen, {}).values():
+        for node, terms in table.items():
+            held += [node, *terms[::2]]
+    seen = set()
+    while held:
+        node = held.pop()
+        if node is verma_module._ROOT or node in seen:
+            continue
+        seen.add(node)
+        assert trie[node.head][node.rest] is node, _heads(node)
+        held.append(node.rest)
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_SIZE))
@@ -396,28 +421,25 @@ def test_normal_ordering_memoizes_only_rewrites(name: str) -> None:
     spec = _after_seeded_words(name)
     entries = _normal_ordering_entries(spec)
     assert entries
-    for g, mono in entries:
-        assert mono.factors and not verma_module._quotient_kills(spec, g), (g, mono)
-        head = mono.factors[0]
+    for g, node in entries:
+        assert node is not verma_module._ROOT, g
+        assert not verma_module._quotient_kills(spec, g), (g, _heads(node))
+        head = node.head
         key, head_key = verma_module._order_key(spec, g), verma_module._order_key(spec, head)
-        assert g.n >= 0 or key > head_key or g == head and spec.parity(g.bid), (g, mono)
+        assert g.n >= 0 or key > head_key or g == head and spec.parity(g.bid), (g, _heads(node))
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_SIZE))
 def test_normal_ordering_memo_holds_each_monomial_once(name: str) -> None:
-    # each rewrite is a flat tuple (m1, c1, m2, c2, ...) under its generator, and
-    # every monomial it keeps, key or term, is the one object of the intern table,
-    # which holds nothing that no rewrite keeps
+    # each rewrite is a flat tuple (n1, c1, n2, c2, ...) under its generator, and
+    # every monomial it keeps, key or term, is a node of the spec's trie
     spec = _after_seeded_words(name)
-    interned = spec._memo[PbwMonomial]
-    kept = []
     for table in spec._memo[verma_module._mul_gen].values():
-        for mono, terms in table.items():
+        for node, terms in table.items():
             assert type(terms) is tuple and len(terms) % 2 == 0 and all(terms[1::2])
-            kept += [mono, *terms[::2]]
-    assert all(interned[m] is m for m in kept)
-    assert set(interned) == set(kept)
-    assert len(interned) == INTERNED_SIZE[name]
+            assert all(type(x) is verma_module._Node for x in (node, *terms[::2]))
+    _assert_one_node_per_monomial(spec)
+    assert len(_trie(spec)) == NODE_COUNT[name]
 
 
 def _pair_tables(spec) -> dict:
@@ -994,16 +1016,17 @@ def _doubled_terms(real):
 
 def _doubled_base_case(real):
     # 1_{-1} b = 2 b at the bottom of the field recursion
-    def fc(spec, mono, *args):
-        out = real(spec, mono, *args)
-        return out if mono.factors else out.scale(2)
+    def fc(spec, node, *args):
+        out = real(spec, node, *args)
+        return out if node is not verma_module._ROOT else {x: 2 * c for x, c in out.items()}
     return fc
 
 
 def _negated_annihilators(real):
     # u_n w comes out negated for n >= 0 and w != 1
-    def mul_gen(spec, acc, g, mono, factor):
-        real(spec, acc, g, mono, -factor if g.n >= 0 and mono.factors else factor)
+    def mul_gen(spec, acc, g, node, factor):
+        real(spec, acc, g, node, -factor if g.n >= 0 and node is not verma_module._ROOT
+             else factor)
     return mul_gen
 
 
@@ -1082,17 +1105,22 @@ def test_axiom_spotcheck_reports_injected_faults_on_wider_presets(
 # ---------------------------------------------------------------------------
 
 def test_deep_word_normal_orders_without_recursion_error() -> None:
-    spec = affine(heisenberg())
-    word = act_word(spec, [gen(spec, "x", -2)] * 600)
-    # x_{-2} goes in front of every power of itself: no rewrite is memoized
-    assert _memo_sizes(spec)[1:] == (0, 0)
-    out = act(spec, gen(spec, "x", 2), word)
-    # one rewrite per suffix: x_2 past x_{-2}^k (k <= 600) and c_{-1} past
-    # x_{-2}^k (k <= 599), keeping the 600 powers and the 600 x_{-2}^k c_{-1}
-    assert _memo_sizes(spec)[1:] == (1199, 1200)
-    # x_2 x_{-2}^600 1 = 1200 c_{-1} x_{-2}^599 1
-    assert len(out) == 1
-    assert out.coeff(PbwMonomial((gen(spec, "x", -2),) * 599 + (gen(spec, "c", -1),))) == 1200
+    for k in (300, 600):
+        spec = affine(heisenberg())
+        word = act_word(spec, [gen(spec, "x", -2)] * k)
+        # x_{-2} goes in front of every power of itself: no rewrite is memoized,
+        # and the trie holds the k powers x_{-2}^j 1, each a node on the last
+        assert _memo_sizes(spec)[1:] == (0, k)
+        out = act(spec, gen(spec, "x", 2), word)
+        # one rewrite per suffix: x_2 past x_{-2}^j (j <= k) and c_{-1} past
+        # x_{-2}^j (j <= k - 1); the trie adds the k nodes x_{-2}^j c_{-1} 1
+        # (j < k), so both counts grow linearly in k: 599 and 600 at k = 300,
+        # 1 199 and 1 200 at k = 600
+        assert _memo_sizes(spec)[1:] == (2 * k - 1, 2 * k)
+        # x_2 x_{-2}^k 1 = 2k c_{-1} x_{-2}^(k-1) 1
+        assert len(out) == 1
+        assert out.coeff(PbwMonomial((gen(spec, "x", -2),) * (k - 1)
+                                     + (gen(spec, "c", -1),))) == 2 * k
 
 
 def test_derived_data_is_freed_with_its_spec() -> None:
@@ -1155,4 +1183,6 @@ def test_shared_spec_is_safe_across_threads() -> None:
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    # the threads made each monomial's node once: no two nodes share (head, rest)
+    _assert_one_node_per_monomial(shared)
     assert results == [serial] * 4
