@@ -73,9 +73,6 @@ def vacuum() -> PbwVector:
     return PbwVector._of({VACUUM_MONOMIAL: 1})
 
 
-_ZERO = PbwVector._of({})
-
-
 def _monomial_weight(spec: FormulaSpec, factors: tuple) -> Union[int, Fraction]:
     """The weight of a monomial's factors in stored form: the sum of wt(u_n) = wt(u) - n - 1."""
     weights = spec._weights
@@ -129,15 +126,17 @@ def _heads(node: _Node) -> tuple:
     return tuple(out)
 
 
+def _node(spec: FormulaSpec, factors: tuple) -> _Node:
+    """The trie's node of a normal-ordered monomial's factors."""
+    node = _ROOT
+    for g in reversed(factors):
+        node = _child(spec, g, node)
+    return node
+
+
 def _nodes(spec: FormulaSpec, v: PbwVector) -> dict:
     """The terms of v keyed by the nodes of their monomials."""
-    out = {}
-    for mono, coeff in v._terms.items():
-        node = _ROOT
-        for g in reversed(mono.factors):
-            node = _child(spec, g, node)
-        out[node] = coeff
-    return out
+    return {_node(spec, mono.factors): coeff for mono, coeff in v._terms.items()}
 
 
 def _vector(terms: dict) -> PbwVector:
@@ -260,18 +259,18 @@ def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVect
     """Substitute the central mode c_{-1} by the rational level; idempotent."""
     if spec.central is None:
         raise FormulaError("no central vector designated")
-    cid = spec.central
+    central = LieGenerator(spec.central, -1)
     ell = _rat(level)
+    powers: dict = {}  # ell ** k, each computed once
     acc: dict = {}
     for mono, coeff in v._terms.items():
-        kept = []
-        power = 0
-        for g in mono.factors:
-            if g.bid == cid and g.n == -1:
-                power += 1
-            else:
-                kept.append(g)
-        _accumulate(acc, PbwMonomial(tuple(kept)), coeff * ell ** power if power else coeff)
+        power = mono.factors.count(central)
+        if power:  # a monomial without c_{-1} is kept as it is
+            if power not in powers:
+                powers[power] = ell ** power
+            coeff *= powers[power]
+            mono = PbwMonomial(tuple(g for g in mono.factors if g != central))
+        _accumulate(acc, mono, coeff)
     return PbwVector._of(acc)
 
 
@@ -404,20 +403,23 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     CutoffExceededError instead of being dropped.
     """
     _check_index(n, "mode")
-    return _field_coefficient(spec, a, n, b, _checked_cutoff(spec, cutoff), {})
+    bound = _checked_cutoff(spec, cutoff)
+    return _vector(_field_coefficient(spec, _nodes(spec, a), n, _nodes(spec, b), bound, {}))
 
 
-def _field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
-                       cutoff, memo: dict) -> PbwVector:
-    """field_coefficient without its guards; memo holds _fc results of one call."""
-    pieces: dict = {}  # the homogeneous pieces of b, node-keyed, by stored-form weight
-    for node, coeff in _nodes(spec, b).items():
-        pieces.setdefault(_monomial_weight(spec, _heads(node)), {})[node] = coeff
+def _field_coefficient(spec: FormulaSpec, a: dict, n: int, b: dict, cutoff, memo: dict) -> dict:
+    """field_coefficient without its guards, on node-keyed terms a and b, into a fresh
+    node-keyed dict that drops zeros, so results compare with ==.  b's pieces are sorted
+    by weight once a call; memo holds _fc results, shared by the calls of a spot-check."""
+    by_weight: dict = {}  # the homogeneous pieces of b, by stored-form weight
+    for node, coeff in b.items():
+        by_weight.setdefault(_monomial_weight(spec, _heads(node)), {})[node] = coeff
+    pieces = sorted(by_weight.items())
     acc: dict = {}
-    for node, coeff in _nodes(spec, a).items():
-        for bw, piece in sorted(pieces.items()):
+    for node, coeff in a.items():
+        for bw, piece in pieces:
             _add_scaled(acc, _fc(spec, node, n, piece, bw, cutoff, memo), coeff)
-    return _vector(acc)
+    return acc
 
 
 def _live(base: bool, only: int, imax: int):
@@ -526,6 +528,9 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     loop-abelian every basis vector is central, so u and v run over
     nothing).  Field coefficients are computed with an internal cutoff
     margin wide enough that no intermediate overflows on these windows.
+    The windows are fixed; within them each u_a w is computed once per
+    (u, w), for every pair it enters, and each field (u_i v)_k w of the
+    commutator formula once per (i, k, w), for every m + n - i = k.
     """
     bound = _checked_cutoff(spec, cutoff)
     lam_max = max(spec._weights, default=0)
@@ -533,102 +538,112 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     margin = 2 * bound + 2 * lam_max + 6
     memo: dict = {}  # _fc results, shared by every clause of this call
 
-    def field(a: PbwVector, n: int, b: PbwVector) -> PbwVector:
+    def field(a: dict, n: int, b: dict) -> dict:
         return _field_coefficient(spec, a, n, b, margin, memo)
 
+    def D(terms: dict, k: int = 1) -> dict:  # D^k, through apply_D_module on a PbwVector
+        vec = _vector(terms)
+        for _ in range(k):
+            vec = apply_D_module(spec, vec)
+        return _nodes(spec, vec)
+
     ledger = {name: [] for name in SpotcheckReport.__slots__[:6]}
-    basis = monomial_basis(spec, bound)
-    vectors = [PbwVector._of({m: 1}) for monos in basis.values() for m in monos]
+    monos = [m for monos in monomial_basis(spec, bound).values() for m in monos]
+    vectors = [{_node(spec, m.factors): 1} for m in monos]
     active = [v for v in spec.vectors if not central_check(spec, v.index)]
+    kap = {v.index: _nodes(spec, kappa_basis(spec, v.index)) for v in spec.vectors}
 
     for v in spec.vectors:
-        kv = kappa_basis(spec, v.index)
+        kv = kap[v.index]
         for n in [*range(spec.n_max + 2), -1]:
-            if field(kv, n, vacuum()) != (kv if n == -1 else _ZERO):
+            if field(kv, n, {_ROOT: 1}) != (kv if n == -1 else {}):
                 ledger["creation"].append(f"creation fails for {v.label!r} at mode {n}")
 
     for b in vectors:
         for n in range(-3, 3):
-            if field(vacuum(), n, b) != (b if n == -1 else _ZERO):
+            if field({_ROOT: 1}, n, b) != (b if n == -1 else {}):
                 ledger["vacuum_field"].append(f"vacuum field acts wrongly at mode {n}")
+
+    duos = []  # (u, v, eps, [(i, kappa(u_i v))], locality and commutator messages in w order)
+    for u in active:
+        for v in active:
+            ku, kv = kap[u.index], kap[v.index]
+            eps = spec.epsilon(u.index, v.index)
+            for n in range(0, floor(u.weight + v.weight) + 1):
+                # u_n v = -eps sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u
+                rhs: dict = {}
+                for k in range(floor(u.weight + v.weight - n - 1) + 1):
+                    term = field(kv, n + k, ku)
+                    _add_scaled(rhs, D(term, k) if k else term,
+                                -eps * _over((-1) ** (n + k), factorial(k)))
+                if field(ku, n, kv) != rhs:
+                    ledger["half_skew"].append(
+                        f"half skew symmetry fails for ({u.label},{n},{v.label})")
+            products = [(i, _nodes(spec, kappa(spec, prod)))
+                        for i, prod in spec._row(u.index, v.index).items()]
+            duos.append((u, v, eps, products, [], []))
 
     # [u_m, v_n] w for m, n in [-2, 2] and w in vectors[:8] is read from the
     # locality pairs, whose window always contains [-2, 2]^2.
     N = spec.n_max
     row = [((-1) ** j * gen_binomial(N, j), j) for j in range(N + 1)]
     mode_lo, mode_hi = -floor(bound) - 2, floor(bound) + 2
-    for u in active:
-        for v in active:
-            ku, kv = kappa_basis(spec, u.index), kappa_basis(spec, v.index)
-            eps = spec.epsilon(u.index, v.index)
-            for n in range(0, floor(u.weight + v.weight) + 1):
-                # u_n v = -eps sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u
-                lhs = field(ku, n, kv)
-                rhs: dict = {}
-                k = 0
-                while u.weight + v.weight - n - k - 1 >= 0:
-                    term = field(kv, n + k, ku)
-                    for _ in range(k):
-                        term = apply_D_module(spec, term)
-                    _add_scaled(rhs, term, -eps * _over((-1) ** (n + k), factorial(k)))
-                    k += 1
-                if lhs != PbwVector._of(rhs):
-                    ledger["half_skew"].append(
-                        f"half skew symmetry fails for ({u.label},{n},{v.label})")
+    # the modes u_a' and v_b' that the pairs below read, a' >= mode_lo - N, b' <= mode_hi + N
+    gens = {u.index: {a: LieGenerator(u.index, a) for a in range(mode_lo - N, mode_hi + N + 1)}
+            for u in active}
+    for iw, w in enumerate(vectors):
+        # u_a' w, once per (u, w) for every pair it enters, as u or as v
+        acted = {x: {a: _act_into(spec, {}, g, w) for a, g in gx.items()}
+                 for x, gx in gens.items()}
+        for u, v, eps, products, local, commutes in duos:
+            gu, gv, uw, vw = gens[u.index], gens[v.index], acted[u.index], acted[v.index]
+            # (a', b') -> u_a' v_b' w - eps v_b' u_a' w; each (a, b) below
+            # reads N + 1 of these pairs, and neighbouring (a, b) share them
+            pairs: dict = {}
+            for a in range(mode_lo, mode_hi + 1):
+                for b in range(mode_lo, mode_hi + 1):
+                    total: dict = {}
+                    for coeff, j in row:
+                        pair = pairs.get((a - j, b + j))
+                        if pair is None:
+                            acc: dict = {}
+                            for x, c in vw[b + j].items():
+                                _mul_gen(spec, acc, gu[a - j], x, c)
+                            for x, c in uw[a - j].items():
+                                _mul_gen(spec, acc, gv[b + j], x, -eps * c)
+                            pair = pairs[(a - j, b + j)] = acc
+                        if pair:
+                            _add_scaled(total, pair, coeff)
+                    if total:
+                        local.append(f"locality fails for ({u.label},{v.label}) "
+                                     f"at modes ({a},{b})")
+            if iw >= 8:
+                continue
+            fields: dict = {}  # (i, k) -> field(kappa(u_i v), k, w), read for every m + n - i = k
+            for m in range(-2, 3):
+                for n in range(-2, 3):
+                    rhs = {}
+                    for i, kp in products:
+                        if coeff := gen_binomial(m, i):
+                            k = m + n - i
+                            if (i, k) not in fields:
+                                fields[i, k] = field(kp, k, w)
+                            _add_scaled(rhs, fields[i, k], coeff)
+                    if pairs[(m, n)] != rhs:
+                        commutes.append(f"commutator formula fails for "
+                                        f"({u.label},{m},{v.label},{n})")
+    ledger["locality"] = [msg for duo in duos for msg in duo[4]]
+    ledger["commutator_formula"] = [msg for duo in duos for msg in duo[5]]
 
-            # kappa(u_i v) for every nonzero table product u_i v
-            products = [(i, kappa(spec, prod))
-                        for i, prod in spec._row(u.index, v.index).items()]
-            # the modes u_a' and v_b' that the pairs below read
-            gu = {a: LieGenerator(u.index, a) for a in range(mode_lo - N, mode_hi + 1)}
-            gv = {b: LieGenerator(v.index, b) for b in range(mode_lo, mode_hi + N + 1)}
-            for iw, w in enumerate(vectors):
-                wn = _nodes(spec, w)
-                uw = {a: _act_into(spec, {}, g, wn) for a, g in gu.items()}
-                vw = {b: _act_into(spec, {}, g, wn) for b, g in gv.items()}
-                # (a', b') -> u_a' v_b' w - eps v_b' u_a' w; each (a, b) below
-                # reads N + 1 of these pairs, and neighbouring (a, b) share them
-                pairs: dict = {}
-                for a in range(mode_lo, mode_hi + 1):
-                    for b in range(mode_lo, mode_hi + 1):
-                        total: dict = {}
-                        for coeff, j in row:
-                            pair = pairs.get((a - j, b + j))
-                            if pair is None:
-                                acc: dict = {}
-                                for x, c in vw[b + j].items():
-                                    _mul_gen(spec, acc, gu[a - j], x, c)
-                                for x, c in uw[a - j].items():
-                                    _mul_gen(spec, acc, gv[b + j], x, -eps * c)
-                                pair = pairs[(a - j, b + j)] = acc
-                            if pair:
-                                _add_scaled(total, pair, coeff)
-                        if total:
-                            ledger["locality"].append(
-                                f"locality fails for ({u.label},{v.label}) "
-                                f"at modes ({a},{b})")
-                if iw >= 8:
-                    continue
-                for m in range(-2, 3):
-                    for n in range(-2, 3):
-                        rhs: dict = {}
-                        for i, kp in products:
-                            if coeff := gen_binomial(m, i):
-                                _add_scaled(rhs, field(kp, m + n - i, w), coeff)
-                        if _vector(pairs[(m, n)]) != PbwVector._of(rhs):
-                            ledger["commutator_formula"].append(
-                                f"commutator formula fails for "
-                                f"({u.label},{m},{v.label},{n})")
-
-    samples = [kappa_basis(spec, v.index) for v in active]
-    samples += [vec for vec in vectors if len(next(iter(vec._terms)).factors) == 2][:3]
+    samples = [kap[v.index] for v in active]
+    samples += [{_node(spec, m.factors): 1} for m in monos if len(m.factors) == 2][:3]
     for a in samples:
-        da = apply_D_module(spec, a)
+        da = D(a)
         for b in vectors[:6]:
             for n in range(-4, 5):
-                lhs = field(da, n, b)
-                rhs = field(a, n - 1, b).scale(-n)
-                if lhs != rhs:
+                rhs = {}
+                _add_scaled(rhs, field(a, n - 1, b), -n)
+                if field(da, n, b) != rhs:
                     ledger["translation"].append(f"translation rule fails at mode {n}")
 
     # each clause compares something once the list it runs over is nonempty:

@@ -989,6 +989,37 @@ def test_axiom_spotcheck_small_neveu_schwarz() -> None:
     assert report.ok, report.failures[:5]
 
 
+def test_axiom_spotcheck_neveu_schwarz_at_cutoff_4_sees_the_super_sign() -> None:
+    # the first cutoff whose translation window meets the odd sign of _fc's
+    # second sum: with that sign dropped (eps = 1) 45 translation checks fail
+    report = axiom_spotcheck(preset("neveu-schwarz"), 4)
+    assert report.ok and report.vacuous == (), report.failures[:5]
+
+
+# _act_into and _field_coefficient calls of axiom_spotcheck(affine-sl2, 1) on
+# a fresh spec, once each u_a w is shared by every pair that reads it and
+# each commutator-formula field by every (m, n) that reads it; before that
+# sharing they were 730 and 1 154.
+SPOTCHECK_CALLS = {"_act_into": 193, "_field_coefficient": 638}
+
+
+def test_axiom_spotcheck_computes_each_mode_action_and_field_once(monkeypatch) -> None:
+    calls = dict.fromkeys(SPOTCHECK_CALLS, 0)
+
+    def counted(name):
+        real = getattr(verma_module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in SPOTCHECK_CALLS:
+        monkeypatch.setattr(verma_module, name, counted(name))
+    assert axiom_spotcheck(preset("affine-sl2"), 1).ok
+    assert calls == SPOTCHECK_CALLS
+
+
 def test_axiom_spotcheck_abelian() -> None:
     from vertexlie import EVEN, FormulaSpec
 
