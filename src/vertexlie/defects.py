@@ -18,6 +18,7 @@ generates:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -53,16 +54,16 @@ UNDETERMINED = "undetermined"
 INJECTIVE_STATUSES = frozenset({INJECTIVE_ZERO_IDEAL, INJECTIVE_CENTRAL_IDEAL})
 
 
-class Defect(_Record):
+class Defect(_Record, namedtuple("Defect", "kind indices value")):
     """One nonzero defect: its kind, index tuple and exact value."""
 
-    __slots__ = ("kind", "indices", "value")
+    __slots__ = ()
 
 
-class Verdict(_Record):
+class Verdict(_Record, namedtuple("Verdict", "status witnesses notes")):
     """Structured outcome of the injectivity analysis."""
 
-    __slots__ = ("status", "witnesses", "notes")
+    __slots__ = ()
 
     @property
     def injective(self) -> bool:
@@ -304,16 +305,15 @@ def injectivity_verdict(spec: FormulaSpec) -> Verdict:
                    "positive D-span of a central vector); no decision procedure")
 
 
-class ConformalReport(_Record):
-    """Clause-by-clause outcome of the conformal-vector validation."""
-
-    __slots__ = (
+class ConformalReport(_Record, namedtuple("ConformalReport", (
         "self_product",       # (a) omega_n omega matches the required series
         "central",            # (b) c annihilates and is annihilated
         "action",             # (c) omega_0 = D, omega_1 = weight, omega_2 = 0 on S
         "weight_zero_space",  # (d) weight-0 subspace is exactly the span of c
-        "failures",
-    )
+        "failures"))):
+    """Clause-by-clause outcome of the conformal-vector validation."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from math import comb, lcm, perm
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EVEN = 0
@@ -282,91 +282,45 @@ def basis_element(bid: int, k: int = 0, coeff: RatLike = 1) -> Element:
 
 
 class _Record:
-    """Immutable value record with the semantics of a frozen dataclass.
-
-    A subclass names its fields (two or more) in __slots__, in order, and
-    may give defaults for trailing fields in _defaults.  Two records are
-    equal when they are of the same class with equal fields; a record
-    hashes as the tuple of its fields and prints as Name(field=value, ...);
-    assignment and deletion raise AttributeError; copy and pickle
-    round-trip.
+    """Mixin of a value record, class Name(_Record, namedtuple("Name", "...")) with
+    __slots__ = ().  The named tuple gives fields, keywords, defaults, repr, copy and
+    pickle, and refuses assignment.  A record equals only a record of its own class
+    (never a plain tuple), hashes as its field tuple, is never ordered, and is built
+    only by its class: _make, and so _replace, call cls(*values), which runs any
+    validation in __new__.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-        # an attrgetter does not bind to the instance: call it as self._astuple(self)
-        cls._astuple = attrgetter(*cls.__slots__)
-
-    def __init__(self, *args, **kwargs):
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._bind(args, kwargs)
-        # an index loop: zip would build a tuple per field
-        i = 0
-        for setter in setters:
-            setter(self, args[i])
-            i += 1
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values of a call with keywords, defaults or a wrong count."""
-        names, cls = self.__slots__, type(self).__name__
-        if len(args) > len(names):
-            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
-        values = list(args)
-        for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in self._defaults:
-                values.append(self._defaults[name])
-            else:
-                raise TypeError(f"{cls}() missing argument {name!r}")
-        if kwargs:
-            name = next(iter(kwargs))
-            problem = "multiple values for" if name in names else "an unexpected keyword"
-            raise TypeError(f"{cls}() got {problem} argument {name!r}")
-        return values
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple(self) == other._astuple(other)
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._astuple(self))
+    __ne__ = object.__ne__  # the negation of __eq__ above, not tuple's
+    __hash__ = tuple.__hash__
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+    def _unordered(self, other):
+        raise TypeError(f"{self.__class__.__name__} records are not ordered")
 
-    def __getstate__(self):
-        return self._astuple(self)
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def __setstate__(self, state):
-        for setter, value in zip(self._setters, state):
-            setter(self, value)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-class BasisVector(_Record):
+class BasisVector(_Record, namedtuple("BasisVector", "index label parity weight",
+                                      defaults=(EVEN, None))):
     """One basis vector of S: position, display label, parity, weight."""
 
-    __slots__ = ("index", "label", "parity", "weight")
-    _defaults = {"parity": EVEN, "weight": None}
+    __slots__ = ()
 
 
-class Violation(_Record):
+class Violation(_Record, namedtuple("Violation", "kind entry message")):
     """One invariant failure reported by validate_spec (data, not an error)."""
 
-    __slots__ = ("kind", "entry", "message")  # kind: "parity" | "weight"
+    __slots__ = ()  # kind: "parity" | "weight"
 
     def __str__(self) -> str:
         return self.message

@@ -14,6 +14,7 @@ quotient algebra, where the Lie axioms hold on the nose.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -140,10 +141,10 @@ def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
     return LieElement._of(acc)
 
 
-class LawViolation(_Record):
+class LawViolation(_Record, namedtuple("LawViolation", "law generators discrepancy")):
     """One failed Lie-algebra law found during window verification."""
 
-    __slots__ = ("law", "generators", "discrepancy")  # law: "skew" | "jacobi"
+    __slots__ = ()  # law: "skew" | "jacobi"
 
     def __str__(self) -> str:
         return f"{self.law} fails at {self.generators}"

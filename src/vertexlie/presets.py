@@ -7,6 +7,7 @@ c), to be specialized to a number only inside the vacuum module.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
@@ -30,7 +31,7 @@ def _check_shapes(d: int, cube: tuple, name: str, form: tuple) -> None:
         raise ValueError("form table has wrong shape")
 
 
-class LieData(_Record):
+class LieData(_Record, namedtuple("LieData", "labels bracket form")):
     """Finite-dimensional Lie algebra data with an invariant form.
 
     bracket[i][j] is the coordinate vector of [e_i, e_j]; form[i][j] is
@@ -42,11 +43,12 @@ class LieData(_Record):
     analysis on purpose.
     """
 
-    __slots__ = ("labels", "bracket", "form")
+    __slots__ = ()
 
-    def __init__(self, labels: Sequence[str], bracket, form):
-        super().__init__(tuple(labels), _cube(bracket), _table(form))
+    def __new__(cls, labels: Sequence[str], bracket, form):
+        self = super().__new__(cls, tuple(labels), _cube(bracket), _table(form))
         self._validate()
+        return self
 
     @property
     def dim(self) -> int:
@@ -78,14 +80,15 @@ class LieData(_Record):
             raise ValueError("form is not invariant")
 
 
-class BilinearAlgebra(_Record):
+class BilinearAlgebra(_Record, namedtuple("BilinearAlgebra", "labels product form")):
     """A plain bilinear product and a bilinear form on a finite basis."""
 
-    __slots__ = ("labels", "product", "form")  # product[i][j] = coordinates of e_i . e_j
+    __slots__ = ()  # product[i][j] = coordinates of e_i . e_j
 
-    def __init__(self, labels: Sequence[str], product, form):
-        super().__init__(tuple(labels), _cube(product), _table(form))
+    def __new__(cls, labels: Sequence[str], product, form):
+        self = super().__new__(cls, tuple(labels), _cube(product), _table(form))
         _check_shapes(self.dim, self.product, "product", self.form)
+        return self
 
     @property
     def dim(self) -> int:
@@ -260,10 +263,11 @@ def comm_assoc(algebra: BilinearAlgebra, identity: str) -> FormulaSpec:
 # Novikov identity report
 # ---------------------------------------------------------------------------
 
-class NovikovReport(_Record):
+class NovikovReport(_Record, namedtuple("NovikovReport",
+                                         "identity_failures defects_in_central_ideal")):
     """Identity check of a bilinear algebra, cross-validated defect-side."""
 
-    __slots__ = ("identity_failures", "defects_in_central_ideal")
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -11,6 +11,7 @@ exactly left multiplication in the enveloping algebra of the negative half.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, floor, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -430,7 +431,7 @@ def _live(base: bool, only: int, imax: int):
 
 
 def _fc(spec: FormulaSpec, node: _Node, n: int, b: dict, bw, cutoff, memo: dict) -> dict:
-    """node_n b for b nonzero and homogeneous of weight bw, memoized in memo.
+    """node_n b for b nonzero and homogeneous of weight bw, memoized in one cutoff's memo.
 
     b and the result are node-keyed; bw and cutoff, like every weight here, are in
     stored form.  Every factor has a mode m < 0, so no (m over i) below is zero.
@@ -444,7 +445,7 @@ def _fc(spec: FormulaSpec, node: _Node, n: int, b: dict, bw, cutoff, memo: dict)
     """
     if node is _ROOT:
         return b if n == -1 else {}
-    key = (node, n, frozenset(b.items()), cutoff)
+    key = (node, n, frozenset(b.items()))
     out = memo.get(key)
     if out is not None:
         return out
@@ -489,11 +490,12 @@ def _fc(spec: FormulaSpec, node: _Node, n: int, b: dict, bw, cutoff, memo: dict)
 # Axiom spot-checks
 # ---------------------------------------------------------------------------
 
-class SpotcheckReport(_Record):
+class SpotcheckReport(_Record, namedtuple("SpotcheckReport", (
+        "creation", "vacuum_field", "half_skew", "locality", "translation",
+        "commutator_formula", "failures", "vacuous"))):
     """Truncated module-level checks of the field axioms."""
 
-    __slots__ = ("creation", "vacuum_field", "half_skew", "locality", "translation",
-                 "commutator_formula", "failures", "vacuous")
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -529,8 +531,9 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     nothing).  Field coefficients are computed with an internal cutoff
     margin wide enough that no intermediate overflows on these windows.
     The windows are fixed; within them each u_a w is computed once per
-    (u, w), for every pair it enters, and each field (u_i v)_k w of the
-    commutator formula once per (i, k, w), for every m + n - i = k.
+    (u, w), for every pair it enters, and each field once for all the
+    terms that read it: the half-skew v_j u for every n + k = j and the
+    commutator formula's (u_i v)_k w for every m + n - i = k.
     """
     bound = _checked_cutoff(spec, cutoff)
     lam_max = max(spec._weights, default=0)
@@ -547,7 +550,7 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             vec = apply_D_module(spec, vec)
         return _nodes(spec, vec)
 
-    ledger = {name: [] for name in SpotcheckReport.__slots__[:6]}
+    ledger = {name: [] for name in SpotcheckReport._fields[:6]}
     monos = [m for monos in monomial_basis(spec, bound).values() for m in monos]
     vectors = [{_node(spec, m.factors): 1} for m in monos]
     active = [v for v in spec.vectors if not central_check(spec, v.index)]
@@ -569,11 +572,13 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
         for v in active:
             ku, kv = kap[u.index], kap[v.index]
             eps = spec.epsilon(u.index, v.index)
-            for n in range(0, floor(u.weight + v.weight) + 1):
+            top = floor(u.weight + v.weight)
+            swapped = [field(kv, j, ku) for j in range(top)]  # v_j u, read for every n + k = j
+            for n in range(top + 1):
                 # u_n v = -eps sum_k (-1)^(n+k) (D^k/k!) v_{n+k} u
                 rhs: dict = {}
-                for k in range(floor(u.weight + v.weight - n - 1) + 1):
-                    term = field(kv, n + k, ku)
+                for k in range(top - n):
+                    term = swapped[n + k]
                     _add_scaled(rhs, D(term, k) if k else term,
                                 -eps * _over((-1) ** (n + k), factorial(k)))
                 if field(ku, n, kv) != rhs:

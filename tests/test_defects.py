@@ -277,7 +277,7 @@ def _sweep_outcome(sweep, spec, bound):
         rows = sweep(spec, bound)
     except BoundInsufficientError as err:
         return str(err)[str(err).rindex("("):]
-    return [r if isinstance(r, tuple) else (r.kind, r.indices, r.value) for r in rows]
+    return [r if type(r) is tuple else (r.kind, r.indices, r.value) for r in rows]
 
 
 def _basis(spec: FormulaSpec) -> list:

@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -210,6 +211,25 @@ def test_basis_vector_defaults() -> None:
         BasisVector(0)
     with pytest.raises(TypeError):
         BasisVector(index=0, parity=ODD)
+
+
+def test_every_record_class_is_covered() -> None:
+    from vertexlie.formula import _Record
+
+    found = set()
+    for module in pkgutil.iter_modules(vertexlie.__path__):
+        namespace = vars(importlib.import_module(f"vertexlie.{module.name}"))
+        found |= {value for value in namespace.values()
+                  if isinstance(value, type) and issubclass(value, _Record)}
+    assert found - {_Record} == set(FIELDS)
+
+
+def test_replace_and_make_run_the_constructor_checks() -> None:
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="^form is not invariant$"):
+        sl2()._replace(form=identity)
+    with pytest.raises(ValueError, match="^product table has wrong shape$"):
+        BilinearAlgebra._make((("a",), [[[1, 0]]], [[1]]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import sys
 import threading
 from fractions import Fraction as F
 from functools import lru_cache
-from math import factorial
+from math import factorial, floor
 
 import pytest
 
 from vertexlie import (
+    EVEN,
+    ODD,
     PRESETS,
     BoundInsufficientError,
     CutoffExceededError,
@@ -35,10 +37,12 @@ from vertexlie import (
     basis_element,
     bracket,
     central_reduction,
+    conformal_validate,
     defect_sweep,
     field_coefficient,
     graded_dimension,
     heisenberg,
+    injectivity_verdict,
     jacobi_window_verify,
     kappa,
     kappa_basis,
@@ -996,11 +1000,82 @@ def test_axiom_spotcheck_neveu_schwarz_at_cutoff_4_sees_the_super_sign() -> None
     assert report.ok and report.vacuous == (), report.failures[:5]
 
 
+def _n2() -> FormulaSpec:
+    """The N=2 superconformal table: L (2), J (1), G+ and G- (odd, 3/2), c (0).
+
+    a_n b is n! times the lambda^n coefficient of the lambda-brackets
+        [L_l L] = (D + 2l) L + (c/12) l^3,  [L_l J] = (D + l) J,
+        [L_l G] = (D + 3/2 l) G,  [J_l J] = (c/3) l,  [J_l G+-] = +-G+-,
+        [G+-_l G-+] = L +- (1/2 D J + l J) + (c/6) l^2,
+    and of their skew partners [J_l L] = l J, [G_l L] = (1/2 D + 3/2 l) G
+    and [G+-_l J] = -+G+-, for G either of G+ and G-.
+    """
+    half = F(1, 2)
+    constants = {
+        ("L", 0, "L"): {(1, "L"): 1}, ("L", 1, "L"): {(0, "L"): 2},
+        ("L", 3, "L"): {(0, "c"): half},
+        ("L", 0, "J"): {(1, "J"): 1}, ("L", 1, "J"): {(0, "J"): 1},
+        ("J", 1, "L"): {(0, "J"): 1}, ("J", 1, "J"): {(0, "c"): F(1, 3)},
+    }
+    for g, other, sign in (("G+", "G-", 1), ("G-", "G+", -1)):
+        constants.update({
+            ("L", 0, g): {(1, g): 1}, ("L", 1, g): {(0, g): F(3, 2)},
+            (g, 0, "L"): {(1, g): half}, (g, 1, "L"): {(0, g): F(3, 2)},
+            ("J", 0, g): {(0, g): sign}, (g, 0, "J"): {(0, g): -sign},
+            (g, 0, other): {(0, "L"): 1, (1, "J"): sign * half},
+            (g, 1, other): {(0, "J"): sign}, (g, 2, other): {(0, "c"): F(1, 3)},
+        })
+    basis = [("L", EVEN, 2), ("J", EVEN, 1), ("G+", ODD, F(3, 2)), ("G-", ODD, F(3, 2)),
+             ("c", EVEN, 0)]
+    return FormulaSpec(basis, constants, conformal=("L", "c"), name="n2")
+
+
+def test_n2_table_embeds_and_counts_its_character() -> None:
+    spec = _n2()
+    assert injectivity_verdict(spec).status == "injective_central_ideal"
+    assert conformal_validate(spec).ok
+    # prod_{n>=1} (1 + q^(n+1/2))^2 / ((1 - q^n)(1 - q^(n+1))): J, L and G+- modes
+    cutoff = F(5)
+    odd = [F(2 * n + 1, 2) for n in range(1, 5)] * 2
+    want = character_oracle([F(n) for n in range(1, 6)] + [F(n) for n in range(2, 6)], odd,
+                            cutoff)
+    dims = graded_dimension(spec, cutoff)
+    assert {w: d for w, d in dims.items() if d} == {w: d for w, d in want.items() if d}
+    assert [d for d in dims.values() if d] == [1, 1, 2, 3, 4, 6, 10, 15, 20, 28]
+
+
+def test_n2_table_skew_symmetry_sees_the_super_sign() -> None:
+    # a_n b = -eps sum_k (-1)^(n+k) D^k/k! b_{n+k} a on vectors with odd
+    # factors of two different generators; with the parity sign of _fc's
+    # second sum dropped (eps = 1) 15 of these comparisons fail, while
+    # axiom_spotcheck(spec, 2) still passes
+    spec = _n2()
+    gp, gm, j = (gen(spec, label, -1) for label in ("G+", "G-", "J"))
+    samples = [(act_word(spec, word), parity)
+               for word, parity in (([gp, gm], 0), ([gp], 1), ([gm], 1), ([j], 0))]
+    failures = []
+    for a, pa in samples:
+        for b, pb in samples:
+            eps = -1 if pa and pb else 1
+            top = floor(vector_weight(spec, a) + vector_weight(spec, b))
+            for n in range(3):
+                rhs = vacuum().scale(0)
+                for k in range(top - n):
+                    term = field_coefficient(spec, b, n + k, a, 12)
+                    for _ in range(k):
+                        term = apply_D_module(spec, term)
+                    rhs = rhs + term.scale(F(-eps * (-1) ** (n + k), factorial(k)))
+                if field_coefficient(spec, a, n, b, 12) != rhs:
+                    failures.append((a, n, b))
+    assert not failures, f"{len(failures)} comparisons fail: {failures[:3]}"
+
+
 # _act_into and _field_coefficient calls of axiom_spotcheck(affine-sl2, 1) on
-# a fresh spec, once each u_a w is shared by every pair that reads it and
-# each commutator-formula field by every (m, n) that reads it; before that
-# sharing they were 730 and 1 154.
-SPOTCHECK_CALLS = {"_act_into": 193, "_field_coefficient": 638}
+# a fresh spec, once each u_a w is shared by every pair that reads it, each
+# commutator-formula field by every (m, n) that reads it and each half-skew
+# field v_j u by every n + k = j; before that sharing they were 730 and
+# 1 154 (638 field calls with the half-skew fields alone unshared).
+SPOTCHECK_CALLS = {"_act_into": 193, "_field_coefficient": 629}
 
 
 def test_axiom_spotcheck_computes_each_mode_action_and_field_once(monkeypatch) -> None:
