@@ -82,23 +82,29 @@ class _Rendered(str):
     """JSON text already written for its place in the payload; _json copies it as is."""
 
 
+class _Escaped(dict):  # label -> its JSON string; an index, never a key, -> its digits
+    __missing__ = staticmethod(int.__repr__)
+
+
 def _defect_rows(spec: FormulaSpec, sweep: list) -> _Rendered:
     """The payload's "defects", as json.dumps(indent=2, sort_keys=True) writes them:
     one template a defect and one a term of its value (sorted by (d_power, basis
     index), coefficients in stored form), each label escaped once."""
-    row = ('{\n      "indices": [\n        %s\n      ],\n      "kind": %s,'
+    row = ('{\n      "indices": [\n        %s\n      ],\n      "kind": "%s",'
            '\n      "value": [\n        %s\n      ]\n    }')  # a defect's value is nonzero
-    term = '{\n          "coeff": "%s",\n          "d_power": %s,\n          "target": %s\n        }'
-    targets = [_json_str(label) for label in spec.labels]
-    escaped = dict(zip(spec.labels, targets))
-    rows = []
-    for d in sweep:
-        indices = ",\n        ".join([escaped[x] if x.__class__ is str else int.__repr__(x)
-                                      for x in d.indices])
-        value = ",\n        ".join([term % (str(c), int.__repr__(k), targets[bid])
-                                     for (k, bid), c in sorted(d.value._terms.items())])
-        rows.append(row % (indices, _json_str(d.kind), value))
+    term = '{\n          "coeff": "%s",\n          "d_power": %d,\n          "target": %s\n        }'
+    labels = spec.labels
+    targets = [_json_str(label) for label in labels]
+    escaped = _Escaped(zip(labels, targets)).__getitem__
+    rows = [row % (",\n        ".join(map(escaped, d.indices)), d.kind,  # kinds need no escape
+                   ",\n        ".join([term % (c, k, targets[bid])
+                                       for (k, bid), c in sorted(d.value._terms.items())]))
+            for d in sweep]
     return _Rendered("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]")
+
+
+_LEAVES = {str: _json_str, _Rendered: lambda text: text, int: int.__repr__,
+           bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -107,21 +113,19 @@ def _json(value, indent: str = "\n") -> str:
     indent is a newline and the indentation of the line value starts on.
     Only str, int, bool, None, list and str-keyed dict are written (exact
     types), and _Rendered text is copied; anything else raises TypeError.
+    Leaves are written by their _LEAVES entry; only a list or dict recurses.
     """
     kind = type(value)
-    if kind is str:
-        return _json_str(value)
-    if kind is _Rendered:
-        return value
-    if kind is int:
-        return int.__repr__(value)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
+    if (leaf := _LEAVES.get(kind)) is not None:
+        return leaf(value)
     inner = indent + "  "
     if kind is list:
-        items = [_json(item, inner) for item in value]
+        items = [leaf(item) if (leaf := _LEAVES.get(type(item))) else _json(item, inner)
+                 for item in value]
     elif kind is dict and set(map(type, value)) <= {str}:
-        items = [f"{_json_str(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        items = [_json_str(key) + ": " + (leaf(item) if (leaf := _LEAVES.get(type(item)))
+                                          else _json(item, inner))
+                 for key in sorted(value) for item in [value[key]]]
     else:
         raise TypeError(f"cannot write {value!r} as JSON")
     opening, closing = "[]" if kind is list else "{}"

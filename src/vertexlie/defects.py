@@ -38,7 +38,6 @@ from .formula import (
     _per_spec,
     _products,
     _scaled_rows,
-    basis_element,
     gen_binomial,
 )
 
@@ -86,62 +85,61 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     triple (u, v, w), each in index order; a table maps each sorted index,
     n or (m, n), to its nonzero defect.
 
-    One pass over the table rows builds them all.  A row entry v_n w enters
-    skew (v, w) at n, and as eps (-1)^n D^(n-i)/(n-i)! v_n w skew (w, v) at
-    every i <= n.  For each u, the left product u_m(v_n w) is expanded once:
-    it is the first term of (u, v, w) at (m, n), and times -eps the term
-    eps v_n(u_m w) of (v, u, w) at (n, m).  For a row entry u_i v and each w,
-    (u_i v)_total w enters (u, v, w) at (m, total + i - m) times -(m over i),
-    i <= m <= total + i.  The sums run over _scaled_rows, the table times L
-    in ints.  A commutator coefficient, bilinear in the constants, is exactly
-    L^2 times its value and is divided once, at the end.  Each skew part is
-    divided over its own L (n - i)! as it is added, so one large index makes
-    no common denominator that every skew coefficient must be reduced over.
+    One pass over the table rows adds each term straight into the defect cells
+    it enters.  A row entry v_n w enters skew (v, w) at n, and as eps (-1)^n
+    D^(n-i)/(n-i)! v_n w skew (w, v) at every i <= n.  A left product u_m(v_n w)
+    is the first term of (u, v, w) at (m, n), and times -eps the term eps
+    v_n(u_m w) of (v, u, w) at (n, m); (u_i v)_total w enters (u, v, w) at
+    (m, total + i - m) times -(m over i), i <= m <= total + i.  _products adds
+    them over _scaled_rows, the table times L in ints, and builds no product
+    first.  A commutator coefficient, bilinear in the constants, is exactly L^2
+    times its value and is divided once, at the end.  Each skew part is divided
+    over its own L (n - i)! as it is added, so one large index makes no common
+    denominator that every skew coefficient must be reduced over.
     """
     scale, rows = _scaled_rows(spec)
-    lefts, rights = {u for u, _ in rows}, {w for _, w in rows}  # the others give zero products
-    skews: dict = {}        # ((u, v), n) -> {(k, tid): stored-form rational}
-    commutators: dict = {}  # ((u, v, w), (m, n)) -> {(k, tid): int}
+    parity = [vec.parity for vec in spec.vectors]
+    skews: dict = {}        # (u, v, n) -> {(k, tid): stored-form rational}
+    commutators: dict = {}  # (u, v, w, m, n) -> {(k, tid): int}
+    skew, cell = skews.setdefault, commutators.setdefault
 
-    def add(acc: dict, at: tuple, terms, factor: int) -> None:
-        into = acc.setdefault(at, {})
-        for key, coeff in terms:
-            _accumulate(into, key, factor * coeff)
+    def left_cells(m: int, u: int, _t: int) -> tuple:  # of u_m(v_n w), at the loop's v, w, n
+        return ((cell((u, v, w, m, n), {}), 1),
+                (cell((v, u, w, n, m), {}), 1 if parity[u] and parity[v] else -1))  # -eps
 
-    def skew_part(at: tuple, terms: list, shift: int, sign: int, den: int) -> None:
-        into = skews.setdefault(at, {})
-        for (k, t), c in terms:
-            _accumulate(into, (k + shift, t), _over(sign * c, den))
+    def right_cells(total: int, _t: int, w: int) -> list:  # of (u_i v)_total w, at u, v, i
+        out, b = [], -1  # -(m over i), stepped along m: no binomial is recomputed
+        for m in range(i, total + i + 1):
+            out.append((cell((u, v, w, m, total + i - m), {}), b))
+            b = b * (m + 1) // (m + 1 - i)
+        return out
+    lefts = [((0, u), 1) for u in sorted({u for u, _ in rows})]  # the others give zero products
+    rights = [((0, w), 1) for w in sorted({w for _, w in rows})]
     for (v, w), row in rows.items():
-        koszul = spec.epsilon(w, v)
         for n, vw in row.items():
-            skew_part(((v, w), n), vw, 0, 1, scale)
-            den = scale
-            for i in range(n, -1, -1):  # den = L (n-i)!
-                skew_part(((w, v), i), vw, n - i, koszul * (-1) ** n, den)
-                den *= n - i + 1
-            for u in lefts:
-                eps = spec.epsilon(u, v)
-                for m, cell in _products(rows, [((0, u), 1)], vw).items():
-                    add(commutators, ((u, v, w), (m, n)), cell.items(), 1)
-                    add(commutators, ((v, u, w), (n, m)), cell.items(), -eps)
+            into = skew((v, w, n), {})
+            for key, c in vw:
+                _accumulate(into, key, _over(c, scale))
+            sign, den = (-1) ** n * (-1 if parity[v] and parity[w] else 1), scale
+            for j in range(n, -1, -1):  # den = L (n-j)!
+                into = skew((w, v, j), {})
+                for (k, t), c in vw:
+                    _accumulate(into, (k + n - j, t), _over(sign * c, den))
+                den *= n - j + 1
+            _products(rows, lefts, vw, left_cells)
     for (u, v), row in rows.items():
         for i, uv in row.items():
-            for w in rights:
-                for total, cell in _products(rows, uv, [((0, w), 1)]).items():
-                    b = 1  # (m over i), stepped along m: no binomial is recomputed
-                    for m in range(i, total + i + 1):
-                        add(commutators, ((u, v, w), (m, total + i - m)), cell.items(), -b)
-                        b = b * (m + 1) // (m + 1 - i)
+            _products(rows, uv, rights, right_cells)
 
-    def tables(acc: dict, den: int) -> dict:  # basis tuples in index order, each by index
-        out: dict = {}
-        for at, index in sorted(acc):
-            if cell := acc[at, index]:
-                out.setdefault(at, {})[index] = Element._of(
-                    {key: _over(c, den) for key, c in cell.items()} if den != 1 else cell)
-        return out
-    return tables(skews, 1), tables(commutators, scale * scale)
+    skew_tables: dict = {}  # basis tuples in index order, each by index
+    for (u, v, n), terms in sorted([item for item in skews.items() if item[1]]):
+        skew_tables.setdefault((u, v), {})[n] = Element._of(terms)  # keys differ: no terms compared
+    commutator_tables: dict = {}
+    den = scale * scale
+    for (u, v, w, m, n), terms in sorted([item for item in commutators.items() if item[1]]):
+        commutator_tables.setdefault((u, v, w), {})[m, n] = Element._of(
+            {key: _over(c, den) for key, c in terms.items()} if den != 1 else terms)
+    return skew_tables, commutator_tables
 
 
 def commutator_defect(spec: FormulaSpec, u: BasisRef, m: int, v: BasisRef,
@@ -332,10 +330,9 @@ def conformal_validate(spec: FormulaSpec) -> ConformalReport:
         raise FormulaError("no conformal pair designated")
     oid, cid = spec.conformal
     failures = []
-
-    want = {0: basis_element(oid, k=1), 1: basis_element(oid).scale(2),
-            3: basis_element(cid).scale(Fraction(1, 2))}
-    self_product = spec._row(oid, oid) == want
+    rows = [{n: value._terms for n, value in spec._row(oid, vid).items()}  # omega_n v, stored
+            for vid in range(spec.dim)]
+    self_product = rows[oid] == {0: {(1, oid): 1}, 1: {(0, oid): 2}, 3: {(0, cid): Fraction(1, 2)}}
     if not self_product:
         failures.append("self-product of the conformal vector is not "
                         "D.omega/z + 2 omega/z^2 + (1/2)c/z^4")
@@ -345,16 +342,15 @@ def conformal_validate(spec: FormulaSpec) -> ConformalReport:
         failures.append("designated central vector is not central")
 
     action = True
-    for v in spec.vectors:
-        row = spec._row(oid, v.index)
+    for v, weight in zip(spec.vectors, spec._weights):
+        terms = rows[v.index]
         if v.index == cid:
             # the central column is identically zero, so omega_0 c = 0;
             # Dc only matches that in the quotient where Dc = 0.
-            checks = 1 not in row and 2 not in row
+            checks = 1 not in terms and 2 not in terms
         else:
-            checks = (row.get(0, _ZERO_ELEMENT) == basis_element(v.index, k=1)
-                      and row.get(1, _ZERO_ELEMENT) == basis_element(v.index).scale(v.weight)
-                      and 2 not in row)
+            checks = (terms.get(0) == {(1, v.index): 1} and 2 not in terms
+                      and terms.get(1) == ({(0, v.index): weight} if weight else None))
         if not checks:
             action = False
             failures.append(f"field of the conformal vector acts wrongly on {v.label!r}")

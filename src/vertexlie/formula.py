@@ -166,7 +166,7 @@ class SparseVector:
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         data: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         for key, coeff in items:
             _accumulate(data, key, _rat(coeff))
         self._terms = data
@@ -340,7 +340,8 @@ class FormulaSpec:
     constants:
         mapping (u, n, v) -> {(k, target): coeff} giving the nonzero
         products u_n v; u, v, target are labels or indices, n and k are
-        nonnegative integers, coefficients are rationals.
+        nonnegative integers, coefficients are rationals.  One pass over it
+        gives the rows, n_max (1 + the largest n) and k_max (the largest k).
     central:
         optional label of a designated central basis vector c (one that
         annihilates and is annihilated by everything).
@@ -354,56 +355,49 @@ class FormulaSpec:
 
     def __init__(self, basis: Sequence, constants: Mapping, central: Optional[BasisRef] = None,
                  conformal: Optional[tuple] = None, name: Optional[str] = None):
-        vectors: list = []
+        weights: list = []  # in stored form (see SparseVector), read by the hot loops
         by_label: dict = {}
         for i, entry in enumerate(basis):
             label, parity = str(entry[0]), entry[1]
-            weight = entry[2] if len(entry) > 2 else None
+            weight = _rat(entry[2]) if len(entry) > 2 and entry[2] is not None else None
             if parity not in (EVEN, ODD):
                 raise _BasisEntryError(i, f"parity of {label!r} must be 0 or 1")
-            if weight is not None:
-                weight = rat(weight)
-                if weight < 0:
-                    raise _BasisEntryError(i, f"weight of {label!r} must be nonnegative")
+            if weight is not None and weight < 0:
+                raise _BasisEntryError(i, f"weight of {label!r} must be nonnegative")
             if label in by_label:
                 raise _BasisEntryError(i, f"basis label {label!r} given twice")
-            if vectors and (weight is None) != (vectors[0].weight is None):
+            if weights and (weight is None) != (weights[0] is None):
                 raise _BasisEntryError(i, "weights must be given for all basis vectors or none")
-            vectors.append(BasisVector(i, label, parity, weight))
-            by_label[label] = vectors[-1]
-        self.vectors: tuple = tuple(vectors)
-        # the weights in stored form (see SparseVector), read by the hot loops
-        self._weights: tuple = tuple(None if v.weight is None else _rat(v.weight)
-                                     for v in vectors)
+            by_label[label] = BasisVector(i, label, parity, None if weight is None else rat(weight))
+            weights.append(weight)
+        self.vectors: tuple = tuple(by_label.values())  # labels are distinct
+        self._weights: tuple = tuple(weights)
         # int PBW order keys (verma._order_key): L the lcm of the weight denominators
         # and L - L w per vector, both 0 when ungraded
-        weights = self._weights
         scale = 0 if None in weights else lcm(*(w.denominator for w in weights))
         self._order_scale: int = scale
         self._order_base: tuple = tuple(
             0 if w is None else scale - w.numerator * (scale // w.denominator) for w in weights)
         self._by_label = by_label
 
-        table: dict = {}
+        table: dict = {}  # one pass over the constants: (uid, n, vid) -> (u_n v, D-degree)
         for (u, n, v), value in constants.items():
             _check_index(n, "product index", "product index must be nonnegative")
-            uid = self._resolve(u).index
-            vid = self._resolve(v).index
-            if isinstance(value, Element):
-                elt = value
-            else:
-                elt = Element({(k, self._resolve(t).index): c for (k, t), c in value.items()})
-            if max(n, elt.d_degree) > sys.maxsize:
+            uid, vid = self._resolve(u).index, self._resolve(v).index
+            elt = value if isinstance(value, Element) else \
+                Element({(k, self._resolve(t).index): c for (k, t), c in value.items()})
+            degree = elt.d_degree
+            if n > sys.maxsize or degree > sys.maxsize:
                 raise ValueError("product index and D-power must be at most sys.maxsize")
             if elt:
-                table[(uid, n, vid)] = elt
+                table[uid, n, vid] = elt, degree
         # the one store of the table: (uid, vid) -> {n: u_n v}, n increasing
-        rows: dict = {}
-        for (uid, n, vid), elt in sorted(table.items()):
+        rows, n_max, k_max = {}, 0, 0
+        for uid, n, vid in sorted(table):
+            elt, degree = table[uid, n, vid]
             rows.setdefault((uid, vid), {})[n] = elt
-        self._rows = rows
-        self.n_max: int = 1 + max((n for (_, n, _) in table), default=-1)
-        self.k_max: int = max((e.d_degree for e in table.values()), default=0)
+            n_max, k_max = max(n_max, n + 1), max(k_max, degree)
+        self._rows, self.n_max, self.k_max = rows, n_max, k_max
 
         self.central: Optional[int] = self._resolve(central).index if central is not None else None
         if conformal is not None:
@@ -439,7 +433,7 @@ class FormulaSpec:
 
     @property
     def labels(self) -> tuple:
-        return tuple(v.label for v in self.vectors)
+        return tuple(self._by_label)  # in basis order
 
     @property
     def dim(self) -> int:
@@ -564,26 +558,29 @@ def _scaled_rows(spec: FormulaSpec) -> tuple:
                    for pair, row in spec._rows.items()}
 
 
-def _products(rows: dict, A: list, B: list) -> dict:
-    """L A_n B for every n, as {n: {(k, tid): int}} (a cell may be empty), for int
-    term lists A, B [((D-power, bid), coeff), ...] over the rows of _scaled_rows.
-
-    The table product u_j v enters (D^a u)_n (D^b v) at n = a + i + j,
-    0 <= i <= b, with factor (-1)^a (b over i) (n)_(a+i) and D-shift
+def _products(rows: dict, A: list, B: list, cells) -> None:
+    """Add L A_n B, for every n, straight into the cells it enters, for int term lists
+    A, B [((D-power, bid), coeff), ...] over the rows of _scaled_rows: cells(n, x, y)
+    gives the (acc, factor) pairs that the part from a term of A on basis vector x
+    and one of B on y enters, and each of its terms is accumulated into every acc
+    times that factor.  The table product x_j y enters (D^a x)_n (D^b y) at
+    n = a + i + j, 0 <= i <= b, with factor (-1)^a (b over i) (n)_(a+i) and D-shift
     b - i; the falling factorial is never zero there.
     """
-    out: dict = {}
-    for (a, uid), ca in A:
-        for (b, vid), cb in B:
-            scale = (-1) ** a * ca * cb
-            for j, base in rows.get((uid, vid), _EMPTY_ROW).items():
+    for (a, x), ca in A:
+        for (b, y), cb in B:
+            if (row := rows.get((x, y))) is None:
+                continue
+            scale = -ca * cb if a & 1 else ca * cb
+            for j, base in row.items():
                 for i in range(b + 1):
                     n, shift = a + i + j, b - i
-                    factor = scale * comb(b, i) * falling(n, a + i)
-                    acc = out.setdefault(n, {})
+                    factor = scale * comb(b, i) * falling(n, a + i) if a + i else scale
+                    targets = cells(n, x, y)
                     for (k, tid), ct in base:
-                        _accumulate(acc, (k + shift, tid), factor * ct)
-    return out
+                        key, term = (k + shift, tid), factor * ct
+                        for acc, f in targets:
+                            _accumulate(acc, key, f * term)
 
 
 def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:
@@ -596,7 +593,8 @@ def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element
     _check_index(n, "product index", "product index must be nonnegative")
     scale, rows = _scaled_rows(spec)
     (dA, a), (dB, b) = _numerators(A), _numerators(B)
-    cell = _products(rows, a, b).get(n, {})
+    cell: dict = {}
+    _products(rows, a, b, lambda j, x, y: ((cell, 1),) if j == n else ())
     return Element._of({key: _over(c, scale * dA * dB) for key, c in cell.items()})
 
 

@@ -19,6 +19,7 @@ that would not read back is refused before anything is written.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Union
@@ -26,6 +27,7 @@ from typing import List, Optional, Union
 from .formula import EVEN, ODD, FormulaError, FormulaSpec, _BasisEntryError, _accumulate, _rat
 
 _PARITY_NAMES = {"even": EVEN, "odd": ODD}
+_INDEX = re.compile(r"[+-]?[0-9]+")  # int() would also read "1_0" and non-ASCII digits
 _SECTIONS = ("meta", "basis", "central", "conformal", "constants")
 
 
@@ -46,11 +48,10 @@ def _rat_or_fail(token: str, line: int) -> Union[int, Fraction]:
 
 
 def _index_or_fail(token: str, what: str, line: int) -> int:
-    """The index token as an int in 0..sys.maxsize, or the line's parse error."""
-    try:
-        value = int(token)
-    except ValueError:
-        raise FormulaFileError(line, f"bad {what} {token!r}") from None
+    """The index token (ASCII digits, optional sign) as an int in 0..sys.maxsize, or an error."""
+    if not _INDEX.fullmatch(token):
+        raise FormulaFileError(line, f"bad {what} {token!r}")
+    value = int(token)
     if not 0 <= value <= sys.maxsize:
         bound = "nonnegative" if value < 0 else "at most sys.maxsize"
         raise FormulaFileError(line, f"{what} must be {bound}")
@@ -68,7 +69,7 @@ def parse_formula(text: str) -> FormulaSpec:
     conformal_parts: dict = {}
     conformal_line = 0  # line of the [conformal] header
     section: Optional[str] = None
-    references: List[tuple] = []  # (line, label) of every basis name used
+    references: dict = {}  # every basis name used -> the first line using it
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -106,7 +107,7 @@ def parse_formula(text: str) -> FormulaSpec:
             if len(line.split()) != 1:
                 raise FormulaFileError(lineno, "the central line names one basis vector")
             central, central_line = line, lineno
-            references.append((lineno, central))
+            references.setdefault(central, lineno)
         elif section == "conformal":
             if "=" not in line:
                 raise FormulaFileError(lineno, "conformal lines look like 'omega = LABEL'")
@@ -116,33 +117,33 @@ def parse_formula(text: str) -> FormulaSpec:
             if key in conformal_parts:
                 raise FormulaFileError(lineno, f"conformal key {key!r} given twice")
             conformal_parts[key] = value
-            references.append((lineno, value))
+            references.setdefault(value, lineno)
         else:  # constants
-            if ":" not in line:
+            head, colon, tail = line.partition(":")
+            if not colon:
                 raise FormulaFileError(lineno, "product lines look like 'U N V : K TARGET COEFF, ...'")
-            head, tail = line.split(":", 1)
             head_parts = head.split()
             if len(head_parts) != 3:
                 raise FormulaFileError(lineno, "product head must be 'U N V'")
             u, n_token, v = head_parts
-            references += [(lineno, u), (lineno, v)]
+            references.setdefault(u, lineno)
+            references.setdefault(v, lineno)
             n = _index_or_fail(n_token, "product index", lineno)
             terms: dict = {}
             for chunk in tail.split(","):
                 parts = chunk.split()
                 if len(parts) != 3:
                     raise FormulaFileError(lineno, "each term is 'K TARGET COEFF'")
-                k = _index_or_fail(parts[0], "D-power", lineno)
-                coeff = _rat_or_fail(parts[2], lineno)
-                key = (k, parts[1])
-                references.append((lineno, parts[1]))
-                _accumulate(terms, key, coeff)
+                k_token, target, c_token = parts
+                references.setdefault(target, lineno)
+                _accumulate(terms, (_index_or_fail(k_token, "D-power", lineno), target),
+                            _rat_or_fail(c_token, lineno))
             if (u, n, v) in constants:
                 raise FormulaFileError(lineno, f"product ({u},{n},{v}) given twice")
             constants[(u, n, v)] = terms
 
     labels = {label for (label, _p, _w) in basis}
-    for lineno, label in references:
+    for label, lineno in references.items():  # in order of first use
         if label not in labels:
             raise FormulaFileError(lineno, f"unknown basis name {label!r}")
     entries = [(l, p) if w is None else (l, p, w) for (l, p, w) in basis]

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import comb, factorial, perm
+from types import MappingProxyType
 
 import pytest
 
@@ -39,6 +40,7 @@ from vertexlie import (
     virasoro,
 )
 from vertexlie.defects import COMMUTATOR, SKEW, _defect_tables, _defects
+from vertexlie.formula_io import export_formula, parse_formula
 from vertexlie.presets import PRESETS
 from vertexlie.linalg import RowSpace
 from test_presets import _gl_n
@@ -580,6 +582,64 @@ def test_scaled_tables_match_the_references() -> None:
                 assert got == _reference_product(spec, A, n, B), (spec, A, n, B)
                 _assert_stored_nonzero_fractions(got)
     assert raised  # the corpus reaches the boundary rule
+
+
+# _accumulate calls of one _defect_tables pass on a fresh preset: every left
+# product u_m(v_n w) and every (u_i v)_total w is added term by term straight into
+# the defect cells it enters.  Building each product as a cell first and copying
+# it into its cells took 61, 261 and 126 calls.
+DEFECT_TABLE_ACCUMULATES = {"virasoro": 48, "neveu-schwarz": 194, "affine-sl2": 90}
+
+
+def test_defect_tables_add_each_product_term_into_its_cells(monkeypatch) -> None:
+    import vertexlie.defects as defects_module
+    import vertexlie.formula as formula_module
+
+    calls = []
+    real = formula_module._accumulate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (formula_module, defects_module):
+        monkeypatch.setattr(module, "_accumulate", counted)
+    for name, count in DEFECT_TABLE_ACCUMULATES.items():
+        calls.clear()
+        _defect_tables(preset(name))
+        assert len(calls) == count, name
+
+
+def test_exported_tables_read_back_with_their_rows_and_bounds() -> None:
+    # FormulaSpec builds its rows, n_max and k_max in one pass over the constants
+    specs = [preset(name) for name in sorted(PRESETS)]
+    specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
+    specs += _random_tables(random.Random(21)) + _graded_random_tables(random.Random(22))
+    specs.append(affine(_gl_n(3)))
+    for spec in specs:
+        back = parse_formula(export_formula(spec))
+        assert back == spec
+        entries = list(back.constant_entries())
+        assert entries == list(spec.constant_entries())
+        for (uid, n, vid), value in entries:
+            _assert_stored_nonzero_fractions(value)
+            assert back._row(uid, vid)[n] is value
+        assert back.n_max == spec.n_max == 1 + max((n for (_, n, _), _ in entries), default=-1)
+        assert back.k_max == spec.k_max == max((v.d_degree for _, v in entries), default=0)
+
+
+def test_constructors_take_any_mapping_or_pairs() -> None:
+    terms = {(1, 0): F(2, 4), (0, 1): 3, (2, 1): F(4, 2), (3, 0): 0}
+    want = Element(terms)
+    assert want._terms == {(1, 0): F(1, 2), (0, 1): 3, (2, 1): 2}
+    _assert_stored_nonzero_fractions(want)
+    for other in (MappingProxyType(terms), list(terms.items()), iter(terms.items())):
+        assert Element(other) == want
+    constants = {("a", 0, "b"): {(1, "b"): F(1, 2)}, ("b", 2, "a"): {(0, "a"): "3/3"}}
+    spec = FormulaSpec([("a", 0), ("b", 0)], constants)
+    proxied = MappingProxyType({key: MappingProxyType(value) for key, value in constants.items()})
+    assert FormulaSpec([("a", 0), ("b", 0)], proxied) == spec
+    assert (spec.n_max, spec.k_max) == (3, 1)
 
 
 def test_verdict_memo_holds_one_table_per_derivation() -> None:

@@ -718,10 +718,14 @@ def test_cli_check_file_not_utf8(tmp_path, capsys) -> None:
      "line 4: product index must be at most sys.maxsize"),
     ("[basis]\na even\n[constants]\na 0 a : 99999999999999999999 a 1\n",
      "line 4: D-power must be at most sys.maxsize"),
+    # an index is ASCII digits with an optional sign, as a coefficient is
+    ("[basis]\na even\n[constants]\na 1_0 a : 0 a 1\n", "line 4: bad product index '1_0'"),
+    ("[basis]\na even\n[constants]\na 0 a : \u0663 a 1\n", "line 4: bad D-power '\u0663'"),
+    ("[basis]\na even\n[constants]\na \uff10 a : 0 a 1\n", "line 4: bad product index '\uff10'"),
 ])
 def test_cli_check_file_line_diagnostics(text: str, message: str, tmp_path, capsys) -> None:
     path = tmp_path / "formula.vla"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
