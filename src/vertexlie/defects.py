@@ -95,9 +95,12 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     first.  A commutator coefficient, bilinear in the constants, is exactly L^2
     times its value and is divided once, at the end.  Each skew part is divided
     over its own L (n - i)! as it is added, so one large index makes no common
-    denominator that every skew coefficient must be reduced over.
+    denominator that every skew coefficient must be reduced over; the parts at
+    i = n, the entry and its signed copy, are the spec's stored constants.
     """
     scale, rows = _scaled_rows(spec)
+    if not rows:
+        return {}, {}
     parity = [vec.parity for vec in spec.vectors]
     skews: dict = {}        # (u, v, n) -> {(k, tid): stored-form rational}
     commutators: dict = {}  # (u, v, w, m, n) -> {(k, tid): int}
@@ -116,16 +119,21 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     lefts = [((0, u), 1) for u in sorted({u for u, _ in rows})]  # the others give zero products
     rights = [((0, w), 1) for w in sorted({w for _, w in rows})]
     for (v, w), row in rows.items():
+        stored = spec._row(v, w)
         for n, vw in row.items():
+            own = stored[n]._terms.items()  # j = n: the constant itself
             into = skew((v, w, n), {})
-            for key, c in vw:
-                _accumulate(into, key, _over(c, scale))
+            for key, c in own:
+                _accumulate(into, key, c)
             sign, den = (-1) ** n * (-1 if parity[v] and parity[w] else 1), scale
-            for j in range(n, -1, -1):  # den = L (n-j)!
+            into = skew((w, v, n), {})
+            for key, c in own:
+                _accumulate(into, key, c if sign > 0 else -c)
+            for j in range(n - 1, -1, -1):
+                den *= n - j  # L (n-j)!
                 into = skew((w, v, j), {})
                 for (k, t), c in vw:
                     _accumulate(into, (k + n - j, t), _over(sign * c, den))
-                den *= n - j + 1
             _products(rows, lefts, vw, left_cells)
     for (u, v), row in rows.items():
         for i, uv in row.items():

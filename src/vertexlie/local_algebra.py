@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .defects import _defect_tables, central_check, central_reduction, membership_central
+from .defects import _defect_tables, central_reduction, membership_central
 from .formula import (
     BasisRef,
     Element,
@@ -94,13 +94,10 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
 def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
     """L [x, y] as ((LieGenerator, int), ...), L the scale of _scaled_rows:
     sum_i (m over i) reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n,
-    over the scaled rows."""
-    row = _scaled_rows(spec)[1].get((x.bid, y.bid))
-    if row is None:
-        return ()
+    over the scaled row of (u, v), which its callers have checked is there."""
     cid = central_reduction(spec)
     acc: dict = {}
-    for i, terms in row.items():
+    for i, terms in _scaled_rows(spec)[1][x.bid, y.bid].items():
         if b := gen_binomial(x.n, i):
             _reduce_into(acc, terms, x.n + y.n - i, b, cid)
     return tuple(acc.items())
@@ -111,23 +108,30 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
 
     With dx, dy the lcm of the coefficient denominators of x and y, write
     x = X/dx and y = Y/dy for elements X, Y with integer coefficients;
-    then [x, y] = [X, Y]/(dx dy).  Each generator pair's L [gx, gy] is read as
-    int terms from the one per-spec table of _pair_terms, which verma._mul_gen
-    reads too, so the sum of cx cy L [gx, gy] is all ints, and each
-    coefficient is divided by L dx dy once.
+    then [x, y] = [X, Y]/(dx dy).  Y's terms are grouped by basis vector, and
+    only a basis pair with a table row is read: each of its generator pairs'
+    L [gx, gy] is int terms from the one per-spec table of _pair_terms, which
+    verma._mul_gen reads under the same test, so the sum of cx cy L [gx, gy]
+    is all ints, and each coefficient is divided by L dx dy once.
     """
     (dx, xs), (dy, ys) = _numerators(x), _numerators(y)
+    scale, rows = _scaled_rows(spec)
     table = spec._memo.setdefault(_pair_terms, {})
+    by_vector: dict = {}  # y's terms by basis vector
+    for gy, cy in ys:
+        by_vector.setdefault(gy.bid, []).append((gy, cy))
     acc: dict = {}
     for gx, cx in xs:
-        for gy, cy in ys:
-            terms = table.get((gx, gy))
-            if terms is None:
-                terms = table[gx, gy] = _pair_terms(spec, gx, gy)
-            factor = cx * cy
-            for g, c in terms:
-                _accumulate(acc, g, factor * c)
-    d = _scaled_rows(spec)[0] * dx * dy
+        for v, yv in by_vector.items():
+            if (gx.bid, v) in rows:
+                for gy, cy in yv:
+                    terms = table.get((gx, gy))
+                    if terms is None:
+                        terms = table[gx, gy] = _pair_terms(spec, gx, gy)
+                    factor = cx * cy
+                    for g, c in terms:
+                        _accumulate(acc, g, factor * c)
+    d = scale * dx * dy
     return LieElement._of({g: _over(c, d) for g, c in acc.items()} if d != 1 else acc)
 
 
@@ -148,6 +152,22 @@ class LawViolation(_Record, namedtuple("LawViolation", "law generators discrepan
 
     def __str__(self) -> str:
         return f"{self.law} fails at {self.generators}"
+
+
+def _live_laws(spec: FormulaSpec, cid: Optional[int]) -> tuple:
+    """({u: [(v, skew entries)]}, {u: {v: [(w, commutator entries)]}}) in basis
+    order: the live entries of the defect tables, those not made only of D^k c
+    (c = cid, k >= 1); a basis pair or triple with none is left out."""
+    skews, triples = {}, {}
+    for tables in _defect_tables(spec):  # each in basis tuple order
+        for (u, v, *w), table in tables.items():
+            if live := [(key, A) for key, A in table.items()
+                        if cid is None or not membership_central(spec, A, cid)]:
+                if w:
+                    triples.setdefault(u, {}).setdefault(v, []).append((w[0], live))
+                else:
+                    skews.setdefault(u, []).append((v, live))
+    return skews, triples
 
 
 def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
@@ -177,9 +197,9 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
 
     An entry made only of D^k c, k >= 1, c = central_reduction, is zero at
     every mode: (D^k c)_q is a multiple of c_{q-k}, alive only at q = k - 1,
-    where (k-1)_k = 0.  It is dropped, so a clean preset sums nothing; inert
-    vectors (central_check) have empty tables.  Each law sums its reduce
-    terms into one accumulator through _reduce_into.
+    where (k-1)_k = 0.  It is dropped (_live_laws), and only the basis pairs
+    with a live entry are looped over, so a clean preset visits no generator
+    at any window.  Each law sums its reduce terms through _reduce_into.
 
     The derivation law D[x, y] = [Dx, y] + [x, Dy] holds for every table,
     a broken one included, so it is proved here rather than summed.  For
@@ -193,19 +213,9 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     """
     _check_index(window, "window", "window must be nonnegative")
     cid = central_reduction(spec)
-    ids = [bid for bid in range(spec.dim) if not central_check(spec, bid)]
+    skews, triples = spec._memo.get(_live_laws) or \
+        spec._memo.setdefault(_live_laws, _live_laws(spec, cid))
     modes = range(-window, window + 1)
-    gens = [LieGenerator(bid, n) for bid in ids for n in modes]
-
-    def live(table: dict) -> list:  # the entries the quotient does not kill
-        return [(key, A) for key, A in table.items()
-                if cid is None or not membership_central(spec, A, cid)]
-
-    skew_tables, tables = _defect_tables(spec)
-    skews = {(u, v): live(skew_tables.get((u, v), {})) for u, v in product(ids, repeat=2)}
-    # (u, v) -> every (w, live entries) with live entries, w in basis order
-    triples = {(u, v): [(w, t) for w in ids if (t := live(tables.get((u, v, w), {})))]
-               for u, v in product(ids, repeat=2)}
 
     def image(terms: list, q: int) -> LieElement:  # sum coeff reduce(A)_{q-shift}
         acc: dict = {}
@@ -213,16 +223,21 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
             _reduce_into(acc, A._terms.items(), q - shift, coeff, cid)
         return LieElement._of(acc)
 
-    violations = []
-    for x, y in product(gens, repeat=2):
-        terms = [(c, A, i) for i, A in skews[x.bid, y.bid] if (c := gen_binomial(x.n, i))]
-        if terms and (law := image(terms, x.n + y.n)):
-            violations.append(LawViolation("skew", (x, y), law))
-    for x, y in product(gens, repeat=2):
-        for w, table in triples[x.bid, y.bid]:
-            terms = [(c, A, i + j) for (i, j), A in table
-                     if (c := gen_binomial(x.n, i) * gen_binomial(y.n, j))]
-            for p in modes if terms else ():
-                if law := image(terms, x.n + y.n + p):
-                    violations.append(LawViolation("jacobi", (x, y, LieGenerator(w, p)), law))
+    violations = []  # x = u_m in generator order, then v in basis order, then n
+    for (u, pairs), m in product(skews.items(), modes):
+        for v, table in pairs:
+            terms = [(c, A, i) for i, A in table if (c := gen_binomial(m, i))]
+            for n in modes if terms else ():
+                if law := image(terms, m + n):
+                    violations.append(LawViolation(
+                        "skew", (LieGenerator(u, m), LieGenerator(v, n)), law))
+    for (u, by_v), m in product(triples.items(), modes):
+        for (v, by_w), n in product(by_v.items(), modes):
+            for w, table in by_w:
+                terms = [(c, A, i + j) for (i, j), A in table
+                         if (c := gen_binomial(m, i) * gen_binomial(n, j))]
+                for p in modes if terms else ():
+                    if law := image(terms, m + n + p):
+                        violations.append(LawViolation("jacobi", (
+                            LieGenerator(u, m), LieGenerator(v, n), LieGenerator(w, p)), law))
     return violations

@@ -157,8 +157,9 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
     swap g head rest = eps head (g rest) + [g, head] rest, or an odd square
     g g rest = (1/2)[g, g] rest, built on a miss through calls back into this
     function, one frame per factor.  [g, head] is the int terms of L [g, head]
-    from local_algebra._pair_terms, each divided once by L (2 L for the odd
-    square).  g goes before head when its _order_key is smaller, compared
+    from local_algebra._pair_terms, made and kept, as bracket keeps it, only
+    when the basis pair has a table row, each divided once by L (2 L for the
+    odd square).  g goes before head when its _order_key is smaller, compared
     inline: the ints L (n + 1 - w), which order as n + 1 - w since L > 0,
     then (bid, n), which is g < head.
     """
@@ -193,7 +194,7 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
                 _mul_gen(spec, store, head, x, eps * c)
         pairs = memo.setdefault(_pair_terms, {})
         bracket = pairs.get((g, head))
-        if bracket is None:
+        if bracket is None and spec._row(g.bid, head.bid):  # only a pair with a row is kept
             bracket = pairs[g, head] = _pair_terms(spec, g, head)
         if bracket:
             d = _scaled_rows(spec)[0] * (2 if square else 1)

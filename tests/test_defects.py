@@ -667,7 +667,8 @@ def test_verdict_memo_holds_one_table_per_derivation() -> None:
 @pytest.mark.parametrize("name", ["gl3", "virasoro"])
 def test_every_defect_query_reads_the_one_store(name: str) -> None:
     # skew_defect on every pair, two sweeps and the window laws add no
-    # per-pair, per-triple or per-bound entry: one entry per derivation
+    # per-pair, per-triple or per-bound entry: one entry per derivation, the
+    # window laws' being the pair (skew, commutator) of live-entry tables
     spec = affine(_gl_n(3)) if name == "gl3" else virasoro()
     for u, v in itertools.product(range(spec.dim), repeat=2):
         for n in range(spec.n_max + 1):
@@ -678,7 +679,7 @@ def test_every_defect_query_reads_the_one_store(name: str) -> None:
     jacobi_window_verify(spec, 1)
     sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
     assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_defects": 1,
-                     "injectivity_verdict": 1, "central_reduction": 1}
+                     "injectivity_verdict": 1, "central_reduction": 1, "_live_laws": 2}
 
 
 # ---------------------------------------------------------------------------

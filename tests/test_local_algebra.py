@@ -328,7 +328,8 @@ def test_bracket_raises_where_the_reference_raises() -> None:
 
 def test_bracket_reduces_no_mode_and_keeps_one_entry_per_pair(monkeypatch) -> None:
     # a machine-independent work count: bracket queries read int pair terms
-    # from one per-spec table, made once per distinct generator pair
+    # from one per-spec table, made once per distinct generator pair whose
+    # basis pair has a table row; the other pairs have no entry
     from vertexlie import local_algebra
 
     spec = preset("virasoro")
@@ -339,10 +340,12 @@ def test_bracket_reduces_no_mode_and_keeps_one_entry_per_pair(monkeypatch) -> No
         x, y = (LieElement({LieGenerator(rng.randrange(spec.dim), rng.randint(-6, 6)): F(1, 3)
                             for _ in range(3)}) for _ in "xy")
         bracket(spec, x, y)
-        pairs.update((gx, gy) for gx in x._terms for gy in y._terms)
+        pairs.update((gx, gy) for gx in x._terms for gy in y._terms
+                     if spec._row(gx.bid, gy.bid))
     assert calls == {"reduce_generator": 0}
     sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
     assert sizes["_pair_terms"] == len(pairs) and "_pair_bracket" not in sizes
+    assert set(spec._memo[local_algebra._pair_terms]) == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +592,18 @@ def test_window_verify_reads_no_mode_bracket(monkeypatch) -> None:
 @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"novikov-flipped"}))
 def test_window_verify_reduces_nothing_on_a_clean_preset(name: str, monkeypatch) -> None:
     # every table entry of a clean preset is a D^k c that the quotient kills
-    # at every mode, so the laws hold with no mode reduced
+    # at every mode, so the laws hold with no mode reduced; the laws loop over
+    # the basis pairs with a live entry only, so no generator is made and no
+    # binomial taken, and a window of any size costs the same
     from vertexlie import local_algebra
 
-    calls = _count_calls(monkeypatch, local_algebra, "reduce_generator", "_reduce_into")
-    assert jacobi_window_verify(preset(name), 6) == []
-    assert calls == {"reduce_generator": 0, "_reduce_into": 0}
+    spec = preset(name)
+    calls = _count_calls(monkeypatch, local_algebra, "reduce_generator", "_reduce_into",
+                         "LieGenerator", "gen_binomial")
+    assert jacobi_window_verify(spec, 1000) == []
+    assert calls == {"reduce_generator": 0, "_reduce_into": 0, "LieGenerator": 0,
+                     "gen_binomial": 0}
+    assert spec._memo[local_algebra._live_laws] == ({}, {})
 
 
 def test_check_window_ends_in_the_sweep_error_on_an_undetermined_table(

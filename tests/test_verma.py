@@ -470,6 +470,16 @@ def test_bracket_and_normal_ordering_share_one_pair_table() -> None:
     fresh = (gen(spec, "omega", 5), gen(spec, "omega", -4))
     bracket(spec, LieElement({fresh[0]: 1}), LieElement({fresh[1]: 1}))
     assert list(table) == list(made) + [fresh] and list(_pair_tables(spec)) == ["_pair_terms"]
+    # both readers store a generator pair only when its basis pair has a row:
+    # e_1 e_-1 swaps with no bracket, e_1 f_-2 brings in [e_1, f_-2]
+    spec = preset("affine-sl2")
+    act_word(spec, [gen(spec, "e", 1), gen(spec, "e", -1), gen(spec, "f", -2)])
+    bracket(spec, LieElement({gen(spec, "h", 2): 1}), LieElement({gen(spec, "h", -3): 1,
+                                                                  gen(spec, "c", -1): 1}))
+    table = _pair_tables(spec)["_pair_terms"]
+    assert (gen(spec, "e", 1), gen(spec, "f", -2)) in table
+    assert (gen(spec, "e", 1), gen(spec, "e", -1)) not in table
+    assert all(spec._row(gx.bid, gy.bid) for gx, gy in table)
 
 
 def test_normal_ordering_confluence() -> None:
