@@ -12,24 +12,26 @@ once; so a ValueError while building it is the interpreter's limit on the
 digits of an int written as text, and refuses the command (exit 1) with
 nothing written.
 
-Each subcommand imports only the modules it needs: the mode algebra
-(local_algebra) is loaded by bracket, verma and check --window, and the
-vacuum module (verma) by verma alone.
+Parsing is table-driven: _parse reads argv in one walk against _COMMANDS
+and _ARGS.  Each subcommand imports only the modules it needs: the mode
+algebra (local_algebra) is loaded by bracket, verma and check --window, and
+the vacuum module (verma) by verma alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
-from functools import lru_cache
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from . import defects as defects_mod
 from .defects import conformal_validate, defect_sweep, injectivity_verdict
 from .formula import FormulaError, FormulaSpec, format_element, rat, validate_spec
-from .formula_io import FormulaFileError, export_formula, load_formula, save_formula
+from .formula_io import _INDEX, FormulaFileError, export_formula, load_formula, save_formula
 from .presets import PRESETS, preset
 
 EXIT_OK = 0
@@ -158,16 +160,20 @@ def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[s
     sys.stdout.write(out)
 
 
+def _mode(token: str, where: str = "") -> int:
+    """A mode token by the formula reader's index rule: ASCII digits, optional sign."""
+    if not _INDEX.fullmatch(token):
+        raise CliError(f"bad mode {token!r}{where}")
+    return int(token)
+
+
 def _parse_generator(spec: FormulaSpec, token: str):
     from .local_algebra import LieGenerator
 
     label, _, mode = token.rpartition("_")
     if not label:
         raise CliError(f"bad generator token {token!r} (expected LABEL_MODE)")
-    try:
-        n = int(mode)
-    except ValueError:
-        raise CliError(f"bad mode {mode!r} in {token!r}") from None
+    n = _mode(mode, f" in {token!r}")
     try:
         return LieGenerator(spec.bid(label), n)
     except KeyError as exc:
@@ -304,12 +310,9 @@ def cmd_verma(args) -> int:
             return EXIT_OK
         if args.act is not None:
             out = act_word(spec, _parse_word(spec, args.act))
-        else:  # --field; argparse requires one of --dims, --act, --field
+        else:  # --field; _parse requires one of --dims, --act, --field
             a_word, n_token, b_word = args.field
-            try:
-                n = int(n_token)
-            except ValueError:
-                raise CliError(f"bad mode {n_token!r}") from None
+            n = _mode(n_token)
             a = act_word(spec, _parse_word(spec, a_word))
             b = act_word(spec, _parse_word(spec, b_word))
             out = field_coefficient(spec, a, n, b, cutoff)
@@ -338,67 +341,123 @@ def cmd_export_preset(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("path", nargs="?", help="formula file")
-    sub.add_argument("--preset", choices=sorted(PRESETS),
-                     help="use a built-in formula instead of a file")
-    sub.add_argument("--json", action="store_true",
-                     help="machine-readable output")
+# Every argument: name -> (how its value is read, metavar, help line).  None reads no
+# value (a switch, True when given), str takes the token as it stands, int ASCII digits
+# with an optional sign (formula_io's index rule), a tuple one of its names, and a list
+# one token for each of its entries.
+_ARGS = {
+    "path": (str, "", "formula file"), "name": (tuple(sorted(PRESETS)), "", "the preset"),
+    "u": (str, "", ""), "n": (int, "", ""), "v": (str, "", ""), "p": (int, "", ""),
+    "--help": (None, "", "show this help message and exit (also -h)"),
+    "--preset": (tuple(sorted(PRESETS)), "NAME", "use a built-in formula instead of a file"),
+    "--json": (None, "", "machine-readable output"),
+    "--bound": (int, "BOUND", "defect sweep bound (default derived)"),
+    "--window": (int, "WINDOW", "also verify the mode-algebra laws on this window"),
+    "--all": (None, "", "print every defect"),
+    "--cutoff": (str, "CUTOFF", "weight cutoff (rational)"),
+    "--level": (str, "LEVEL", "specialize the central mode to this rational"),
+    "--dims": (None, "", "graded dimensions"),
+    "--act": (str, "WORD", "apply modes (rightmost first) to the vacuum, e.g. 'omega_3 omega_-1'"),
+    "--field": ([str] * 3, "A N B", "field coefficient A_N B; A and B are mode words "
+                                    "applied to the vacuum ('1' = vacuum)"),
+    "--output": (str, "OUTPUT", "output file (default stdout; also -o)"),
+}
+_SHORT = {"-h": "--help", "-o": "--output"}
+# subcommand -> (handler, help line, its arguments in usage notation): [path] may be
+# left out, and each bare flag or --a|--b group must be given exactly once
+_COMMANDS = {
+    "check": (cmd_check, "validate, sweep defects, print the verdict",
+              "[path] [--preset] [--json] [--bound] [--window] [--all]"),
+    "defect": (cmd_defect, "print the nonzero defects",
+               "[path] [--preset] [--json] [--bound] [--all]"),
+    "bracket": (cmd_bracket, "bracket of two modes, e.g. omega 3 omega -1",
+                "[path] u n v p [--preset] [--json]"),
+    "verma": (cmd_verma, "vacuum-module computations",
+              "[path] [--preset] [--json] --cutoff [--level] --dims|--act|--field"),
+    "export-preset": (cmd_export_preset, "write a preset as a formula file", "name [--output]"),
+}
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every main call."""
-    parser = argparse.ArgumentParser(
-        prog="vertexlie",
-        description="Exact verification of singular operator-product formulas "
-                    "and the algebras they generate.")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _exit(command: str, error: Optional[str] = None):
+    """Print the help of vertexlie (command "") or of command and exit 0; given an
+    error, write the usage line and the error to stderr instead and exit 2."""
+    prog, usage = f"vertexlie {command}".strip(), "{%s} ..." % ",".join(_COMMANDS)
+    rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
+    if command:
+        usage = _COMMANDS[command][2]
+        rows = [(f"{name} {meta}".rstrip(),
+                 text + (f" (one of: {', '.join(how)})" if type(how) is tuple else ""))
+                for name in ["--help"] + re.findall(r"[\w-]+", usage)
+                for how, meta, text in [_ARGS[name]]]
+        usage = re.sub(r"--[\w-]+", lambda flag: f"{flag[0]} {_ARGS[flag[0]][1]}".rstrip(), usage)
+    usage = f"usage: {prog} [-h] {usage}"
+    if error is not None:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        raise SystemExit(EXIT_BAD_INPUT)
+    width = max(len(name) for name, _ in rows) + 2
+    print("\n".join([usage, ""] + [f"  {name:<{width}}{text}".rstrip() for name, text in rows]))
+    raise SystemExit(EXIT_OK)
 
-    p = subs.add_parser("check", help="validate, sweep defects, print the verdict")
-    _add_common(p)
-    p.add_argument("--bound", type=int, help="defect sweep bound (default derived)")
-    p.add_argument("--window", type=int,
-                   help="also verify the mode-algebra laws on this window")
-    p.add_argument("--all", action="store_true", help="print every defect")
-    p.set_defaults(func=cmd_check)
 
-    p = subs.add_parser("defect", help="print the nonzero defects")
-    _add_common(p)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--all", action="store_true")
-    p.set_defaults(func=cmd_defect)
+def _parse(argv: List[str]) -> SimpleNamespace:
+    """The handler and values argv gives, read in one walk against _COMMANDS and _ARGS.
 
-    p = subs.add_parser("bracket", help="bracket of two modes, e.g. omega 3 omega -1")
-    _add_common(p)
-    p.add_argument("u"), p.add_argument("n", type=int)
-    p.add_argument("v"), p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_bracket)
+    As in argparse, -h prints help, a usage error exits 2, a unique prefix of a long
+    flag names it, --flag=value works, a repeated flag keeps its last value, and "-"
+    and negative numbers are positional; but a flag's value is the next token as it
+    stands, so --level -5/2 reads -5/2.
+    """
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        asked = _SHORT.get(command, command)
+        _exit("", None if asked[2:] and "--help".startswith(asked) else
+              f"invalid command {command!r}" if command else
+              "the following arguments are required: command")
+    handler, _, usage = _COMMANDS[command]
+    names = re.findall(r"[\w-]+", usage)
+    args = {name.lstrip("-"): False if _ARGS[name][0] is None else None for name in names}
 
-    p = subs.add_parser("verma", help="vacuum-module computations")
-    _add_common(p)
-    p.add_argument("--cutoff", required=True, help="weight cutoff (rational)")
-    p.add_argument("--level", help="specialize the central mode to this rational")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dims", action="store_true", help="graded dimensions")
-    group.add_argument("--act", metavar="WORD",
-                       help="apply modes (rightmost first) to the vacuum, "
-                            "e.g. 'omega_3 omega_-1'")
-    group.add_argument("--field", nargs=3, metavar=("A", "N", "B"),
-                       help="field coefficient A_N B; A and B are mode words "
-                            "applied to the vacuum ('1' = vacuum)")
-    p.set_defaults(func=cmd_verma)
+    def read(name: str, how, token: str):
+        if how is str or how is int and _INDEX.fullmatch(token) or how is not int and token in how:
+            return int(token) if how is int else token
+        _exit(command, f"argument {name}: invalid {'int value' if how is int else 'choice'}: "
+                       f"{token!r}")
 
-    p = subs.add_parser("export-preset", help="write a preset as a formula file")
-    p.add_argument("name", choices=sorted(PRESETS))
-    p.add_argument("--output", "-o", help="output file (default stdout)")
-    p.set_defaults(func=cmd_export_preset)
-
-    return parser
+    positionals, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token[1:2] in "0123456789.":  # "-" and negative numbers too
+            positionals.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        name = _SHORT.get(name, name)
+        hits = [flag for flag in ["--help"] + names if flag.startswith(name)]
+        if len(hits) != 1 or hits == ["--help"] or eq and _ARGS[hits[0]][0] is None:
+            _exit(command, None if hits == ["--help"] else f"unrecognized arguments: {token}")
+        flag, how = hits[0], _ARGS[hits[0]][0]
+        each = [] if how is None else how if type(how) is list else [how]
+        taken = [value] * bool(eq) + list(islice(tokens, len(each) - bool(eq)))
+        if len(taken) < len(each):
+            _exit(command, f"argument {flag}: expected {len(each)} argument(s)")
+        values = [read(flag, one, item) for one, item in zip(each, taken)]
+        args[flag[2:]] = True if how is None else values if type(how) is list else values[0]
+    slots = [name for name in names if name[0] != "-"]
+    if slots[0] == "path" and len(positionals) < len(slots):
+        del slots[0]
+    if len(positionals) != len(slots):
+        _exit(command, f"unrecognized arguments: {' '.join(positionals[len(slots):])}"
+              if len(positionals) > len(slots) else
+              f"the following arguments are required: {', '.join(slots[len(positionals):])}")
+    args.update((slot, read(slot, _ARGS[slot][0], item)) for slot, item in zip(slots, positionals))
+    for group in [word.split("|") for word in usage.split() if word[0] == "-"]:
+        hits = [flag for flag in group if args[flag[2:]] not in (None, False)]
+        if len(hits) != 1:
+            _exit(command, f"argument {hits[1]}: not allowed with argument {hits[0]}" if hits
+                  else f"argument {' | '.join(group)} is required")
+    return SimpleNamespace(func=handler, **args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

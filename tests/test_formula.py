@@ -592,16 +592,16 @@ def _functools_caches(tree: ast.AST) -> list:
                 and isinstance(node.value, ast.Name) and node.value.id == "functools")]
 
 
-def test_only_the_parser_has_a_module_global_cache() -> None:
+def test_no_module_global_cache() -> None:
     # derived per-spec data lives in spec._memo (formula._per_spec) and is
     # freed with the spec; a module-global cache keeps every entry for the life
-    # of the process.  The CLI's argument parser is built once per process.
+    # of the process.
     sample = "@lru_cache(maxsize=None)\ndef f(): pass\n@functools.cache\ndef g(): pass\n" \
              "h = lru_cache(None)(len)\n"
     assert sorted(map(str, _functools_caches(ast.parse(sample)))) == ["5", "f", "g"]
     found = {(path.name, use) for path in sorted(Path(vertexlie.__file__).parent.glob("*.py"))
              for use in _functools_caches(ast.parse(path.read_text(), filename=str(path)))}
-    assert found == {("cli.py", "build_parser")}
+    assert found == set()
 
 
 def _sites(tree: ast.AST, hit) -> list:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -779,12 +782,17 @@ def test_cli_refuses_long_bracket_and_verma_coefficients(capsys) -> None:
         sys.set_int_max_str_digits(limit)
 
 
+def _readme_command_lines() -> list:
+    """The lines of the README's command-line example block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
 def test_readme_command_line_examples_print_their_documented_output(capsys) -> None:
     # every `vertexlie ...` line of the README's command-line block that is
     # followed by a `# -> ...` line prints that text
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.splitlines()
+    lines = _readme_command_lines()
     examples = [(line, expected[len("# -> "):]) for line, expected in zip(lines, lines[1:])
                 if line.startswith("vertexlie ") and expected.startswith("# -> ")]
     assert len(examples) == 3
@@ -880,6 +888,182 @@ def test_cli_verma_fractional_cutoff(capsys) -> None:
     rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
     assert rows["3/2"] == "1"
     assert rows["7/2"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# command-line parser
+# ---------------------------------------------------------------------------
+
+def _argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its table-driven one: the reference
+    cli._parse is compared against."""
+    def add_common(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("path", nargs="?", help="formula file")
+        sub.add_argument("--preset", choices=sorted(PRESETS),
+                         help="use a built-in formula instead of a file")
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+
+    parser = argparse.ArgumentParser(prog="vertexlie")
+    subs = parser.add_subparsers(dest="command", required=True)
+    p = subs.add_parser("check")
+    add_common(p)
+    p.add_argument("--bound", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--all", action="store_true")
+    p.set_defaults(func=cli.cmd_check)
+    p = subs.add_parser("defect")
+    add_common(p)
+    p.add_argument("--bound", type=int)
+    p.add_argument("--all", action="store_true")
+    p.set_defaults(func=cli.cmd_defect)
+    p = subs.add_parser("bracket")
+    add_common(p)
+    p.add_argument("u"), p.add_argument("n", type=int)
+    p.add_argument("v"), p.add_argument("p", type=int)
+    p.set_defaults(func=cli.cmd_bracket)
+    p = subs.add_parser("verma")
+    add_common(p)
+    p.add_argument("--cutoff", required=True)
+    p.add_argument("--level")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--dims", action="store_true")
+    group.add_argument("--act", metavar="WORD")
+    group.add_argument("--field", nargs=3, metavar=("A", "N", "B"))
+    p.set_defaults(func=cli.cmd_verma)
+    p = subs.add_parser("export-preset")
+    p.add_argument("name", choices=sorted(PRESETS))
+    p.add_argument("--output", "-o")
+    p.set_defaults(func=cli.cmd_export_preset)
+    return parser
+
+
+def _parsed(parse, argv: list):
+    """The values parse(argv) gives (argparse's subcommand name left out), or the
+    exit code and the stdout and stderr it wrote when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            values = vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return {key: value for key, value in values.items() if key != "command"}
+
+
+_SAME_VALUES = [
+    "check f.vla", "check", "check --preset virasoro f.vla", "check --preset virasoro --json",
+    "defect f.vla --json", "defect --preset heisenberg",
+    "bracket f.vla omega 3 omega -1", "bracket --preset virasoro omega 3 omega -1 --json",
+    "bracket omega 3 --preset virasoro omega -1", "bracket --preset affine-sl2 e +1 f -1",
+    "verma f.vla --cutoff 4 --dims", "verma --preset virasoro --cutoff 4 --dims --json",
+    "export-preset virasoro", "export-preset virasoro --output x.vla",
+    # --flag=value, unique prefixes, repeated flags, negative values
+    "check --preset=virasoro --bound=8", "check --js --preset virasoro",
+    "check --preset virasoro --win 2", "check --pre virasoro --b 7 --a",
+    "check --bound 3 --bound 8 --preset virasoro", "check --bound -1 --preset virasoro",
+    "check --window=-2 --preset virasoro", "export-preset virasoro --out=x.vla",
+    "export-preset virasoro -o=x.vla", "verma --preset virasoro --cut 3 --fi a -1 b",
+    "verma --preset virasoro --cutoff 4 --act omega_-2 --act 'omega_-1 omega_-1'",
+    "verma --dims --dims --preset virasoro --cutoff=-1/2",
+]
+_USAGE_ERRORS = [
+    "", "frobnicate", "--json check", "export-preset virasoro --json", "check --bogus",
+    "check -x", "check a b", "bracket omega 3 omega", "bracket --preset virasoro omega 3 omega",
+    "export-preset", "check --bound", "verma --preset virasoro --cutoff",
+    "verma --preset virasoro --cutoff 3 --field a 1", "check --preset nope", "export-preset nope",
+    "verma --preset virasoro --dims", "verma --preset virasoro --cutoff 3",
+    "verma --preset virasoro --cutoff 3 --dims --act omega_-1", "check --bound x",
+    "bracket --preset virasoro omega x omega -1", "check --json=1",
+]
+
+
+_README_ARGVS = [shlex.split(line.split("#")[0])[1:] for line in _readme_command_lines()
+                 if line.startswith("vertexlie ")]
+
+
+@pytest.mark.parametrize("argv", _README_ARGVS + [shlex.split(line) for line in _SAME_VALUES],
+                         ids=" ".join)
+def test_parser_reads_what_argparse_read(argv: list) -> None:
+    expected = _parsed(_argparse_reference().parse_args, argv)
+    assert type(expected) is dict
+    assert _parsed(cli._parse, argv) == expected
+
+
+@pytest.mark.parametrize("line", _USAGE_ERRORS)
+def test_parser_usage_errors_exit_2_as_under_argparse(line: str) -> None:
+    argv = shlex.split(line)
+    assert _parsed(_argparse_reference().parse_args, argv)[0] == 2
+    code, out, err = _parsed(cli._parse, argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    prog = f"vertexlie {argv[0]}" if argv and argv[0] in cli._COMMANDS else "vertexlie"
+    assert usage.startswith(f"usage: {prog} [-h]")
+    assert error.startswith(f"{prog}: error: ")
+
+
+@pytest.mark.parametrize("line", ["-h", "--help", "--he", "check -h", "verma --help",
+                                  "export-preset virasoro --he", "check --bound 3 -h --bogus"])
+def test_parser_help_exits_0_on_stdout(line: str) -> None:
+    argv = shlex.split(line)
+    code, out, err = _parsed(cli._parse, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: vertexlie") and len(out.splitlines()) > 3
+    if argv[0] in cli._COMMANDS:
+        assert out.startswith(f"usage: vertexlie {argv[0]} [-h]")
+
+
+def test_parser_differs_from_argparse_where_documented() -> None:
+    reference = _argparse_reference().parse_args
+    # a flag's value is the next token as it stands, even when it starts with "-"
+    argv = ["verma", "--preset", "virasoro", "--cutoff", "8", "--level", "-5/2", "--dims"]
+    assert _parsed(reference, argv)[0] == 2
+    assert _parsed(cli._parse, argv)["level"] == "-5/2"
+    # an integer is ASCII digits with an optional sign, as in formula files
+    for argv, token in ((["check", "--preset", "virasoro", "--bound", "３"], "３"),
+                        (["check", "--preset", "virasoro", "--bound", "1_0"], "1_0"),
+                        (["bracket", "--preset", "virasoro", "u", "３", "u", "-1"], "３")):
+        assert type(_parsed(reference, argv)) is dict
+        code, out, err = _parsed(cli._parse, argv)
+        assert (code, out) == (2, "") and f"invalid int value: {token!r}" in err
+
+
+@pytest.mark.parametrize("argv,token", [
+    (["check", "--preset", "virasoro", "--bound", "1_0"], "1_0"),
+    (["check", "--preset", "virasoro", "--window", "٢"], "٢"),
+    (["defect", "--preset", "virasoro", "--bound", "８"], "８"),
+    (["bracket", "--preset", "virasoro", "omega", "３", "omega", "-1"], "３"),
+    (["bracket", "--preset", "virasoro", "omega", "3", "omega", "-١"], "-١"),
+    (["verma", "--preset", "virasoro", "--cutoff", "6", "--act", "omega_-١"], "-١"),
+    (["verma", "--preset", "virasoro", "--cutoff", "6", "--act", "omega_３ omega_-1"], "３"),
+    (["verma", "--preset", "virasoro", "--cutoff", "8", "--field", "omega_-1", "３", "1"],
+     "３"),
+])
+def test_cli_integers_are_ascii_digits(argv: list, token: str, capsys) -> None:
+    # int() would read "1_0" as 10 and every Unicode decimal digit as its value
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert token in captured.err
+
+
+@pytest.mark.parametrize("argv,code,stream", [
+    (["-h"], 0, "stdout"), (["check", "-h"], 0, "stdout"),
+    (["frobnicate"], 2, "stderr"), (["check", "--bound", "x"], 2, "stderr"),
+])
+def test_cli_entry_point_usage(argv: list, code: int, stream: str) -> None:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-m", "vertexlie.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == code
+    if code == 0:
+        assert child.stdout.startswith("usage:") and child.stderr == ""
+    else:
+        assert child.stdout == ""
+        assert child.stderr.startswith("usage:") and "error:" in child.stderr
 
 
 # ---------------------------------------------------------------------------

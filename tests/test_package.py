@@ -364,7 +364,7 @@ cli.main(["verma", "--preset", "virasoro", "--cutoff", "4", "--dims"])
 }
 # modules that must stay unloaded, beyond dataclasses and inspect
 _ABSENT = {
-    "check": {"vertexlie.verma", "vertexlie.local_algebra"},
+    "check": {"vertexlie.verma", "vertexlie.local_algebra", "argparse", "gettext"},
     "modes": {"vertexlie.verma", "vertexlie.cli", "vertexlie.formula_io"},
     "everything": set(),
 }
