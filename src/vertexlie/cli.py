@@ -376,6 +376,11 @@ _COMMANDS = {
               "[path] [--preset] [--json] --cutoff [--level] --dims|--act|--field"),
     "export-preset": (cmd_export_preset, "write a preset as a formula file", "name [--output]"),
 }
+# subcommand -> (its argument names in usage order, their values when not given)
+_GRAMMAR = {command: (names, {name.lstrip("-"): False if _ARGS[name][0] is None else None
+                              for name in names})
+            for command, (_, _, usage) in _COMMANDS.items()
+            for names in [re.findall(r"[\w-]+", usage)]}
 
 
 def _exit(command: str, error: Optional[str] = None):
@@ -387,7 +392,7 @@ def _exit(command: str, error: Optional[str] = None):
         usage = _COMMANDS[command][2]
         rows = [(f"{name} {meta}".rstrip(),
                  text + (f" (one of: {', '.join(how)})" if type(how) is tuple else ""))
-                for name in ["--help"] + re.findall(r"[\w-]+", usage)
+                for name in ["--help"] + _GRAMMAR[command][0]
                 for how, meta, text in [_ARGS[name]]]
         usage = re.sub(r"--[\w-]+", lambda flag: f"{flag[0]} {_ARGS[flag[0]][1]}".rstrip(), usage)
     usage = f"usage: {prog} [-h] {usage}"
@@ -414,8 +419,8 @@ def _parse(argv: List[str]) -> SimpleNamespace:
               f"invalid command {command!r}" if command else
               "the following arguments are required: command")
     handler, _, usage = _COMMANDS[command]
-    names = re.findall(r"[\w-]+", usage)
-    args = {name.lstrip("-"): False if _ARGS[name][0] is None else None for name in names}
+    names, defaults = _GRAMMAR[command]
+    args = dict(defaults)
 
     def read(name: str, how, token: str):
         if how is str or how is int and _INDEX.fullmatch(token) or how is not int and token in how:

@@ -412,7 +412,7 @@ class FormulaSpec:
         self.conformal: Optional[tuple] = conformal
         self.name = name
         self._hash: Optional[int] = None
-        self._memo: dict = {}  # derived data: _per_spec tables, monomial trie, rewrites
+        self._memo: dict = {}  # derived data: _per_spec tables, pair terms, product table
 
     # -- basis access ------------------------------------------------
 

@@ -96,9 +96,10 @@ def _order_key(spec: FormulaSpec, g: LieGenerator) -> tuple:
 class _Node:
     """A normal-ordered monomial head rest . 1 of one spec, as a node of its trie.
 
-    spec._memo[_Node] is {g: {rest: node}}, grown only by setdefault (_child),
-    so even concurrent callers make one node per monomial, and a node hashes
-    by identity.  A PbwMonomial is built only for a public PbwVector (_vector).
+    The trie lives in the product table: spec._memo[_mul_gen][g][rest] is the
+    node of g rest wherever g goes in front of rest, made by setdefault (_node,
+    _mul_gen), so even concurrent callers make one node per monomial, and a node
+    hashes by identity.  A PbwMonomial is built only for a public PbwVector (_vector).
     """
 
     __slots__ = ("head", "rest")
@@ -108,14 +109,6 @@ class _Node:
 
 
 _ROOT = _Node(None, None)  # the vacuum, shared by every spec's trie
-
-
-def _child(spec: FormulaSpec, g: LieGenerator, rest: _Node) -> _Node:
-    """The node of g rest, for g that goes in front of rest."""
-    try:
-        return spec._memo[_Node][g][rest]
-    except KeyError:
-        return spec._memo.setdefault(_Node, {}).setdefault(g, {}).setdefault(rest, _Node(g, rest))
 
 
 def _heads(node: _Node) -> tuple:
@@ -128,87 +121,137 @@ def _heads(node: _Node) -> tuple:
 
 
 def _node(spec: FormulaSpec, factors: tuple) -> _Node:
-    """The trie's node of a normal-ordered monomial's factors."""
-    node = _ROOT
+    """The trie's node of a normal-ordered monomial's factors: each goes in front of the rest."""
+    table, node = spec._memo.setdefault(_mul_gen, {}), _ROOT
     for g in reversed(factors):
-        node = _child(spec, g, node)
+        by_node = table.get(g) or table.setdefault(g, {})
+        node = by_node.get(node) or by_node.setdefault(node, _Node(g, node))
     return node
 
 
-def _nodes(spec: FormulaSpec, v: PbwVector) -> dict:
-    """The terms of v keyed by the nodes of their monomials."""
-    return {_node(spec, mono.factors): coeff for mono, coeff in v._terms.items()}
+def _unit(spec: FormulaSpec) -> tuple:
+    """(D, D/L): the level unit of node-keyed sums (see _mul_gen) and its ratio to
+    the L of _scaled_rows, 2 when some basis vector is odd, for the odd square's 1/(2L)."""
+    try:
+        return spec._memo[_unit]
+    except KeyError:
+        lift = 2 if any(v.parity for v in spec.vectors) else 1
+        return spec._memo.setdefault(_unit, (_scaled_rows(spec)[0] * lift, lift))
 
 
-def _vector(terms: dict) -> PbwVector:
-    """The public vector of node-keyed terms."""
-    return PbwVector._of({tuple.__new__(PbwMonomial, (_heads(x),)): c for x, c in terms.items()})
+def _level(v: PbwVector) -> int:
+    """The most factors of a monomial of v: the level at which v enters normal ordering."""
+    level = 0
+    for mono in v._terms:
+        if len(mono.factors) > level:
+            level = len(mono.factors)
+    return level
+
+
+def _nodes(spec: FormulaSpec, v: PbwVector, level: int) -> dict:
+    """The terms of v at the level (see _mul_gen), keyed by the nodes of their monomials:
+    the coefficient of a monomial of k factors times D^(level - k)."""
+    out: dict = {}
+    d = _unit(spec)[0]
+    for mono, coeff in v._terms.items():
+        _accumulate(out, _node(spec, mono.factors), coeff * d ** (level - len(mono.factors)))
+    return out
+
+
+def _vector(spec: FormulaSpec, terms: dict, level: int) -> PbwVector:
+    """The public vector of node-keyed terms at the level: the coefficient of a
+    monomial of k factors divided once, by D^(level - k)."""
+    out = {}
+    d = _unit(spec)[0]
+    for x, c in terms.items():
+        heads = _heads(x)
+        if d != 1 and len(heads) < level:
+            c = _over(c.numerator, c.denominator * d ** (level - len(heads)))
+        out[tuple.__new__(PbwMonomial, (heads,))] = c
+    return PbwVector._of(out)
 
 
 def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
              factor: Union[int, Fraction]) -> None:
-    """Add factor (g node), normal-ordered, into the node-keyed accumulator acc.
+    """Add factor (g node), normal-ordered, into the node-keyed accumulator acc, one level up.
+
+    Node-keyed sums are kept in integers by levels: a sum at level K holds a
+    monomial of k factors with its coefficient times D^(K - k), where D is the
+    L of _scaled_rows, or 2 L when some basis vector is odd (_unit).  A mode
+    raises the level by one: with factor the level-K coefficient of node, this
+    adds g node at level K + 1.  A term that puts g in front has one factor
+    more than node, so its coefficient is factor itself.  Every other term
+    comes from a rewrite of g node, node of k factors at level k with
+    coefficient 1, which is kept at level k + 1 and holds only ints:
+
+        g head rest = eps head (g rest) + [g, head] rest,   g g rest = (1/2)[g, g] rest.
+
+    eps head (g rest) applies two modes to rest, at level k - 1, so it is at
+    level k + 1 with int coefficients.  [g, head] is one mode, with L [g, head]
+    the int terms c x of local_algebra._pair_terms, so x rest is at level k
+    only: a bracket term is one level up, and enters as x rest times the int
+    c (D/L), or c for the odd square, where D = 2 L.  The public boundary,
+    _nodes and _vector, alone converts, one division per returned term.
 
     The central quotient keeps g (it is tested where a mode enters: _act_into,
-    _fc).  g on the vacuum at n >= 0 adds nothing, and g before the head, or
-    an even square, adds the trie's node of g node (_child).  Only a rewrite
-    is memoized, as a flat tuple (x1, c1, x2, c2, ...) of nodes and
-    coefficients in spec._memo[_mul_gen][g][node], and added in scaled: a
-    swap g head rest = eps head (g rest) + [g, head] rest, or an odd square
-    g g rest = (1/2)[g, g] rest, built on a miss through calls back into this
-    function, one frame per factor.  [g, head] is the int terms of L [g, head]
-    from local_algebra._pair_terms, made and kept, as bracket keeps it, only
-    when the basis pair has a table row, each divided once by L (2 L for the
-    odd square).  g goes before head when its _order_key is smaller, compared
-    inline: the ints L (n + 1 - w), which order as n + 1 - w since L > 0,
-    then (bid, n), which is g < head.
+    _fc).  spec._memo[_mul_gen][g][node] is the one product table: the trie's
+    node of g node where g goes in front (before head by _order_key, on the
+    vacuum at n < 0, or an even square), else the rewrite as a flat tuple
+    (x1, c1, x2, c2, ...) of nodes and coefficients, built on a miss through
+    calls back into this function, one frame per factor.  g on the vacuum at
+    n >= 0 adds nothing and is not kept.  [g, head] is made and kept, as
+    bracket keeps it, only when the basis pair has a table row.  g goes before
+    head when its _order_key is smaller, compared inline: the ints
+    L (n + 1 - w), which order as n + 1 - w since L > 0, then (bid, n), which
+    is g < head.
     """
-    head = node.head
-    if head is None:
-        if g.n < 0:
-            _accumulate(acc, _child(spec, g, node), factor)
-        return
-    square = False
-    if g.n < 0:
-        scale, base = spec._order_scale, spec._order_base
-        kg, kh = scale * g.n + base[g.bid], scale * head.n + base[head.bid]
-        square = g == head  # g g rest is in order when g is even
-        if kg < kh or kg == kh and g < head or square and not spec.vectors[g.bid].parity:
-            _accumulate(acc, _child(spec, g, node), factor)
-            return
     memo = spec._memo
     try:
         by_node = memo[_mul_gen][g]
     except KeyError:
         by_node = memo.setdefault(_mul_gen, {}).setdefault(g, {})
-    terms = by_node.get(node)
-    if terms is None:
-        store: dict = {}
-        rest = node.rest
-        if not square:
-            vectors = spec.vectors
-            eps = -1 if vectors[g.bid].parity and vectors[head.bid].parity else 1
-            inner: dict = {}
-            _mul_gen(spec, inner, g, rest, 1)
-            for x, c in inner.items():
-                _mul_gen(spec, store, head, x, eps * c)
-        pairs = memo.setdefault(_pair_terms, {})
-        bracket = pairs.get((g, head))
-        if bracket is None and spec._row(g.bid, head.bid):  # only a pair with a row is kept
-            bracket = pairs[g, head] = _pair_terms(spec, g, head)
-        if bracket:
-            d = _scaled_rows(spec)[0] * (2 if square else 1)
-            for x, c in bracket:
-                _mul_gen(spec, store, x, rest, _over(c, d))
-        flat: list = []
-        for x, c in store.items():
-            flat += x, c
+    out = by_node.get(node)
+    if out is None:
+        head = node.head
+        square = False
+        if head is None:
+            if g.n >= 0:
+                return
+            out = by_node.setdefault(node, _Node(g, node))
+        elif g.n < 0:
+            scale, base = spec._order_scale, spec._order_base
+            kg, kh = scale * g.n + base[g.bid], scale * head.n + base[head.bid]
+            square = g == head  # g g rest is in order when g is even
+            if kg < kh or kg == kh and g < head or square and not spec.vectors[g.bid].parity:
+                out = by_node.setdefault(node, _Node(g, node))
+        if out is None:
+            store: dict = {}
+            rest = node.rest
+            if not square:
+                vectors = spec.vectors
+                eps = -1 if vectors[g.bid].parity and vectors[head.bid].parity else 1
+                inner: dict = {}
+                _mul_gen(spec, inner, g, rest, 1)
+                for x, c in inner.items():
+                    _mul_gen(spec, store, head, x, eps * c)
+            pairs = memo.setdefault(_pair_terms, {})
+            bracket = pairs.get((g, head))
+            if bracket is None and spec._row(g.bid, head.bid):  # only a pair with a row is kept
+                bracket = pairs[g, head] = _pair_terms(spec, g, head)
+            if bracket:
+                lift = 1 if square else _unit(spec)[1]
+                for x, c in bracket:
+                    _mul_gen(spec, store, x, rest, c * lift)
+            flat: list = []
+            for x, c in store.items():
+                flat += x, c
+            out = by_node[node] = tuple(flat)
+    if type(out) is tuple:
+        it = iter(out)
+        for x, c in zip(it, it):
             _accumulate(acc, x, factor * c)
-        by_node[node] = tuple(flat)
-        return
-    it = iter(terms)
-    for x, c in zip(it, it):
-        _accumulate(acc, x, factor * c)
+    else:
+        _accumulate(acc, out, factor)
 
 
 def _act_into(spec: FormulaSpec, acc: dict, g: LieGenerator, terms: dict, factor=1) -> dict:
@@ -220,7 +263,7 @@ def _act_into(spec: FormulaSpec, acc: dict, g: LieGenerator, terms: dict, factor
 
 
 def _act_word(spec: FormulaSpec, word, terms: dict) -> dict:
-    """Apply a word of modes, rightmost first, to node-keyed terms."""
+    """Apply a word of modes, rightmost first, to node-keyed terms, one level up per mode."""
     for g in reversed(word):
         terms = _act_into(spec, {}, g, terms)
     return terms
@@ -228,33 +271,44 @@ def _act_word(spec: FormulaSpec, word, terms: dict) -> dict:
 
 def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
     """Action of the mode g on a module vector: a fresh, normal-ordered vector."""
-    return _vector(_act_into(spec, {}, g, _nodes(spec, v)))
+    level = _level(v)
+    return _vector(spec, _act_into(spec, {}, g, _nodes(spec, v, level)), level + 1)
 
 
 def act_lie(spec: FormulaSpec, x: LieElement, v: PbwVector) -> PbwVector:
     """Linear extension of act over a combination of modes."""
-    acc, terms = {}, _nodes(spec, v)
+    level = _level(v)
+    acc, terms = {}, _nodes(spec, v, level)
     for g, coeff in x._terms.items():
         _act_into(spec, acc, g, terms, coeff)
-    return _vector(acc)
+    return _vector(spec, acc, level + 1)
 
 
 def act_word(spec: FormulaSpec, word: Iterable[LieGenerator],
              v: Optional[PbwVector] = None) -> PbwVector:
     """Apply a word of modes to v (default vacuum), rightmost first."""
-    return _vector(_act_word(spec, list(word), {_ROOT: 1} if v is None else _nodes(spec, v)))
+    word, level = list(word), 0 if v is None else _level(v)
+    terms = {_ROOT: 1} if v is None else _nodes(spec, v, level)
+    return _vector(spec, _act_word(spec, word, terms), level + len(word))
 
 
 def apply_D_module(spec: FormulaSpec, v: PbwVector) -> PbwVector:
-    """Derivation with [D, u_n] = lie_D(u_n) = -n u_{n-1} and D(vacuum) = 0."""
+    """Derivation with [D, u_n] = lie_D(u_n) = -n u_{n-1} and D(vacuum) = 0.
+
+    It keeps the level of its input: D u_n is one mode, so the term of factor i
+    of a monomial of k factors applies i + 1 modes to the suffix after that
+    factor, k - i - 1 factors at their own level, and lands at level k, the
+    monomial's own; its level-K coefficient then carries it to level K.
+    """
     acc: dict = {}
-    for node, coeff in _nodes(spec, v).items():
+    level = _level(v)
+    for node, coeff in _nodes(spec, v, level).items():
         factors = _heads(node)
         for i, g in enumerate(factors):
             node = node.rest  # the suffix after factor i
             for dg, c in lie_D(spec, LieElement._of({g: 1}))._terms.items():
                 _add_scaled(acc, _act_word(spec, factors[:i] + (dg,), {node: 1}), coeff * c)
-    return _vector(acc)
+    return _vector(spec, acc, level)
 
 
 def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVector:
@@ -406,13 +460,22 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
     """
     _check_index(n, "mode")
     bound = _checked_cutoff(spec, cutoff)
-    return _vector(_field_coefficient(spec, _nodes(spec, a), n, _nodes(spec, b), bound, {}))
+    ka, kb = _level(a), _level(b)
+    terms = _field_coefficient(spec, _nodes(spec, a, ka), n, _nodes(spec, b, kb), bound, {})
+    return _vector(spec, terms, ka + kb)
 
 
 def _field_coefficient(spec: FormulaSpec, a: dict, n: int, b: dict, cutoff, memo: dict) -> dict:
     """field_coefficient without its guards, on node-keyed terms a and b, into a fresh
     node-keyed dict that drops zeros, so results compare with ==.  b's pieces are sorted
-    by weight once a call; memo holds _fc results, shared by the calls of a spot-check."""
+    by weight once a call; memo holds _fc results, shared by the calls of a spot-check.
+
+    Field levels add (see _mul_gen for levels): with a at level Ka and b at level
+    Kb the result is at level Ka + Kb.  _fc(node, n, b) for node's k factors is at
+    level k + Kb: the vacuum field returns b; the first sum of the recursion puts
+    one mode on rest_{n+i} b, at level k - 1 + Kb, and the second takes rest's
+    field of u_i b, at level Kb + 1.  a's coefficients at level Ka carry k to Ka.
+    The computation reads no level, so _fc's memo serves b at any level."""
     by_weight: dict = {}  # the homogeneous pieces of b, by stored-form weight
     for node, coeff in b.items():
         by_weight.setdefault(_monomial_weight(spec, _heads(node)), {})[node] = coeff
@@ -545,17 +608,20 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     def field(a: dict, n: int, b: dict) -> dict:
         return _field_coefficient(spec, a, n, b, margin, memo)
 
-    def D(terms: dict, k: int = 1) -> dict:  # D^k, through apply_D_module on a PbwVector
-        vec = _vector(terms)
+    # node-keyed sums are at a level (see _mul_gen): kappa of a basis vector at 1,
+    # a window monomial at its factor count and kappa(u_i v) at 2, so that fields
+    # and mode actions compare at one level
+    def D(terms: dict, level: int, k: int = 1) -> dict:  # D^k, through apply_D_module
+        vec = _vector(spec, terms, level)
         for _ in range(k):
             vec = apply_D_module(spec, vec)
-        return _nodes(spec, vec)
+        return _nodes(spec, vec, level)
 
     ledger = {name: [] for name in SpotcheckReport._fields[:6]}
     monos = [m for monos in monomial_basis(spec, bound).values() for m in monos]
     vectors = [{_node(spec, m.factors): 1} for m in monos]
     active = [v for v in spec.vectors if not central_check(spec, v.index)]
-    kap = {v.index: _nodes(spec, kappa_basis(spec, v.index)) for v in spec.vectors}
+    kap = {v.index: _nodes(spec, kappa_basis(spec, v.index), 1) for v in spec.vectors}
 
     for v in spec.vectors:
         kv = kap[v.index]
@@ -580,12 +646,12 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
                 rhs: dict = {}
                 for k in range(top - n):
                     term = swapped[n + k]
-                    _add_scaled(rhs, D(term, k) if k else term,
+                    _add_scaled(rhs, D(term, 2, k) if k else term,
                                 -eps * _over((-1) ** (n + k), factorial(k)))
                 if field(ku, n, kv) != rhs:
                     ledger["half_skew"].append(
                         f"half skew symmetry fails for ({u.label},{n},{v.label})")
-            products = [(i, _nodes(spec, kappa(spec, prod)))
+            products = [(i, _nodes(spec, kappa(spec, prod), 2))
                         for i, prod in spec._row(u.index, v.index).items()]
             duos.append((u, v, eps, products, [], []))
 
@@ -641,10 +707,10 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     ledger["locality"] = [msg for duo in duos for msg in duo[4]]
     ledger["commutator_formula"] = [msg for duo in duos for msg in duo[5]]
 
-    samples = [kap[v.index] for v in active]
-    samples += [{_node(spec, m.factors): 1} for m in monos if len(m.factors) == 2][:3]
-    for a in samples:
-        da = D(a)
+    samples = [(kap[v.index], 1) for v in active]
+    samples += [({_node(spec, m.factors): 1}, 2) for m in monos if len(m.factors) == 2][:3]
+    for a, level in samples:
+        da = D(a, level)
         for b in vectors[:6]:
             for n in range(-4, 5):
                 rhs = {}

@@ -56,6 +56,7 @@ from vertexlie import (
     virasoro,
 )
 import vertexlie.verma as verma_module
+from vertexlie.formula import _scaled_rows
 from vertexlie.verma import _heads
 from vertexlie.formula_io import parse_formula
 from vertexlie.linalg import RowSpace
@@ -235,6 +236,12 @@ def _oracle_act(spec, g, v: dict) -> dict:
     return out
 
 
+def _oracle_word(spec, word, v: dict) -> dict:
+    for g in reversed(word):
+        v = _oracle_act(spec, g, v)
+    return v
+
+
 def _seeded_words(spec, rng, count: int) -> list:
     """count words of 1-6 letters over every basis vector, modes -3..3;
     the last one to three letters create (mode < 0), so most words act
@@ -285,11 +292,8 @@ def test_normal_ordering_matches_memo_free_oracle(name: str) -> None:
         words += [[gen(spec, "c", n), gen(spec, labels[0], -1)] for n in (-3, -2, -1, 0, 2)]
         words += [[gen(spec, labels[0], 1), gen(spec, "c", -2), gen(spec, labels[0], -2)]]
     for word in words:
-        want = {PbwMonomial(): F(1)}
-        for g in reversed(word):
-            want = _oracle_act(spec, g, want)
         got = act_word(spec, word)
-        assert dict(got.items()) == want, word
+        assert dict(got.items()) == _oracle_word(spec, word, {PbwMonomial(): F(1)}), word
         _assert_stored_form(got)
     # one-term inputs whose coefficient is not 1, on the word results
     for word, coeff in zip(words, itertools.cycle((F(-1), F(3), F(-5, 2), F(2, 3)))):
@@ -299,6 +303,27 @@ def test_normal_ordering_matches_memo_free_oracle(name: str) -> None:
             got = act(spec, g, basis_vector(spec, mono, coeff * c))
             assert dict(got.items()) == want, (g, mono)
             _assert_stored_form(got)
+    # inputs that mix monomials of different factor counts, the vacuum among
+    # them, with fractional coefficients: each enters normal ordering scaled to
+    # its longest monomial's level and leaves divided back, term by term
+    for first, second, coeff in zip(words[:20:2], words[1:20:2],
+                                    itertools.cycle((F(-5, 2), F(2, 3), F(7, 4)))):
+        v = act_word(spec, first[1:]) + act_word(spec, second).scale(coeff) \
+            + vacuum().scale(F(1, 3))
+        terms = dict(v.items())
+        g, h = first[0], second[-1]
+        got = act(spec, g, v)
+        assert dict(got.items()) == _oracle_act(spec, g, terms), (g, v)
+        _assert_stored_form(got)
+        want: dict = {}
+        _oracle_add(want, _oracle_act(spec, g, terms), F(3, 2))
+        _oracle_add(want, _oracle_act(spec, h, terms), -2)
+        got = act_lie(spec, LieElement({g: F(3, 2)}) + LieElement({h: -2}), v)
+        assert dict(got.items()) == want, (g, h, v)
+        _assert_stored_form(got)
+        got = act_word(spec, second[:2], v)
+        assert dict(got.items()) == _oracle_word(spec, second[:2], terms), (second, v)
+        _assert_stored_form(got)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + sorted(HAND_BUILT) + ["empty"])
@@ -366,13 +391,15 @@ def test_act_result_is_safe_to_share() -> None:
 # act_word list of _after_seeded_words, recorded once the memo kept only
 # rewrites, and the nodes of the spec's monomial trie after that list: one
 # per monomial normal ordering built, as a product or a rewrite's term.
+# Both sit in the one product table spec._memo[_mul_gen], told apart by
+# their values: a rewrite is a tuple, a trie node a _Node.
 MEMO_SIZE = {"virasoro": 34, "neveu-schwarz": 122, "affine-sl2": 65}
 NODE_COUNT = {"virasoro": 30, "neveu-schwarz": 110, "affine-sl2": 71}
 
 
 def _after_seeded_words(name: str):
-    """A fresh preset spec after normal-ordering 60 seeded words."""
-    spec = preset(name)
+    """A fresh preset spec, or the N=2 table of _n2, after normal-ordering 60 seeded words."""
+    spec = _n2() if name == "n2" else preset(name)
     for word in _seeded_words(spec, random.Random(f"memo-{name}"), 60):
         act_word(spec, word)
     return spec
@@ -383,16 +410,21 @@ def test_normal_ordering_memo_does_not_grow(name: str) -> None:
     assert len(_normal_ordering_entries(_after_seeded_words(name))) <= MEMO_SIZE[name]
 
 
+def _product_table(spec) -> dict:
+    """spec._memo[_mul_gen], {g: {node: g node}}: a rewrite tuple or a trie node."""
+    return spec._memo.get(verma_module._mul_gen, {})
+
+
 def _normal_ordering_entries(spec) -> list:
-    """The (g, node) keys of spec._memo[_mul_gen]: the memoized normal-ordering products."""
-    return [(g, node) for g, table in spec._memo.get(verma_module._mul_gen, {}).items()
-            for node in table]
+    """The (g, node) keys of the product table's rewrites: the memoized normal-ordering products."""
+    return [(g, node) for g, table in _product_table(spec).items()
+            for node, out in table.items() if type(out) is tuple]
 
 
 def _trie(spec) -> list:
-    """The nodes of the spec's monomial trie, spec._memo[_Node]."""
-    return [node for kids in spec._memo.get(verma_module._Node, {}).values()
-            for node in kids.values()]
+    """The nodes of the spec's monomial trie: the product table's _Node values."""
+    return [out for table in _product_table(spec).values()
+            for out in table.values() if type(out) is verma_module._Node]
 
 
 def _memo_sizes(spec) -> tuple:
@@ -401,20 +433,20 @@ def _memo_sizes(spec) -> tuple:
 
 
 def _assert_one_node_per_monomial(spec) -> None:
-    # every node that the trie, a node's rest or a rewrite holds is the trie's
-    # node for its (head, rest), so no two such nodes share (head, rest)
-    trie = spec._memo.get(verma_module._Node, {})
-    held = _trie(spec)
-    for table in spec._memo.get(verma_module._mul_gen, {}).values():
-        for node, terms in table.items():
-            held += [node, *terms[::2]]
+    # every node that the trie, a node's rest or a rewrite holds is the product
+    # table's node for its (head, rest), so no two such nodes share (head, rest)
+    table = _product_table(spec)
+    held = []
+    for by_node in table.values():
+        for node, out in by_node.items():
+            held += [node, *out[::2]] if type(out) is tuple else [node, out]
     seen = set()
     while held:
         node = held.pop()
         if node is verma_module._ROOT or node in seen:
             continue
         seen.add(node)
-        assert trie[node.head][node.rest] is node, _heads(node)
+        assert table[node.head][node.rest] is node, _heads(node)
         held.append(node.rest)
 
 
@@ -435,15 +467,31 @@ def test_normal_ordering_memoizes_only_rewrites(name: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(MEMO_SIZE))
 def test_normal_ordering_memo_holds_each_monomial_once(name: str) -> None:
-    # each rewrite is a flat tuple (n1, c1, n2, c2, ...) under its generator, and
-    # every monomial it keeps, key or term, is a node of the spec's trie
+    # each entry under a generator is a trie node or a rewrite, a flat tuple
+    # (n1, c1, n2, c2, ...), and every monomial it keeps, key or term, is a
+    # node of the spec's trie
     spec = _after_seeded_words(name)
-    for table in spec._memo[verma_module._mul_gen].values():
-        for node, terms in table.items():
-            assert type(terms) is tuple and len(terms) % 2 == 0 and all(terms[1::2])
-            assert all(type(x) is verma_module._Node for x in (node, *terms[::2]))
+    for g, table in _product_table(spec).items():
+        for node, out in table.items():
+            if type(out) is verma_module._Node:
+                assert out.head == g and out.rest is node
+                continue
+            assert type(out) is tuple and len(out) % 2 == 0 and all(out[1::2])
+            assert all(type(x) is verma_module._Node for x in (node, *out[::2]))
     _assert_one_node_per_monomial(spec)
     assert len(_trie(spec)) == NODE_COUNT[name]
+
+
+@pytest.mark.parametrize("name", ["neveu-schwarz", "virasoro", "n2"])
+def test_normal_ordering_keeps_every_product_in_ints(name: str) -> None:
+    # rewrites are kept at their level, so a swap's bracket terms enter as
+    # c D/L and an odd square's as c, never divided: every coefficient of the
+    # product table is an int, on tables with L > 1 and odd squares
+    spec = _after_seeded_words(name)
+    assert _scaled_rows(spec)[0] > 1
+    coeffs = [c for table in _product_table(spec).values() for out in table.values()
+              if type(out) is tuple for c in out[1::2]]
+    assert coeffs and {type(c) for c in coeffs} == {int}
 
 
 def _pair_tables(spec) -> dict:
@@ -937,8 +985,10 @@ def test_field_of_a_basis_vector_is_its_mode_action(name: str) -> None:
 
 @pytest.mark.parametrize("name", ["virasoro", "neveu-schwarz", "affine-sl2"])
 def test_field_coefficient_is_linear_in_a_vector_of_several_terms(name: str) -> None:
-    # a_n b for b of several monomials, homogeneous or not, is the sum of
-    # a_n over b's one-term parts
+    # a_n b for a and b of several monomials, homogeneous or not, with different
+    # factor counts and fractional coefficients, is the sum of the one-term
+    # parts' a'_n b'; each part enters at its own level, a sum at its longest
+    # monomial's
     spec = preset(name)
     active = [v.label for v in spec.vectors if v.index != spec.central]
     first, last = active[0], active[-1]
@@ -949,13 +999,15 @@ def test_field_coefficient_is_linear_in_a_vector_of_several_terms(name: str) -> 
     assert len({monomial_weight(spec, m) for m in mixed._terms}) == 2
     sources = [kappa_basis(spec, u) for u in active]
     sources.append(act_word(spec, [gen(spec, first, -2), gen(spec, last, -1)]))
+    sources.append(mixed.scale(F(-3, 4)) + kappa_basis(spec, last))
     for b in (unordered, mixed):
         parts = [basis_vector(spec, m, c) for m, c in b.items()]
         for a in sources:
+            a_parts = [basis_vector(spec, m, c) for m, c in a.items()]
             for n in range(-3, 4):
                 want = vacuum().scale(0)
-                for part in parts:
-                    want = want + field_coefficient(spec, a, n, part, 20)
+                for a_part, part in itertools.product(a_parts, parts):
+                    want = want + field_coefficient(spec, a_part, n, part, 20)
                 assert field_coefficient(spec, a, n, b, 20) == want, (a, n, b)
     # a part past the cutoff raises, though the lighter part alone does not
     a = kappa_basis(spec, first)
