@@ -34,6 +34,7 @@ from .formula import (
     _accumulate,
     _add_scaled,
     _check_index,
+    _divided,
     _over,
     _per_spec,
     _products,
@@ -145,8 +146,7 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     commutator_tables: dict = {}
     den = scale * scale
     for (u, v, w, m, n), terms in sorted([item for item in commutators.items() if item[1]]):
-        commutator_tables.setdefault((u, v, w), {})[m, n] = Element._of(
-            {key: _over(c, den) for key, c in terms.items()} if den != 1 else terms)
+        commutator_tables.setdefault((u, v, w), {})[m, n] = Element._of(_divided(terms, den))
     return skew_tables, commutator_tables
 
 

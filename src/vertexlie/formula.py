@@ -116,6 +116,15 @@ def gen_binomial(n: int, i: int) -> int:
     return comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
 
 
+def _divided(sums: dict, den: int) -> dict:
+    """sums / den for a fresh dict of nonzero int sums and an int den > 0, in
+    stored form: an int where den divides the sum, else one Fraction; sums itself
+    when den is 1.  The one division pass over many sums (_over divides one)."""
+    if den == 1:
+        return sums
+    return {key: c // den if not c % den else Fraction(c, den) for key, c in sums.items()}
+
+
 def _accumulate(acc: dict, key, coeff: Union[int, Fraction]) -> None:
     """Add a stored-form coefficient into acc[key], keeping acc in stored form."""
     old = acc.get(key)
@@ -521,7 +530,10 @@ def validate_spec(spec: FormulaSpec) -> list:
     labels = spec.labels
     parities = [v.parity for v in spec.vectors]
     weights = spec._weights  # stored form: an int prints as its Fraction does
-    graded = spec.graded
+    # over the int order keys base = L - L w (all 0, and L = 0, when ungraded),
+    # w_t = w_u + w_v - n - 1 - k is base_t = base_u + base_v + L (n + k): ints
+    # only, and the weights are read for a violation's message alone
+    scale, base = spec._order_scale, spec._order_base
     for (uid, n, vid), elt in spec.constant_entries():
         lu, lv = labels[uid], labels[vid]
         want_parity = (parities[uid] + parities[vid]) % 2
@@ -532,13 +544,12 @@ def validate_spec(spec: FormulaSpec) -> list:
                     "parity", (lu, n, lv, k, lt),
                     f"({lu},{n},{lv}) at D-power {k}: {lt} has parity "
                     f"{parities[tid]}, expected {want_parity}"))
-            if graded:
+            if base[tid] != base[uid] + base[vid] + scale * (n + k):
                 want = weights[uid] + weights[vid] - n - 1 - k
-                if weights[tid] != want:
-                    out.append(Violation(
-                        "weight", (lu, n, lv, k, lt),
-                        f"({lu},{n},{lv}) at D-power {k}: {lt} has weight "
-                        f"{weights[tid]}, expected {want}"))
+                out.append(Violation(
+                    "weight", (lu, n, lv, k, lt),
+                    f"({lu},{n},{lv}) at D-power {k}: {lt} has weight "
+                    f"{weights[tid]}, expected {want}"))
     return out
 
 
@@ -595,7 +606,7 @@ def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element
     (dA, a), (dB, b) = _numerators(A), _numerators(B)
     cell: dict = {}
     _products(rows, a, b, lambda j, x, y: ((cell, 1),) if j == n else ())
-    return Element._of({key: _over(c, scale * dA * dB) for key, c in cell.items()})
+    return Element._of(_divided(cell, scale * dA * dB))
 
 
 def _signed_sum(terms: Iterable, times: str = "*") -> str:

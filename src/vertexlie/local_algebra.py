@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
+from math import comb, lcm, perm
 from typing import NamedTuple, Optional
 
 from .defects import _defect_tables, central_reduction, membership_central
@@ -27,11 +28,9 @@ from .formula import (
     _Record,
     _accumulate,
     _check_index,
-    _numerators,
-    _over,
+    _divided,
     _scaled_rows,
     _signed_sum,
-    falling,
     gen_binomial,
 )
 
@@ -72,12 +71,13 @@ def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:
 
 
 def _reduce_into(acc: dict, terms, n: int, factor, cid: Optional[int]) -> None:
-    """Add factor times the image of the ((k, bid), coeff) terms at mode n into
-    acc: the one loop of the mode rule (D^k u)_n -> (-1)^k (n)_k u_{n-k}, less
-    what the quotient kills (_quotient_kills); cid is central_reduction(spec)."""
-    for (k, bid), coeff in terms:
-        if (f := falling(n, k)) and (bid != cid or n - k == -1):
-            _accumulate(acc, LieGenerator(bid, n - k), (-1) ** k * factor * f * coeff)
+    """Add factor times the image of the ((k, bid), coeff) terms at mode n into acc: the
+    one loop of the mode rule (D^k u)_n -> (-1)^k (n)_k u_{n-k}, less what the quotient
+    kills (_quotient_kills; cid is central_reduction(spec)); (-1)^k (n)_k = (k-n-1)_k."""
+    for (k, bid), coeff in terms:  # one perm, signed at n >= k; no NamedTuple __new__ frame
+        f = perm(k - n - 1, k) if n < k else -perm(n, k) if k & 1 else perm(n, k)
+        if f and (bid != cid or n - k == -1):
+            _accumulate(acc, tuple.__new__(LieGenerator, (bid, n - k)), factor * f * coeff)
 
 
 def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
@@ -92,36 +92,37 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
 
 
 def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
-    """L [x, y] as ((LieGenerator, int), ...), L the scale of _scaled_rows:
-    sum_i (m over i) reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n,
-    over the scaled row of (u, v), which its callers have checked is there."""
-    cid = central_reduction(spec)
+    """L [x, y] as ((LieGenerator, int), ...), L the scale of _scaled_rows: sum_i
+    (m over i) reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n, over the scaled
+    row of (u, v), which its callers have checked is there; (m over i) is one comb."""
+    cid, m = central_reduction(spec), x.n
     acc: dict = {}
     for i, terms in _scaled_rows(spec)[1][x.bid, y.bid].items():
-        if b := gen_binomial(x.n, i):
-            _reduce_into(acc, terms, x.n + y.n - i, b, cid)
+        if b := comb(m, i) if m >= 0 else -comb(i - m - 1, i) if i & 1 else comb(i - m - 1, i):
+            _reduce_into(acc, terms, m + y.n - i, b, cid)
     return tuple(acc.items())
 
 
 def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     """[x, y], bilinear over [u_n, v_p] = sum_i (n over i)(u_i v)_{n+p-i}.
 
-    With dx, dy the lcm of the coefficient denominators of x and y, write
-    x = X/dx and y = Y/dy for elements X, Y with integer coefficients;
-    then [x, y] = [X, Y]/(dx dy).  Y's terms are grouped by basis vector, and
-    only a basis pair with a table row is read: each of its generator pairs'
-    L [gx, gy] is int terms from the one per-spec table of _pair_terms, which
-    verma._mul_gen reads under the same test, so the sum of cx cy L [gx, gy]
-    is all ints, and each coefficient is divided by L dx dy once.
+    With dx, dy the lcm of the coefficient denominators of x and y, x = X/dx
+    and y = Y/dy for X, Y with int coefficients, read in place; then [x, y] =
+    [X, Y]/(dx dy).  Y's terms are grouped by basis vector, and only a basis
+    pair with a table row is read: each of its generator pairs' L [gx, gy] is
+    int terms from the one per-spec table of _pair_terms, which verma._mul_gen
+    reads under the same test, so the sum of cx cy L [gx, gy] is all ints,
+    divided by L dx dy in one _divided pass.
     """
-    (dx, xs), (dy, ys) = _numerators(x), _numerators(y)
-    scale, rows = _scaled_rows(spec)
-    table = spec._memo.setdefault(_pair_terms, {})
-    by_vector: dict = {}  # y's terms by basis vector
-    for gy, cy in ys:
-        by_vector.setdefault(gy.bid, []).append((gy, cy))
+    xs, ys = x._terms, y._terms
+    dx, dy = lcm(*[c.denominator for c in xs.values()]), lcm(*[c.denominator for c in ys.values()])
+    (scale, rows), table = _scaled_rows(spec), spec._memo.setdefault(_pair_terms, {})
+    by_vector: dict = {}  # y's terms, numerators over dy, by basis vector
+    for gy, cy in ys.items():
+        by_vector.setdefault(gy.bid, []).append((gy, cy.numerator * (dy // cy.denominator)))
     acc: dict = {}
-    for gx, cx in xs:
+    for gx, cx in xs.items():
+        cx = cx.numerator * (dx // cx.denominator)
         for v, yv in by_vector.items():
             if (gx.bid, v) in rows:
                 for gy, cy in yv:
@@ -131,8 +132,7 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
                     factor = cx * cy
                     for g, c in terms:
                         _accumulate(acc, g, factor * c)
-    d = scale * dx * dy
-    return LieElement._of({g: _over(c, d) for g, c in acc.items()} if d != 1 else acc)
+    return LieElement._of(_divided(acc, scale * dx * dy))
 
 
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:

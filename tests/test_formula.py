@@ -551,7 +551,18 @@ def test_only_formula_reads_the_constants_table() -> None:
 
 
 def _self_get_updates(tree: ast.AST) -> list:
-    """Lines of `d[key] = ... d.get(key, 0) ...`: a dict entry updated from its own value."""
+    """Lines of `d[key] = ... d.get(key, 0) ...`: a dict entry updated from its own
+    value, also through an alias of the getter (`get = d.get` ... `d[key] = get(key)`)."""
+    aliases = {target.id: ast.dump(node.value.value)  # name -> the dict whose .get it holds
+               for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "get"
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def getter(func: ast.AST):  # dump of the dict that func reads with get, or None
+        if isinstance(func, ast.Attribute) and func.attr == "get":
+            return ast.dump(func.value)
+        return aliases.get(func.id) if isinstance(func, ast.Name) else None
+
     lines = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Assign):
@@ -560,9 +571,8 @@ def _self_get_updates(tree: ast.AST) -> list:
             if not isinstance(target, ast.Subscript):
                 continue
             own = (ast.dump(target.value), ast.dump(target.slice))
-            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                   and call.func.attr == "get" and call.args
-                   and (ast.dump(call.func.value), ast.dump(call.args[0])) == own
+            if any(isinstance(call, ast.Call) and call.args
+                   and (getter(call.func), ast.dump(call.args[0])) == own
                    for call in ast.walk(node.value)):
                 lines.append(node.lineno)
     return lines
@@ -573,6 +583,8 @@ def test_only_formula_accumulates_by_hand() -> None:
     # keeps a dict of coefficients in stored form and drops zeros
     assert _self_get_updates(ast.parse("acc[g] = acc.get(g, 0) + eps * c")) == [1]
     assert _self_get_updates(ast.parse("out[k] = row.get(k, 0) * p")) == []
+    assert _self_get_updates(ast.parse("get = acc.get\nfor g in gs:\n    acc[g] = get(g, 0) + 1")) == [3]
+    assert _self_get_updates(ast.parse("get = row.get\nacc[g] = get(g, 0) + c")) == []
     found = {path.name: lines for path in sorted(Path(vertexlie.__file__).parent.glob("*.py"))
              if path.name != "formula.py"
              and (lines := _self_get_updates(ast.parse(path.read_text(), filename=str(path))))}
