@@ -421,7 +421,7 @@ class FormulaSpec:
         self.conformal: Optional[tuple] = conformal
         self.name = name
         self._hash: Optional[int] = None
-        self._memo: dict = {}  # derived data: _per_spec tables, pair terms, product table
+        self._memo: dict = {}  # derived data: _per_spec values, pair terms, product table
 
     # -- basis access ------------------------------------------------
 
@@ -509,14 +509,14 @@ _EMPTY_ROW: dict = {}
 
 
 def _per_spec(fn):
-    """Memoize fn(spec, *args) in spec._memo, so the table is freed with the spec."""
+    """Memoize fn(spec) as spec._memo[fn], so the value is freed with the spec."""
     @wraps(fn)
-    def memoized(spec, *args):
+    def memoized(spec):
         try:
-            return spec._memo[memoized][args]
+            return spec._memo[memoized]
         except KeyError:
             pass
-        return spec._memo.setdefault(memoized, {}).setdefault(args, fn(spec, *args))
+        return spec._memo.setdefault(memoized, fn(spec))
     return memoized
 
 

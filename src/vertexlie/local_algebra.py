@@ -19,7 +19,7 @@ from itertools import product
 from math import comb, lcm, perm
 from typing import NamedTuple, Optional
 
-from .defects import _defect_tables, central_reduction, membership_central
+from .defects import _defect_tables, central_reduction, injectivity_verdict
 from .formula import (
     BasisRef,
     Element,
@@ -154,22 +154,6 @@ class LawViolation(_Record, namedtuple("LawViolation", "law generators discrepan
         return f"{self.law} fails at {self.generators}"
 
 
-def _live_laws(spec: FormulaSpec, cid: Optional[int]) -> tuple:
-    """({u: [(v, skew entries)]}, {u: {v: [(w, commutator entries)]}}) in basis
-    order: the live entries of the defect tables, those not made only of D^k c
-    (c = cid, k >= 1); a basis pair or triple with none is left out."""
-    skews, triples = {}, {}
-    for tables in _defect_tables(spec):  # each in basis tuple order
-        for (u, v, *w), table in tables.items():
-            if live := [(key, A) for key, A in table.items()
-                        if cid is None or not membership_central(spec, A, cid)]:
-                if w:
-                    triples.setdefault(u, {}).setdefault(v, []).append((w[0], live))
-                else:
-                    skews.setdefault(u, []).append((v, live))
-    return skews, triples
-
-
 def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     """Exact Lie-superalgebra laws over all modes |n| <= window.
 
@@ -195,11 +179,12 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     sum_{i+j=l+s} (m over i)(n over j)(i over l) = (m over l)(m+n-l over s),
     the factor that the third term of d_ij collects.
 
-    An entry made only of D^k c, k >= 1, c = central_reduction, is zero at
-    every mode: (D^k c)_q is a multiple of c_{q-k}, alive only at q = k - 1,
-    where (k-1)_k = 0.  It is dropped (_live_laws), and only the basis pairs
-    with a live entry are looped over, so a clean preset visits no generator
-    at any window.  Each law sums its reduce terms through _reduce_into.
+    An injective verdict settles both laws at every mode, so none is summed:
+    there are no defects, or all lie in D.Q[D].c with central_reduction(spec)
+    == c, and (D^k c)_q, k >= 1, a multiple of c_{q-k}, is alive only at
+    q = k - 1, where (k-1)_k = 0.  Under any other verdict central_reduction
+    is None, so the quotient kills no mode and every table entry is summed
+    through _reduce_into with none killed.
 
     The derivation law D[x, y] = [Dx, y] + [x, Dy] holds for every table,
     a broken one included, so it is proved here rather than summed.  For
@@ -212,15 +197,21 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     -(n + p - i)(n over i) reduce((u_i v)_{n+p-i-1}), the term of D[u_n, v_p].
     """
     _check_index(window, "window", "window must be nonnegative")
-    cid = central_reduction(spec)
-    skews, triples = spec._memo.get(_live_laws) or \
-        spec._memo.setdefault(_live_laws, _live_laws(spec, cid))
+    if injectivity_verdict(spec).injective:
+        return []
+    skews, triples = {}, {}  # the defect tables by u, then v (and w), in basis order
+    for tables in _defect_tables(spec):
+        for (u, v, *w), table in tables.items():
+            if w:
+                triples.setdefault(u, {}).setdefault(v, []).append((w[0], table.items()))
+            else:
+                skews.setdefault(u, []).append((v, table.items()))
     modes = range(-window, window + 1)
 
     def image(terms: list, q: int) -> LieElement:  # sum coeff reduce(A)_{q-shift}
         acc: dict = {}
         for coeff, A, shift in terms:
-            _reduce_into(acc, A._terms.items(), q - shift, coeff, cid)
+            _reduce_into(acc, A._terms.items(), q - shift, coeff, None)
         return LieElement._of(acc)
 
     violations = []  # x = u_m in generator order, then v in basis order, then n

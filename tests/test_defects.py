@@ -647,11 +647,11 @@ def test_verdict_memo_holds_one_table_per_derivation() -> None:
     # nonempty skew and commutator-defect table, the scaled rows, the defect
     # rows and the verdict; no memoized products and no per-pair or per-triple tables
     spec = affine(_gl_n(3))
-    injectivity_verdict(spec)
-    sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
-    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_defects": 1,
-                     "injectivity_verdict": 1}
-    assert sum(sizes.values()) == 4
+    verdict = injectivity_verdict(spec)
+    assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_scaled_rows", "_defects",
+                                                  "injectivity_verdict"}
+    assert spec._memo[injectivity_verdict] is verdict is injectivity_verdict(spec)
+    assert spec._memo[_defect_tables] is _defect_tables(spec)
     # every commutator defect of an affine table vanishes, so no triple is kept;
     # the skew defects -<u, v> Dc are kept for the pairs the form pairs
     skews, commutators = _defect_tables(spec)
@@ -667,8 +667,8 @@ def test_verdict_memo_holds_one_table_per_derivation() -> None:
 @pytest.mark.parametrize("name", ["gl3", "virasoro"])
 def test_every_defect_query_reads_the_one_store(name: str) -> None:
     # skew_defect on every pair, two sweeps and the window laws add no
-    # per-pair, per-triple or per-bound entry: one entry per derivation, the
-    # window laws' being the pair (skew, commutator) of live-entry tables
+    # per-pair, per-triple or per-bound entry: one entry per derivation, and
+    # the window laws read the verdict and keep no table of their own
     spec = affine(_gl_n(3)) if name == "gl3" else virasoro()
     for u, v in itertools.product(range(spec.dim), repeat=2):
         for n in range(spec.n_max + 1):
@@ -677,9 +677,8 @@ def test_every_defect_query_reads_the_one_store(name: str) -> None:
     defect_sweep(spec, bound)
     defect_sweep(spec, bound + 1)
     jacobi_window_verify(spec, 1)
-    sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
-    assert sizes == {"_defect_tables": 1, "_scaled_rows": 1, "_defects": 1,
-                     "injectivity_verdict": 1, "central_reduction": 1, "_live_laws": 2}
+    assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_scaled_rows", "_defects",
+                                                  "injectivity_verdict"}
 
 
 # ---------------------------------------------------------------------------
@@ -844,13 +843,15 @@ def test_verdict_matches_the_reference_on_the_complete_sweep() -> None:
 def test_sweeps_at_every_bound_keep_one_list_of_defect_rows() -> None:
     # each bound filters the one per-spec list of rows; no bound adds an entry
     for spec in (affine(_gl_n(3)), TYPO_TABLES["virasoro:c_2omega"]()):
-        raised = 0
+        raised, rows = 0, []
         for bound in range(50):
             try:
                 defect_sweep(spec, bound)
             except BoundInsufficientError:
                 raised += 1
-        assert raised and len(spec._memo[_defects]) == 1
+            rows.append(spec._memo[_defects])
+        assert raised and all(row is rows[0] for row in rows)
+        assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_scaled_rows", "_defects"}
 
 
 def test_verdict_accepts_explicit_central_argument() -> None:

@@ -41,12 +41,14 @@ from vertexlie.formula import falling
 from vertexlie.local_algebra import LawViolation, _quotient_kills, generator, single
 
 # typo'd presets and seeded one-sided random tables, shared with the sweep tests
-from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables, _typo, apply_D
+from test_defects import (TYPO_TABLES, _basis, _graded_random_tables, _random_tables, _typo,
+                          apply_D)
 
 VIR = virasoro()
 HEIS = affine(heisenberg())
 NS = neveu_schwarz()
 SL2 = affine(sl2())
+CLEAN = sorted(set(PRESETS) - {"novikov-flipped"})  # the presets with an injective verdict
 
 
 def gen(spec, label, n):
@@ -348,9 +350,9 @@ def test_bracket_reduces_no_mode_and_keeps_one_entry_per_pair(monkeypatch) -> No
         pairs.update((gx, gy) for gx in x._terms for gy in y._terms
                      if spec._row(gx.bid, gy.bid))
     assert calls == {"reduce_generator": 0}
-    sizes = {fn.__name__: len(table) for fn, table in spec._memo.items()}
-    assert sizes["_pair_terms"] == len(pairs) and "_pair_bracket" not in sizes
-    assert set(spec._memo[local_algebra._pair_terms]) == pairs
+    assert "_pair_bracket" not in {fn.__name__ for fn in spec._memo}
+    table = spec._memo[local_algebra._pair_terms]
+    assert len(table) == len(pairs) and set(table) == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +559,15 @@ def test_window_verify_matches_reference_on_graded_random_tables() -> None:
                                   "neveu-schwarz:tau_0tau", "novikov-lambda:u1_0u1"])
 def test_window_verify_drops_only_what_a_forced_quotient_kills(name: str, monkeypatch) -> None:
     # the typo leaves c central but the verdict unsettled, so there is no
-    # quotient; forcing it (the modes of a central c span an ideal) gives
-    # tables that mix entries the quotient kills with entries it keeps, on
-    # which the window check must still agree with the bracket reference
+    # quotient; the window check reads the verdict, not central_reduction,
+    # so a quotient forced on the bracket (the modes of a central c span an
+    # ideal) does not reach it: it still gives the unforced reference
     from vertexlie import local_algebra
 
     spec = TYPO_TABLES[name]()
     assert central_reduction(spec) is None and central_check(spec, spec.central)
-    monkeypatch.setattr(local_algebra, "central_reduction", lambda spec: spec.central)
     want = _reference_window(spec, 2)
+    monkeypatch.setattr(local_algebra, "central_reduction", lambda spec: spec.central)
     assert want and jacobi_window_verify(spec, 2) == want
 
 
@@ -594,12 +596,11 @@ def test_window_verify_reads_no_mode_bracket(monkeypatch) -> None:
     assert calls["_pair_terms"] == calls["reduce_generator"] == 0 and calls["_reduce_into"] > 0
 
 
-@pytest.mark.parametrize("name", sorted(set(PRESETS) - {"novikov-flipped"}))
+@pytest.mark.parametrize("name", CLEAN)
 def test_window_verify_reduces_nothing_on_a_clean_preset(name: str, monkeypatch) -> None:
-    # every table entry of a clean preset is a D^k c that the quotient kills
-    # at every mode, so the laws hold with no mode reduced; the laws loop over
-    # the basis pairs with a live entry only, so no generator is made and no
-    # binomial taken, and a window of any size costs the same
+    # a clean preset's verdict is injective, so the laws hold at every mode
+    # and none is summed: no mode is reduced, no generator made and no
+    # binomial taken
     from vertexlie import local_algebra
 
     spec = preset(name)
@@ -608,7 +609,56 @@ def test_window_verify_reduces_nothing_on_a_clean_preset(name: str, monkeypatch)
     assert jacobi_window_verify(spec, 1000) == []
     assert calls == {"reduce_generator": 0, "_reduce_into": 0, "LieGenerator": 0,
                      "gen_binomial": 0}
-    assert spec._memo[local_algebra._live_laws] == ({}, {})
+
+
+@pytest.mark.parametrize("name", CLEAN)
+def test_window_verify_on_a_clean_preset_builds_no_mode_range(name: str) -> None:
+    # the verdict settles the laws before any mode is looked at, so a window
+    # of 10^5 allocates no list or tuple of its 200 001 modes
+    import tracemalloc
+
+    spec, verify = preset(name), jacobi_window_verify
+    tracemalloc.start()
+    try:
+        got = verify(spec, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [] and peak < 2**20, peak
+
+
+def test_check_window_of_a_billion_modes_on_a_clean_preset(capsys) -> None:
+    from vertexlie.cli import main
+
+    assert main(["check", "--preset", "virasoro", "--window", "1000000000"]) == 0
+    assert "mode-algebra laws on window 1000000000: pass\n" in capsys.readouterr().out
+
+
+def _rescaled(spec, rng):
+    """spec in the basis u -> l_u u, l_u seeded nonzero rationals: the constant c
+    of u_n v -> D^k t becomes c l_u l_v / l_t.  The central vector stays central;
+    the conformal designation is dropped, as omega_0 omega = D omega pins l_omega."""
+    scale = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+             for _ in range(spec.dim)]
+    constants = {(u, n, v): {(k, t): c * scale[u] * scale[v] / scale[t]
+                             for (k, t), c in value.items()}
+                 for (u, n, v), value in spec.constant_entries()}
+    return FormulaSpec(_basis(spec), constants, central=spec.central)
+
+
+@pytest.mark.parametrize("name", CLEAN)
+def test_window_verify_on_rescaled_injective_tables(name: str) -> None:
+    # no table of the seeded corpus is injective, so the early return is
+    # checked against brackets on tables that are not presets: a rescaled
+    # basis keeps the verdict and its witnesses, and every law holds
+    rng = random.Random(4600 + sorted(PRESETS).index(name))
+    want, before = injectivity_verdict(preset(name)), list(preset(name).constant_entries())
+    for _ in range(2):
+        spec = _rescaled(preset(name), rng)
+        assert list(spec.constant_entries()) != before or not before  # loop-abelian has none
+        verdict = injectivity_verdict(spec)
+        assert (verdict.status, len(verdict.witnesses)) == (want.status, len(want.witnesses))
+        assert jacobi_window_verify(spec, 2) == _reference_window(spec, 2) == []
 
 
 def test_check_window_ends_in_the_sweep_error_on_an_undetermined_table(

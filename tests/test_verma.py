@@ -497,8 +497,9 @@ def test_normal_ordering_keeps_every_product_in_ints(name: str) -> None:
 def _pair_tables(spec) -> dict:
     """The derived tables of spec._memo keyed by generator pairs, by name."""
     return {key.__name__: table for key, table in spec._memo.items() if callable(key)
-            and table and all(isinstance(k, tuple) and len(k) == 2
-                              and all(type(g) is LieGenerator for g in k) for k in table)}
+            and isinstance(table, dict) and table  # _per_spec values include an int
+            and all(isinstance(k, tuple) and len(k) == 2
+                    and all(type(g) is LieGenerator for g in k) for k in table)}
 
 
 def test_bracket_and_normal_ordering_share_one_pair_table() -> None:
