@@ -5,8 +5,10 @@ compose in pipelines: 0 success (check: injective verdict), 1 failed
 verdict, refused computation or closed stdout, 2 bad input.  With --json
 the output is a single object with the stable keys {spec, verdict,
 defects, dims, result}; every rational is rendered as a "num/den" (or
-integer) string.  The package writes the JSON itself, each defect row from
-one template, as json.dumps(payload, indent=2, sort_keys=True) would, byte for byte.
+integer) string.  The package writes it as json.dumps(payload, indent=2,
+sort_keys=True) would, byte for byte: the spec, check's verdict and result
+and each defect row are filled from fixed templates, each label and string
+escaped once; _json walks the rest (bracket's and verma's results, dims).
 Either form is built whole from values already computed, then written at
 once; so a ValueError while building it is the interpreter's limit on the
 digits of an int written as text, and refuses the command (exit 1) with
@@ -26,7 +28,7 @@ import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from . import defects as defects_mod
 from .defects import conformal_validate, defect_sweep, injectivity_verdict
@@ -65,27 +67,37 @@ def _require_nonnegative(flag: str, value) -> None:
         raise CliError(f"{flag} must be nonnegative, got {value}")
 
 
-def _spec_json(spec: FormulaSpec) -> dict:
-    return {
-        "name": spec.name,
-        "basis": [{"name": v.label,
-                   "parity": "odd" if v.parity else "even",
-                   "weight": None if v.weight is None else str(v.weight)}
-                  for v in spec.vectors],
-        "n_max": spec.n_max,
-        "k_max": spec.k_max,
-        "central": None if spec.central is None else spec.vectors[spec.central].label,
-        "conformal": None if spec.conformal is None else
-                     [spec.vectors[i].label for i in spec.conformal],
-    }
-
-
 class _Rendered(str):
     """JSON text already written for its place in the payload; _json copies it as is."""
 
 
 class _Escaped(dict):  # label -> its JSON string; an index, never a key, -> its digits
     __missing__ = staticmethod(int.__repr__)
+
+
+def _strings(items: Sequence[str], indent: str) -> str:
+    """A list of strings as json.dumps(indent=2) writes it on a line indented by indent."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(map(_json_str, items)) + "\n" + indent + "]" \
+        if items else "[]"
+
+
+def _spec_json(spec: FormulaSpec) -> _Rendered:
+    """The payload's "spec", as json.dumps(indent=2, sort_keys=True) writes it, filled
+    from fixed templates, each label escaped once."""
+    vector = '{\n        "name": %s,\n        "parity": "%s",\n        "weight": %s\n      }'
+    labels = [_json_str(label) for label in spec.labels]
+    basis = ",\n      ".join([vector % (labels[v.index], "odd" if v.parity else "even",
+                                          "null" if v.weight is None else f'"{v.weight}"')
+                               for v in spec.vectors])
+    return _Rendered(
+        '{\n    "basis": %s,\n    "central": %s,\n    "conformal": %s,\n    "k_max": %d,'
+        '\n    "n_max": %d,\n    "name": %s\n  }' % (
+            "[\n      " + basis + "\n    ]" if basis else "[]",
+            "null" if spec.central is None else labels[spec.central],
+            "null" if spec.conformal is None else
+            "[\n      %s,\n      %s\n    ]" % tuple(labels[i] for i in spec.conformal),
+            spec.k_max, spec.n_max, "null" if spec.name is None else _json_str(spec.name)))
 
 
 def _defect_rows(spec: FormulaSpec, sweep: list) -> _Rendered:
@@ -236,16 +248,24 @@ def cmd_check(args) -> int:
             yield f"mode-algebra laws on window {args.window}: {outcome}"
 
     def payload() -> dict:
+        # the verdict and result as json.dumps(indent=2, sort_keys=True) writes them; a
+        # status needs no escape
+        flag = ("false", "true")
+        conformal = "null" if report is None else (
+            '{\n      "failures": %s,\n      "ok": %s\n    }'
+            % (_strings(report.failures, "      "), flag[report.ok]))
+        window = "null" if bad is None else (
+            '{\n      "violations": %s,\n      "window": %d\n    }'
+            % (_strings([str(b) for b in bad], "      "), args.window))
         return {
             "spec": _spec_json(spec),
-            "verdict": {"status": verdict.status, "notes": verdict.notes,
-                        "injective": verdict.injective},
+            "verdict": _Rendered(
+                '{\n    "injective": %s,\n    "notes": %s,\n    "status": "%s"\n  }'
+                % (flag[verdict.injective], _json_str(verdict.notes), verdict.status)),
             "defects": _defect_rows(spec, sweep),
-            "result": {"violations": [str(v) for v in violations],
-                       "conformal": None if report is None else
-                       {"ok": report.ok, "failures": list(report.failures)},
-                       "window": None if bad is None else
-                       {"window": args.window, "violations": [str(b) for b in bad]}},
+            "result": _Rendered(
+                '{\n    "conformal": %s,\n    "violations": %s,\n    "window": %s\n  }'
+                % (conformal, _strings([str(v) for v in violations], "    "), window)),
         }
 
     _emit(args, payload, text)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import comb, perm
 from typing import Optional
 
 from .formula import (
@@ -37,7 +38,6 @@ from .formula import (
     _divided,
     _over,
     _per_spec,
-    _products,
     _scaled_rows,
     gen_binomial,
 )
@@ -88,14 +88,20 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
 
     One pass over the table rows adds each term straight into the defect cells
     it enters.  A row entry v_n w enters skew (v, w) at n, and as eps (-1)^n
-    D^(n-i)/(n-i)! v_n w skew (w, v) at every i <= n.  A left product u_m(v_n w)
-    is the first term of (u, v, w) at (m, n), and times -eps the term eps
-    v_n(u_m w) of (v, u, w) at (n, m); (u_i v)_total w enters (u, v, w) at
-    (m, total + i - m) times -(m over i), i <= m <= total + i.  _products adds
-    them over _scaled_rows, the table times L in ints, and builds no product
-    first.  A commutator coefficient, bilinear in the constants, is exactly L^2
-    times its value and is divided once, at the end.  Each skew part is divided
-    over its own L (n - i)! as it is added, so one large index makes no common
+    D^(n-i)/(n-i)! v_n w skew (w, v) at every i <= n.  The commutator cells sum
+    two product shapes, each added in place over _scaled_rows (the table times L,
+    in ints) with no product built first:
+    - u_m(v_n w): a term D^b y of v_n w and an entry u_j y give (b over i) (m)_i
+      D^(b-i) u_j y at m = i + j, the first term of (u, v, w) at (m, n) and, times
+      -eps, the term eps v_n(u_m w) of (v, u, w) at (n, m).
+    - (u_i v)_total w: a term D^a x of u_i v and an entry x_j w give (-1)^a
+      (total)_a x_j w at total = a + j (w is not differentiated: one Leibniz term),
+      which enters (u, v, w) at (m, total + i - m) times -(m over i),
+      i <= m <= total + i, the binomial stepped along m.
+    Both indices of each falling factorial are >= 0, so math.perm computes it.
+    A commutator coefficient, bilinear in the constants, is exactly L^2 times its
+    value and is divided once, at the end.  Each skew part is divided over its
+    own L (n - i)! as it is added, so one large index makes no common
     denominator that every skew coefficient must be reduced over; the parts at
     i = n, the entry and its signed copy, are the spec's stored constants.
     """
@@ -105,40 +111,62 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     parity = [vec.parity for vec in spec.vectors]
     skews: dict = {}        # (u, v, n) -> {(k, tid): stored-form rational}
     commutators: dict = {}  # (u, v, w, m, n) -> {(k, tid): int}
-    skew, cell = skews.setdefault, commutators.setdefault
-
-    def left_cells(m: int, u: int, _t: int) -> tuple:  # of u_m(v_n w), at the loop's v, w, n
-        return ((cell((u, v, w, m, n), {}), 1),
-                (cell((v, u, w, n, m), {}), 1 if parity[u] and parity[v] else -1))  # -eps
-
-    def right_cells(total: int, _t: int, w: int) -> list:  # of (u_i v)_total w, at u, v, i
-        out, b = [], -1  # -(m over i), stepped along m: no binomial is recomputed
-        for m in range(i, total + i + 1):
-            out.append((cell((u, v, w, m, total + i - m), {}), b))
-            b = b * (m + 1) // (m + 1 - i)
-        return out
-    lefts = [((0, u), 1) for u in sorted({u for u, _ in rows})]  # the others give zero products
-    rights = [((0, w), 1) for w in sorted({w for _, w in rows})]
+    skew, cell = skews.get, commutators.get
+    lefts, rights = sorted({u for u, _ in rows}), sorted({w for _, w in rows})  # others: zero
     for (v, w), row in rows.items():
         stored = spec._row(v, w)
         for n, vw in row.items():
             own = stored[n]._terms.items()  # j = n: the constant itself
-            into = skew((v, w, n), {})
-            for key, c in own:
-                _accumulate(into, key, c)
+            if (into := skew(key := (v, w, n))) is None:
+                into = skews[key] = {}
+            for term, c in own:
+                _accumulate(into, term, c)
             sign, den = (-1) ** n * (-1 if parity[v] and parity[w] else 1), scale
-            into = skew((w, v, n), {})
-            for key, c in own:
-                _accumulate(into, key, c if sign > 0 else -c)
+            if (into := skew(key := (w, v, n))) is None:
+                into = skews[key] = {}
+            for term, c in own:
+                _accumulate(into, term, c if sign > 0 else -c)
             for j in range(n - 1, -1, -1):
                 den *= n - j  # L (n-j)!
-                into = skew((w, v, j), {})
+                if (into := skew(key := (w, v, j))) is None:
+                    into = skews[key] = {}
                 for (k, t), c in vw:
                     _accumulate(into, (k + n - j, t), _over(sign * c, den))
-            _products(rows, lefts, vw, left_cells)
+            for u in lefts:  # u_m(v_n w)
+                flip = 1 if parity[u] and parity[v] else -1  # -eps
+                for (b, y), cb in vw:
+                    if (uy := rows.get((u, y))) is None:
+                        continue
+                    for j, base in uy.items():
+                        for i in range(b + 1):
+                            m, factor = i + j, cb * comb(b, i) * perm(i + j, i) if i else cb
+                            if (first := cell(key := (u, v, w, m, n))) is None:
+                                first = commutators[key] = {}
+                            if (second := cell(key := (v, u, w, n, m))) is None:
+                                second = commutators[key] = {}
+                            for (k, t), ct in base:
+                                term, c = (k + b - i, t), factor * ct
+                                _accumulate(first, term, c)
+                                _accumulate(second, term, flip * c)
     for (u, v), row in rows.items():
         for i, uv in row.items():
-            _products(rows, uv, rights, right_cells)
+            for (a, x), ca in uv:  # (u_i v)_total w
+                for w in rights:
+                    if (xw := rows.get((x, w))) is None:
+                        continue
+                    for j, base in xw.items():
+                        total = a + j
+                        factor = (-ca if a & 1 else ca) * perm(total, a) if a else ca
+                        targets, b = [], -1  # -(m over i), stepped along m
+                        for m in range(i, total + i + 1):
+                            if (acc := cell(key := (u, v, w, m, total + i - m))) is None:
+                                acc = commutators[key] = {}
+                            targets.append((acc, b))
+                            b = b * (m + 1) // (m + 1 - i)
+                        for term, ct in base:
+                            c = factor * ct
+                            for acc, f in targets:
+                                _accumulate(acc, term, f * c)
 
     skew_tables: dict = {}  # basis tuples in index order, each by index
     for (u, v, n), terms in sorted([item for item in skews.items() if item[1]]):

@@ -569,14 +569,14 @@ def _scaled_rows(spec: FormulaSpec) -> tuple:
                    for pair, row in spec._rows.items()}
 
 
-def _products(rows: dict, A: list, B: list, cells) -> None:
-    """Add L A_n B, for every n, straight into the cells it enters, for int term lists
-    A, B [((D-power, bid), coeff), ...] over the rows of _scaled_rows: cells(n, x, y)
-    gives the (acc, factor) pairs that the part from a term of A on basis vector x
-    and one of B on y enters, and each of its terms is accumulated into every acc
-    times that factor.  The table product x_j y enters (D^a x)_n (D^b y) at
-    n = a + i + j, 0 <= i <= b, with factor (-1)^a (b over i) (n)_(a+i) and D-shift
-    b - i; the falling factorial is never zero there.
+def _products(rows: dict, A: list, B: list, acc: dict, n: int) -> None:
+    """Add L A_n B into acc, for int term lists A, B [((D-power, bid), coeff), ...]
+    over the rows of _scaled_rows.  The table product x_j y enters
+    (D^a x)_n (D^b y) at n = a + i + j, 0 <= i <= b, with factor
+    (-1)^a (b over i) (n)_(a+i) and D-shift b - i; the falling factorial is never
+    zero there.  The defect tables need only the two shapes with a plain factor,
+    u_m(D^b y) and (D^a x)_q w, and add them straight into their cells
+    (defects._defect_tables).
     """
     for (a, x), ca in A:
         for (b, y), cb in B:
@@ -584,14 +584,10 @@ def _products(rows: dict, A: list, B: list, cells) -> None:
                 continue
             scale = -ca * cb if a & 1 else ca * cb
             for j, base in row.items():
-                for i in range(b + 1):
-                    n, shift = a + i + j, b - i
+                if 0 <= (i := n - a - j) <= b:
                     factor = scale * comb(b, i) * falling(n, a + i) if a + i else scale
-                    targets = cells(n, x, y)
                     for (k, tid), ct in base:
-                        key, term = (k + shift, tid), factor * ct
-                        for acc, f in targets:
-                            _accumulate(acc, key, f * term)
+                        _accumulate(acc, (k + b - i, tid), factor * ct)
 
 
 def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:
@@ -605,7 +601,7 @@ def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element
     scale, rows = _scaled_rows(spec)
     (dA, a), (dB, b) = _numerators(A), _numerators(B)
     cell: dict = {}
-    _products(rows, a, b, lambda j, x, y: ((cell, 1),) if j == n else ())
+    _products(rows, a, b, cell, n)
     return Element._of(_divided(cell, scale * dA * dB))
 
 

@@ -6,7 +6,7 @@ ignored.  Sections:
     [meta]                  optional key = value pairs (name, ...)
     [basis]                 one line per vector: LABEL PARITY [WEIGHT]
     [central]               one line naming the central vector
-    [conformal]             'omega = LABEL' and 'c = LABEL'
+    [conformal]             'omega = LABEL' and 'c = LABEL' (weighted basis only)
     [constants]             one line per product:
                             U N V : K TARGET COEFF [, K TARGET COEFF]...
 
@@ -153,7 +153,7 @@ def parse_formula(text: str) -> FormulaSpec:
             raise FormulaFileError(conformal_line, "conformal section needs both omega and c")
         conformal = (conformal_parts["omega"], conformal_parts["c"])
     try:
-        return FormulaSpec(entries, constants, central=central, conformal=conformal,
+        spec = FormulaSpec(entries, constants, central=central, conformal=conformal,
                            name=meta.get("name"))
     except _BasisEntryError as exc:
         raise FormulaFileError(basis_lines[exc.index], str(exc)) from None
@@ -161,6 +161,9 @@ def parse_formula(text: str) -> FormulaSpec:
         # names and numbers were all checked above: what is left is a
         # [central] vector that differs from the conformal c
         raise FormulaFileError(central_line, str(exc)) from None
+    if conformal is not None and not spec.graded:  # conformal_validate would refuse it
+        raise FormulaFileError(conformal_line, "a conformal pair needs basis weights")
+    return spec
 
 
 def load_formula(path) -> FormulaSpec:

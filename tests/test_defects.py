@@ -338,6 +338,21 @@ def _graded_random_tables(rng: random.Random, count: int = 20) -> list:
     return tables
 
 
+def _deep_random_tables(rng: random.Random, count: int = 12) -> list:
+    """Like _random_tables, with product indices and D-powers in {0, 1, 2} and up
+    to two terms a product: the D^2 terms of a left product u_m(D^2 y) and the
+    falling factorial (q)_2 of a right product (D^2 x)_q w come only from these."""
+    tables = []
+    for _ in range(count):
+        constants = {
+            (rng.choice("abc"), rng.randint(0, 2), rng.choice("abc")):
+                {(rng.randint(0, 2), rng.choice("abc")): rng.choice((1, -1, 2, F(1, 2)))
+                 for _ in range(rng.randint(1, 2))}
+            for _ in range(rng.randint(2, 4))}
+        tables.append(FormulaSpec([(x, rng.randint(0, 1)) for x in "abc"], constants))
+    return tables
+
+
 def _random_element(rng: random.Random, spec: FormulaSpec) -> Element:
     """Up to three terms at D-powers 0-2 with small rational coefficients."""
     return Element({(rng.randint(0, 2), rng.randrange(spec.dim)): rng.choice((1, -2, F(1, 3)))
@@ -381,7 +396,7 @@ def test_sparse_sweep_matches_dense_reference(name: str) -> None:
 
 
 def test_sparse_sweep_matches_dense_reference_on_random_tables() -> None:
-    for spec in _random_tables(random.Random(5)):
+    for spec in _random_tables(random.Random(5)) + _deep_random_tables(random.Random(47)):
         bound = default_bound(spec)
         assert _sweep_outcome(defect_sweep, spec, bound) \
             == _sweep_outcome(_dense_sweep, spec, bound), list(spec.constant_entries())

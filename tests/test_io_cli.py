@@ -20,8 +20,8 @@ import vertexlie
 from vertexlie import PRESETS, Element, FormulaSpec, preset, rat, virasoro
 from vertexlie import cli
 from vertexlie.cli import main
-from vertexlie.defects import defect_sweep
-from vertexlie.formula import FormulaError, _rat
+from vertexlie.defects import conformal_validate, defect_sweep, injectivity_verdict
+from vertexlie.formula import FormulaError, _rat, validate_spec
 from vertexlie.formula_io import (
     FormulaFileError,
     export_formula,
@@ -29,6 +29,7 @@ from vertexlie.formula_io import (
     parse_formula,
     save_formula,
 )
+from vertexlie.local_algebra import jacobi_window_verify
 
 # typo'd presets and seeded random tables, shared with the sweep tests
 from test_defects import TYPO_TABLES, _graded_random_tables, _random_tables
@@ -166,6 +167,8 @@ def test_parse_reports_line_numbers() -> None:
         ("[meta]\nname = a\nname = b\n[basis]\na even\n", 3),
         # a central vector that is not the conformal c, at the [central] line
         ("[basis]\na even\nc even\n[central]\na\n[conformal]\nomega = a\nc = c\n", 5),
+        # a conformal pair on a basis without weights, at its header
+        ("[basis]\nomega even\nc even\n\n[conformal]\nomega = omega\nc = c\n", 5),
     ]
     for text, line in cases:
         with pytest.raises(FormulaFileError) as err:
@@ -412,6 +415,18 @@ def test_cli_check_file_and_parse_error(tmp_path, capsys) -> None:
     assert "line 2" in err
 
 
+def test_cli_check_refuses_a_conformal_pair_without_weights(tmp_path, capsys) -> None:
+    # bad input, not a refused computation: exit 2 and the line, no verdict
+    path = tmp_path / "unweighted.vla"
+    path.write_text("[basis]\nomega even\nc even\n\n[conformal]\nomega = omega\nc = c\n")
+    for argv in (["check", str(path)], ["check", str(path), "--json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (f"error: {path}: line 5: a conformal pair needs basis "
+                                "weights\n")
+
+
 def test_cli_check_file_with_inadmissible_product(tmp_path, capsys) -> None:
     # a parseable file whose product fails the identities: exit 1 and a
     # witness defect outside the central span is printed
@@ -462,17 +477,53 @@ def _defect_json(spec: FormulaSpec, dft) -> dict:
                       for (k, bid), c in sorted(dft.value._terms.items())]}
 
 
-def _run_against_dumps(argv, payloads: list, capsys, spec=None, bound=None) -> str:
-    """Run main(argv): its stdout must be json.dumps of the payload, or empty
-    when it refused; returns stderr.  With spec, the payload's defects (which
-    reach the writer as text) are replaced by the dicts of _defect_json for
-    defect_sweep(spec, bound)."""
+def _spec_dict(spec: FormulaSpec) -> dict:
+    """The spec as a dict of the JSON payload: the reference for the CLI's template."""
+    return {
+        "name": spec.name,
+        "basis": [{"name": v.label,
+                   "parity": "odd" if v.parity else "even",
+                   "weight": None if v.weight is None else str(v.weight)}
+                  for v in spec.vectors],
+        "n_max": spec.n_max,
+        "k_max": spec.k_max,
+        "central": None if spec.central is None else spec.vectors[spec.central].label,
+        "conformal": None if spec.conformal is None else
+                     [spec.vectors[i].label for i in spec.conformal],
+    }
+
+
+def _check_dicts(spec: FormulaSpec, window) -> tuple:
+    """check's verdict and result as dicts of the JSON payload, read from the library
+    at --window window (None when not given): the reference for the CLI's templates."""
+    verdict = injectivity_verdict(spec)
+    report = conformal_validate(spec) if spec.conformal is not None else None
+    bad = None if window is None else jacobi_window_verify(spec, window)
+    return ({"status": verdict.status, "notes": verdict.notes, "injective": verdict.injective},
+            {"violations": [str(v) for v in validate_spec(spec)],
+             "conformal": None if report is None else
+             {"ok": report.ok, "failures": list(report.failures)},
+             "window": None if bad is None else
+             {"window": window, "violations": [str(b) for b in bad]}})
+
+
+def _run_against_dumps(argv, payloads: list, capsys, spec: FormulaSpec,
+                       bound=None) -> str:
+    """Run main(argv) on spec: its stdout must be json.dumps of the payload, or empty
+    when it refused; returns stderr.  The payload's sections that reach the writer
+    as text are replaced by their reference dicts: the spec by _spec_dict, the
+    defects by _defect_json for defect_sweep(spec, bound), and check's verdict and
+    result by _check_dicts at the --window of argv."""
     code = main(list(argv))
     captured = capsys.readouterr()
     if captured.out:
         reference = payloads.pop()
-        if spec is not None:
+        reference["spec"] = _spec_dict(spec)
+        if argv[0] in ("check", "defect"):
             reference["defects"] = [_defect_json(spec, d) for d in defect_sweep(spec, bound)]
+        if argv[0] == "check":
+            window = int(argv[argv.index("--window") + 1]) if "--window" in argv else None
+            reference["verdict"], reference["result"] = _check_dicts(spec, window)
         assert captured.out == _dumps(reference) + "\n", argv
     else:
         assert code == 1 and captured.err.startswith("error: "), (argv, captured.err)
@@ -502,8 +553,13 @@ def test_json_writer_matches_json_dumps_on_check_and_defect(tmp_path, payloads, 
     for k, spec in enumerate(specs):
         paths.append(tmp_path / f"table-{k}.vla")
         save_formula(spec, paths[-1])
-    paths.append(tmp_path / "omega.vla")
-    paths[-1].write_text(OMEGA_FILE, encoding="utf-8")
+    # a conformal clause that fails on an injective table, and an empty basis
+    broken_omega = export_formula(virasoro()).replace("omega 3 omega : 0 c 1/2",
+                                                     "omega 3 omega : 0 c 1")
+    for name, text in (("omega", OMEGA_FILE), ("broken-omega", broken_omega),
+                       ("empty", "[basis]\n")):
+        paths.append(tmp_path / f"{name}.vla")
+        paths[-1].write_text(text, encoding="utf-8")
     refused = 0
     for path in paths:
         spec = load_formula(path)
@@ -553,7 +609,7 @@ def test_json_writer_escapes_labels_in_defect_rows(tmp_path, payloads, capsys) -
     ("verma", "--preset", "virasoro", "--cutoff", "4", "--field", "1", "-1", "omega_-2"),
 ])
 def test_json_writer_matches_json_dumps_on_bracket_and_verma(argv, payloads, capsys) -> None:
-    assert not _run_against_dumps(argv + ("--json",), payloads, capsys)
+    assert not _run_against_dumps(argv + ("--json",), payloads, capsys, preset(argv[2]))
 
 
 @pytest.mark.parametrize("value", [
