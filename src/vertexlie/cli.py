@@ -5,14 +5,15 @@ compose in pipelines: 0 success (check: injective verdict), 1 failed
 verdict, refused computation or closed stdout, 2 bad input.  With --json
 the output is a single object with the stable keys {spec, verdict,
 defects, dims, result}; every rational is rendered as a "num/den" (or
-integer) string.  The package writes it as json.dumps(payload, indent=2,
-sort_keys=True) would, byte for byte: the spec, check's verdict and result
-and each defect row are filled from fixed templates, each label and string
-escaped once; _json walks the rest (bracket's and verma's results, dims).
-Either form is built whole from values already computed, then written at
-once; so a ValueError while building it is the interpreter's limit on the
-digits of an int written as text, and refuses the command (exit 1) with
-nothing written.
+integer) string.  It reads as json.dumps(document, indent=2,
+sort_keys=True) would, byte for byte, from two writers: fixed templates
+write the document and the sections check and defect give (the spec,
+check's verdict and result, each defect row), each label and string
+escaped once, and json.dumps writes the rest (bracket's and verma's
+results, dims).  Either form is built whole from values already computed,
+then written at once; so a ValueError while building it is the
+interpreter's limit on the digits of an int written as text, and refuses
+the command (exit 1) with nothing written.
 
 Parsing is table-driven: _parse reads argv in one walk against _COMMANDS
 and _ARGS.  Each subcommand imports only the modules it needs: the mode
@@ -22,6 +23,7 @@ the vacuum module (verma) by verma alone.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import sys
@@ -67,10 +69,6 @@ def _require_nonnegative(flag: str, value) -> None:
         raise CliError(f"{flag} must be nonnegative, got {value}")
 
 
-class _Rendered(str):
-    """JSON text already written for its place in the payload; _json copies it as is."""
-
-
 class _Escaped(dict):  # label -> its JSON string; an index, never a key, -> its digits
     __missing__ = staticmethod(int.__repr__)
 
@@ -82,15 +80,15 @@ def _strings(items: Sequence[str], indent: str) -> str:
         if items else "[]"
 
 
-def _spec_json(spec: FormulaSpec) -> _Rendered:
-    """The payload's "spec", as json.dumps(indent=2, sort_keys=True) writes it, filled
+def _spec_json(spec: FormulaSpec) -> str:
+    """The document's "spec", as json.dumps(indent=2, sort_keys=True) writes it, filled
     from fixed templates, each label escaped once."""
     vector = '{\n        "name": %s,\n        "parity": "%s",\n        "weight": %s\n      }'
     labels = [_json_str(label) for label in spec.labels]
     basis = ",\n      ".join([vector % (labels[v.index], "odd" if v.parity else "even",
                                           "null" if v.weight is None else f'"{v.weight}"')
                                for v in spec.vectors])
-    return _Rendered(
+    return (
         '{\n    "basis": %s,\n    "central": %s,\n    "conformal": %s,\n    "k_max": %d,'
         '\n    "n_max": %d,\n    "name": %s\n  }' % (
             "[\n      " + basis + "\n    ]" if basis else "[]",
@@ -100,8 +98,8 @@ def _spec_json(spec: FormulaSpec) -> _Rendered:
             spec.k_max, spec.n_max, "null" if spec.name is None else _json_str(spec.name)))
 
 
-def _defect_rows(spec: FormulaSpec, sweep: list) -> _Rendered:
-    """The payload's "defects", as json.dumps(indent=2, sort_keys=True) writes them:
+def _defect_rows(spec: FormulaSpec, sweep: list) -> str:
+    """The document's "defects", as json.dumps(indent=2, sort_keys=True) writes them:
     one template a defect and one a term of its value (sorted by (d_power, basis
     index), coefficients in stored form), each label escaped once."""
     row = ('{\n      "indices": [\n        %s\n      ],\n      "kind": "%s",'
@@ -114,42 +112,25 @@ def _defect_rows(spec: FormulaSpec, sweep: list) -> _Rendered:
                    ",\n        ".join([term % (c, k, targets[bid])
                                        for (k, bid), c in sorted(d.value._terms.items())]))
             for d in sweep]
-    return _Rendered("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]")
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
-_LEAVES = {str: _json_str, _Rendered: lambda text: text, int: int.__repr__,
-           bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+def _dumps(value) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) writes it, for its place in the
+    document: json.dumps escapes every newline and control character inside a string,
+    so each newline it writes is a line break and takes the section's indent."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def _json(value, indent: str = "\n") -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True) writes it.
-
-    indent is a newline and the indentation of the line value starts on.
-    Only str, int, bool, None, list and str-keyed dict are written (exact
-    types), and _Rendered text is copied; anything else raises TypeError.
-    Leaves are written by their _LEAVES entry; only a list or dict recurses.
-    """
-    kind = type(value)
-    if (leaf := _LEAVES.get(kind)) is not None:
-        return leaf(value)
-    inner = indent + "  "
-    if kind is list:
-        items = [leaf(item) if (leaf := _LEAVES.get(type(item))) else _json(item, inner)
-                 for item in value]
-    elif kind is dict and set(map(type, value)) <= {str}:
-        items = [_json_str(key) + ": " + (leaf(item) if (leaf := _LEAVES.get(type(item)))
-                                          else _json(item, inner))
-                 for key in sorted(value) for item in [value[key]]]
-    else:
-        raise TypeError(f"cannot write {value!r} as JSON")
-    opening, closing = "[]" if kind is list else "{}"
-    if not items:
-        return opening + closing
-    return opening + inner + ("," + inner).join(items) + indent + closing
+# the --json document, its keys in sorted order; a section a command does not give is null
+_DOCUMENT = ('{\n  "defects": %(defects)s,\n  "dims": %(dims)s,\n  "result": %(result)s,'
+             '\n  "spec": %(spec)s,\n  "verdict": %(verdict)s\n}\n')
+_NO_SECTIONS = dict.fromkeys(["defects", "dims", "result", "spec", "verdict"], "null")
 
 
-def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[str]]) -> None:
-    """Write payload() as one JSON object under --json, else the lines of text_lines().
+def _emit(args, sections: Callable[[], dict], text_lines: Callable[[], Iterable[str]]) -> None:
+    """Write _DOCUMENT filled with sections(), the JSON text of each section a command
+    gives, under --json, else the lines of text_lines().
 
     Only the chosen form is built, and all of it before anything is written.
     Building it only renders values already computed, so the one ValueError
@@ -159,10 +140,7 @@ def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], Iterable[s
     """
     try:
         if args.json:
-            base = {"spec": None, "verdict": None, "defects": None,
-                    "dims": None, "result": None}
-            base.update(payload())
-            out = _json(base) + "\n"
+            out = _DOCUMENT % {**_NO_SECTIONS, **sections()}
         else:
             out = "".join(line + "\n" for line in text_lines())
     except ValueError:
@@ -247,7 +225,7 @@ def cmd_check(args) -> int:
                 outcome = "pass"
             yield f"mode-algebra laws on window {args.window}: {outcome}"
 
-    def payload() -> dict:
+    def sections() -> dict:
         # the verdict and result as json.dumps(indent=2, sort_keys=True) writes them; a
         # status needs no escape
         flag = ("false", "true")
@@ -259,16 +237,14 @@ def cmd_check(args) -> int:
             % (_strings([str(b) for b in bad], "      "), args.window))
         return {
             "spec": _spec_json(spec),
-            "verdict": _Rendered(
-                '{\n    "injective": %s,\n    "notes": %s,\n    "status": "%s"\n  }'
-                % (flag[verdict.injective], _json_str(verdict.notes), verdict.status)),
+            "verdict": '{\n    "injective": %s,\n    "notes": %s,\n    "status": "%s"\n  }'
+                       % (flag[verdict.injective], _json_str(verdict.notes), verdict.status),
             "defects": _defect_rows(spec, sweep),
-            "result": _Rendered(
-                '{\n    "conformal": %s,\n    "violations": %s,\n    "window": %s\n  }'
-                % (conformal, _strings([str(v) for v in violations], "    "), window)),
+            "result": '{\n    "conformal": %s,\n    "violations": %s,\n    "window": %s\n  }'
+                      % (conformal, _strings([str(v) for v in violations], "    "), window),
         }
 
-    _emit(args, payload, text)
+    _emit(args, sections, text)
     ok = verdict.injective and not violations
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -298,8 +274,8 @@ def cmd_bracket(args) -> int:
         raise CliError(exc.args[0]) from None
     value = bracket(spec, x, y)
     _emit(args, lambda: {"spec": _spec_json(spec),
-                         "result": [{"generator": f"{spec.vectors[g.bid].label}_{g.n}",
-                                     "coeff": str(c)} for g, c in value.items()]},
+                         "result": _dumps([{"generator": f"{spec.vectors[g.bid].label}_{g.n}",
+                                            "coeff": str(c)} for g, c in value.items()])},
           lambda: [value.display(spec)])
     return EXIT_OK
 
@@ -325,7 +301,7 @@ def cmd_verma(args) -> int:
         if args.dims:
             dims = graded_dimension(spec, cutoff)
             _emit(args, lambda: {"spec": _spec_json(spec),
-                                 "dims": {str(w): d for w, d in dims.items()}},
+                                 "dims": _dumps({str(w): d for w, d in dims.items()})},
                   lambda: [f"{w}\t{d}" for w, d in dims.items()])
             return EXIT_OK
         if args.act is not None:
@@ -343,8 +319,8 @@ def cmd_verma(args) -> int:
         print("hint: run `vertexlie check` on this input first", file=sys.stderr)
         return EXIT_FAIL
     _emit(args, lambda: {"spec": _spec_json(spec),
-                         "result": [{"monomial": m.display(spec), "coeff": str(c)}
-                                    for m, c in out.items()]},
+                         "result": _dumps([{"monomial": m.display(spec), "coeff": str(c)}
+                                           for m, c in out.items()])},
           lambda: [out.display(spec)])
     return EXIT_OK
 

@@ -305,7 +305,8 @@ def injectivity_verdict(spec: FormulaSpec) -> Verdict:
     if not defects:
         return Verdict(INJECTIVE_ZERO_IDEAL, (),
                        "all skew and commutator defects vanish; the free module "
-                       "itself carries the algebra")
+                       "itself carries the algebra" if spec.dim else
+                       "the basis is empty; nothing was checked")
 
     def constant_part_outside_center(d: Defect) -> bool:
         return any(k == 0 and (cid is None or bid != cid)

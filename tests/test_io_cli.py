@@ -252,10 +252,10 @@ def test_cli_check_json_is_byte_identical(name: str, capsys) -> None:
 
 # SHA-256 of the stdout and the exit code of each command: the full
 # text check and defect listings of every preset, the --json mode-law
-# violations of the one preset that has them, and brackets, mode words
-# and field coefficients whose results carry the coefficients 1, -1,
-# other negatives and fractions.  Renderer and kernel changes must leave
-# this output byte-identical.
+# violations of the one preset that has them, brackets, mode words and
+# field coefficients whose results carry the coefficients 1, -1, other
+# negatives and fractions, and bracket and verma results and dims under
+# --json.  Renderer and kernel changes must leave this output byte-identical.
 TEXT_SHA256 = {
     ("check", "--preset", "novikov-flipped", "--window", "2", "--json"):
         ("d8860dbb9838e72735e89cf81ea6bf7f7b81ee6c079c0f930bf83581f60f944f", 1),
@@ -327,6 +327,25 @@ TEXT_SHA256 = {
         ("6d5f41efea51e4f3b1b1589c45a5c0e57cd661d13ea52115a1d3fcc45e79b973", 0),
     ("verma", "--preset", "virasoro", "--cutoff", "8", "--field", "omega_-2", "0", "omega_-2"):
         ("9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", 0),
+    ("bracket", "--preset", "virasoro", "omega", "3", "omega", "-3", "--json"):
+        ("c4435b936ed50595588d1fdd22ca407c3ad86a9fe35a01a0e3244f3e7c93d288", 0),
+    ("bracket", "--preset", "affine-sl2", "e", "1", "f", "-1", "--json"):
+        ("df253110d0494627c85b5ec1836ba747c12fa5f2e1ecfcacc353eec0796379c9", 0),
+    ("bracket", "--preset", "loop-abelian", "x", "1", "x", "2", "--json"):
+        ("0eca0308387914453baa2baf2d68d3f104c3bfe9acf5a47cae3371af78ec492e", 0),
+    ("verma", "--preset", "neveu-schwarz", "--cutoff", "7/2", "--dims", "--json"):
+        ("144fe7219980022250a4ac73a6883e1105902b04f5707be680cb38c93bcf00cc", 0),
+    ("verma", "--preset", "virasoro", "--cutoff", "6", "--act", "omega_1 omega_-3", "--json"):
+        ("f4eb5d8b9d04a98d4d7e9391ba8d938399fe8537209df875c9bee3008235ec56", 0),
+    ("verma", "--preset", "virasoro", "--cutoff", "6", "--level", "1/2",
+     "--act", "omega_2 omega_-2", "--json"):
+        ("0c8583d57e97d7c0b2d880a14d0890c0bf650a784867bfd1881c571c5aa10fd7", 0),
+    ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--field", "e_-1", "-1", "f_-1",
+     "--json"):
+        ("aeb237d454a6b4f3009b30875ecf80ff884758061bd6fb62cb24dec8390d46c8", 0),
+    ("verma", "--preset", "virasoro", "--cutoff", "4", "--field", "1", "-1", "omega_-2",
+     "--json"):
+        ("f2c787d0b2a99e7bc39774ba56d8b4fb670f97c8a5b776c7211b522608d9a38a", 0),
 }
 
 
@@ -427,6 +446,22 @@ def test_cli_check_refuses_a_conformal_pair_without_weights(tmp_path, capsys) ->
                                 "weights\n")
 
 
+@pytest.mark.parametrize("text", ["", "[basis]\n"], ids=["zero-bytes", "basis-header"])
+def test_cli_check_says_an_empty_basis_checked_nothing(tmp_path, text, capsys) -> None:
+    # still injective, with no witnesses and exit 0, but the note does not claim
+    # that defects were found to vanish
+    path = tmp_path / "empty.vla"
+    path.write_text(text, encoding="utf-8")
+    note = "the basis is empty; nothing was checked"
+    assert tuple(injectivity_verdict(load_formula(path))) == ("injective_zero_ideal", (), note)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["verdict: injective_zero_ideal",
+                                                         f"  {note}"]
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == {
+        "injective": True, "notes": note, "status": "injective_zero_ideal"}
+
+
 def test_cli_check_file_with_inadmissible_product(tmp_path, capsys) -> None:
     # a parseable file whose product fails the identities: exit 1 and a
     # witness defect outside the central span is printed
@@ -453,21 +488,6 @@ def test_cli_check_file_with_inadmissible_product(tmp_path, capsys) -> None:
 
 def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
-
-
-@pytest.fixture
-def payloads(monkeypatch) -> list:
-    """Every --json payload main writes, recorded as the writer receives it."""
-    seen: list = []
-    write = cli._json
-
-    def recording(value, indent="\n"):
-        if indent == "\n":  # the whole payload, not one of its parts
-            seen.append(value)
-        return write(value, indent)
-
-    monkeypatch.setattr(cli, "_json", recording)
-    return seen
 
 
 def _defect_json(spec: FormulaSpec, dft) -> dict:
@@ -507,17 +527,16 @@ def _check_dicts(spec: FormulaSpec, window) -> tuple:
              {"window": window, "violations": [str(b) for b in bad]}})
 
 
-def _run_against_dumps(argv, payloads: list, capsys, spec: FormulaSpec,
-                       bound=None) -> str:
-    """Run main(argv) on spec: its stdout must be json.dumps of the payload, or empty
-    when it refused; returns stderr.  The payload's sections that reach the writer
-    as text are replaced by their reference dicts: the spec by _spec_dict, the
-    defects by _defect_json for defect_sweep(spec, bound), and check's verdict and
-    result by _check_dicts at the --window of argv."""
+def _run_against_dumps(argv, capsys, spec: FormulaSpec, bound=None) -> str:
+    """Run main(argv) on spec: its stdout must be json.dumps of the document, or empty
+    when it refused; returns stderr.  The reference is the document read back, with
+    the sections templates write replaced by their dicts built from the library: the
+    spec by _spec_dict, the defects by _defect_json for defect_sweep(spec, bound), and
+    check's verdict and result by _check_dicts at the --window of argv."""
     code = main(list(argv))
     captured = capsys.readouterr()
     if captured.out:
-        reference = payloads.pop()
+        reference = json.loads(captured.out)
         reference["spec"] = _spec_dict(spec)
         if argv[0] in ("check", "defect"):
             reference["defects"] = [_defect_json(spec, d) for d in defect_sweep(spec, bound)]
@@ -527,7 +546,6 @@ def _run_against_dumps(argv, payloads: list, capsys, spec: FormulaSpec,
         assert captured.out == _dumps(reference) + "\n", argv
     else:
         assert code == 1 and captured.err.startswith("error: "), (argv, captured.err)
-    assert not payloads
     return captured.err
 
 
@@ -545,7 +563,7 @@ c even 0
 """
 
 
-def test_json_writer_matches_json_dumps_on_check_and_defect(tmp_path, payloads, capsys) -> None:
+def test_json_writer_matches_json_dumps_on_check_and_defect(tmp_path, capsys) -> None:
     paths = []
     specs = [preset(name) for name in sorted(PRESETS)]
     specs += [TYPO_TABLES[name]() for name in sorted(TYPO_TABLES)]
@@ -564,10 +582,9 @@ def test_json_writer_matches_json_dumps_on_check_and_defect(tmp_path, payloads, 
     for path in paths:
         spec = load_formula(path)
         for extra, bound in (((), None), (("--window", "1"), None), (("--bound", "0"), 0)):
-            err = _run_against_dumps(("check", str(path), "--json") + extra, payloads, capsys,
-                                     spec, bound)
+            err = _run_against_dumps(("check", str(path), "--json") + extra, capsys, spec, bound)
             refused += "boundary index" in err
-        _run_against_dumps(("defect", str(path), "--json"), payloads, capsys, spec)
+        _run_against_dumps(("defect", str(path), "--json"), capsys, spec)
     # BoundInsufficientError ends the command before anything is written
     assert refused
 
@@ -587,14 +604,14 @@ ctl\x01 1 "q" : 0 "q" 1/2, 2 back\\slash 3
 """
 
 
-def test_json_writer_escapes_labels_in_defect_rows(tmp_path, payloads, capsys) -> None:
+def test_json_writer_escapes_labels_in_defect_rows(tmp_path, capsys) -> None:
     path = tmp_path / "escaped.vla"
     path.write_text(ESCAPED_LABELS_FILE, encoding="utf-8")
     spec = load_formula(path)
     assert spec.labels == ('"q"', "back\\slash", "ctl\x01", "ωé\U0001d524")
     assert defect_sweep(spec)
     for argv in (("check", "--all"), ("check", "--window", "1"), ("defect",)):
-        assert not _run_against_dumps(argv + (str(path), "--json"), payloads, capsys, spec)
+        assert not _run_against_dumps(argv + (str(path), "--json"), capsys, spec)
 
 
 @pytest.mark.parametrize("argv", [
@@ -608,25 +625,8 @@ def test_json_writer_escapes_labels_in_defect_rows(tmp_path, payloads, capsys) -
     ("verma", "--preset", "affine-sl2", "--cutoff", "3", "--field", "e_-1", "-1", "f_-1"),
     ("verma", "--preset", "virasoro", "--cutoff", "4", "--field", "1", "-1", "omega_-2"),
 ])
-def test_json_writer_matches_json_dumps_on_bracket_and_verma(argv, payloads, capsys) -> None:
-    assert not _run_against_dumps(argv + ("--json",), payloads, capsys, preset(argv[2]))
-
-
-@pytest.mark.parametrize("value", [
-    {}, [], "", 0, -7, -10 ** 40, True, False, None,
-    {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
-    ['quote " and backslash \\', "\x00\x01\x1f\t\n\r\b\f\x7f", "ω", "\u2028 \U0001d524 é"],
-    {'"key"': -1, "ω": [True, False, None], "": {"z": 0, "a": 1}},
-])
-def test_json_writer_matches_json_dumps_on_hand_built_values(value) -> None:
-    assert cli._json(value) == _dumps(value)
-
-
-@pytest.mark.parametrize("value", [1.5, (1,), F(1, 2), {1: "a"}, {"a": 1, 2: 3},
-                                   {"a": {2: 3}}, {"x"}, ["ok", 2.0]])
-def test_json_writer_rejects_other_types(value) -> None:
-    with pytest.raises(TypeError):
-        cli._json(value)
+def test_json_writer_matches_json_dumps_on_bracket_and_verma(argv, capsys) -> None:
+    assert not _run_against_dumps(argv + ("--json",), capsys, preset(argv[2]))
 
 
 def test_cli_check_json_schema(capsys) -> None:

@@ -1107,15 +1107,27 @@ def test_n2_table_embeds_and_counts_its_character() -> None:
     assert [d for d in dims.values() if d] == [1, 1, 2, 3, 4, 6, 10, 15, 20, 28]
 
 
-def test_n2_table_skew_symmetry_sees_the_super_sign() -> None:
-    # a_n b = -eps sum_k (-1)^(n+k) D^k/k! b_{n+k} a on vectors with odd
-    # factors of two different generators; with the parity sign of _fc's
-    # second sum dropped (eps = 1) 15 of these comparisons fail, while
-    # axiom_spotcheck(spec, 2) still passes
-    spec = _n2()
-    gp, gm, j = (gen(spec, label, -1) for label in ("G+", "G-", "J"))
-    samples = [(act_word(spec, word), parity)
-               for word, parity in (([gp, gm], 0), ([gp], 1), ([gm], 1), ([j], 0))]
+# (table, [(mode word applied to the vacuum, its parity)]): on N=2, vectors with odd
+# factors of two different generators; on Neveu-Schwarz, an even vector of two odd
+# factors and the odd and even vectors of one
+SUPER_SIGN_SAMPLES = {
+    "n2": (_n2, [([("G+", -1), ("G-", -1)], 0), ([("G+", -1)], 1), ([("G-", -1)], 1),
+                 ([("J", -1)], 0)]),
+    "neveu-schwarz": (lambda: preset("neveu-schwarz"),
+                      [([("tau", -2), ("tau", -1)], 0), ([("tau", -1)], 1),
+                       ([("omega", -1)], 0)]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(SUPER_SIGN_SAMPLES))
+def test_n2_table_skew_symmetry_sees_the_super_sign(table: str) -> None:
+    # a_n b = -eps sum_k (-1)^(n+k) D^k/k! b_{n+k} a; with the parity sign of
+    # _fc's second sum dropped (eps = 1) 15 of these comparisons fail on each
+    # table, while axiom_spotcheck(_n2(), 2) still passes
+    make, words = SUPER_SIGN_SAMPLES[table]
+    spec = make()
+    samples = [(act_word(spec, [gen(spec, label, n) for label, n in word]), parity)
+               for word, parity in words]
     failures = []
     for a, pa in samples:
         for b, pb in samples:
