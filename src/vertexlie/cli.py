@@ -469,6 +469,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FormulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except (MemoryError, RecursionError) as exc:  # the interpreter's limits: a message too
+        limit = "memory" if isinstance(exc, MemoryError) else "recursion limit"
+        print(f"error: the computation ran out of the interpreter's {limit}", file=sys.stderr)
+        return EXIT_FAIL
     except BrokenPipeError:
         # the reader is gone: end quietly, with nothing left for the exit flush
         with open(os.devnull, "w") as devnull:

@@ -18,7 +18,7 @@ generates:
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, perm
 from typing import Optional
@@ -109,27 +109,23 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     if not rows:
         return {}, {}
     parity = [vec.parity for vec in spec.vectors]
-    skews: dict = {}        # (u, v, n) -> {(k, tid): stored-form rational}
-    commutators: dict = {}  # (u, v, w, m, n) -> {(k, tid): int}
-    skew, cell = skews.get, commutators.get
+    skews: dict = defaultdict(dict)        # (u, v, n) -> {(k, tid): stored-form rational}
+    commutators: dict = defaultdict(dict)  # (u, v, w, m, n) -> {(k, tid): int}
     lefts, rights = sorted({u for u, _ in rows}), sorted({w for _, w in rows})  # others: zero
     for (v, w), row in rows.items():
         stored = spec._row(v, w)
         for n, vw in row.items():
             own = stored[n]._terms.items()  # j = n: the constant itself
-            if (into := skew(key := (v, w, n))) is None:
-                into = skews[key] = {}
+            into = skews[v, w, n]
             for term, c in own:
                 _accumulate(into, term, c)
             sign, den = (-1) ** n * (-1 if parity[v] and parity[w] else 1), scale
-            if (into := skew(key := (w, v, n))) is None:
-                into = skews[key] = {}
+            into = skews[w, v, n]
             for term, c in own:
                 _accumulate(into, term, c if sign > 0 else -c)
             for j in range(n - 1, -1, -1):
                 den *= n - j  # L (n-j)!
-                if (into := skew(key := (w, v, j))) is None:
-                    into = skews[key] = {}
+                into = skews[w, v, j]
                 for (k, t), c in vw:
                     _accumulate(into, (k + n - j, t), _over(sign * c, den))
             for u in lefts:  # u_m(v_n w)
@@ -140,10 +136,7 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
                     for j, base in uy.items():
                         for i in range(b + 1):
                             m, factor = i + j, cb * comb(b, i) * perm(i + j, i) if i else cb
-                            if (first := cell(key := (u, v, w, m, n))) is None:
-                                first = commutators[key] = {}
-                            if (second := cell(key := (v, u, w, n, m))) is None:
-                                second = commutators[key] = {}
+                            first, second = commutators[u, v, w, m, n], commutators[v, u, w, n, m]
                             for (k, t), ct in base:
                                 term, c = (k + b - i, t), factor * ct
                                 _accumulate(first, term, c)
@@ -159,9 +152,7 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
                         factor = (-ca if a & 1 else ca) * perm(total, a) if a else ca
                         targets, b = [], -1  # -(m over i), stepped along m
                         for m in range(i, total + i + 1):
-                            if (acc := cell(key := (u, v, w, m, total + i - m))) is None:
-                                acc = commutators[key] = {}
-                            targets.append((acc, b))
+                            targets.append((commutators[u, v, w, m, total + i - m], b))
                             b = b * (m + 1) // (m + 1 - i)
                         for term, ct in base:
                             c = factor * ct

@@ -119,7 +119,8 @@ def gen_binomial(n: int, i: int) -> int:
 def _divided(sums: dict, den: int) -> dict:
     """sums / den for a fresh dict of nonzero int sums and an int den > 0, in
     stored form: an int where den divides the sum, else one Fraction; sums itself
-    when den is 1.  The one division pass over many sums (_over divides one)."""
+    when den is 1.  The one division pass over many sums (_over divides one),
+    read by local_algebra.bracket and the commutator cells of defects._defect_tables."""
     if den == 1:
         return sums
     return {key: c // den if not c % den else Fraction(c, den) for key, c in sums.items()}
@@ -369,7 +370,7 @@ class FormulaSpec:
         for i, entry in enumerate(basis):
             label, parity = str(entry[0]), entry[1]
             weight = _rat(entry[2]) if len(entry) > 2 and entry[2] is not None else None
-            if parity not in (EVEN, ODD):
+            if type(parity) is not int or parity not in (EVEN, ODD):  # no bool, no float
                 raise _BasisEntryError(i, f"parity of {label!r} must be 0 or 1")
             if weight is not None and weight < 0:
                 raise _BasisEntryError(i, f"weight of {label!r} must be nonnegative")
@@ -553,56 +554,37 @@ def validate_spec(spec: FormulaSpec) -> list:
     return out
 
 
-def _numerators(vec: SparseVector, d: int = 0) -> tuple:
-    """(d, the (key, int) pairs of d vec), d by default the lcm of vec's denominators."""
-    d = d or lcm(*(c.denominator for c in vec._terms.values()))
-    return d, [(key, c.numerator * (d // c.denominator)) for key, c in vec._terms.items()]
-
-
 @_per_spec
 def _scaled_rows(spec: FormulaSpec) -> tuple:
     """(L, rows): L the lcm of every table coefficient's denominator and rows
     (uid, vid) -> {n: [((k, tid), L c), ...]}, the table rows times L in ints."""
     scale = lcm(*(c.denominator for row in spec._rows.values()
                   for elt in row.values() for c in elt._terms.values()))
-    return scale, {pair: {n: _numerators(elt, scale)[1] for n, elt in row.items()}
+    return scale, {pair: {n: [(key, c.numerator * (scale // c.denominator))
+                              for key, c in elt._terms.items()] for n, elt in row.items()}
                    for pair, row in spec._rows.items()}
-
-
-def _products(rows: dict, A: list, B: list, acc: dict, n: int) -> None:
-    """Add L A_n B into acc, for int term lists A, B [((D-power, bid), coeff), ...]
-    over the rows of _scaled_rows.  The table product x_j y enters
-    (D^a x)_n (D^b y) at n = a + i + j, 0 <= i <= b, with factor
-    (-1)^a (b over i) (n)_(a+i) and D-shift b - i; the falling factorial is never
-    zero there.  The defect tables need only the two shapes with a plain factor,
-    u_m(D^b y) and (D^a x)_q w, and add them straight into their cells
-    (defects._defect_tables).
-    """
-    for (a, x), ca in A:
-        for (b, y), cb in B:
-            if (row := rows.get((x, y))) is None:
-                continue
-            scale = -ca * cb if a & 1 else ca * cb
-            for j, base in row.items():
-                if 0 <= (i := n - a - j) <= b:
-                    factor = scale * comb(b, i) * falling(n, a + i) if a + i else scale
-                    for (k, tid), ct in base:
-                        _accumulate(acc, (k + b - i, tid), factor * ct)
 
 
 def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:
     """The product A_n B on all of Q[D] (x) S, n >= 0.
 
     Characterized by (DA)_n B = -n A_{n-1} B and the Leibniz rule for D;
-    agrees with the constants table on basis pairs.  With dA, dB, L the lcm of the
-    denominators of A, B and the table, _products gives L dA dB A_n B, divided once.
+    agrees with the constants table on basis pairs.  The table product x_j y
+    enters (D^a x)_n (D^b y) at n = a + i + j, 0 <= i <= b, with factor
+    (-1)^a (b over i) (n)_(a+i) and D-shift b - i; the falling factorial is
+    never zero there.
     """
     _check_index(n, "product index", "product index must be nonnegative")
-    scale, rows = _scaled_rows(spec)
-    (dA, a), (dB, b) = _numerators(A), _numerators(B)
-    cell: dict = {}
-    _products(rows, a, b, cell, n)
-    return Element._of(_divided(cell, scale * dA * dB))
+    acc: dict = {}
+    for (a, x), ca in A._terms.items():
+        for (b, y), cb in B._terms.items():
+            scale = -ca * cb if a & 1 else ca * cb
+            for j, elt in spec._row(x, y).items():
+                if 0 <= (i := n - a - j) <= b:
+                    factor = scale * comb(b, i) * falling(n, a + i)
+                    for (k, tid), c in elt._terms.items():
+                        _accumulate(acc, (k + b - i, tid), factor * c)
+    return Element._of(acc)
 
 
 def _signed_sum(terms: Iterable, times: str = "*") -> str:

@@ -19,6 +19,7 @@ that would not read back is refused before anything is written.
 
 from __future__ import annotations
 
+import codecs
 import re
 import sys
 from fractions import Fraction
@@ -168,7 +169,7 @@ def parse_formula(text: str) -> FormulaSpec:
 
 def load_formula(path) -> FormulaSpec:
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(codecs.BOM_UTF8)  # a UTF-8 byte-order mark is no text
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

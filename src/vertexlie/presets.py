@@ -358,6 +358,8 @@ def lambda_algebra(weights: Sequence = (1, 0), labels: Optional[Sequence[str]] =
     d = len(lam)
     if labels is None:
         labels = ("omega",) + tuple(f"u{i}" for i in range(1, d))
+    if len(labels) != d:
+        raise ValueError(f"each weight needs one label: {d} weights, {len(labels)} labels")
     product = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import importlib.util
 import io
@@ -750,16 +751,46 @@ def test_cli_export_preset_unwritable_output(tmp_path, capsys) -> None:
     assert line.startswith(f"error: cannot write {target}: ")
 
 
+@pytest.mark.parametrize("module,name,error,limit,argv", [
+    ("local_algebra", "jacobi_window_verify", MemoryError, "memory",
+     ["check", "--preset", "novikov-flipped", "--window", "100000000"]),
+    ("verma", "act_word", RecursionError, "recursion limit",
+     ["verma", "--preset", "heisenberg", "--cutoff", "1", "--act", "x_2 x_-2"]),
+])
+def test_cli_reports_the_interpreters_limits_in_one_line(module, name, error, limit, argv,
+                                                         monkeypatch, capsys) -> None:
+    # a huge window's product of index tuples, or a long word's normal ordering
+    def fail(*args):
+        raise error()
+
+    monkeypatch.setattr(importlib.import_module(f"vertexlie.{module}"), name, fail)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: the computation ran out of the interpreter's {limit}"]
+
+
 def test_cli_check_file_not_utf8(tmp_path, capsys) -> None:
-    # a UTF-16 byte-order mark, and a bad byte on the third line
+    # a UTF-16 byte-order mark, and a bad byte on the third line, also after a UTF-8
+    # byte-order mark (dropped before decoding, so the line and byte stay the same)
     for data, message in [(b"\xff\xfe[\x00b\x00", "line 1: not UTF-8 text (byte 0xff)"),
-                          (b"[basis]\na even\n\xe9 even\n", "line 3: not UTF-8 text (byte 0xe9)")]:
+                          (b"[basis]\na even\n\xe9 even\n", "line 3: not UTF-8 text (byte 0xe9)"),
+                          (codecs.BOM_UTF8 + b"[basis]\na even\n\xe9 even\n",
+                           "line 3: not UTF-8 text (byte 0xe9)")]:
         path = tmp_path / "formula.vla"
         path.write_bytes(data)
         assert main(["check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {path}: {message}"]
+
+
+def test_load_formula_skips_a_utf8_byte_order_mark(tmp_path) -> None:
+    path = tmp_path / "formula.vla"
+    text = export_formula(preset("virasoro"))
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert load_formula(path) == parse_formula(text)
 
 
 @pytest.mark.parametrize("text,message", [

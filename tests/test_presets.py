@@ -118,6 +118,16 @@ def test_bilinear_algebra_refuses_a_table_of_the_wrong_shape(product, form, tabl
     assert BilinearAlgebra(("a", "b"), ZERO_PRODUCT, [[0, 0], [0, 0]]).dim == 2
 
 
+def test_lambda_algebra_needs_one_label_per_weight() -> None:
+    # refused before any table is built, so the message names what the caller gave
+    for weights, labels, counts in [((1, 0), ("a",), "2 weights, 1 labels"),
+                                    ((1,), ("a", "b"), "1 weights, 2 labels"),
+                                    ((), None, "0 weights, 1 labels")]:
+        with pytest.raises(ValueError, match=f"^each weight needs one label: {counts}$"):
+            lambda_algebra(weights, labels=labels)
+    assert lambda_algebra((1,), labels=("a",)).labels == ("a",)
+
+
 def _gl_n(n: int) -> LieData:
     """gl_n on the matrix units E_ij with the trace form."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
