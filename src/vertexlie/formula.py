@@ -75,7 +75,7 @@ def rat(value: RatLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # a bool is not a number
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(*_rational_parts(value))
@@ -368,8 +368,11 @@ class FormulaSpec:
         weights: list = []  # in stored form (see SparseVector), read by the hot loops
         by_label: dict = {}
         for i, entry in enumerate(basis):
-            label, parity = str(entry[0]), entry[1]
-            weight = _rat(entry[2]) if len(entry) > 2 and entry[2] is not None else None
+            if len(entry) not in (2, 3):
+                raise _BasisEntryError(
+                    i, f"basis entry {i} must be (label, parity) or (label, parity, weight)")
+            label, parity, weight = (*entry, None)[:3]
+            label, weight = str(label), None if weight is None else _rat(weight)
             if type(parity) is not int or parity not in (EVEN, ODD):  # no bool, no float
                 raise _BasisEntryError(i, f"parity of {label!r} must be 0 or 1")
             if weight is not None and weight < 0:
@@ -427,7 +430,7 @@ class FormulaSpec:
     # -- basis access ------------------------------------------------
 
     def _resolve(self, ref: BasisRef) -> BasisVector:
-        if isinstance(ref, int):
+        if type(ref) is int:  # a bool is not an index
             if not 0 <= ref < len(self.vectors):
                 raise KeyError(f"no basis vector number {ref}")
             return self.vectors[ref]

@@ -147,14 +147,13 @@ def parse_formula(text: str) -> FormulaSpec:
     for label, lineno in references.items():  # in order of first use
         if label not in labels:
             raise FormulaFileError(lineno, f"unknown basis name {label!r}")
-    entries = [(l, p) if w is None else (l, p, w) for (l, p, w) in basis]
     conformal = None
     if conformal_parts:
         if set(conformal_parts) != {"omega", "c"}:
             raise FormulaFileError(conformal_line, "conformal section needs both omega and c")
         conformal = (conformal_parts["omega"], conformal_parts["c"])
     try:
-        spec = FormulaSpec(entries, constants, central=central, conformal=conformal,
+        spec = FormulaSpec(basis, constants, central=central, conformal=conformal,
                            name=meta.get("name"))
     except _BasisEntryError as exc:
         raise FormulaFileError(basis_lines[exc.index], str(exc)) from None

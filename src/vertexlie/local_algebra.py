@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
-from math import comb, lcm, perm
+from math import comb, lcm, perm, prod
 from typing import NamedTuple, Optional
 
-from .defects import _defect_tables, central_reduction, injectivity_verdict
+from .defects import JACOBI, SKEW, _defect_tables, central_reduction, injectivity_verdict
 from .formula import (
     BasisRef,
     Element,
@@ -199,36 +199,23 @@ def jacobi_window_verify(spec: FormulaSpec, window: int) -> list:
     _check_index(window, "window", "window must be nonnegative")
     if injectivity_verdict(spec).injective:
         return []
-    skews, triples = {}, {}  # the defect tables by u, then v (and w), in basis order
-    for tables in _defect_tables(spec):
-        for (u, v, *w), table in tables.items():
-            if w:
-                triples.setdefault(u, {}).setdefault(v, []).append((w[0], table.items()))
-            else:
-                skews.setdefault(u, []).append((v, table.items()))
-    modes = range(-window, window + 1)
-
-    def image(terms: list, q: int) -> LieElement:  # sum coeff reduce(A)_{q-shift}
-        acc: dict = {}
-        for coeff, A, shift in terms:
-            _reduce_into(acc, A._terms.items(), q - shift, coeff, None)
-        return LieElement._of(acc)
-
-    violations = []  # x = u_m in generator order, then v in basis order, then n
-    for (u, pairs), m in product(skews.items(), modes):
-        for v, table in pairs:
-            terms = [(c, A, i) for i, A in table if (c := gen_binomial(m, i))]
-            for n in modes if terms else ():
-                if law := image(terms, m + n):
-                    violations.append(LawViolation(
-                        "skew", (LieGenerator(u, m), LieGenerator(v, n)), law))
-    for (u, by_v), m in product(triples.items(), modes):
-        for (v, by_w), n in product(by_v.items(), modes):
-            for w, table in by_w:
-                terms = [(c, A, i + j) for (i, j), A in table
-                         if (c := gen_binomial(m, i) * gen_binomial(n, j))]
-                for p in modes if terms else ():
-                    if law := image(terms, m + n + p):
-                        violations.append(LawViolation("jacobi", (
-                            LieGenerator(u, m), LieGenerator(v, n), LieGenerator(w, p)), law))
+    violations, modes = [], range(-window, window + 1)
+    for law, tables in zip((SKEW, JACOBI), _defect_tables(spec)):
+        found = []  # a skew index n is the one-index case (n,) of a commutator (i, j)
+        for basis, table in tables.items():
+            table = [((i,) if type(i) is int else i, A._terms.items()) for i, A in table.items()]
+            for outer in product(modes, repeat=len(basis) - 1):  # u_m (and v_n)
+                terms = [(c, A, sum(outer) - sum(index)) for index, A in table
+                         if (c := prod(map(gen_binomial, outer, index)))]
+                if not terms:
+                    continue
+                gens = tuple(map(LieGenerator, basis, outer))
+                for p in modes:  # the last mode, v_n or w_p
+                    acc: dict = {}
+                    for c, A, shift in terms:
+                        _reduce_into(acc, A, shift + p, c, None)
+                    if acc:
+                        found.append(LawViolation(
+                            law, (*gens, LieGenerator(basis[-1], p)), LieElement._of(acc)))
+        violations += sorted(found, key=lambda v: v.generators)  # u_m, then v_n, then w_p
     return violations

@@ -16,6 +16,7 @@ from vertexlie import (
     PRESETS,
     Element,
     FormulaSpec,
+    LieData,
     LieElement,
     LieGenerator,
     UngradedError,
@@ -28,6 +29,7 @@ from vertexlie import (
     field_coefficient,
     format_element,
     gen_binomial,
+    generator,
     graded_dimension,
     injectivity_verdict,
     jacobi_component_defect,
@@ -44,7 +46,7 @@ from vertexlie import (
     validate_spec,
     virasoro,
 )
-from vertexlie.formula import Violation, falling
+from vertexlie.formula import Violation, _rat, falling
 
 # typo'd presets and seeded random tables, shared with the sweep tests
 from test_defects import (TYPO_TABLES, _assert_stored_nonzero_fractions, _graded_random_tables,
@@ -280,6 +282,44 @@ def test_parity_must_be_the_int_0_or_1() -> None:
         assert type(parity) is int and parity == good
 
 
+def test_a_bool_is_not_a_basis_index() -> None:
+    # True == 1 and hashes like it, but names no basis vector
+    for bad in (True, False):
+        message = re.escape(f"cannot use {bad!r} as a basis reference")
+        for call in (lambda: VIR.bid(bad), lambda: generator(VIR, bad, 0),
+                     lambda: skew_defect(VIR, bad, 0, "omega"),
+                     lambda: FormulaSpec([("a", EVEN), ("c", EVEN)], {}, central=bad)):
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                call()
+    assert (VIR.bid(0), VIR.bid(1), VIR.bid("c")) == (0, 1, 1)
+    assert generator(VIR, 1, 0) == generator(VIR, "c", 0) == LieGenerator(1, 0)
+    assert skew_defect(VIR, 0, 0, 0) == skew_defect(VIR, "omega", 0, "omega")
+    assert FormulaSpec([("a", EVEN), ("c", EVEN)], {}, central=1).central == 1
+
+
+def test_a_bool_is_not_a_rational_number() -> None:
+    # True == 1, but a coefficient, weight or scale factor is a number, not a flag
+    vec = Element({(0, 0): 1})
+    for bad in (True, False):
+        for call in (lambda: rat(bad), lambda: _rat(bad), lambda: Element({(0, 0): bad}),
+                     lambda: LieElement({LieGenerator(0, 0): bad}),
+                     lambda: FormulaSpec([("a", EVEN, bad)], {}),
+                     lambda: LieData(["x"], [[[bad]]], [[1]]),
+                     lambda: LieData(["x"], [[[0]]], [[bad]]), lambda: vec.scale(bad)):
+            with pytest.raises(TypeError, match=f"^cannot read {bad!r} as a rational number$"):
+                call()
+    assert FormulaSpec([("a", EVEN, 1)], {}).weight("a") == 1
+    assert vec.scale(1) is vec and rat(1) == _rat(1) == 1
+
+
+def test_basis_entries_have_two_or_three_fields() -> None:
+    message = r"^basis entry 1 must be \(label, parity\) or \(label, parity, weight\)$"
+    for bad in (("b", EVEN, 1, 2), ("b",), ()):
+        with pytest.raises(ValueError, match=message):
+            FormulaSpec([("a", EVEN, 1), bad], {})
+    assert FormulaSpec([("a", EVEN), ("b", EVEN, None)], {}).labels == ("a", "b")
+
+
 def test_validate_spec_clean_presets() -> None:
     assert validate_spec(VIR) == []
     assert validate_spec(FormulaSpec([], {})) == []
@@ -498,7 +538,7 @@ def _assert_public_fractions(vec) -> None:
 def test_public_results_are_fractions(name: str) -> None:
     # internally integral values are ints; every public answer is a Fraction
     spec = preset(name)
-    for value in (3, -2, "4", "-6/3", F(5), F(1, 2), True):
+    for value in (3, -2, "4", "-6/3", F(5), F(1, 2)):
         assert type(rat(value)) is F
     for _key, elt in spec.constant_entries():
         _assert_public_fractions(elt)
@@ -724,6 +764,13 @@ def test_one_mode_rule_and_no_per_spec_wrapper_in_the_mode_algebra() -> None:
                        ("local_algebra", "bracket"), ("verma", "_unit")}, callers
     for name in ("local_algebra.py", "verma.py"):
         assert not _uses(ast.parse((package / name).read_text()), "_per_spec"), name
+    # the defect tables are read as stored: a second copy or regrouping needs a reason
+    callers = {(path.stem, caller) for path in sorted(package.glob("*.py"))
+               for caller in _calls(ast.parse(path.read_text(), filename=str(path)),
+                                    "_defect_tables")}
+    assert callers == {("defects", "_defects"), ("defects", "skew_defect"),
+                       ("defects", "commutator_defect"), ("defects", "jacobi_component_defect"),
+                       ("local_algebra", "jacobi_window_verify")}, callers
 
 
 def test_operand_reuse_leaves_operands_unchanged() -> None:
