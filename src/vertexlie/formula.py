@@ -242,9 +242,15 @@ class SparseVector:
             return NotImplemented
         return self._terms == other._terms
 
+    def _ratios(self) -> frozenset:
+        """The terms as (key, numerator, denominator) int triples.  Stored form
+        is canonical, so equal vectors give equal sets, and hashing one runs no
+        Fraction.__hash__ (Python code)."""
+        return frozenset([(k, c.numerator, c.denominator) for k, c in self._terms.items()])
+
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((type(self).__name__,) + tuple(sorted(self._terms.items())))
+            self._hash = hash((type(self).__name__, self._ratios()))
         return self._hash
 
     def __repr__(self) -> str:

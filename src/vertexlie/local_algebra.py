@@ -103,26 +103,46 @@ def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
     return tuple(acc.items())
 
 
+def _check_lie(*args) -> None:
+    """Refuse an argument that is not a LieElement with a TypeError naming its type."""
+    for x in args:
+        if type(x) is not LieElement:
+            raise TypeError(f"expected a LieElement, got {type(x).__name__}")
+
+
 def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     """[x, y], bilinear over [u_n, v_p] = sum_i (n over i)(u_i v)_{n+p-i}.
 
+    The spec keeps each distinct answer in one table, spec._memo[bracket],
+    until the spec is freed: equal queries return the same immutable
+    LieElement, and the table grows with the number of distinct queries, as
+    the pair table of _pair_terms does.  A query is keyed by the int triples
+    (generator, numerator, denominator) of x and y (SparseVector._ratios),
+    which the sum below reads anyway, so a first ask hashes no Fraction and
+    reads no coefficient twice.
+
     With dx, dy the lcm of the coefficient denominators of x and y, x = X/dx
-    and y = Y/dy for X, Y with int coefficients, read in place; then [x, y] =
+    and y = Y/dy for X, Y with int coefficients, read from those triples; then [x, y] =
     [X, Y]/(dx dy).  Y's terms are grouped by basis vector, and only a basis
     pair with a table row is read: each of its generator pairs' L [gx, gy] is
     int terms from the one per-spec table of _pair_terms, which verma._mul_gen
     reads under the same test, so the sum of cx cy L [gx, gy] is all ints,
     divided by L dx dy in one _divided pass.
     """
-    xs, ys = x._terms, y._terms
-    dx, dy = lcm(*[c.denominator for c in xs.values()]), lcm(*[c.denominator for c in ys.values()])
+    if type(x) is not LieElement or type(y) is not LieElement:
+        _check_lie(x, y)
+    key = xs, ys = x._ratios(), y._ratios()
+    answers = spec._memo.setdefault(bracket, {})
+    if (known := answers.get(key)) is not None:
+        return known
+    dx, dy = lcm(*[d for _, _, d in xs]), lcm(*[d for _, _, d in ys])
     (scale, rows), table = _scaled_rows(spec), spec._memo.setdefault(_pair_terms, {})
     by_vector: dict = {}  # y's terms, numerators over dy, by basis vector
-    for gy, cy in ys.items():
-        by_vector.setdefault(gy.bid, []).append((gy, cy.numerator * (dy // cy.denominator)))
+    for gy, cy, d in ys:
+        by_vector.setdefault(gy.bid, []).append((gy, cy * (dy // d)))
     acc: dict = {}
-    for gx, cx in xs.items():
-        cx = cx.numerator * (dx // cx.denominator)
+    for gx, cx, d in xs:
+        cx *= dx // d
         for v, yv in by_vector.items():
             if (gx.bid, v) in rows:
                 for gy, cy in yv:
@@ -132,12 +152,13 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
                     factor = cx * cy
                     for g, c in terms:
                         _accumulate(acc, g, factor * c)
-    return LieElement._of(_divided(acc, scale * dx * dy))
+    return answers.setdefault(key, LieElement._of(_divided(acc, scale * dx * dy)))
 
 
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
     """The derivation u_n -> -n u_{n-1}: the mode (D u)_n, the k = 1 case of
     _reduce_into, zero at n = 0 and where the quotient kills u_{n-1}."""
+    _check_lie(x)
     acc: dict = {}
     cid = central_reduction(spec)
     for g, c in x._terms.items():  # distinct modes have distinct images

@@ -145,6 +145,51 @@ def test_element_arithmetic_and_canonical_form() -> None:
     assert a != x and a != {(0, 0): 1}
 
 
+def _equal_vectors_built_apart() -> list:
+    """Groups of equal vectors of each type, built in different ways: terms
+    in another insertion order, the public constructor or _of, 2 or
+    Fraction(2), and sums in another order."""
+    g, h = LieGenerator(0, 2), LieGenerator(1, -1)
+    lie = [LieElement({g: 2, h: F(1, 3)}), LieElement({h: F(1, 3), g: F(2)}),
+           LieElement([(h, F(2, 6)), (g, 1), (g, F(1, 1))]), LieElement._of({h: F(1, 3), g: 2})]
+    elements = [Element({(0, 0): 2, (1, 1): F(-1, 2)}), Element({(1, 1): F(-1, 2), (0, 0): F(2)}),
+                Element._of({(1, 1): F(-1, 2), (0, 0): 2}),
+                Element({(1, 1): F(-1, 2)}) + Element({(0, 0): 2})]
+    a = act_word(VIR, [generator(VIR, "omega", -2)])
+    b = act_word(VIR, [generator(VIR, "omega", -1), generator(VIR, "omega", -1)]).scale(F(1, 2))
+    pbw = [a + b, b + a, (a + b).scale(2).scale(F(1, 2)),
+           type(a)._of(dict(reversed(list((a + b)._terms.items()))))]
+    return [lie, elements, pbw]
+
+
+def test_equal_vectors_hash_equal_however_built() -> None:
+    for group in _equal_vectors_built_apart():
+        assert all(v == group[0] and v is not group[0] for v in group[1:])
+        assert len({hash(v) for v in group}) == 1
+        assert len(set(group)) == 1
+
+
+def test_hashing_a_vector_calls_no_fraction_hash(monkeypatch) -> None:
+    calls = []
+    real = F.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    assert hash(F(1, 3)) == real(F(1, 3)) and calls  # the count sees a Fraction hash
+    calls.clear()
+    groups = _equal_vectors_built_apart()
+    assert all(any(type(c) is F for v in group for c in v._terms.values()) for group in groups)
+    for group in groups:
+        assert len({hash(v) for v in group}) == 1
+    x = LieElement({generator(VIR, "omega", 3): F(1, 2), generator(VIR, "c", 0): F(-2, 3)})
+    y = LieElement({generator(VIR, "omega", -1): F(5, 7)})
+    assert bracket(VIR, x, y) is bracket(VIR, LieElement(x.items()), y)  # a first ask, a repeat
+    assert calls == []
+
+
 def test_element_rejects_negative_d_power() -> None:
     with pytest.raises(ValueError, match="^D-power must be nonnegative$"):
         Element({(-1, 0): 1})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction as F
 
@@ -353,6 +354,106 @@ def test_bracket_reduces_no_mode_and_keeps_one_entry_per_pair(monkeypatch) -> No
     assert "_pair_bracket" not in {fn.__name__ for fn in spec._memo}
     table = spec._memo[local_algebra._pair_terms]
     assert len(table) == len(pairs) and set(table) == pairs
+
+
+def test_bracket_and_lie_D_refuse_what_is_not_a_lie_element() -> None:
+    x = elem(VIR, ("omega", 1, 1))
+    others = [(LieGenerator(0, 1), "LieGenerator"), (Element({(0, 0): 1}), "Element"),
+              ({gen(VIR, "omega", 1): 1}, "dict"), ((0, 1), "tuple"), (None, "NoneType")]
+    for other, name in others:
+        message = f"^expected a LieElement, got {name}$"
+        for call in (lambda: bracket(VIR, other, x), lambda: bracket(VIR, x, other),
+                     lambda: lie_D(VIR, other)):
+            with pytest.raises(TypeError, match=message):
+                call()
+
+
+def test_a_repeated_bracket_is_answered_from_the_table(monkeypatch) -> None:
+    # an equal query built another way (terms in another order, 2 against
+    # Fraction(2, 1)) returns the stored answer and computes nothing
+    from vertexlie import local_algebra
+
+    spec = preset("virasoro")
+    om, c = gen(spec, "omega", 3), gen(spec, "c", -1)
+    x = LieElement({om: 2, c: F(1, 3), gen(spec, "omega", -2): F(-5, 4)})
+    y = LieElement({gen(spec, "omega", 1): 1, gen(spec, "omega", -4): F(7, 2)})
+    first = bracket(spec, x, y)
+    calls = _count_calls(monkeypatch, local_algebra, "_pair_terms", "_reduce_into")
+    x2 = LieElement([(gen(spec, "omega", -2), F(-5, 4)), (c, F(1, 3)), (om, F(2, 1))])
+    y2 = LieElement({gen(spec, "omega", -4): F(7, 2), gen(spec, "omega", 1): F(1)})
+    assert (x2, y2) == (x, y) and x2 is not x and y2 is not y
+    assert bracket(spec, x2, y2) is first
+    assert bracket(spec, x, y) is first
+    assert calls == {"_pair_terms": 0, "_reduce_into": 0}
+    assert len(spec._memo[bracket]) == 1
+    # an unequal query computes, and is stored beside the first
+    assert bracket(spec, y, x) == -first
+    assert calls["_reduce_into"] and len(spec._memo[bracket]) == 2
+
+
+def test_the_answer_table_is_one_memo_entry_freed_with_its_spec() -> None:
+    def live() -> tuple:
+        gc.collect()
+        objects = gc.get_objects()
+        return (sum(isinstance(obj, FormulaSpec) for obj in objects),
+                sum(isinstance(obj, LieElement) for obj in objects))
+
+    before = live()
+    rng = random.Random(5101)
+    specs = [virasoro() for _ in range(5)]
+    for spec in specs:
+        one = elem(spec, ("omega", 1, 1))
+        bracket(spec, one, one)
+        entries = set(spec._memo)
+        queries = {(one, one)}
+        for _ in range(12):
+            x, y = (LieElement({LieGenerator(rng.randrange(spec.dim), rng.randint(-6, 6)):
+                                F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(3)})
+                    for _ in "xy")
+            bracket(spec, x, y)
+            queries.add((x, y))
+        assert set(spec._memo) == entries  # every answer is in the one table
+        assert len(spec._memo[bracket]) == len(queries)
+    del specs, spec, one, x, y, queries
+    assert live() == before
+
+
+@pytest.mark.parametrize("name", CLEAN)
+def test_repeated_brackets_equal_a_fresh_spec(name: str) -> None:
+    # seeded queries, each asked three times from freshly built equal
+    # elements, terms shuffled and coefficients an int or a Fraction: every
+    # answer equals the bracket on a fresh spec, and a repeat returns the
+    # first answer itself
+    rng = random.Random(5200 + CLEAN.index(name))
+    spec = preset(name)
+    labels = spec.labels
+
+    def terms() -> list:
+        return [(labels[k % len(labels)], rng.randint(-8, 8), F(rng.randint(-6, 6), rng.randint(1, 3)))
+                for k in range(6)]
+
+    def build(ts: list) -> LieElement:
+        ts = rng.sample(ts, len(ts))
+        return LieElement([(generator(spec, label, n), c if c.denominator != 1 or rng.random() < 0.5
+                            else c.numerator) for label, n, c in ts])
+
+    pool = [(terms(), terms()) for _ in range(6)]
+    asks = pool * 3
+    rng.shuffle(asks)
+    answers: dict = {}
+    for xt, yt in asks:
+        x, y = build(xt), build(yt)
+        got = bracket(spec, x, y)
+        key = (x, y)
+        if key in answers:
+            assert got is answers[key]
+        else:
+            fresh = preset(name)
+            assert got == bracket(fresh, LieElement(x.items()), LieElement(y.items()))
+            answers[key] = got
+    assert len(answers) == len(spec._memo[bracket]) == len(pool)
+    if name == "neveu-schwarz":  # odd modes are among the queries
+        assert any(spec.vectors[g.bid].parity for x, _ in answers for g in x._terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1367,3 +1367,6 @@ def test_shared_spec_is_safe_across_threads() -> None:
     # the threads made each monomial's node once: no two nodes share (head, rest)
     _assert_one_node_per_monomial(shared)
     assert results == [serial] * 4
+    # one stored answer per distinct bracket query, and every thread got it
+    assert len(shared._memo[bracket]) == 49
+    assert all(got is want for out in results for got, want in zip(out[:49], results[0]))
