@@ -38,7 +38,6 @@ from .formula import (
     _divided,
     _over,
     _per_spec,
-    _scaled_rows,
     gen_binomial,
 )
 
@@ -89,7 +88,7 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     One pass over the table rows adds each term straight into the defect cells
     it enters.  A row entry v_n w enters skew (v, w) at n, and as eps (-1)^n
     D^(n-i)/(n-i)! v_n w skew (w, v) at every i <= n.  The commutator cells sum
-    two product shapes, each added in place over _scaled_rows (the table times L,
+    two product shapes, each added in place over spec._int_rows (the table times L,
     in ints) with no product built first:
     - u_m(v_n w): a term D^b y of v_n w and an entry u_j y give (b over i) (m)_i
       D^(b-i) u_j y at m = i + j, the first term of (u, v, w) at (m, n) and, times
@@ -105,7 +104,7 @@ def _defect_tables(spec: FormulaSpec) -> tuple:
     denominator that every skew coefficient must be reduced over; the parts at
     i = n, the entry and its signed copy, are the spec's stored constants.
     """
-    scale, rows = _scaled_rows(spec)
+    scale, rows = spec._scale, spec._int_rows
     if not rows:
         return {}, {}
     parity = [vec.parity for vec in spec.vectors]

@@ -172,7 +172,7 @@ class SparseVector:
     never another vector's terms.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         data: dict = {}
@@ -180,14 +180,12 @@ class SparseVector:
         for key, coeff in items:
             _accumulate(data, key, _rat(coeff))
         self._terms = data
-        self._hash: Optional[int] = None
 
     @classmethod
     def _of(cls, terms: dict):
         """Wrap a package-built dict of nonzero stored-form coefficients unchecked."""
         out = cls.__new__(cls)
         out._terms = terms
-        out._hash = None
         return out
 
     def items(self) -> Iterator:
@@ -249,22 +247,18 @@ class SparseVector:
         return frozenset([(k, c.numerator, c.denominator) for k, c in self._terms.items()])
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, self._ratios()))
-        return self._hash
+        return hash((type(self).__name__, self._ratios()))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k!r}: {c}" for k, c in self.items())
         return f"{type(self).__name__}({{{body}}})"
 
-    # the state is a 1-tuple: protocols 0 and 1 skip a false state such as the
-    # zero vector's {}; the hash is recomputed, as string hashes vary by process
+    # the state is a 1-tuple: protocols 0 and 1 skip a false state such as the zero vector's {}
     def __getstate__(self):
         return (self._terms,)
 
     def __setstate__(self, state):
         (self._terms,) = state
-        self._hash = None
 
 
 def _check_index(value, what: str, negative: Optional[str] = None) -> None:
@@ -367,7 +361,7 @@ class FormulaSpec:
     """
 
     __slots__ = ("name", "vectors", "_weights", "_order_scale", "_order_base", "_by_label",
-                 "_rows", "n_max", "k_max", "central", "conformal", "_hash", "_memo")
+                 "_rows", "_scale", "_int_rows", "n_max", "k_max", "central", "conformal", "_memo")
 
     def __init__(self, basis: Sequence, constants: Mapping, central: Optional[BasisRef] = None,
                  conformal: Optional[tuple] = None, name: Optional[str] = None):
@@ -411,12 +405,19 @@ class FormulaSpec:
             if elt:
                 table[uid, n, vid] = elt, degree
         # the one store of the table: (uid, vid) -> {n: u_n v}, n increasing
-        rows, n_max, k_max = {}, 0, 0
+        rows, n_max, k_max, scale = {}, 0, 0, 1
         for uid, n, vid in sorted(table):
             elt, degree = table[uid, n, vid]
             rows.setdefault((uid, vid), {})[n] = elt
             n_max, k_max = max(n_max, n + 1), max(k_max, degree)
+            scale = lcm(scale, *(c.denominator for c in elt._terms.values()))
         self._rows, self.n_max, self.k_max = rows, n_max, k_max
+        # the int kernels' table: L the lcm of every coefficient's denominator and
+        # (uid, vid) -> {n: [((k, tid), L c), ...]}, the rows times L
+        self._scale: int = scale
+        self._int_rows: dict = {
+            pair: {n: [(t, c.numerator * (scale // c.denominator)) for t, c in elt._terms.items()]
+                   for n, elt in row.items()} for pair, row in rows.items()}
 
         self.central: Optional[int] = self._resolve(central).index if central is not None else None
         if conformal is not None:
@@ -430,8 +431,7 @@ class FormulaSpec:
                     f"the conformal central vector {self.vectors[conformal[1]].label!r}")
         self.conformal: Optional[tuple] = conformal
         self.name = name
-        self._hash: Optional[int] = None
-        self._memo: dict = {}  # derived data: _per_spec values, pair terms, product table
+        self._memo: dict = {}  # derived data: _per_spec values, bracket answers, _mul_gen's tables
 
     # -- basis access ------------------------------------------------
 
@@ -504,9 +504,7 @@ class FormulaSpec:
         return self._signature() == other._signature()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._signature())
-        return self._hash
+        return hash(self._signature())
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -561,17 +559,6 @@ def validate_spec(spec: FormulaSpec) -> list:
                     f"({lu},{n},{lv}) at D-power {k}: {lt} has weight "
                     f"{weights[tid]}, expected {want}"))
     return out
-
-
-@_per_spec
-def _scaled_rows(spec: FormulaSpec) -> tuple:
-    """(L, rows): L the lcm of every table coefficient's denominator and rows
-    (uid, vid) -> {n: [((k, tid), L c), ...]}, the table rows times L in ints."""
-    scale = lcm(*(c.denominator for row in spec._rows.values()
-                  for elt in row.values() for c in elt._terms.values()))
-    return scale, {pair: {n: [(key, c.numerator * (scale // c.denominator))
-                              for key, c in elt._terms.items()] for n, elt in row.items()}
-                   for pair, row in spec._rows.items()}
 
 
 def extend_product(spec: FormulaSpec, A: Element, n: int, B: Element) -> Element:

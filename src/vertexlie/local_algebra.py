@@ -29,7 +29,6 @@ from .formula import (
     _accumulate,
     _check_index,
     _divided,
-    _scaled_rows,
     _signed_sum,
     gen_binomial,
 )
@@ -92,12 +91,13 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
 
 
 def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
-    """L [x, y] as ((LieGenerator, int), ...), L the scale of _scaled_rows: sum_i
-    (m over i) reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n, over the scaled
-    row of (u, v), which its callers have checked is there; (m over i) is one comb."""
+    """L [x, y] as ((LieGenerator, int), ...), L = spec._scale: sum_i (m over i)
+    reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n, over the int row of
+    (u, v), which its callers have checked is there; (m over i) is one comb.
+    bracket calls it afresh for each generator pair; verma._mul_gen keeps it."""
     cid, m = central_reduction(spec), x.n
     acc: dict = {}
-    for i, terms in _scaled_rows(spec)[1][x.bid, y.bid].items():
+    for i, terms in spec._int_rows[x.bid, y.bid].items():
         if b := comb(m, i) if m >= 0 else -comb(i - m - 1, i) if i & 1 else comb(i - m - 1, i):
             _reduce_into(acc, terms, m + y.n - i, b, cid)
     return tuple(acc.items())
@@ -115,19 +115,18 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
 
     The spec keeps each distinct answer in one table, spec._memo[bracket],
     until the spec is freed: equal queries return the same immutable
-    LieElement, and the table grows with the number of distinct queries, as
-    the pair table of _pair_terms does.  A query is keyed by the int triples
-    (generator, numerator, denominator) of x and y (SparseVector._ratios),
-    which the sum below reads anyway, so a first ask hashes no Fraction and
-    reads no coefficient twice.
+    LieElement, and the table grows with the number of distinct queries.  A
+    query is keyed by the int triples (generator, numerator, denominator) of x
+    and y (SparseVector._ratios), which the sum below reads anyway, so a first
+    ask hashes no Fraction and reads no coefficient twice.
 
     With dx, dy the lcm of the coefficient denominators of x and y, x = X/dx
     and y = Y/dy for X, Y with int coefficients, read from those triples; then [x, y] =
     [X, Y]/(dx dy).  Y's terms are grouped by basis vector, and only a basis
     pair with a table row is read: each of its generator pairs' L [gx, gy] is
-    int terms from the one per-spec table of _pair_terms, which verma._mul_gen
-    reads under the same test, so the sum of cx cy L [gx, gy] is all ints,
-    divided by L dx dy in one _divided pass.
+    the int terms of _pair_terms, computed afresh, as queries drawn from many
+    modes seldom share a generator pair, so the sum of cx cy L [gx, gy] is all
+    ints, divided by L dx dy in one _divided pass.
     """
     if type(x) is not LieElement or type(y) is not LieElement:
         _check_lie(x, y)
@@ -136,7 +135,6 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     if (known := answers.get(key)) is not None:
         return known
     dx, dy = lcm(*[d for _, _, d in xs]), lcm(*[d for _, _, d in ys])
-    (scale, rows), table = _scaled_rows(spec), spec._memo.setdefault(_pair_terms, {})
     by_vector: dict = {}  # y's terms, numerators over dy, by basis vector
     for gy, cy, d in ys:
         by_vector.setdefault(gy.bid, []).append((gy, cy * (dy // d)))
@@ -144,15 +142,12 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     for gx, cx, d in xs:
         cx *= dx // d
         for v, yv in by_vector.items():
-            if (gx.bid, v) in rows:
+            if (gx.bid, v) in spec._int_rows:
                 for gy, cy in yv:
-                    terms = table.get((gx, gy))
-                    if terms is None:
-                        terms = table[gx, gy] = _pair_terms(spec, gx, gy)
                     factor = cx * cy
-                    for g, c in terms:
+                    for g, c in _pair_terms(spec, gx, gy):
                         _accumulate(acc, g, factor * c)
-    return answers.setdefault(key, LieElement._of(_divided(acc, scale * dx * dy)))
+    return answers.setdefault(key, LieElement._of(_divided(acc, spec._scale * dx * dy)))
 
 
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:

@@ -31,13 +31,12 @@ from .formula import (
     _check_index,
     _over,
     _rat,
-    _scaled_rows,
     _signed_sum,
     basis_element,
     gen_binomial,
 )
-from .local_algebra import (LieElement, LieGenerator, _pair_terms, _quotient_kills, lie_D,
-                            reduce_generator)
+from .local_algebra import (LieElement, LieGenerator, _check_lie, _pair_terms, _quotient_kills,
+                            generator, lie_D, reduce_generator)
 
 
 class NotInjectiveError(FormulaError):
@@ -131,12 +130,12 @@ def _node(spec: FormulaSpec, factors: tuple) -> _Node:
 
 def _unit(spec: FormulaSpec) -> tuple:
     """(D, D/L): the level unit of node-keyed sums (see _mul_gen) and its ratio to
-    the L of _scaled_rows, 2 when some basis vector is odd, for the odd square's 1/(2L)."""
+    L = spec._scale, 2 when some basis vector is odd, for the odd square's 1/(2L)."""
     try:
         return spec._memo[_unit]
     except KeyError:
         lift = 2 if any(v.parity for v in spec.vectors) else 1
-        return spec._memo.setdefault(_unit, (_scaled_rows(spec)[0] * lift, lift))
+        return spec._memo.setdefault(_unit, (spec._scale * lift, lift))
 
 
 def _level(v: PbwVector) -> int:
@@ -176,8 +175,8 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
     """Add factor (g node), normal-ordered, into the node-keyed accumulator acc, one level up.
 
     Node-keyed sums are kept in integers by levels: a sum at level K holds a
-    monomial of k factors with its coefficient times D^(K - k), where D is the
-    L of _scaled_rows, or 2 L when some basis vector is odd (_unit).  A mode
+    monomial of k factors with its coefficient times D^(K - k), where D is
+    L = spec._scale, or 2 L when some basis vector is odd (_unit).  A mode
     raises the level by one: with factor the level-K coefficient of node, this
     adds g node at level K + 1.  A term that puts g in front has one factor
     more than node, so its coefficient is factor itself.  Every other term
@@ -199,11 +198,11 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
     vacuum at n < 0, or an even square), else the rewrite as a flat tuple
     (x1, c1, x2, c2, ...) of nodes and coefficients, built on a miss through
     calls back into this function, one frame per factor.  g on the vacuum at
-    n >= 0 adds nothing and is not kept.  [g, head] is made and kept, as
-    bracket keeps it, only when the basis pair has a table row.  g goes before
-    head when its _order_key is smaller, compared inline: the ints
-    L (n + 1 - w), which order as n + 1 - w since L > 0, then (bid, n), which
-    is g < head.
+    n >= 0 adds nothing and is not kept.  [g, head] is made and kept in normal
+    ordering's own pair table, spec._memo[_pair_terms], only when the basis
+    pair has a table row.  g goes before head when its _order_key is smaller,
+    compared inline: the ints L (n + 1 - w), which order as n + 1 - w since
+    L > 0, then (bid, n), which is g < head.
     """
     memo = spec._memo
     try:
@@ -269,14 +268,26 @@ def _act_word(spec: FormulaSpec, word, terms: dict) -> dict:
     return terms
 
 
+def _check_generator(spec: FormulaSpec, g) -> None:
+    """Refuse a mode that generator() would not make: TypeError for what is not a
+    LieGenerator or has a field that is not an int (a bool included), KeyError for
+    an index outside the basis."""
+    if type(g) is not LieGenerator:
+        raise TypeError(f"expected a LieGenerator, got {type(g).__name__}")
+    _check_index(g.bid, "basis index")  # generator() also takes a label
+    generator(spec, g.bid, g.n)
+
+
 def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
     """Action of the mode g on a module vector: a fresh, normal-ordered vector."""
-    level = _level(v)
-    return _vector(spec, _act_into(spec, {}, g, _nodes(spec, v, level)), level + 1)
+    return act_word(spec, (g,), v)
 
 
 def act_lie(spec: FormulaSpec, x: LieElement, v: PbwVector) -> PbwVector:
     """Linear extension of act over a combination of modes."""
+    _check_lie(x)
+    for g in x._terms:
+        _check_generator(spec, g)
     level = _level(v)
     acc, terms = {}, _nodes(spec, v, level)
     for g, coeff in x._terms.items():
@@ -288,6 +299,8 @@ def act_word(spec: FormulaSpec, word: Iterable[LieGenerator],
              v: Optional[PbwVector] = None) -> PbwVector:
     """Apply a word of modes to v (default vacuum), rightmost first."""
     word, level = list(word), 0 if v is None else _level(v)
+    for g in word:
+        _check_generator(spec, g)
     terms = {_ROOT: 1} if v is None else _nodes(spec, v, level)
     return _vector(spec, _act_word(spec, word, terms), level + len(word))
 
@@ -317,14 +330,11 @@ def specialize_level(spec: FormulaSpec, v: PbwVector, level: RatLike) -> PbwVect
         raise FormulaError("no central vector designated")
     central = LieGenerator(spec.central, -1)
     ell = _rat(level)
-    powers: dict = {}  # ell ** k, each computed once
     acc: dict = {}
     for mono, coeff in v._terms.items():
         power = mono.factors.count(central)
         if power:  # a monomial without c_{-1} is kept as it is
-            if power not in powers:
-                powers[power] = ell ** power
-            coeff *= powers[power]
+            coeff *= ell ** power
             mono = PbwMonomial(tuple(g for g in mono.factors if g != central))
         _accumulate(acc, mono, coeff)
     return PbwVector._of(acc)

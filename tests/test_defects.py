@@ -659,11 +659,12 @@ def test_constructors_take_any_mapping_or_pairs() -> None:
 
 def test_verdict_memo_holds_one_table_per_derivation() -> None:
     # derived data on gl3 (dim 10) after the verdict: one store of every
-    # nonempty skew and commutator-defect table, the scaled rows, the defect
-    # rows and the verdict; no memoized products and no per-pair or per-triple tables
+    # nonempty skew and commutator-defect table, the defect rows and the
+    # verdict (the spec builds its int rows itself); no memoized products and
+    # no per-pair or per-triple tables
     spec = affine(_gl_n(3))
     verdict = injectivity_verdict(spec)
-    assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_scaled_rows", "_defects",
+    assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_defects",
                                                   "injectivity_verdict"}
     assert spec._memo[injectivity_verdict] is verdict is injectivity_verdict(spec)
     assert spec._memo[_defect_tables] is _defect_tables(spec)
@@ -692,7 +693,7 @@ def test_every_defect_query_reads_the_one_store(name: str) -> None:
     defect_sweep(spec, bound)
     defect_sweep(spec, bound + 1)
     jacobi_window_verify(spec, 1)
-    assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_scaled_rows", "_defects",
+    assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_defects",
                                                   "injectivity_verdict"}
 
 
@@ -866,7 +867,7 @@ def test_sweeps_at_every_bound_keep_one_list_of_defect_rows() -> None:
                 raised += 1
             rows.append(spec._memo[_defects])
         assert raised and all(row is rows[0] for row in rows)
-        assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_scaled_rows", "_defects"}
+        assert {fn.__name__ for fn in spec._memo} == {"_defect_tables", "_defects"}
 
 
 def test_verdict_accepts_explicit_central_argument() -> None:

@@ -789,11 +789,12 @@ def _uses(tree: ast.AST, name: str) -> list:
 def test_one_mode_rule_and_no_per_spec_wrapper_in_the_mode_algebra() -> None:
     # the mode rule (D^k u)_n -> (-1)^k (n)_k u_{n-k} has one loop,
     # local_algebra._reduce_into, and the product rule formula.extend_product
-    # is the only other reader of falling.  The integer table _scaled_rows
-    # serves only the kernels that the benchmark workloads run, so a public
-    # function they never call does not grow an integer kernel.  The mode algebra
-    # and the module keep their one pair table, the generator brackets, in
-    # spec._memo[_pair_terms], read with no _per_spec wrapper frame.
+    # is the only other reader of falling.  The integer table that the spec
+    # builds, spec._scale and spec._int_rows, serves only the kernels that the
+    # benchmark workloads run, so a public function they never call does not
+    # grow an integer kernel.  Normal ordering keeps its one pair table, the
+    # generator brackets, in spec._memo[_pair_terms], read with no _per_spec
+    # wrapper frame.
     sample = "def f():\n    def g():\n        return falling(3, 1)\n    return m.falling(2, 2)\n" \
              "x = falling(1, 1)\n"
     assert _calls(ast.parse(sample), "falling") == ["g", "f", 5]
@@ -803,10 +804,17 @@ def test_one_mode_rule_and_no_per_spec_wrapper_in_the_mode_algebra() -> None:
     callers = {(path.stem, caller) for path in sorted(package.glob("*.py"))
                for caller in _calls(ast.parse(path.read_text(), filename=str(path)), "falling")}
     assert callers <= {("formula", "extend_product"), ("local_algebra", "_reduce_into")}, callers
-    callers = {(path.stem, caller) for path in sorted(package.glob("*.py"))
-               for caller in _calls(ast.parse(path.read_text(), filename=str(path)), "_scaled_rows")}
-    assert callers == {("defects", "_defect_tables"), ("local_algebra", "_pair_terms"),
-                       ("local_algebra", "bracket"), ("verma", "_unit")}, callers
+    def int_table(node: ast.AST) -> bool:  # a read of a spec's int table, not the spec's own
+        return isinstance(node, ast.Attribute) and node.attr in ("_scale", "_int_rows") \
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    sample = "def f(s):\n    return s._scale\nclass A:\n    def g(self):\n" \
+             "        self._int_rows = {}\nx = spec._int_rows\n"
+    assert _sites(ast.parse(sample), int_table) == ["f", 6]
+    readers = {(path.stem, reader) for path in sorted(package.glob("*.py"))
+               for reader in _sites(ast.parse(path.read_text(), filename=str(path)), int_table)}
+    assert readers == {("defects", "_defect_tables"), ("local_algebra", "_pair_terms"),
+                       ("local_algebra", "bracket"), ("verma", "_unit")}, readers
     for name in ("local_algebra.py", "verma.py"):
         assert not _uses(ast.parse((package / name).read_text()), "_per_spec"), name
     # the defect tables are read as stored: a second copy or regrouping needs a reason

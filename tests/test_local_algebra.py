@@ -334,26 +334,29 @@ def test_bracket_raises_where_the_reference_raises() -> None:
     assert not any(isinstance(got, str) for got, _want in outcomes)
 
 
-def test_bracket_reduces_no_mode_and_keeps_one_entry_per_pair(monkeypatch) -> None:
-    # a machine-independent work count: bracket queries read int pair terms
-    # from one per-spec table, made once per distinct generator pair whose
-    # basis pair has a table row; the other pairs have no entry
+def test_bracket_reduces_no_mode_and_keeps_no_pair_table(monkeypatch) -> None:
+    # a machine-independent work count: a first-asked bracket computes the int
+    # pair terms of each generator pair whose basis pair has a table row, once,
+    # and of no other pair; it keeps none of them, only its answer
     from vertexlie import local_algebra
 
     spec = preset("virasoro")
     calls = _count_calls(monkeypatch, local_algebra, "reduce_generator")
+    asked, real = [], local_algebra._pair_terms
+    monkeypatch.setattr(local_algebra, "_pair_terms",
+                        lambda spec, gx, gy: asked.append((gx, gy)) or real(spec, gx, gy))
     rng = random.Random(2901)
-    pairs = set()
+    pairs = []
     for _ in range(30):
         x, y = (LieElement({LieGenerator(rng.randrange(spec.dim), rng.randint(-6, 6)): F(1, 3)
                             for _ in range(3)}) for _ in "xy")
         bracket(spec, x, y)
-        pairs.update((gx, gy) for gx in x._terms for gy in y._terms
-                     if spec._row(gx.bid, gy.bid))
+        pairs += [(gx, gy) for gx in x._terms for gy in y._terms if spec._row(gx.bid, gy.bid)]
     assert calls == {"reduce_generator": 0}
-    assert "_pair_bracket" not in {fn.__name__ for fn in spec._memo}
-    table = spec._memo[local_algebra._pair_terms]
-    assert len(table) == len(pairs) and set(table) == pairs
+    assert len(spec._memo[bracket]) == 30 and pairs
+    assert sorted(asked) == sorted(pairs)
+    names = {fn.__name__ for fn in spec._memo}
+    assert "_pair_terms" not in names and "_pair_bracket" not in names
 
 
 def test_bracket_and_lie_D_refuse_what_is_not_a_lie_element() -> None:

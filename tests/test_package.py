@@ -195,9 +195,6 @@ def test_vector_copy_and_pickle_round_trip(value) -> None:
         assert type(other) is type(value)
         assert other == value and hash(other) == hash(value)
         assert repr(other) == repr(value)
-    # a pickle carries no hash: string hashes differ from process to process
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(value, protocol))._hash is None
 
 
 def test_basis_vector_defaults() -> None:

@@ -56,7 +56,6 @@ from vertexlie import (
     virasoro,
 )
 import vertexlie.verma as verma_module
-from vertexlie.formula import _scaled_rows
 from vertexlie.verma import _heads
 from vertexlie.formula_io import parse_formula
 from vertexlie.linalg import RowSpace
@@ -488,7 +487,7 @@ def test_normal_ordering_keeps_every_product_in_ints(name: str) -> None:
     # c D/L and an odd square's as c, never divided: every coefficient of the
     # product table is an int, on tables with L > 1 and odd squares
     spec = _after_seeded_words(name)
-    assert _scaled_rows(spec)[0] > 1
+    assert spec._scale > 1
     coeffs = [c for table in _product_table(spec).values() for out in table.values()
               if type(out) is tuple for c in out[1::2]]
     assert coeffs and {type(c) for c in coeffs} == {int}
@@ -502,10 +501,10 @@ def _pair_tables(spec) -> dict:
                     and all(type(g) is LieGenerator for g in k) for k in table)}
 
 
-def test_bracket_and_normal_ordering_share_one_pair_table() -> None:
-    # a generator bracket [g, h] is made once per spec, whichever of bracket
-    # and the normal ordering asks for it first: bracket reads the entries
-    # that act_word made (the very tuples) and adds one entry per new pair
+def test_normal_ordering_keeps_one_pair_table_that_bracket_leaves_alone() -> None:
+    # normal ordering makes each generator bracket [g, h] it needs once per
+    # spec and keeps it in its one pair table; bracket computes its own pair
+    # terms, agrees with the kept ones, and neither reads nor adds an entry
     spec = virasoro()
     act_word(spec, [gen(spec, "omega", 2), gen(spec, "omega", -1), gen(spec, "omega", -3)])
     tables = _pair_tables(spec)
@@ -513,14 +512,15 @@ def test_bracket_and_normal_ordering_share_one_pair_table() -> None:
     table = tables["_pair_terms"]
     made = dict(table)
     assert any(made.values())
-    for gx, gy in made:
-        bracket(spec, LieElement({gx: 1}), LieElement({gy: 1}))
-    assert list(table) == list(made) and all(table[k] is terms for k, terms in made.items())
+    for (gx, gy), terms in made.items():
+        want = LieElement({g: F(c, spec._scale) for g, c in terms})
+        assert bracket(spec, LieElement({gx: 1}), LieElement({gy: 1})) == want
     fresh = (gen(spec, "omega", 5), gen(spec, "omega", -4))
     bracket(spec, LieElement({fresh[0]: 1}), LieElement({fresh[1]: 1}))
-    assert list(table) == list(made) + [fresh] and list(_pair_tables(spec)) == ["_pair_terms"]
-    # both readers store a generator pair only when its basis pair has a row:
-    # e_1 e_-1 swaps with no bracket, e_1 f_-2 brings in [e_1, f_-2]
+    assert list(table) == list(made) and all(table[k] is terms for k, terms in made.items())
+    assert list(_pair_tables(spec)) == ["_pair_terms"]
+    # normal ordering stores a generator pair only when its basis pair has a
+    # row: e_1 e_-1 swaps with no bracket, e_1 f_-2 brings in [e_1, f_-2]
     spec = preset("affine-sl2")
     act_word(spec, [gen(spec, "e", 1), gen(spec, "e", -1), gen(spec, "f", -2)])
     bracket(spec, LieElement({gen(spec, "h", 2): 1}), LieElement({gen(spec, "h", -3): 1,
@@ -528,7 +528,35 @@ def test_bracket_and_normal_ordering_share_one_pair_table() -> None:
     table = _pair_tables(spec)["_pair_terms"]
     assert (gen(spec, "e", 1), gen(spec, "f", -2)) in table
     assert (gen(spec, "e", 1), gen(spec, "e", -1)) not in table
+    assert (gen(spec, "h", 2), gen(spec, "h", -3)) not in table
     assert all(spec._row(gx.bid, gy.bid) for gx, gy in table)
+
+
+def test_the_module_actions_refuse_a_mode_the_spec_does_not_have() -> None:
+    # act, act_lie and act_word take only what generator() makes: a
+    # LieGenerator with an int basis index inside the basis and an int mode
+    spec = virasoro()
+    v = act_word(spec, [gen(spec, "omega", -2)])
+    before = {g: dict(by_node) for g, by_node in _product_table(spec).items()}
+    refused = [(LieGenerator(0, -1.5), TypeError, "^mode must be an integer, got -1.5$"),
+               (LieGenerator(0, 1.5), TypeError, "^mode must be an integer, got 1.5$"),
+               (LieGenerator(True, -1), TypeError, "^basis index must be an integer, got True$"),
+               (LieGenerator("omega", -1), TypeError, "^basis index must be an integer"),
+               ((0, -1), TypeError, "^expected a LieGenerator, got tuple$"),
+               (LieGenerator(5, -1), KeyError, "^'no basis vector number 5'$"),
+               (LieGenerator(-1, -1), KeyError, "^'no basis vector number -1'$")]
+    for g, error, message in refused:
+        calls = [lambda: act(spec, g, vacuum()), lambda: act(spec, g, v),
+                 lambda: act_word(spec, [g]), lambda: act_word(spec, [gen(spec, "omega", -1), g]),
+                 lambda: act_word(spec, [g, gen(spec, "omega", -2)], v),
+                 lambda: act_lie(spec, LieElement({g: 1, gen(spec, "c", -1): 2}), vacuum())]
+        for call in calls:
+            with pytest.raises(error, match=message):
+                call()
+    with pytest.raises(TypeError, match="^expected a LieElement, got dict$"):
+        act_lie(spec, {gen(spec, "omega", -1): 1}, vacuum())
+    # each refusal comes before any normal ordering: the product table is unchanged
+    assert {g: dict(by_node) for g, by_node in _product_table(spec).items()} == before
 
 
 def test_normal_ordering_confluence() -> None:
