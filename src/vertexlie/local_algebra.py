@@ -64,6 +64,20 @@ def generator(spec: FormulaSpec, ref: BasisRef, n: int) -> LieGenerator:
     return LieGenerator(spec.bid(ref), n)
 
 
+def _check_generators(spec: FormulaSpec, gens) -> None:
+    """Refuse any mode in gens that generator() would not make: TypeError for what is
+    not a LieGenerator or has a field that is not an int (a bool included), KeyError
+    for an index outside the basis."""
+    dim = len(spec.vectors)
+    for g in gens:
+        if type(g) is not LieGenerator:
+            raise TypeError(f"expected a LieGenerator, got {type(g).__name__}")
+        bid, n = g
+        if type(bid) is not int or type(n) is not int or not 0 <= bid < dim:
+            _check_index(bid, "basis index")  # generator() also takes a label
+            generator(spec, bid, n)  # raises: a mode that is not an int, or no such vector
+
+
 def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:
     """The mode ref_n as a one-term element."""
     return LieElement({generator(spec, ref, n): 1})
@@ -90,16 +104,25 @@ def reduce_generator(spec: FormulaSpec, A: Element, n: int) -> LieElement:
     return LieElement._of(acc)
 
 
-def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
-    """L [x, y] as ((LieGenerator, int), ...), L = spec._scale: sum_i (m over i)
-    reduce_generator((u_i v)_{m+n-i}) for x = u_m, y = v_n, over the int row of
-    (u, v), which its callers have checked is there; (m over i) is one comb.
-    bracket calls it afresh for each generator pair; verma._mul_gen keeps it."""
-    cid, m = central_reduction(spec), x.n
-    acc: dict = {}
-    for i, terms in spec._int_rows[x.bid, y.bid].items():
+def _row_into(acc: dict, row: dict, m: int, cx: int, modes, cid: Optional[int]) -> None:
+    """Add cx cy L [u_m, v_n] into acc for each (n, cy) in modes, read off the int row
+    L (u_i v) of the basis pair (u, v) in one walk: (m over i) is one comb per index i,
+    signed at m < 0, skipped where it is zero and times cx, and every term goes once
+    through the mode rule _reduce_into at m + n - i (cid is central_reduction(spec))."""
+    for i, terms in row.items():
         if b := comb(m, i) if m >= 0 else -comb(i - m - 1, i) if i & 1 else comb(i - m - 1, i):
-            _reduce_into(acc, terms, m + y.n - i, b, cid)
+            b *= cx
+            for n, cy in modes:
+                _reduce_into(acc, terms, m + n - i, b * cy, cid)
+
+
+def _pair_terms(spec: FormulaSpec, x: LieGenerator, y: LieGenerator) -> tuple:
+    """L [x, y] as ((LieGenerator, int), ...), L = spec._scale, for x = u_m and y = v_n
+    whose basis pair (u, v) has an int row, which its callers check: the one-mode case
+    of _row_into.  Normal ordering keeps these terms in its pair table
+    (verma._mul_gen); bracket walks the rows itself and never calls this."""
+    acc: dict = {}
+    _row_into(acc, spec._int_rows[x.bid, y.bid], x.n, 1, ((y.n, 1),), central_reduction(spec))
     return tuple(acc.items())
 
 
@@ -118,15 +141,18 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     LieElement, and the table grows with the number of distinct queries.  A
     query is keyed by the int triples (generator, numerator, denominator) of x
     and y (SparseVector._ratios), which the sum below reads anyway, so a first
-    ask hashes no Fraction and reads no coefficient twice.
+    ask hashes no Fraction and reads no coefficient twice.  A first ask refuses
+    a mode that generator() would not make (_check_generators) and stores nothing.
 
     With dx, dy the lcm of the coefficient denominators of x and y, x = X/dx
-    and y = Y/dy for X, Y with int coefficients, read from those triples; then [x, y] =
-    [X, Y]/(dx dy).  Y's terms are grouped by basis vector, and only a basis
-    pair with a table row is read: each of its generator pairs' L [gx, gy] is
-    the int terms of _pair_terms, computed afresh, as queries drawn from many
-    modes seldom share a generator pair, so the sum of cx cy L [gx, gy] is all
-    ints, divided by L dx dy in one _divided pass.
+    and y = Y/dy for X, Y with int coefficients, read from those triples; then
+    [x, y] = [X, Y]/(dx dy).  Y's terms are grouped by basis vector v, and for
+    each term cx u_m of X and each v with a table row (u, v), _row_into walks
+    that int row once: (m over i) once per row index, and every term straight
+    into one int sum through the mode rule, for all of Y's modes on v.  The sum
+    of cx cy L [u_m, v_n] is then divided by L dx dy in one _divided pass.
+    central_reduction(spec) is read once, at the first row, so a query that
+    meets no row computes no verdict.
     """
     if type(x) is not LieElement or type(y) is not LieElement:
         _check_lie(x, y)
@@ -134,26 +160,29 @@ def bracket(spec: FormulaSpec, x: LieElement, y: LieElement) -> LieElement:
     answers = spec._memo.setdefault(bracket, {})
     if (known := answers.get(key)) is not None:
         return known
+    _check_generators(spec, x._terms)
+    _check_generators(spec, y._terms)
     dx, dy = lcm(*[d for _, _, d in xs]), lcm(*[d for _, _, d in ys])
-    by_vector: dict = {}  # y's terms, numerators over dy, by basis vector
+    by_vector: dict = {}  # y's modes and numerators over dy, by basis vector
     for gy, cy, d in ys:
-        by_vector.setdefault(gy.bid, []).append((gy, cy * (dy // d)))
-    acc: dict = {}
+        by_vector.setdefault(gy.bid, []).append((gy.n, cy * (dy // d)))
+    rows, acc, cid = spec._int_rows, {}, ...  # ...: central_reduction(spec) not read yet
     for gx, cx, d in xs:
         cx *= dx // d
-        for v, yv in by_vector.items():
-            if (gx.bid, v) in spec._int_rows:
-                for gy, cy in yv:
-                    factor = cx * cy
-                    for g, c in _pair_terms(spec, gx, gy):
-                        _accumulate(acc, g, factor * c)
+        for v, modes in by_vector.items():
+            if (row := rows.get((gx.bid, v))) is not None:
+                if cid is ...:
+                    cid = central_reduction(spec)
+                _row_into(acc, row, gx.n, cx, modes, cid)
     return answers.setdefault(key, LieElement._of(_divided(acc, spec._scale * dx * dy)))
 
 
 def lie_D(spec: FormulaSpec, x: LieElement) -> LieElement:
     """The derivation u_n -> -n u_{n-1}: the mode (D u)_n, the k = 1 case of
-    _reduce_into, zero at n = 0 and where the quotient kills u_{n-1}."""
+    _reduce_into, zero at n = 0 and where the quotient kills u_{n-1}.  A mode
+    that generator() would not make is refused (_check_generators)."""
     _check_lie(x)
+    _check_generators(spec, x._terms)
     acc: dict = {}
     cid = central_reduction(spec)
     for g, c in x._terms.items():  # distinct modes have distinct images

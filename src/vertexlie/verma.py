@@ -35,8 +35,8 @@ from .formula import (
     basis_element,
     gen_binomial,
 )
-from .local_algebra import (LieElement, LieGenerator, _check_lie, _pair_terms, _quotient_kills,
-                            generator, lie_D, reduce_generator)
+from .local_algebra import (LieElement, LieGenerator, _check_generators, _check_lie,
+                            _pair_terms, _quotient_kills, lie_D, reduce_generator)
 
 
 class NotInjectiveError(FormulaError):
@@ -268,16 +268,6 @@ def _act_word(spec: FormulaSpec, word, terms: dict) -> dict:
     return terms
 
 
-def _check_generator(spec: FormulaSpec, g) -> None:
-    """Refuse a mode that generator() would not make: TypeError for what is not a
-    LieGenerator or has a field that is not an int (a bool included), KeyError for
-    an index outside the basis."""
-    if type(g) is not LieGenerator:
-        raise TypeError(f"expected a LieGenerator, got {type(g).__name__}")
-    _check_index(g.bid, "basis index")  # generator() also takes a label
-    generator(spec, g.bid, g.n)
-
-
 def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
     """Action of the mode g on a module vector: a fresh, normal-ordered vector."""
     return act_word(spec, (g,), v)
@@ -286,8 +276,7 @@ def act(spec: FormulaSpec, g: LieGenerator, v: PbwVector) -> PbwVector:
 def act_lie(spec: FormulaSpec, x: LieElement, v: PbwVector) -> PbwVector:
     """Linear extension of act over a combination of modes."""
     _check_lie(x)
-    for g in x._terms:
-        _check_generator(spec, g)
+    _check_generators(spec, x._terms)
     level = _level(v)
     acc, terms = {}, _nodes(spec, v, level)
     for g, coeff in x._terms.items():
@@ -299,8 +288,7 @@ def act_word(spec: FormulaSpec, word: Iterable[LieGenerator],
              v: Optional[PbwVector] = None) -> PbwVector:
     """Apply a word of modes to v (default vacuum), rightmost first."""
     word, level = list(word), 0 if v is None else _level(v)
-    for g in word:
-        _check_generator(spec, g)
+    _check_generators(spec, word)
     terms = {_ROOT: 1} if v is None else _nodes(spec, v, level)
     return _vector(spec, _act_word(spec, word, terms), level + len(word))
 

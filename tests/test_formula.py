@@ -794,16 +794,29 @@ def test_one_mode_rule_and_no_per_spec_wrapper_in_the_mode_algebra() -> None:
     # benchmark workloads run, so a public function they never call does not
     # grow an integer kernel.  Normal ordering keeps its one pair table, the
     # generator brackets, in spec._memo[_pair_terms], read with no _per_spec
-    # wrapper frame.
+    # wrapper frame; it is the only caller of _pair_terms, as bracket walks
+    # each table row itself through the one row pass _row_into, which holds
+    # the one signed binomial (m over i) of the mode algebra.
     sample = "def f():\n    def g():\n        return falling(3, 1)\n    return m.falling(2, 2)\n" \
              "x = falling(1, 1)\n"
     assert _calls(ast.parse(sample), "falling") == ["g", "f", 5]
     sample = "from .formula import _per_spec\n@_per_spec\ndef f(): pass\ng = formula._per_spec(f)\n"
     assert _uses(ast.parse(sample), "_per_spec") == [1, 2, 4]
     package = Path(vertexlie.__file__).parent
-    callers = {(path.stem, caller) for path in sorted(package.glob("*.py"))
-               for caller in _calls(ast.parse(path.read_text(), filename=str(path)), "falling")}
+    sources = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(package.glob("*.py"))}
+
+    def callers_of(name: str) -> set:
+        return {(stem, caller) for stem, tree in sources.items() for caller in _calls(tree, name)}
+
+    callers = callers_of("falling")
     assert callers <= {("formula", "extend_product"), ("local_algebra", "_reduce_into")}, callers
+    assert callers_of("_pair_terms") == {("verma", "_mul_gen")}
+    assert callers_of("_row_into") == {("local_algebra", "_pair_terms"),
+                                       ("local_algebra", "bracket")}
+    assert {c for c in callers_of("comb") if c[0] == "local_algebra"} \
+        == {("local_algebra", "_row_into")}
+
     def int_table(node: ast.AST) -> bool:  # a read of a spec's int table, not the spec's own
         return isinstance(node, ast.Attribute) and node.attr in ("_scale", "_int_rows") \
             and not (isinstance(node.value, ast.Name) and node.value.id == "self")
@@ -811,16 +824,14 @@ def test_one_mode_rule_and_no_per_spec_wrapper_in_the_mode_algebra() -> None:
     sample = "def f(s):\n    return s._scale\nclass A:\n    def g(self):\n" \
              "        self._int_rows = {}\nx = spec._int_rows\n"
     assert _sites(ast.parse(sample), int_table) == ["f", 6]
-    readers = {(path.stem, reader) for path in sorted(package.glob("*.py"))
-               for reader in _sites(ast.parse(path.read_text(), filename=str(path)), int_table)}
+    readers = {(stem, reader) for stem, tree in sources.items()
+               for reader in _sites(tree, int_table)}
     assert readers == {("defects", "_defect_tables"), ("local_algebra", "_pair_terms"),
                        ("local_algebra", "bracket"), ("verma", "_unit")}, readers
-    for name in ("local_algebra.py", "verma.py"):
-        assert not _uses(ast.parse((package / name).read_text()), "_per_spec"), name
+    for name in ("local_algebra", "verma"):
+        assert not _uses(sources[name], "_per_spec"), name
     # the defect tables are read as stored: a second copy or regrouping needs a reason
-    callers = {(path.stem, caller) for path in sorted(package.glob("*.py"))
-               for caller in _calls(ast.parse(path.read_text(), filename=str(path)),
-                                    "_defect_tables")}
+    callers = callers_of("_defect_tables")
     assert callers == {("defects", "_defects"), ("defects", "skew_defect"),
                        ("defects", "commutator_defect"), ("defects", "jacobi_component_defect"),
                        ("local_algebra", "jacobi_window_verify")}, callers

@@ -335,28 +335,39 @@ def test_bracket_raises_where_the_reference_raises() -> None:
 
 
 def test_bracket_reduces_no_mode_and_keeps_no_pair_table(monkeypatch) -> None:
-    # a machine-independent work count: a first-asked bracket computes the int
-    # pair terms of each generator pair whose basis pair has a table row, once,
-    # and of no other pair; it keeps none of them, only its answer
+    # a machine-independent work count: a first-asked bracket walks the int
+    # row (u, v) once for each x term u_m and each basis vector v of y, and
+    # adds every y term on v straight through the mode rule, one _reduce_into
+    # call per (x term, y term with a row, row index i with (m over i) != 0);
+    # it computes no pair terms, reads central_reduction once per first ask
+    # that meets a row, and keeps only its answer
     from vertexlie import local_algebra
 
-    spec = preset("virasoro")
-    calls = _count_calls(monkeypatch, local_algebra, "reduce_generator")
-    asked, real = [], local_algebra._pair_terms
-    monkeypatch.setattr(local_algebra, "_pair_terms",
-                        lambda spec, gx, gy: asked.append((gx, gy)) or real(spec, gx, gy))
     rng = random.Random(2901)
-    pairs = []
-    for _ in range(30):
-        x, y = (LieElement({LieGenerator(rng.randrange(spec.dim), rng.randint(-6, 6)): F(1, 3)
-                            for _ in range(3)}) for _ in "xy")
-        bracket(spec, x, y)
-        pairs += [(gx, gy) for gx in x._terms for gy in y._terms if spec._row(gx.bid, gy.bid)]
-    assert calls == {"reduce_generator": 0}
-    assert len(spec._memo[bracket]) == 30 and pairs
-    assert sorted(asked) == sorted(pairs)
-    names = {fn.__name__ for fn in spec._memo}
-    assert "_pair_terms" not in names and "_pair_bracket" not in names
+    for name in ("virasoro", "affine-sl2"):
+        spec = preset(name)
+        calls = _count_calls(monkeypatch, local_algebra, "reduce_generator", "_pair_terms",
+                             "_reduce_into", "central_reduction")
+        want, with_rows = 0, 0
+        for _ in range(30):
+            x, y = (LieElement({LieGenerator(rng.randrange(spec.dim), rng.randint(-6, 6)): F(1, 3)
+                                for _ in range(3)}) for _ in "xy")
+            bracket(spec, x, y)
+            counts = [sum(1 for i in spec._row(gx.bid, gy.bid) if gen_binomial(gx.n, i))
+                      for gx in x._terms for gy in y._terms if spec._row(gx.bid, gy.bid)]
+            want, with_rows = want + sum(counts), with_rows + bool(counts)
+        assert calls == {"reduce_generator": 0, "_pair_terms": 0, "_reduce_into": want,
+                         "central_reduction": with_rows}, name
+        assert want and with_rows < 30  # some query met no row
+        assert len(spec._memo[bracket]) == 30
+        names = {fn.__name__ for fn in spec._memo}
+        assert "_pair_terms" not in names and "_pair_bracket" not in names
+        monkeypatch.undo()
+    # a table with no rows computes no verdict for a bracket
+    spec = preset("loop-abelian")
+    x = LieElement({LieGenerator(0, 2): 1, LieGenerator(1, -1): F(1, 2)})
+    assert bracket(spec, x, x).is_zero
+    assert {fn.__name__ for fn in spec._memo} == {"bracket"}
 
 
 def test_bracket_and_lie_D_refuse_what_is_not_a_lie_element() -> None:
@@ -369,6 +380,37 @@ def test_bracket_and_lie_D_refuse_what_is_not_a_lie_element() -> None:
                      lambda: lie_D(VIR, other)):
             with pytest.raises(TypeError, match=message):
                 call()
+
+
+# a mode that generator() would not make, with the refusal act gives it; the
+# tuple is unequal to omega_1, which a LieElement key equal to it would merge into
+BAD_MODES = [(LieGenerator(9, -1), KeyError, "^'no basis vector number 9'$"),
+             (LieGenerator(-1, 1), KeyError, "^'no basis vector number -1'$"),
+             (LieGenerator(True, 1), TypeError, "^basis index must be an integer, got True$"),
+             (LieGenerator("omega", 1), TypeError, "^basis index must be an integer"),
+             (LieGenerator(0, 1.5), TypeError, "^mode must be an integer, got 1.5$"),
+             (LieGenerator(0, -0.5), TypeError, "^mode must be an integer, got -0.5$"),
+             ((0, 3), TypeError, "^expected a LieGenerator, got tuple$")]
+
+
+@pytest.mark.parametrize("g,error,message", BAD_MODES, ids=[repr(b[0]) for b in BAD_MODES])
+def test_bracket_and_lie_D_refuse_a_mode_the_spec_does_not_have(g, error, message) -> None:
+    from vertexlie import act, vacuum
+
+    spec = virasoro()
+    good = elem(spec, ("omega", 2, 1), ("c", -1, F(1, 3)))
+    bad = LieElement({gen(spec, "omega", 1): 1, g: F(2, 3)})
+    with pytest.raises(error, match=message):  # the refusal the module action gives
+        act(spec, g, vacuum())
+    for call in (lambda: bracket(spec, bad, good), lambda: bracket(spec, good, bad),
+                 lambda: bracket(spec, bad, bad), lambda: lie_D(spec, bad),
+                 lambda: lie_D(spec, LieElement({g: 1}))):
+        with pytest.raises(error, match=message):
+            call()
+    # a refused query stores nothing; the same query without the bad mode is answered
+    assert not spec._memo.get(bracket)
+    assert bracket(spec, LieElement({gen(spec, "omega", 1): 1}), good)
+    assert len(spec._memo[bracket]) == 1
 
 
 def test_a_repeated_bracket_is_answered_from_the_table(monkeypatch) -> None:
