@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 from math import comb, lcm, perm, prod
-from typing import NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .defects import JACOBI, SKEW, _defect_tables, central_reduction, injectivity_verdict
 from .formula import (
@@ -52,7 +52,17 @@ def _quotient_kills(spec: FormulaSpec, g: LieGenerator) -> bool:
 
 
 class LieElement(SparseVector):
-    """Finite rational combination of mode generators."""
+    """Finite rational combination of mode generators.
+
+    The constructor refuses a key that is not a mode (_check_mode) before it
+    sums anything: LieGenerator(0, 2.0) and LieGenerator(True, 2) equal and hash
+    as LieGenerator(0, 2) and LieGenerator(1, 2), so they would pass as those."""
+
+    def __init__(self, terms: Union[Mapping, Iterable] = ()):
+        terms = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for g, _coeff in terms:
+            _check_mode(g)
+        super().__init__(terms)
 
     def display(self, spec: FormulaSpec) -> str:
         return _signed_sum((c, f"{spec.vectors[g.bid].label}_{g.n}") for g, c in self.items())
@@ -64,18 +74,26 @@ def generator(spec: FormulaSpec, ref: BasisRef, n: int) -> LieGenerator:
     return LieGenerator(spec.bid(ref), n)
 
 
+def _check_mode(g) -> None:
+    """Refuse, with TypeError, what is not a LieGenerator or has a field that is not
+    an int (a bool included): the refusals of generator() that need no spec."""
+    if type(g) is not LieGenerator:
+        raise TypeError(f"expected a LieGenerator, got {type(g).__name__}")
+    _check_index(g.bid, "basis index")  # generator() also takes a label
+    _check_index(g.n, "mode")
+
+
 def _check_generators(spec: FormulaSpec, gens) -> None:
-    """Refuse any mode in gens that generator() would not make: TypeError for what is
-    not a LieGenerator or has a field that is not an int (a bool included), KeyError
-    for an index outside the basis."""
+    """Refuse any mode in gens that generator() would not make: what _check_mode
+    refuses, and KeyError for an index outside the basis."""
     dim = len(spec.vectors)
     for g in gens:
         if type(g) is not LieGenerator:
-            raise TypeError(f"expected a LieGenerator, got {type(g).__name__}")
+            _check_mode(g)
         bid, n = g
         if type(bid) is not int or type(n) is not int or not 0 <= bid < dim:
-            _check_index(bid, "basis index")  # generator() also takes a label
-            generator(spec, bid, n)  # raises: a mode that is not an int, or no such vector
+            _check_mode(g)
+            generator(spec, bid, n)  # raises: no such vector
 
 
 def single(spec: FormulaSpec, ref: BasisRef, n: int) -> LieElement:

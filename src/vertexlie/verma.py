@@ -197,12 +197,13 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
     node of g node where g goes in front (before head by _order_key, on the
     vacuum at n < 0, or an even square), else the rewrite as a flat tuple
     (x1, c1, x2, c2, ...) of nodes and coefficients, built on a miss through
-    calls back into this function, one frame per factor.  g on the vacuum at
-    n >= 0 adds nothing and is not kept.  [g, head] is made and kept in normal
-    ordering's own pair table, spec._memo[_pair_terms], only when the basis
-    pair has a table row.  g goes before head when its _order_key is smaller,
-    compared inline: the ints L (n + 1 - w), which order as n + 1 - w since
-    L > 0, then (bid, n), which is g < head.
+    calls back into this function, one frame per factor: a miss makes sure
+    g rest is in the table and walks that stored entry, with no copy of it.
+    g on the vacuum at n >= 0 adds nothing and is not kept.  [g, head] is made
+    and kept in normal ordering's own pair table, spec._memo[_pair_terms],
+    only when the basis pair has a table row.  g goes before head when its
+    _order_key is smaller, compared inline: the ints L (n + 1 - w), which
+    order as n + 1 - w since L > 0, then (bid, n), which is g < head.
     """
     memo = spec._memo
     try:
@@ -229,10 +230,16 @@ def _mul_gen(spec: FormulaSpec, acc: dict, g: LieGenerator, node: _Node,
             if not square:
                 vectors = spec.vectors
                 eps = -1 if vectors[g.bid].parity and vectors[head.bid].parity else 1
-                inner: dict = {}
-                _mul_gen(spec, inner, g, rest, 1)
-                for x, c in inner.items():
-                    _mul_gen(spec, store, head, x, eps * c)
+                inner = by_node.get(rest)
+                if inner is None:
+                    _mul_gen(spec, {}, g, rest, 1)  # stores g rest, read below
+                    inner = by_node.get(rest)
+                if type(inner) is tuple:
+                    it = iter(inner)
+                    for x, c in zip(it, it):
+                        _mul_gen(spec, store, head, x, eps * c)
+                elif inner is not None:  # g in front of rest
+                    _mul_gen(spec, store, head, inner, eps)
             pairs = memo.setdefault(_pair_terms, {})
             bracket = pairs.get((g, head))
             if bracket is None and spec._row(g.bid, head.bid):  # only a pair with a row is kept
@@ -464,9 +471,12 @@ def field_coefficient(spec: FormulaSpec, a: PbwVector, n: int, b: PbwVector,
 
 
 def _field_coefficient(spec: FormulaSpec, a: dict, n: int, b: dict, cutoff, memo: dict) -> dict:
-    """field_coefficient without its guards, on node-keyed terms a and b, into a fresh
-    node-keyed dict that drops zeros, so results compare with ==.  b's pieces are sorted
-    by weight once a call; memo holds _fc results, shared by the calls of a spot-check.
+    """field_coefficient without its guards, on node-keyed terms a and b, as a node-keyed
+    dict that drops zeros, so results compare with ==.  b's pieces are sorted by weight
+    once a call; memo holds _fc results, shared by the calls of a spot-check.  When a is
+    one monomial with coefficient 1 and b has one weight piece, the result is _fc's
+    memoized dict itself, else a fresh one: callers only read it (field_coefficient
+    copies it through _vector).
 
     Field levels add (see _mul_gen for levels): with a at level Ka and b at level
     Kb the result is at level Ka + Kb.  _fc(node, n, b) for node's k factors is at
@@ -478,6 +488,10 @@ def _field_coefficient(spec: FormulaSpec, a: dict, n: int, b: dict, cutoff, memo
     for node, coeff in b.items():
         by_weight.setdefault(_monomial_weight(spec, _heads(node)), {})[node] = coeff
     pieces = sorted(by_weight.items())
+    if len(pieces) == 1 and len(a) == 1:
+        (node, coeff), = a.items()
+        if coeff == 1:
+            return _fc(spec, node, n, pieces[0][1], pieces[0][0], cutoff, memo)
     acc: dict = {}
     for node, coeff in a.items():
         for bw, piece in pieces:
@@ -593,9 +607,11 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     nothing).  Field coefficients are computed with an internal cutoff
     margin wide enough that no intermediate overflows on these windows.
     The windows are fixed; within them each u_a w is computed once per
-    (u, w), for every pair it enters, and each field once for all the
-    terms that read it: the half-skew v_j u for every n + k = j and the
-    commutator formula's (u_i v)_k w for every m + n - i = k.
+    (u, w), for every pair it enters; each pair cell u_a v_b w - eps v_b u_a w
+    once per unordered pair {u, v} and w, for both duos and both clauses
+    that read it; and each field once for all the terms that read it: the
+    half-skew v_j u for every n + k = j and the commutator formula's
+    (u_i v)_k w for every m + n - i = k.
     """
     bound = _checked_cutoff(spec, cutoff)
     lam_max = max(spec._weights, default=0)
@@ -658,30 +674,46 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
     N = spec.n_max
     row = [((-1) ** j * gen_binomial(N, j), j) for j in range(N + 1)]
     mode_lo, mode_hi = -floor(bound) - 2, floor(bound) + 2
-    # the modes u_a' and v_b' that the pairs below read, a' >= mode_lo - N, b' <= mode_hi + N
-    gens = {u.index: {a: LieGenerator(u.index, a) for a in range(mode_lo - N, mode_hi + N + 1)}
-            for u in active}
+    # the modes u_a' and v_b' that the cells below read, from lo = mode_lo - N
+    # to mode_hi + N, in lists indexed by a' - lo
+    lo = mode_lo - N
+    span = range(mode_hi + N + 1 - lo)
+    gens = {u.index: [LieGenerator(u.index, lo + a) for a in span] for u in active}
     for iw, w in enumerate(vectors):
-        # u_a' w, once per (u, w) for every pair it enters, as u or as v
-        acted = {x: {a: _act_into(spec, {}, g, w) for a, g in gx.items()}
-                 for x, gx in gens.items()}
+        # u_a' w, once per (u, w) for every cell it enters, as u or as v
+        acted = {x: [_act_into(spec, {}, g, w) for g in gx] for x, gx in gens.items()}
+        grids: dict = {}  # one grid per unordered pair {u, v}, shared by its duos
         for u, v, eps, products, local, commutes in duos:
-            gu, gv, uw, vw = gens[u.index], gens[v.index], acted[u.index], acted[v.index]
-            # (a', b') -> u_a' v_b' w - eps v_b' u_a' w; each (a, b) below
-            # reads N + 1 of these pairs, and neighbouring (a, b) share them
-            pairs: dict = {}
+            # the grid of p <= q (by basis index) holds P(a', b') = p_a' q_b' w -
+            # eps q_b' p_a' w at [a' - lo][b' - lo], made on first read; each
+            # (a, b) below reads N + 1 cells, which neighbouring (a, b) and the
+            # duo (q, p) share: (q, p) reads P(b', a') times -eps, and so does
+            # (p, p), whose cells are made in pairs
+            swap = u.index > v.index
+            p, q = (v, u) if swap else (u, v)
+            grid = grids.get((p.index, q.index))
+            if grid is None:
+                grid = grids[p.index, q.index] = [[None] * len(span) for _ in span]
+            gp, gq, pw, qw = gens[p.index], gens[q.index], acted[p.index], acted[q.index]
+            # u_(a-j) v_(b+j) is P(a - j, b + j), or -eps P(b + j, a - j) when
+            # swapped: the cell at (s + o, t - o), with (s, t) = (a, b) or (b, a)
+            sign, step = (-eps, 1) if swap else (1, -1)
+            offsets = [(coeff * sign, step * j) for coeff, j in row]
             for a in range(mode_lo, mode_hi + 1):
                 for b in range(mode_lo, mode_hi + 1):
+                    s, t = (b - lo, a - lo) if swap else (a - lo, b - lo)
                     total: dict = {}
-                    for coeff, j in row:
-                        pair = pairs.get((a - j, b + j))
+                    for coeff, o in offsets:
+                        x, y = s + o, t - o
+                        pair = grid[x][y]
                         if pair is None:
-                            acc: dict = {}
-                            for x, c in vw[b + j].items():
-                                _mul_gen(spec, acc, gu[a - j], x, c)
-                            for x, c in uw[a - j].items():
-                                _mul_gen(spec, acc, gv[b + j], x, -eps * c)
-                            pair = pairs[(a - j, b + j)] = acc
+                            pair = grid[x][y] = {}
+                            for z, c in qw[y].items():
+                                _mul_gen(spec, pair, gp[x], z, c)
+                            for z, c in pw[x].items():
+                                _mul_gen(spec, pair, gq[y], z, -eps * c)
+                            if p is q and x != y:
+                                grid[y][x] = pair if eps == -1 else {z: -c for z, c in pair.items()}
                         if pair:
                             _add_scaled(total, pair, coeff)
                     if total:
@@ -692,14 +724,16 @@ def axiom_spotcheck(spec: FormulaSpec, cutoff: RatLike) -> SpotcheckReport:
             fields: dict = {}  # (i, k) -> field(kappa(u_i v), k, w), read for every m + n - i = k
             for m in range(-2, 3):
                 for n in range(-2, 3):
+                    # the locality loop made this cell (j = 0); rhs is built over sign
+                    pair = grid[n - lo][m - lo] if swap else grid[m - lo][n - lo]
                     rhs = {}
                     for i, kp in products:
                         if coeff := gen_binomial(m, i):
                             k = m + n - i
                             if (i, k) not in fields:
                                 fields[i, k] = field(kp, k, w)
-                            _add_scaled(rhs, fields[i, k], coeff)
-                    if pairs[(m, n)] != rhs:
+                            _add_scaled(rhs, fields[i, k], coeff * sign)
+                    if pair != rhs:
                         commutes.append(f"commutator formula fails for "
                                         f"({u.label},{m},{v.label},{n})")
     ledger["locality"] = [msg for duo in duos for msg in duo[4]]

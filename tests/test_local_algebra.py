@@ -399,11 +399,16 @@ def test_bracket_and_lie_D_refuse_a_mode_the_spec_does_not_have(g, error, messag
 
     spec = virasoro()
     good = elem(spec, ("omega", 2, 1), ("c", -1, F(1, 3)))
-    bad = LieElement({gen(spec, "omega", 1): 1, g: F(2, 3)})
+
+    def bad() -> LieElement:
+        # a key that is not a mode (a TypeError here) is refused by LieElement
+        # itself, with the same message, so each call below builds its own
+        return LieElement({gen(spec, "omega", 1): 1, g: F(2, 3)})
+
     with pytest.raises(error, match=message):  # the refusal the module action gives
         act(spec, g, vacuum())
-    for call in (lambda: bracket(spec, bad, good), lambda: bracket(spec, good, bad),
-                 lambda: bracket(spec, bad, bad), lambda: lie_D(spec, bad),
+    for call in (lambda: bracket(spec, bad(), good), lambda: bracket(spec, good, bad()),
+                 lambda: bracket(spec, bad(), bad()), lambda: lie_D(spec, bad()),
                  lambda: lie_D(spec, LieElement({g: 1}))):
         with pytest.raises(error, match=message):
             call()
@@ -411,6 +416,26 @@ def test_bracket_and_lie_D_refuse_a_mode_the_spec_does_not_have(g, error, messag
     assert not spec._memo.get(bracket)
     assert bracket(spec, LieElement({gen(spec, "omega", 1): 1}), good)
     assert len(spec._memo[bracket]) == 1
+
+
+def test_a_lie_element_refuses_a_key_that_is_not_a_mode() -> None:
+    # LieGenerator(0, 2.0) and LieGenerator(True, 2) equal and hash as omega_2
+    # and c_2, so a LieElement that kept them would read a stored answer
+    spec = virasoro()
+    om2, c1 = gen(spec, "omega", 2), LieElement({gen(spec, "c", 1): 1})
+    bracket(spec, LieElement({om2: 1}), c1)
+    bracket(spec, LieElement({gen(spec, "c", 2): 1}), c1)
+    refused = [(LieGenerator(0, 2.0), "^mode must be an integer, got 2.0$"),
+               (LieGenerator(True, 2), "^basis index must be an integer, got True$"),
+               (LieGenerator(0, True), "^mode must be an integer, got True$"),
+               (LieGenerator("omega", 2), "^basis index must be an integer"),
+               ((0, 2), "^expected a LieGenerator, got tuple$")]
+    for g, message in refused:
+        # refused before anything is summed: beside an equal key, and at coefficient 0
+        for terms in ({g: 1}, [(g, F(1, 2))], [(om2, 1), (g, -1)], {g: 0}):
+            with pytest.raises(TypeError, match=message):
+                LieElement(terms)
+    assert len(spec._memo[bracket]) == 2
 
 
 def test_a_repeated_bracket_is_answered_from_the_table(monkeypatch) -> None:

@@ -1198,6 +1198,28 @@ def test_axiom_spotcheck_computes_each_mode_action_and_field_once(monkeypatch) -
     assert calls == SPOTCHECK_CALLS
 
 
+# _mul_gen calls, recursive ones included, of axiom_spotcheck on a fresh spec,
+# once locality keeps one pair grid per unordered basis pair {u, v} (the duo
+# (v, u) and the diagonal read it at swapped modes) and a normal-ordering
+# miss walks the stored product g rest instead of a fresh copy of it; before
+# both they were 5 964 and 1 715.
+MUL_GEN_CALLS = {("affine-sl2", 1): 3994, ("virasoro", 3): 1253}
+
+
+@pytest.mark.parametrize("name,cutoff", sorted(MUL_GEN_CALLS))
+def test_axiom_spotcheck_computes_each_pair_cell_once(name, cutoff, monkeypatch) -> None:
+    calls = [0]
+    real = verma_module._mul_gen
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(verma_module, "_mul_gen", counted)
+    assert axiom_spotcheck(preset(name), cutoff).ok
+    assert calls[0] == MUL_GEN_CALLS[name, cutoff]
+
+
 def test_axiom_spotcheck_abelian() -> None:
     from vertexlie import EVEN, FormulaSpec
 
@@ -1250,9 +1272,13 @@ SPOTCHECK_FAULTS = [
      "b600166fb2b0aa300b756094ac7589823436069ee2743d41cb1f469d6d8dd3b3"),
     ("apply_D_module", _doubled, (True, True, False, True, False, True), 12,
      "92f31aab8ba36b8bc83da98d545f0cf39d1b53bcb5ae0233b414146e83cbea67"),
-    ("_mul_gen", _negated_annihilators, (True, True, True, False, True, False), 94,
-     "e006ecbc30ab25f23bcabff318498a6755050598f12beb4ac6031f36d179eb18"),
+    ("_mul_gen", _negated_annihilators, (True, True, True, False, True, False), 60,
+     "20da81467617142e3e03edb410b71eeb17a03c7864276b16504b201d5e0c25cc"),
 ]
+# The _mul_gen row was 94 failures (digest e006ecbc...) while a normal-ordering
+# miss summed g rest through a fresh _mul_gen call, which the fault negated; the
+# miss now walks the stored g rest, so the fault sees fewer calls.  Its flags
+# are unchanged.
 
 
 def test_spotcheck_faults_trip_every_clause() -> None:
@@ -1287,8 +1313,8 @@ SPOTCHECK_FAULTS_WIDE = [
      "3e1391c285df45c3485e7ea68562d5a8331768b1777bda425038465ff8f1dca2"),
     ("affine-sl2", "apply_D_module", (True, True, True, True, False, True), 57,
      "8b6ebc8132d499324cfabe26ebddb2ef4010ab8e0edf531ba0cd98167cf48a17"),
-    ("affine-sl2", "_mul_gen", (True, True, True, False, True, False), 753,
-     "aaf7aead25485f8da318bbd7a05f4a3eb159c998778ea7ff0fb64157496125ea"),
+    ("affine-sl2", "_mul_gen", (True, True, True, False, True, False), 521,  # was 753, as above
+     "4e5bbd6a075f7c4ef2bb69faf23cf71c759517bc4bb46f06334034000c2394b6"),
     ("neveu-schwarz", "_pair_terms", (True, True, True, True, True, False), 50,
      "03a0bb13c862a2c3e9136e2e4c4521655b2e6a993c9e69f033ea63ab53d02cf5"),
     ("neveu-schwarz", "_fc", (False, False, True, True, True, False), 54,
@@ -1307,6 +1333,18 @@ def test_axiom_spotcheck_reports_injected_faults_on_wider_presets(
     fault = {f[0]: f[1] for f in SPOTCHECK_FAULTS}[name]
     monkeypatch.setattr(verma_module, name, fault(getattr(verma_module, name)))
     _assert_report(axiom_spotcheck(preset(preset_name), 1), flags, count, digest)
+
+
+def test_axiom_spotcheck_shares_pair_grids_on_a_wider_table(monkeypatch) -> None:
+    # affine(gl_2): four active vectors, twelve duos (u, v) with u != v, each
+    # unordered pair's grid read by both of its duos
+    from test_presets import _gl_n
+
+    assert axiom_spotcheck(affine(_gl_n(2)), 1).ok
+    monkeypatch.setattr(verma_module, "_mul_gen",
+                        _negated_annihilators(verma_module._mul_gen))
+    report = axiom_spotcheck(affine(_gl_n(2)), 1)
+    assert not report.locality and not report.commutator_formula
 
 
 # ---------------------------------------------------------------------------
